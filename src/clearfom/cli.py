@@ -40,9 +40,9 @@ from .network import (
     NetworkCase,
     add_express_links,
     build_mesh,
+    case_activities,
     flit_sweep,
     generate_traffic,
-    link_activity,
     network_clear,
 )
 from .trend import (
@@ -97,6 +97,8 @@ class RunManifest:
             raise ConfigurationError(f"command '{self.command}' requires --config")
         if self.command == "network" and self.seed is None:
             raise ConfigurationError("command 'network' requires --seed for traffic generation")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigurationError(f"--seed must be non-negative, got {self.seed}")
 
 
 def validate(doc):
@@ -344,11 +346,11 @@ def _run_network(manifest: RunManifest, artifacts: _Artifacts):
     config = load_network_config(doc)
     eval_year = manifest.eval_year if manifest.eval_year is not None else config.eval_year
     cases = _network_cases(config, manifest.seed)
+    activities = case_activities(cases)
 
     summary_rows = []
     report_cases = []
-    for spec, case in zip(config.cases, cases):
-        activity = link_activity(case.topology, case.traffic)
+    for spec, case, activity in zip(config.cases, cases, activities):
         result = network_clear(case.topology, case.traffic, case.config, eval_year,
                                activity=activity)
         utilization = activity.utilization(case.topology, case.config.link_rate_bps)
@@ -382,7 +384,7 @@ def _run_network(manifest: RunManifest, artifacts: _Artifacts):
     sweep_report = None
     if config.flit_sizes:
         sweep = flit_sweep(cases, config.flit_sizes, eval_year,
-                           baseline=config.sweep_baseline)
+                           baseline=config.sweep_baseline, activities=activities)
         artifacts.csv_files.append(
             ("flit_sweep.csv", ("flit_bits", "case", "clear"),
              [(row.flit_bits, row.label, row.clear) for row in sweep.rows]))

@@ -10,6 +10,17 @@ added every ``hop_span`` columns) are taken greedily whenever the far
 endpoint does not overshoot the destination column; this rule is the
 normative one for all shipped results.
 
+Link loads are aggregated, not walked flow by flow. A flow's X phase stays
+in its source row and its Y phase in its destination column, so the loads
+follow from per-row (c1 -> c2) and per-column (r1 -> r2) demand sums: the
+column pairs of a row are routed once per distinct pattern of express links
+and applied to every row with that pattern as one incidence product, and
+vertical loads are prefix sums of the column demands. Routing reads only the
+mesh shape and the express link endpoints, so :func:`case_activities` routes
+each distinct geometry once and cases that differ only in link technology
+share the result. Totals over links use :func:`math.fsum`, so they do not
+depend on the order in which links are visited.
+
 Physical links are undirected full-duplex channels: activity and utilization
 are tracked per direction, while area, cost, and the aggregate-capacity
 numerator count each channel pair once.
@@ -18,7 +29,7 @@ numerator count each channel pair once.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Sequence
@@ -56,13 +67,13 @@ __all__ = [
     "route",
     "generate_traffic",
     "link_activity",
+    "case_activities",
     "avg_latency_clks",
     "network_energy_per_bit",
     "network_area_and_cost",
     "network_clear",
     "flit_sweep",
     "find_crossover",
-    "shortest_path_hops",
 ]
 
 ELECTRONIC_DIE = "electronic"
@@ -206,6 +217,41 @@ class _RouteIndex:
     def route(self, src: int, dst: int) -> list[tuple[int, int, MeshLink]]:
         return [(u, v, self.links[(u, v)]) for u, v in self.walk(src, dst)]
 
+    def rows_by_pattern(self) -> list[list[int]]:
+        """Group rows whose express links sit in the same columns.
+
+        :meth:`walk` routes a row's X phase from the express spans keyed by
+        that row's nodes alone, so rows with equal patterns route alike.
+        """
+        cols = self.topology.cols
+        patterns: list[list[tuple[int, int]]] = [[] for _ in range(self.topology.rows)]
+        for node, span in self.express_right.items():
+            patterns[node // cols].append((node % cols, span))
+        for node, span in self.express_left.items():
+            patterns[node // cols].append((node % cols, -span))
+        groups: dict[tuple, list[int]] = {}
+        for row, pattern in enumerate(patterns):
+            groups.setdefault(tuple(sorted(pattern)), []).append(row)
+        return list(groups.values())
+
+    def row_incidence(self, row: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """Route every (c1, c2) column pair within ``row`` once.
+
+        Returns the directed hops as (from, to) column pairs and a 0/1 matrix
+        whose entry [c1 * cols + c2, h] marks that the pair's route takes hop h.
+        """
+        cols = self.topology.cols
+        base = row * cols
+        pairs_by_hop: dict[tuple[int, int], list[int]] = {}
+        for c1 in range(cols):
+            for c2 in range(cols):
+                for u, v in self.walk(base + c1, base + c2):
+                    pairs_by_hop.setdefault((u - base, v - base), []).append(c1 * cols + c2)
+        incidence = np.zeros((cols * cols, len(pairs_by_hop)))
+        for hop, pairs in enumerate(pairs_by_hop.values()):
+            incidence[pairs, hop] = 1.0
+        return list(pairs_by_hop), incidence
+
 
 def route(topology: MeshTopology, src: int, dst: int) -> list[tuple[int, int, MeshLink]]:
     """Deterministic X-then-Y path as (from, to, link) hops; empty if src == dst."""
@@ -267,12 +313,6 @@ class TrafficMatrix:
         return float(self.rates.sum())
 
 
-def _manhattan(topology: MeshTopology, src: int, dst: int) -> int:
-    r1, c1 = topology.node_rc(src)
-    r2, c2 = topology.node_rc(dst)
-    return abs(r1 - r2) + abs(c1 - c2)
-
-
 def generate_traffic(pattern: TrafficPattern | str, params: TrafficParams,
                      topology: MeshTopology, seed: int) -> TrafficMatrix:
     """Synthetic offered-load matrix; identical seeds give identical matrices."""
@@ -311,12 +351,19 @@ def generate_traffic(pattern: TrafficPattern | str, params: TrafficParams,
                     rates[src, dst] += share
             # A source with no valid targets in a class simply injects less.
     else:
-        scale = params.locality_scale_hops
-        for src in range(n):
-            weights = np.array([
-                0.0 if dst == src else math.exp(-_manhattan(topology, src, dst) / scale)
-                for dst in range(n)])
-            rates[src] = inj * weights / weights.sum()
+        # exp(-(|dr| + |dc|) / s) separates into a row factor times a column
+        # factor; their broadcast product is written straight into ``rates``.
+        rows, cols = topology.rows, topology.cols
+        row_weight = np.exp(-np.abs(np.subtract.outer(np.arange(rows), np.arange(rows)))
+                            / params.locality_scale_hops)
+        col_weight = np.exp(-np.abs(np.subtract.outer(np.arange(cols), np.arange(cols)))
+                            / params.locality_scale_hops)
+        np.multiply(row_weight[:, None, :, None], col_weight[None, :, None, :],
+                    out=rates.reshape(rows, cols, rows, cols))
+        np.fill_diagonal(rates, 0.0)
+        totals = rates.sum(axis=1, keepdims=True)
+        rates *= inj
+        rates /= totals
     return TrafficMatrix(rates=rates)
 
 
@@ -331,10 +378,10 @@ class LinkActivity:
 
     def utilization(self, topology: MeshTopology,
                     rated_bps: Mapping[Technology, float]) -> dict[tuple[int, int], float]:
-        lookup = _link_lookup(topology)
+        links = _RouteIndex(topology).links
         out = {}
         for key, load in self.loads.items():
-            link = lookup[key]
+            link = links[key]
             if link.technology not in rated_bps:
                 raise ConfigurationError(f"no rated capacity for {link.technology.value}")
             out[key] = load / rated_bps[link.technology]
@@ -342,32 +389,71 @@ class LinkActivity:
 
 
 def link_activity(topology: MeshTopology, traffic: TrafficMatrix) -> LinkActivity:
-    """Charge each flow's full rate to every directed link on its route."""
+    """Charge each flow's full rate to every directed link on its route.
+
+    Loads come from aggregated demands rather than a per-flow walk: row r
+    carries the X phase of every flow leaving it, with demand
+    ``sum over r2 of rates[(r, c1), (r2, c2)]`` per column pair, and column c
+    carries the Y phase of every flow entering it, with demand
+    ``sum over c1 of rates[(r1, c1), (r2, c)]`` per row pair. Only links that
+    carry load appear in ``loads``, in (from, to) order, as Python floats.
+    """
     if traffic.node_count != topology.node_count:
         raise DomainError("traffic matrix size does not match the topology")
-    index = _RouteIndex(topology)
-    n = topology.node_count
-    walk = index.walk
+    rows, cols, n = topology.rows, topology.cols, topology.node_count
+    grid = traffic.rates.reshape(rows, cols, rows, cols)  # [r1, c1, r2, c2]
     loads_by_key: dict[int, float] = {}
-    injected = 0.0
-    flow_hops = 0.0
-    traversals = 0.0
-    rates = traffic.rates
-    for src in range(n):
-        row = rates[src]
-        for dst in np.nonzero(row)[0]:
-            rate = float(row[dst])
-            hops = 0
-            for u, v in walk(src, int(dst)):
-                key = u * n + v
-                loads_by_key[key] = loads_by_key.get(key, 0.0) + rate
-                hops += 1
-            injected += rate
-            flow_hops += rate * hops
-            traversals += rate * (hops + 1)
+
+    row_demand = grid.sum(axis=2).reshape(rows, cols * cols)
+    index = _RouteIndex(topology)
+    for members in index.rows_by_pattern():
+        hops, incidence = index.row_incidence(members[0])
+        # einsum, not @: threaded BLAS costs more than this small product.
+        carried = np.einsum("rp,ph->rh", row_demand[members], incidence)
+        for row, row_loads in zip(members, carried.tolist()):
+            base = row * cols
+            for (cu, cv), load in zip(hops, row_loads):
+                if load > 0:
+                    loads_by_key[(base + cu) * n + base + cv] = load
+
+    # Column demands [r1, r2, c]. The link from row r down to r + 1 carries
+    # every r1 <= r < r2 pair; the link from r + 1 up to r every r2 <= r < r1.
+    col_demand = grid.sum(axis=1)
+    later = np.triu(np.ones((rows, rows)), k=1)[:-1]
+    down = np.einsum("rsc,rs->rc", np.cumsum(col_demand, axis=0)[:-1], later)
+    up = np.einsum("rsc,rs->rc", np.cumsum(col_demand[::-1], axis=0)[-2::-1], 1.0 - later)
+    for row, (down_row, up_row) in enumerate(zip(down.tolist(), up.tolist())):
+        for col, (load_down, load_up) in enumerate(zip(down_row, up_row)):
+            upper = row * cols + col
+            if load_down > 0:
+                loads_by_key[upper * n + upper + cols] = load_down
+            if load_up > 0:
+                loads_by_key[(upper + cols) * n + upper] = load_up
+
     loads = {(key // n, key % n): load for key, load in sorted(loads_by_key.items())}
-    return LinkActivity(loads=loads, injected_bps=injected,
-                        flow_hop_bps=flow_hops, router_traversal_bps=traversals)
+    injected = math.fsum(traffic.rates.sum(axis=1).tolist())
+    flow_hops = math.fsum(loads.values())
+    return LinkActivity(loads=loads, injected_bps=injected, flow_hop_bps=flow_hops,
+                        router_traversal_bps=flow_hops + injected)
+
+
+def case_activities(cases: Sequence[NetworkCase]) -> list[LinkActivity]:
+    """One :class:`LinkActivity` per case, routing each distinct geometry once.
+
+    Routing reads the mesh shape and the express link endpoints, not link
+    technology, so cases that share those and the same traffic matrix share
+    one routing pass.
+    """
+    shared: dict[tuple, LinkActivity] = {}
+    activities = []
+    for case in cases:
+        topology = case.topology
+        key = (topology.rows, topology.cols,
+               tuple((link.a, link.b) for link in topology.express_links), case.traffic)
+        if key not in shared:
+            shared[key] = link_activity(topology, case.traffic)
+        activities.append(shared[key])
+    return activities
 
 
 @dataclass(frozen=True)
@@ -509,15 +595,15 @@ def _latency_from_activity(topology: MeshTopology, activity: LinkActivity,
     """
     if activity.injected_bps <= 0:
         raise DomainError("average latency is undefined for zero traffic")
-    lookup = _link_lookup(topology)
-    weighted = config.router_pipeline_clks * activity.flow_hop_bps
+    links = _RouteIndex(topology).links
+    terms = [config.router_pipeline_clks * activity.flow_hop_bps]
     for key, load in activity.loads.items():
-        link = lookup[key]
+        link = links[key]
         if link.technology not in config.link_latency_clks:
             raise ConfigurationError(
                 f"link_latency_clks has no entry for '{link.technology.value}'")
-        weighted += load * config.link_latency_clks[link.technology]
-    return weighted / activity.injected_bps
+        terms.append(load * config.link_latency_clks[link.technology])
+    return math.fsum(terms) / activity.injected_bps
 
 
 def avg_latency_clks(topology: MeshTopology, traffic: TrafficMatrix,
@@ -531,14 +617,6 @@ def avg_latency_clks(topology: MeshTopology, traffic: TrafficMatrix,
     return _latency_from_activity(topology, link_activity(topology, traffic), config)
 
 
-def _link_lookup(topology: MeshTopology) -> dict[tuple[int, int], MeshLink]:
-    lookup: dict[tuple[int, int], MeshLink] = {}
-    for link in topology.all_links():
-        lookup[(link.a, link.b)] = link
-        lookup[(link.b, link.a)] = link
-    return lookup
-
-
 def network_energy_per_bit(topology: MeshTopology, activity: LinkActivity,
                            config: NocConfig) -> float:
     """Total dynamic energy rate divided by the injected bit rate.
@@ -549,20 +627,19 @@ def network_energy_per_bit(topology: MeshTopology, activity: LinkActivity,
     """
     if activity.injected_bps <= 0:
         raise DomainError("energy per bit is undefined for zero traffic")
-    lookup = _link_lookup(topology)
+    links = _RouteIndex(topology).links
     energy_cache: dict[tuple[Technology, float], float] = {}
-    link_term = 0.0
+    terms = [activity.router_traversal_bps * config.router.dynamic_j_per_bit]
     for key, load in activity.loads.items():
-        link = lookup[key]
+        link = links[key]
         length = topology.link_length_m(link)
         cache_key = (link.technology, length)
         if cache_key not in energy_cache:
             config.require_technology(link.technology)
             spec = config.link_templates[link.technology].at_length(length)
             energy_cache[cache_key] = link_energy_per_bit(spec)
-        link_term += load * energy_cache[cache_key]
-    router_term = activity.router_traversal_bps * config.router.dynamic_j_per_bit
-    return (link_term + router_term) / activity.injected_bps
+        terms.append(load * energy_cache[cache_key])
+    return math.fsum(terms) / activity.injected_bps
 
 
 @dataclass(frozen=True)
@@ -593,26 +670,28 @@ def _native_die(technology: Technology) -> str:
 
 def network_area_and_cost(topology: MeshTopology, config: NocConfig,
                           eval_year: float | None = None) -> NetworkAreaCost:
-    """Sum component areas per die and price them at the wafer rates."""
-    area_by_die: dict[str, float] = {}
+    """Sum component areas per die and price them at the wafer rates.
 
-    def add(die: str, area: float):
-        area_by_die[die] = area_by_die.get(die, 0.0) + area
+    Links of one technology and span are identical, so each such group is
+    instantiated once and its footprint multiplied by the group size.
+    """
+    terms_by_die: dict[str, list[float]] = {
+        config.router.die: [config.router.area_m2 * topology.node_count]}
+    groups = Counter((link.technology, link.hop_span) for link in topology.all_links())
+    for (technology, hop_span), count in groups.items():
+        config.require_technology(technology)
+        spec = config.link_templates[technology].at_length(hop_span * topology.spacing_m)
+        for die, area in _link_area_by_die(spec, _native_die(technology)).items():
+            terms_by_die.setdefault(die, []).append(count * area)
+    area_by_die = {die: math.fsum(terms) for die, terms in terms_by_die.items()}
 
-    add(config.router.die, config.router.area_m2 * topology.node_count)
-    for link in topology.all_links():
-        config.require_technology(link.technology)
-        spec = config.link_templates[link.technology].at_length(topology.link_length_m(link))
-        for die, area in _link_area_by_die(spec, _native_die(link.technology)).items():
-            add(die, area)
-
-    cost = 0.0
+    cost_terms = []
     for die, area in sorted(area_by_die.items()):
         if die not in config.wafer_cost:
             raise ConfigurationError(f"wafer_cost has no entry for die '{die}'")
-        cost += area * config.wafer_cost[die].rate_at(eval_year)
-    return NetworkAreaCost(area_m2=sum(area_by_die.values()), cost_usd=cost,
-                           area_by_die=area_by_die)
+        cost_terms.append(area * config.wafer_cost[die].rate_at(eval_year))
+    return NetworkAreaCost(area_m2=math.fsum(area_by_die.values()),
+                           cost_usd=math.fsum(cost_terms), area_by_die=area_by_die)
 
 
 @dataclass(frozen=True)
@@ -626,13 +705,13 @@ class NetworkClearResult:
 
 
 def _aggregate_capacity_per_node(topology: MeshTopology, config: NocConfig) -> float:
-    total = 0.0
-    for link in topology.all_links():
-        if link.technology not in config.link_rate_bps:
+    counts = Counter(link.technology for link in topology.all_links())
+    for technology in counts:
+        if technology not in config.link_rate_bps:
             raise ConfigurationError(
-                f"link_rate_bps has no entry for '{link.technology.value}'")
-        total += config.link_rate_bps[link.technology]
-    return total / topology.node_count
+                f"link_rate_bps has no entry for '{technology.value}'")
+    return math.fsum(count * config.link_rate_bps[technology]
+                     for technology, count in counts.items()) / topology.node_count
 
 
 def network_clear(topology: MeshTopology, traffic: TrafficMatrix, config: NocConfig,
@@ -692,7 +771,7 @@ def find_crossover(flit_sizes: Sequence[int], series: Sequence[float],
         raise DomainError("crossover inputs must have equal lengths")
     previous = None
     for flit, a, b in zip(flit_sizes, series, baseline):
-        sign = (a > b) - (a < b)
+        sign = int(a > b) - int(a < b)
         if sign == 0:
             return flit
         if previous is not None and sign != previous:
@@ -703,11 +782,14 @@ def find_crossover(flit_sizes: Sequence[int], series: Sequence[float],
 
 def flit_sweep(cases: Sequence[NetworkCase], flit_sizes: Sequence[int],
                eval_year: float | None = None,
-               baseline: str | None = None) -> FlitSweepResult:
+               baseline: str | None = None,
+               activities: Sequence[LinkActivity] | None = None) -> FlitSweepResult:
     """Re-evaluate every case at each flit size and report crossovers.
 
     Routing, latency, and link activity do not depend on flit size, so they
-    are computed once per case and reused across the sweep.
+    are computed once per geometry and reused across the sweep. ``activities``
+    may carry those routing passes, one per case, from a caller that already
+    has them.
     """
     if not flit_sizes:
         raise DomainError("flit_sweep needs at least one flit size")
@@ -719,12 +801,15 @@ def flit_sweep(cases: Sequence[NetworkCase], flit_sizes: Sequence[int],
     if baseline not in labels:
         raise ConfigurationError(f"baseline '{baseline}' is not among the cases")
 
-    prepared = [(case, link_activity(case.topology, case.traffic)) for case in cases]
+    if activities is None:
+        activities = case_activities(cases)
+    if len(activities) != len(cases):
+        raise DomainError("flit_sweep needs one link activity per case")
 
     rows: list[FlitSweepRow] = []
     by_label: dict[str, list[float]] = {label: [] for label in labels}
     for flit in flit_sizes:
-        for case, activity in prepared:
+        for case, activity in zip(cases, activities):
             config = case.config.with_flit_bits(flit)
             value = network_clear(case.topology, case.traffic, config, eval_year,
                                   activity=activity).clear.value
@@ -736,27 +821,3 @@ def flit_sweep(cases: Sequence[NetworkCase], flit_sizes: Sequence[int],
         for label in labels if label != baseline}
     return FlitSweepResult(rows=tuple(rows), baseline=baseline,
                            crossover_flit_bits=crossovers)
-
-
-def shortest_path_hops(topology: MeshTopology, src: int, dst: int) -> int:
-    """Breadth-first shortest hop count over base plus express links.
-
-    Independent of the router; used as the optimality oracle for routes.
-    """
-    if src == dst:
-        return 0
-    adjacency: dict[int, list[int]] = {}
-    for link in topology.all_links():
-        adjacency.setdefault(link.a, []).append(link.b)
-        adjacency.setdefault(link.b, []).append(link.a)
-    seen = {src: 0}
-    queue = deque([src])
-    while queue:
-        node = queue.popleft()
-        for nxt in adjacency.get(node, ()):
-            if nxt not in seen:
-                seen[nxt] = seen[node] + 1
-                if nxt == dst:
-                    return seen[nxt]
-                queue.append(nxt)
-    raise DomainError("destination unreachable")

@@ -137,6 +137,15 @@ class TestNetworkCommand:
                      "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
         assert "--seed" in capsys.readouterr().err
 
+    def test_negative_seed_is_a_validation_error(self, tmp_path, capsys):
+        config = _small_network_config(tmp_path)
+        assert main(["network", "--config", str(config), "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("clearfom: error code=1 kind=validation")
+        assert "--seed" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_deterministic_artifacts_byte_identical(self, tmp_path):
         config = _small_network_config(tmp_path, cases=("electronic", "hyppi"))
         out_a, out_b = tmp_path / "a", tmp_path / "b"

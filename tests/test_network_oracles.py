@@ -1,0 +1,199 @@
+"""Aggregated routing and vectorised traffic checked against scalar references.
+
+The references below are the per-flow walker and the per-source locality
+loop that the library used before it aggregated demands; they stay here as
+the oracles the faster paths must agree with.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clearfom.errors import DomainError
+from clearfom.metric import Technology
+from clearfom.network import (
+    LinkActivity,
+    NetworkCase,
+    TrafficMatrix,
+    TrafficParams,
+    _RouteIndex,
+    add_express_links,
+    build_mesh,
+    case_activities,
+    find_crossover,
+    flit_sweep,
+    generate_traffic,
+    link_activity,
+    network_clear,
+)
+from clearfom.validation import load_network_config
+
+
+def reference_link_activity(topology, traffic):
+    """Walk every nonzero flow hop by hop and charge its rate to each link."""
+    walk = _RouteIndex(topology).walk
+    n = topology.node_count
+    loads_by_key = {}
+    injected = flow_hops = traversals = 0.0
+    rates = traffic.rates
+    for src in range(n):
+        row = rates[src]
+        for dst in np.nonzero(row)[0]:
+            rate = float(row[dst])
+            hops = 0
+            for u, v in walk(src, int(dst)):
+                key = u * n + v
+                loads_by_key[key] = loads_by_key.get(key, 0.0) + rate
+                hops += 1
+            injected += rate
+            flow_hops += rate * hops
+            traversals += rate * (hops + 1)
+    loads = {(key // n, key % n): load for key, load in sorted(loads_by_key.items())}
+    return LinkActivity(loads=loads, injected_bps=injected,
+                        flow_hop_bps=flow_hops, router_traversal_bps=traversals)
+
+
+def reference_locality_rates(topology, injection_bps, scale):
+    """Normalise exp(-Manhattan / scale) one source row at a time."""
+    n = topology.node_count
+    rates = np.zeros((n, n))
+    for src in range(n):
+        r1, c1 = divmod(src, topology.cols)
+        weights = np.array([
+            0.0 if dst == src else
+            math.exp(-(abs(r1 - dst // topology.cols) + abs(c1 - dst % topology.cols)) / scale)
+            for dst in range(n)])
+        rates[src] = injection_bps * weights / weights.sum()
+    return rates
+
+
+@st.composite
+def routed_cases(draw):
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.integers(1, 9))
+    mesh = build_mesh(rows, cols, 1e-3, "electronic")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if cols >= 3 and draw(st.booleans()):
+        mesh = add_express_links(mesh, draw(st.integers(2, cols - 1)), "hybrid")
+        if draw(st.booleans()):
+            # Rows with different express patterns must be routed separately.
+            kept = [link for link in mesh.express_links if rng.random() < 0.5]
+            mesh = replace(mesh, express_links=tuple(kept))
+    n = rows * cols
+    integer = draw(st.booleans())
+    if integer:
+        rates = rng.integers(1, 2 ** 20, size=(n, n)).astype(float)
+    else:
+        rates = rng.random((n, n)) * 10.0 ** rng.uniform(-3, 12)
+    rates[rng.random((n, n)) >= draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))] = 0.0
+    rates[rng.random(n) < 0.25] = 0.0
+    np.fill_diagonal(rates, 0.0)
+    return mesh, TrafficMatrix(rates=rates), integer
+
+
+class TestAggregatedLinkActivity:
+    @settings(max_examples=150, deadline=None)
+    @given(routed_cases())
+    def test_matches_scalar_walker(self, case):
+        mesh, traffic, integer = case
+        fast = link_activity(mesh, traffic)
+        slow = reference_link_activity(mesh, traffic)
+        assert list(fast.loads) == list(slow.loads)
+        pairs = [(fast.loads[k], slow.loads[k]) for k in slow.loads]
+        pairs += [(fast.injected_bps, slow.injected_bps),
+                  (fast.flow_hop_bps, slow.flow_hop_bps),
+                  (fast.router_traversal_bps, slow.router_traversal_bps)]
+        for got, want in pairs:
+            if integer:
+                assert got == want
+            else:
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+
+    @pytest.mark.parametrize("k", [5, 7, 16])
+    def test_uniform_max_channel_load_closed_form(self, k):
+        # Dally & Towles: the bisection-adjacent channel carries k*floor(k/2)*ceil(k/2)
+        # flows of rate lambda / (n - 1) under XY routing.
+        injection = 1e9
+        mesh = build_mesh(k, k, 1e-3, "electronic")
+        traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=injection),
+                                   mesh, seed=0)
+        expected = k * (k // 2) * ((k + 1) // 2) * injection / (k * k - 1)
+        assert max(link_activity(mesh, traffic).loads.values()) == \
+            pytest.approx(expected, rel=1e-12)
+
+    def test_loads_and_totals_are_python_floats(self):
+        mesh = add_express_links(build_mesh(3, 5, 1e-3, "electronic"), 2, "hybrid")
+        traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
+                                   mesh, seed=0)
+        activity = link_activity(mesh, traffic)
+        values = [*activity.loads.values(), activity.injected_bps, activity.flow_hop_bps,
+                  activity.router_traversal_bps]
+        assert all(type(value) is float for value in values)
+        assert all(type(a) is int and type(b) is int for a, b in activity.loads)
+
+
+class TestRouteOncePerGeometry:
+    def test_technology_variants_share_one_activity(self):
+        base = build_mesh(4, 6, 1e-3, "electronic")
+        photonic = build_mesh(4, 6, 1e-3, "photonic")
+        express = add_express_links(base, 3, "hybrid")
+        traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
+                                   base, seed=0)
+        other = TrafficMatrix(rates=traffic.rates * 2.0)
+        cases = [NetworkCase(label, topology, t, config=None)
+                 for label, topology, t in (("e", base, traffic), ("p", photonic, traffic),
+                                            ("x", express, traffic), ("e2", base, other))]
+        activities = case_activities(cases)
+        assert activities[0] is activities[1]
+        assert activities[2] is not activities[0]
+        assert activities[3] is not activities[0]
+        assert activities[3].injected_bps == 2.0 * activities[0].injected_bps
+        assert activities[2].loads == link_activity(express, traffic).loads
+
+
+class TestShippedNetwork:
+    def test_electronic_uniform_latency_is_128_over_3(self, network_config_doc):
+        config = load_network_config(network_config_doc)
+        mesh = build_mesh(config.rows, config.cols, config.spacing_m, Technology.ELECTRONIC)
+        traffic = generate_traffic(config.traffic_pattern, config.traffic_params, mesh, seed=1)
+        latency = network_clear(mesh, traffic, config.noc).latency_clks
+        assert abs(latency - 128 / 3) <= 4 * math.ulp(128 / 3)
+
+    def test_flit_sweep_accepts_precomputed_activities(self, network_config_doc):
+        config = load_network_config(network_config_doc)
+        base = build_mesh(4, 4, config.spacing_m, Technology.ELECTRONIC)
+        traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
+                                   base, seed=0)
+        cases = [NetworkCase("electronic", base, traffic, config.noc),
+                 NetworkCase("hyppi", build_mesh(4, 4, config.spacing_m, Technology.HYBRID),
+                             traffic, config.noc)]
+        direct = flit_sweep(cases, [32, 64])
+        shared = flit_sweep(cases, [32, 64], activities=case_activities(cases))
+        assert shared == direct
+        with pytest.raises(DomainError, match="one link activity per case"):
+            flit_sweep(cases, [32], activities=case_activities(cases)[:1])
+
+
+class TestFindCrossoverNumpy:
+    def test_numpy_inputs_do_not_raise(self):
+        flits = np.array([32, 64, 128, 256])
+        series = np.array([10.0, 9.0, 7.0, 1.0])
+        baseline = np.array([8.0, 8.0, 8.0, 8.0])
+        assert find_crossover(flits, series, baseline) == 128
+        assert find_crossover(flits, series + 10.0, baseline) is None
+
+
+class TestVectorisedLocality:
+    @pytest.mark.parametrize("rows,cols", [(1, 5), (6, 1), (3, 3), (4, 7), (8, 8)])
+    @pytest.mark.parametrize("scale", [0.5, 2.0, 4.0, 1e3])
+    def test_matches_per_source_loop(self, rows, cols, scale):
+        mesh = build_mesh(rows, cols, 1e-3, "electronic")
+        params = TrafficParams(injection_bps_per_node=1e9, locality_scale_hops=scale)
+        got = generate_traffic("exponential_locality", params, mesh, seed=0).rates
+        want = reference_locality_rates(mesh, 1e9, scale)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
