@@ -6,74 +6,53 @@ point-to-point interconnect links, mesh networks-on-chip, and whole compute
 systems. Factors are normalized against first-principles physical ceilings
 for radar comparison, and the economic resistance factor rides a log-linear
 experience curve.
+
+The names re-exported here resolve lazily (PEP 562): ``from clearfom import
+link_clear`` imports :mod:`clearfom.link` on first use, not when the package
+is imported. Only the mesh-NoC model in :mod:`clearfom.network` needs numpy,
+so numpy loads only when one of its names, or that module, is first touched.
 """
 
 __version__ = "0.1.0"
 
-from .constants import CODATA_2018, PhysicalConstants
-from .device import DeviceSpec, device_clear, radar_normalize
-from .economics import (
-    ExperienceCurve,
-    fit_experience_curve,
-    load_cost_observations,
-    unit_cost,
-)
-from .errors import (
-    ClearError,
-    ConfigurationError,
-    DomainError,
-    InfeasibleLinkError,
-    InsufficientDataError,
-)
-from .limits import (
-    LimitSet,
-    bremermann_rate,
-    heisenberg_min_length,
-    landauer_energy,
-    make_limit_set,
-    margolus_levitin_rate,
-    time_of_flight_rate_limit,
-)
-from .link import (
-    ElectricalTransport,
-    LinkComponent,
-    LinkSpec,
-    OpticalTransport,
-    link_area,
-    link_capacity,
-    link_clear,
-    link_energy_per_bit,
-    p2p_latency,
-    repeater_count,
-)
-from .metric import (
-    ClearFactors,
-    ClearValue,
-    Level,
-    RadarScores,
-    Technology,
-    radar_area,
-)
-from .network import (
-    MeshTopology,
-    NocConfig,
-    TrafficMatrix,
-    add_express_links,
-    avg_latency_clks,
-    build_mesh,
-    flit_sweep,
-    generate_traffic,
-    link_activity,
-    network_area_and_cost,
-    network_clear,
-    network_energy_per_bit,
-    route,
-)
-from .trend import (
-    GrowthFit,
-    SystemRecord,
-    classify_vs_trend,
-    efficiency_point,
-    fit_growth,
-    system_clear,
-)
+# Re-exported name -> defining submodule.
+_EXPORTS = {
+    **dict.fromkeys(("CODATA_2018", "PhysicalConstants"), "constants"),
+    **dict.fromkeys(("DeviceSpec", "device_clear", "radar_normalize"), "device"),
+    **dict.fromkeys(("ExperienceCurve", "fit_experience_curve", "load_cost_observations",
+                     "unit_cost"), "economics"),
+    **dict.fromkeys(("ClearError", "ConfigurationError", "DomainError",
+                     "InfeasibleLinkError", "InsufficientDataError"), "errors"),
+    **dict.fromkeys(("LimitSet", "bremermann_rate", "heisenberg_min_length",
+                     "landauer_energy", "make_limit_set", "margolus_levitin_rate",
+                     "time_of_flight_rate_limit"), "limits"),
+    **dict.fromkeys(("ElectricalTransport", "LinkComponent", "LinkSpec", "OpticalTransport",
+                     "link_area", "link_capacity", "link_clear", "link_energy_per_bit",
+                     "p2p_latency", "repeater_count"), "link"),
+    **dict.fromkeys(("ClearFactors", "ClearValue", "Level", "RadarScores", "Technology",
+                     "radar_area"), "metric"),
+    **dict.fromkeys(("MeshTopology", "NocConfig", "TrafficMatrix", "add_express_links",
+                     "avg_latency_clks", "build_mesh", "flit_sweep", "generate_traffic",
+                     "link_activity", "network_area_and_cost", "network_clear",
+                     "network_energy_per_bit", "route"), "network"),
+    **dict.fromkeys(("GrowthFit", "SystemRecord", "classify_vs_trend", "efficiency_point",
+                     "fit_growth", "system_clear"), "trend"),
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

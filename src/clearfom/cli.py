@@ -36,15 +36,6 @@ from .metric import (
     radar_scores,
     radar_vertices,
 )
-from .network import (
-    NetworkCase,
-    add_express_links,
-    build_mesh,
-    case_activities,
-    flit_sweep,
-    generate_traffic,
-    network_clear,
-)
 from .trend import (
     classify_vs_trend,
     efficiency_point,
@@ -325,6 +316,8 @@ def _run_link(manifest: RunManifest, artifacts: _Artifacts):
 
 
 def _network_cases(config, seed: int):
+    from .network import NetworkCase, add_express_links, build_mesh, generate_traffic
+
     base_mesh = build_mesh(config.rows, config.cols, config.spacing_m,
                            config.cases[0].technology)
     traffic = generate_traffic(config.traffic_pattern, config.traffic_params,
@@ -341,6 +334,9 @@ def _network_cases(config, seed: int):
 
 
 def _run_network(manifest: RunManifest, artifacts: _Artifacts):
+    # The NoC model, and numpy with it, loads only for this subcommand.
+    from .network import case_activities, flit_sweep, network_clear
+
     doc = _load_config(manifest.config_path)
     _require_valid(doc, "network_comparison")
     config = load_network_config(doc)

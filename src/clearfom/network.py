@@ -121,6 +121,14 @@ class MeshTopology:
         expected = self.rows * (self.cols - 1) + self.cols * (self.rows - 1)
         if len(self.base_links) != expected:
             raise DomainError(f"a {self.rows}x{self.cols} mesh needs {expected} base links")
+        # Routing takes express links as horizontal spans of hop_span columns.
+        for link in self.express_links:
+            if not (0 <= link.a and link.b < self.node_count
+                    and link.a // self.cols == link.b // self.cols
+                    and link.b - link.a == link.hop_span):
+                raise DomainError(
+                    f"express link {link.a}-{link.b} must join two nodes of one row "
+                    f"exactly hop_span={link.hop_span} columns apart")
 
     @property
     def node_count(self) -> int:
@@ -337,19 +345,19 @@ def generate_traffic(pattern: TrafficPattern | str, params: TrafficParams,
         else:
             hotspots = sorted(rng.choice(n, size=min(params.hotspot_count, n),
                                          replace=False).tolist())
-        hot = set(hotspots)
-        for src in range(n):
-            hot_targets = [h for h in hotspots if h != src]
-            others = [d for d in range(n) if d != src and d not in hot]
-            if hot_targets:
-                share = inj * params.hotspot_fraction / len(hot_targets)
-                for dst in hot_targets:
-                    rates[src, dst] = share
-            if others:
-                share = inj * (1.0 - params.hotspot_fraction) / len(others)
-                for dst in others:
-                    rates[src, dst] += share
-            # A source with no valid targets in a class simply injects less.
+        is_hot = np.zeros(n, dtype=bool)
+        is_hot[hotspots] = True
+        # Destinations of each class per source, the source itself excluded.
+        hot_targets = len(hotspots) - is_hot
+        others = n - len(hotspots) - 1 + is_hot
+        # A source with no valid targets in a class simply injects less.
+        hot_share = np.divide(inj * params.hotspot_fraction, hot_targets,
+                              out=np.zeros(n), where=hot_targets > 0)
+        other_share = np.divide(inj * (1.0 - params.hotspot_fraction), others,
+                                out=np.zeros(n), where=others > 0)
+        np.copyto(rates, hot_share[:, None], where=is_hot)
+        np.copyto(rates, other_share[:, None], where=~is_hot)
+        np.fill_diagonal(rates, 0.0)
     else:
         # exp(-(|dr| + |dc|) / s) separates into a row factor times a column
         # factor; their broadcast product is written straight into ``rates``.

@@ -2,14 +2,16 @@
 
 Validation walks a whole parsed JSON document, collects every problem (it is
 not fail-fast), and rejects unknown keys. Loaders assume a clean validation
-pass and build domain objects; the CLI runs them in that order.
+pass and build domain objects; the CLI runs them in that order. The NoC types
+come from :mod:`clearfom.network`, which needs numpy, so they are imported
+only on the ``network_comparison`` validation and loading paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .device import DeviceSpec
 from .economics import ExperienceCurve, fit_experience_curve, load_cost_observations
@@ -22,14 +24,9 @@ from .link import (
     OpticalTransport,
 )
 from .metric import Technology
-from .network import (
-    NocConfig,
-    NocLinkTemplate,
-    RouterModel,
-    TrafficParams,
-    TrafficPattern,
-    WaferCost,
-)
+
+if TYPE_CHECKING:
+    from .network import NocConfig, TrafficParams, TrafficPattern
 
 __all__ = [
     "Diagnostic",
@@ -48,7 +45,6 @@ __all__ = [
 
 TECHNOLOGIES = tuple(t.value for t in Technology)
 ROLES = tuple(r.value for r in ComponentRole)
-PATTERNS = tuple(p.value for p in TrafficPattern)
 CONFIG_KINDS = ("device_comparison", "link_comparison", "network_comparison", "trend")
 
 
@@ -217,7 +213,9 @@ def _validate_link_body(check: _Check, obj: Mapping, path: str):
     if "transport" in obj:
         _validate_transport(check, obj["transport"], f"{path}.transport")
     if spacing is not None and isinstance(components, list):
-        roles = {c.get("role") for c in components if isinstance(c, Mapping)}
+        # A role of the wrong type already has its own diagnostic above.
+        roles = {c.get("role") for c in components
+                 if isinstance(c, Mapping) and isinstance(c.get("role"), str)}
         if "repeater" not in roles:
             check.error(f"{path}.repeater_spacing_m",
                         "repeater_spacing_m requires a component with role 'repeater'")
@@ -283,13 +281,16 @@ def _validate_link_config(check: _Check, doc: Mapping):
 
 
 def _validate_traffic(check: _Check, doc: Mapping):
+    from .network import TrafficPattern
+
     obj = check.mapping(doc.get("traffic"), "$.traffic")
     if obj is None:
         return
+    patterns = tuple(p.value for p in TrafficPattern)
     check.keys(obj, "$.traffic", required=("pattern", "injection_bps_per_node"),
                optional=("hotspot_fraction", "hotspot_nodes", "hotspot_count",
                          "locality_scale_hops"))
-    check.string(obj, "pattern", "$.traffic", choices=PATTERNS)
+    check.string(obj, "pattern", "$.traffic", choices=patterns)
     check.number(obj, "injection_bps_per_node", "$.traffic", minimum=0.0)
     check.number(obj, "hotspot_fraction", "$.traffic", minimum=0.0, maximum=1.0)
     check.integer(obj, "hotspot_count", "$.traffic", minimum=1)
@@ -616,6 +617,15 @@ def load_link_config(doc: Mapping, base_dir: str | None = None) -> LinkConfig:
 
 
 def load_network_config(doc: Mapping) -> NetworkConfig:
+    from .network import (
+        NocConfig,
+        NocLinkTemplate,
+        RouterModel,
+        TrafficParams,
+        TrafficPattern,
+        WaferCost,
+    )
+
     mesh = doc["mesh"]
     traffic = doc["traffic"]
     params = TrafficParams(

@@ -124,6 +124,23 @@ class TestLinkCommand:
         assert "kind=infeasible" in err
         assert "span" in err
 
+    @pytest.mark.parametrize("role", [["repeater"], {"kind": "repeater"}])
+    def test_non_string_role_is_a_validation_error(self, tmp_path, capsys, role):
+        with open(example_path("links/four_technologies.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        plasmonic = next(l for l in doc["links"] if l["name"] == "plasmonic")
+        assert "repeater_spacing_m" in plasmonic
+        plasmonic["components"][0]["role"] = role
+        bad = tmp_path / "bad_role.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["link", "--config", str(bad), "--out", str(tmp_path / "o")]) \
+            == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("clearfom: error code=1 kind=validation")
+        assert ".role: must be a string" in err
+        assert "Traceback" not in err
+
     def test_missing_config_exits_three(self, tmp_path, capsys):
         assert main(["link", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == EXIT_IO

@@ -1,0 +1,110 @@
+"""The package surface and the numpy import boundary.
+
+Only the mesh-NoC model needs numpy. The package re-exports its names lazily,
+so the limits, device, link and trend subcommands run without importing
+numpy or :mod:`clearfom.network`; the network subcommand imports both.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import clearfom
+from clearfom.data import example_path
+
+# Every name the package re-exports, by defining module.
+EXPORTS = {
+    "constants": ("CODATA_2018", "PhysicalConstants"),
+    "device": ("DeviceSpec", "device_clear", "radar_normalize"),
+    "economics": ("ExperienceCurve", "fit_experience_curve", "load_cost_observations",
+                  "unit_cost"),
+    "errors": ("ClearError", "ConfigurationError", "DomainError", "InfeasibleLinkError",
+               "InsufficientDataError"),
+    "limits": ("LimitSet", "bremermann_rate", "heisenberg_min_length", "landauer_energy",
+               "make_limit_set", "margolus_levitin_rate", "time_of_flight_rate_limit"),
+    "link": ("ElectricalTransport", "LinkComponent", "LinkSpec", "OpticalTransport",
+             "link_area", "link_capacity", "link_clear", "link_energy_per_bit",
+             "p2p_latency", "repeater_count"),
+    "metric": ("ClearFactors", "ClearValue", "Level", "RadarScores", "Technology",
+               "radar_area"),
+    "network": ("MeshTopology", "NocConfig", "TrafficMatrix", "add_express_links",
+                "avg_latency_clks", "build_mesh", "flit_sweep", "generate_traffic",
+                "link_activity", "network_area_and_cost", "network_clear",
+                "network_energy_per_bit", "route"),
+    "trend": ("GrowthFit", "SystemRecord", "classify_vs_trend", "efficiency_point",
+              "fit_growth", "system_clear"),
+}
+ALL_NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+# Runs ``clearfom.cli.main`` on argv and reports which heavy modules it loaded.
+_PROBE = """
+import json, sys
+from clearfom.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "network": "clearfom.network" in sys.modules}))
+"""
+
+
+def _probe(argv, tmp_path):
+    src = str(Path(clearfom.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv, "--out", str(tmp_path / "out"),
+         "--format", "csv,json"],
+        capture_output=True, text=True, env=env, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def _trend_config(tmp_path):
+    path = tmp_path / "trend.json"
+    path.write_text(json.dumps({
+        "kind": "trend",
+        "records_csv": str(example_path("trend/sample_synthetic_systems.csv"))}),
+        encoding="utf-8")
+    return str(path)
+
+
+class TestImportBoundary:
+    @pytest.mark.parametrize("command", ["limits", "device", "link", "trend"])
+    def test_non_network_commands_skip_numpy(self, command, tmp_path):
+        configs = {
+            "limits": [],
+            "device": ["--config", str(example_path("devices/four_technologies.json"))],
+            "link": ["--config", str(example_path("links/four_technologies.json"))],
+            "trend": ["--config", _trend_config(tmp_path)],
+        }
+        result = _probe([command, *configs[command]], tmp_path)
+        assert result == {"code": 0, "numpy": False, "network": False}
+
+    def test_network_command_loads_numpy(self, tmp_path):
+        config = str(example_path("networks/mesh16_comparison.json"))
+        result = _probe(["network", "--config", config, "--seed", "7"], tmp_path)
+        assert result == {"code": 0, "numpy": True, "network": True}
+
+
+class TestLazyExports:
+    @pytest.mark.parametrize("module,name", ALL_NAMES)
+    def test_name_resolves_to_its_definition(self, module, name):
+        namespace = {}
+        exec(f"from clearfom import {name}", namespace)
+        defining = importlib.import_module(f"clearfom.{module}")
+        assert namespace[name] is getattr(defining, name)
+
+    def test_dir_lists_every_export(self):
+        listed = set(dir(clearfom))
+        assert {name for _, name in ALL_NAMES} <= listed
+        assert "__version__" in listed
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            clearfom.no_such_name
+        with pytest.raises(ImportError):
+            exec("from clearfom import no_such_name", {})

@@ -1,8 +1,9 @@
 """Aggregated routing and vectorised traffic checked against scalar references.
 
-The references below are the per-flow walker and the per-source locality
-loop that the library used before it aggregated demands; they stay here as
-the oracles the faster paths must agree with.
+The references below are the per-flow walker and the per-source locality and
+hotspot loops that the library used before it aggregated demands and
+vectorised the generators; they stay here as the oracles the faster paths
+must agree with.
 """
 
 import math
@@ -17,6 +18,7 @@ from clearfom.errors import DomainError
 from clearfom.metric import Technology
 from clearfom.network import (
     LinkActivity,
+    MeshLink,
     NetworkCase,
     TrafficMatrix,
     TrafficParams,
@@ -29,6 +31,7 @@ from clearfom.network import (
     generate_traffic,
     link_activity,
     network_clear,
+    route,
 )
 from clearfom.validation import load_network_config
 
@@ -68,6 +71,24 @@ def reference_locality_rates(topology, injection_bps, scale):
             math.exp(-(abs(r1 - dst // topology.cols) + abs(c1 - dst % topology.cols)) / scale)
             for dst in range(n)])
         rates[src] = injection_bps * weights / weights.sum()
+    return rates
+
+
+def reference_hotspot_rates(n, hotspots, injection_bps, fraction):
+    """Fill each source row from Python lists of its hot and other destinations."""
+    rates = np.zeros((n, n))
+    hot = set(hotspots)
+    for src in range(n):
+        hot_targets = [h for h in hotspots if h != src]
+        others = [d for d in range(n) if d != src and d not in hot]
+        if hot_targets:
+            share = injection_bps * fraction / len(hot_targets)
+            for dst in hot_targets:
+                rates[src, dst] = share
+        if others:
+            share = injection_bps * (1.0 - fraction) / len(others)
+            for dst in others:
+                rates[src, dst] += share
     return rates
 
 
@@ -197,3 +218,62 @@ class TestVectorisedLocality:
         want = reference_locality_rates(mesh, 1e9, scale)
         assert np.array_equal(got == 0.0, want == 0.0)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+class TestVectorisedHotspot:
+    @pytest.mark.parametrize("fraction", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("rows,cols,hotspots", [
+        (1, 2, (0,)), (1, 3, (0, 1, 2)), (3, 3, (4,)), (4, 5, (0, 7, 19)),
+        (6, 6, (35, 3, 3))])
+    def test_explicit_hotspots_match_per_source_loop(self, rows, cols, hotspots, fraction):
+        mesh = build_mesh(rows, cols, 1e-3, "electronic")
+        params = TrafficParams(injection_bps_per_node=3e9, hotspot_fraction=fraction,
+                               hotspot_nodes=hotspots)
+        got = generate_traffic("hotspot", params, mesh, seed=0).rates
+        want = reference_hotspot_rates(mesh.node_count, sorted(set(hotspots)), 3e9, fraction)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("count,seed", [(1, 3), (3, 11), (16, 5), (40, 2)])
+    def test_seeded_hotspots_match_per_source_loop(self, count, seed, fraction):
+        mesh = build_mesh(4, 4, 1e-3, "electronic")
+        n = mesh.node_count
+        params = TrafficParams(injection_bps_per_node=1e9, hotspot_fraction=fraction,
+                               hotspot_count=count)
+        got = generate_traffic("hotspot", params, mesh, seed=seed).rates
+        picks = np.random.default_rng(seed).choice(n, size=min(count, n), replace=False)
+        want = reference_hotspot_rates(n, sorted(picks.tolist()), 1e9, fraction)
+        assert np.array_equal(got, want)
+
+    def test_hot_source_spreads_over_the_other_hotspots(self):
+        mesh = build_mesh(3, 3, 1e-3, "electronic")
+        params = TrafficParams(injection_bps_per_node=1e9, hotspot_fraction=0.7,
+                               hotspot_nodes=(2, 6))
+        rates = generate_traffic("hotspot", params, mesh, seed=0).rates
+        assert rates[2, 6] == 1e9 * 0.7
+        assert rates[2, 2] == 0.0
+        assert rates[2, 0] == 1e9 * (1.0 - 0.7) / 7
+
+
+class TestExpressLinkConsistency:
+    def test_span_disagreeing_with_endpoints_is_rejected(self):
+        mesh = build_mesh(1, 4, 1e-3, "electronic")
+        with pytest.raises(DomainError, match="hop_span=2"):
+            replace(mesh, express_links=(MeshLink(0, 3, "hybrid", hop_span=2),))
+
+    def test_link_across_rows_is_rejected(self):
+        mesh = build_mesh(2, 4, 1e-3, "electronic")
+        with pytest.raises(DomainError, match="one row"):
+            replace(mesh, express_links=(MeshLink(2, 5, "hybrid", hop_span=3),))
+
+    @pytest.mark.parametrize("a,b", [(4, 6), (-3, -1)])
+    def test_link_outside_the_mesh_is_rejected(self, a, b):
+        mesh = build_mesh(1, 4, 1e-3, "electronic")
+        with pytest.raises(DomainError):
+            replace(mesh, express_links=(MeshLink(a, b, "hybrid", hop_span=2),))
+
+    def test_consistent_link_routes(self):
+        mesh = build_mesh(1, 4, 1e-3, "electronic")
+        topology = replace(mesh, express_links=(MeshLink(0, 3, "hybrid", hop_span=3),))
+        assert [(u, v) for u, v, _ in route(topology, 0, 3)] == [(0, 3)]
+        assert topology == add_express_links(mesh, 3, "hybrid")
