@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Subcommands: limits | device | link | network | trend. Configs are JSON
-documents validated against the schemas shipped under docs/schemas; tabular
-artifacts are CSV, reports are JSON, and radar exports are coordinate files.
+documents validated against the JSON Schemas shipped as package data in
+``clearfom/schemas`` (see :mod:`clearfom.validation`); tabular artifacts are
+CSV, reports are JSON, and radar exports are coordinate files.
 Every artifact is written atomically after the whole evaluation succeeds, so
 a failing run leaves no partial output.
 
 Exit codes: 0 success, 1 validation error, 2 infeasible model, 3 I/O error.
-Errors print one machine-parsable line on stderr.
+Errors print one machine-parsable line on stderr. Valid inputs whose
+magnitudes overflow or underflow the model's floating-point arithmetic are
+validation errors too.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .validation import (
     validate_config,
 )
 
-__all__ = ["RunManifest", "run", "validate", "main"]
+__all__ = ["RunManifest", "run", "main"]
 
 OUT_DIR_ENV = "CLEARFOM_OUT"
 ALL_FORMATS = ("table", "csv", "json", "radar_csv")
@@ -92,11 +95,6 @@ class RunManifest:
             raise ConfigurationError(f"--seed must be non-negative, got {self.seed}")
 
 
-def validate(doc):
-    """Validate a parsed config document; returns a list of diagnostics."""
-    return validate_config(doc)
-
-
 def _slug(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")
 
@@ -120,7 +118,7 @@ def _load_config(path: str):
             return json.load(handle)
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, nesting too deep
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
 
 
@@ -132,10 +130,6 @@ def _require_valid(doc, expected_kind: str):
     if doc["kind"] != expected_kind:
         raise ConfigurationError(
             f"config kind '{doc['kind']}' does not match the '{expected_kind}' command")
-
-
-def _radar_rows(scores):
-    return [(axis, score, x, y) for axis, score, x, y in radar_vertices(scores)]
 
 
 @dataclass
@@ -240,7 +234,7 @@ def _run_device(manifest: RunManifest, artifacts: _Artifacts):
         })
         artifacts.csv_files.append(
             (f"radar_{_slug(spec.name)}.csv", ("axis", "score", "x", "y"),
-             _radar_rows(scores)))
+             radar_vertices(scores)))
     artifacts.csv_files.append(
         ("device_clear.csv",
          ("name", "technology", "clear", "capability_hz", "critical_length_m",
@@ -293,7 +287,7 @@ def _run_link(manifest: RunManifest, artifacts: _Artifacts):
             table_rows.append((spec.name, length, factors.capability, value.value))
             artifacts.csv_files.append(
                 (f"radar_{_slug(spec.name)}_{length:g}m.csv",
-                 ("axis", "score", "x", "y"), _radar_rows(scores)))
+                 ("axis", "score", "x", "y"), radar_vertices(scores)))
     for spec in sorted(config.links, key=lambda s: s.name):
         artifacts.csv_files.append(
             (f"link_sweep_{_slug(spec.name)}.csv",
@@ -546,6 +540,9 @@ def main(argv=None) -> int:
         return _fail(EXIT_IO, "io", str(exc))
     except ClearError as exc:
         return _fail(EXIT_VALIDATION, "validation", str(exc))
+    except ArithmeticError as exc:
+        return _fail(EXIT_VALIDATION, "validation",
+                     f"inputs are outside the model's numeric range: {exc}")
 
 
 if __name__ == "__main__":

@@ -235,3 +235,47 @@ class TestConfigSchemasMatchValidator:
         doc = {"kind": "trend", "records_csv": "records.csv",
                "band_db": 5.0, "bits_per_instruction": 32}
         _assert_valid(doc, "trend_config.schema.json", schema_registry)
+
+
+class TestNumericRange:
+    """Valid inputs whose magnitudes break floating-point arithmetic in the
+    model end in a validation error, not a traceback."""
+
+    @pytest.mark.parametrize("command,example,owner,key,value", [
+        ("device", "devices/four_technologies.json",
+         lambda doc: doc["devices"][0], "unit_cost_usd", 1e-320),
+        ("device", "devices/four_technologies.json",
+         lambda doc: doc["devices"][0], "critical_length_m", 1e-320),
+        ("link", "links/four_technologies.json",
+         lambda doc: next(l["transport"] for l in doc["links"]
+                          if l["transport"]["kind"] == "electrical"), "voltage_swing_v", 1e308),
+        ("link", "links/four_technologies.json",
+         lambda doc: next(l for l in doc["links"] if l["name"] == "plasmonic"),
+         "repeater_spacing_m", 1e-320),
+    ], ids=["unit_cost_usd", "critical_length_m", "voltage_swing_v", "repeater_spacing_m"])
+    def test_exits_one_without_artifacts(self, tmp_path, capsys, command, example, owner,
+                                         key, value):
+        with open(example_path(example), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        owner(doc)[key] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("clearfom: error code=1 kind=validation")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [b'\xff\xfe{"kind": 1}', b"[" * 100000],
+                         ids=["not_utf8", "nested_too_deep"])
+def test_undecodable_config_is_a_validation_error(tmp_path, capsys, content):
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    assert main(["device", "--config", str(config), "--out", str(tmp_path / "o")]) \
+        == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "not valid JSON" in err and "Traceback" not in err

@@ -1,0 +1,316 @@
+"""The shipped JSON Schemas are the config rules.
+
+``validate_config`` interprets them. These tests compare its verdict with
+``jsonschema`` on single-leaf mutations of the shipped configs, check that it
+implements every keyword the config schemas use, and fuzz the CLI with the
+same mutations: every run must end in an exit code, never in a traceback.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import tempfile
+from pathlib import Path
+
+import jsonschema
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from referencing import Registry, Resource
+
+from clearfom import validation
+from clearfom.cli import main
+from clearfom.data import example_path
+from clearfom.link import ComponentRole
+from clearfom.metric import Technology
+from clearfom.validation import load_network_config, validate_config
+from test_cli import _hash_tree, _small_network_config
+
+REPO = Path(__file__).resolve().parent.parent
+SCHEMA_DIR = REPO / "src" / "clearfom" / "schemas"
+
+# Keywords the interpreter in clearfom.validation implements, and the ones
+# that only annotate a schema.
+IMPLEMENTED = {"$ref", "type", "enum", "const", "required", "properties",
+               "additionalProperties", "patternProperties", "items", "minItems",
+               "minimum", "exclusiveMinimum", "maximum", "oneOf", "not",
+               "dependentRequired"}
+ANNOTATIONS = {"$schema", "$id", "title", "$defs"}
+# Keywords whose value maps names to subschemas, and those holding subschemas.
+NAMED_SUBSCHEMAS = {"properties", "patternProperties", "$defs"}
+SUBSCHEMAS = {"items", "not", "additionalProperties"}
+
+# Messages of the rules kept in Python because a schema cannot state them.
+CROSS_FIELD_MESSAGES = ("case labels must be unique", "must match one of the case labels",
+                        "missing entries for technologies", "requires a component with role")
+
+REPLACEMENTS = (None, True, "x", -1, 0, 1.0, 1e-320, [], {})
+
+TREND_DOC = {"kind": "trend", "records_csv": "records.csv", "band_db": 5.0,
+             "bits_per_instruction": 32, "eval_year": 2016.0, "notes": "synthetic"}
+
+
+def _shipped(relative):
+    with open(example_path(relative), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+CONFIGS = {
+    "device": _shipped("devices/four_technologies.json"),
+    "link": _shipped("links/four_technologies.json"),
+    "network": _shipped("networks/mesh16_comparison.json"),
+    "trend": TREND_DOC,
+}
+
+
+def _nodes(value, path=()):
+    """(path, value) of every member and item below ``value``, depth first."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,), child
+        yield from _nodes(child, path + (key,))
+
+
+def mutations(doc):
+    """Every single-leaf mutation of ``doc``: add an unknown key to an object,
+    delete a member or item, or replace one with each of REPLACEMENTS."""
+    found = [("add", path, 1) for path, value in [((), doc), *_nodes(doc)]
+             if isinstance(value, dict)]
+    for path, _ in _nodes(doc):
+        found.append(("delete", path, None))
+        found += [("replace", path, value) for value in REPLACEMENTS]
+    return found
+
+
+def mutate(doc, mutation):
+    op, path, value = mutation
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1] if op != "add" else path:
+        parent = parent[key]
+    if op == "add":
+        parent["bogus_key"] = value
+    elif op == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+MUTATIONS = [(name, m) for name, doc in CONFIGS.items() for m in mutations(doc)]
+
+
+def config_validators():
+    """A ``jsonschema`` validator for each of CONFIGS."""
+    schemas = {p.name: json.loads(p.read_text(encoding="utf-8"))
+               for p in SCHEMA_DIR.glob("*.schema.json")}
+    registry = Registry().with_resources(
+        (doc["$id"], Resource.from_contents(doc)) for doc in schemas.values())
+    return {name: jsonschema.Draft202012Validator(
+                schemas[f"{name}_config.schema.json"], registry=registry)
+            for name in CONFIGS}
+
+
+@pytest.fixture(scope="module")
+def validators():
+    return config_validators()
+
+
+def check_agrees(name, doc, validators):
+    """``validate_config`` and ``jsonschema`` give the same verdict, apart from
+    documents flagged only by the cross-field rules, and each failing value
+    gets one diagnostic."""
+    diagnostics = validate_config(doc)
+    schema_diagnostics = [d for d in diagnostics
+                          if not any(m in d.message for m in CROSS_FIELD_MESSAGES)]
+    assert (schema_diagnostics == []) == validators[name].is_valid(doc), diagnostics
+    paths = [d.path for d in diagnostics]
+    assert len(paths) == len(set(paths)), diagnostics
+
+
+class TestAgreesWithJsonschema:
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_shipped_configs(self, name, validators):
+        check_agrees(name, CONFIGS[name], validators)
+        assert validate_config(CONFIGS[name]) == []
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(MUTATIONS))
+    def test_single_leaf_mutations(self, validators, case):
+        name, mutation = case
+        check_agrees(name, mutate(CONFIGS[name], mutation), validators)
+
+
+class TestSchemaKeywords:
+    def _keywords(self, schema, where):
+        """(where, keyword, schema) for every keyword in a schema and its subschemas."""
+        for keyword, value in schema.items():
+            yield where, keyword, schema
+            if keyword in NAMED_SUBSCHEMAS:
+                for key, sub in value.items():
+                    yield from self._keywords(sub, f"{where}/{keyword}/{key}")
+            elif keyword in SUBSCHEMAS and isinstance(value, dict):
+                yield from self._keywords(value, f"{where}/{keyword}")
+            elif keyword == "oneOf":
+                for i, sub in enumerate(value):
+                    yield from self._keywords(sub, f"{where}/oneOf/{i}")
+
+    @pytest.mark.parametrize("path", [SCHEMA_DIR / "common.schema.json",
+                                      *sorted(SCHEMA_DIR.glob("*_config.schema.json"))],
+                             ids=lambda p: p.name)
+    def test_every_keyword_is_implemented(self, path):
+        schema = json.loads(path.read_text(encoding="utf-8"))
+        found = list(self._keywords(schema, "#"))
+        assert [(where, keyword) for where, keyword, _ in found
+                if keyword not in IMPLEMENTED | ANNOTATIONS] == []
+        for where, keyword, node in found:
+            if keyword == "type":
+                assert node["type"] in validation._TYPES, where
+            if keyword == "not":
+                # The only form whose diagnostic the interpreter can word.
+                assert list(node["not"]) == ["required"], where
+
+    def test_config_schemas_are_one_copy(self):
+        docs = REPO / "docs" / "schemas"
+        assert docs.is_symlink()
+        assert docs.resolve() == SCHEMA_DIR.resolve() == validation._SCHEMA_DIR.resolve()
+
+    def test_enums_match_the_python_enums(self):
+        common = json.loads((SCHEMA_DIR / "common.schema.json").read_text(encoding="utf-8"))
+        assert common["$defs"]["technology"]["enum"] == [t.value for t in Technology]
+        assert common["$defs"]["componentRole"]["enum"] == [r.value for r in ComponentRole]
+
+
+class TestVerdicts:
+    """Where the hand-written validator and the schemas disagreed, the schema wins."""
+
+    def test_integer_valued_floats_are_integers(self):
+        doc = copy.deepcopy(CONFIGS["network"])
+        doc["mesh"]["rows"] = 16.0
+        doc["noc"]["flit_bits"] = 64.0
+        assert validate_config(doc) == []
+        doc["mesh"]["rows"] = 16.5
+        assert [str(d) for d in validate_config(doc)] == ["$.mesh.rows: must be an integer"]
+
+    def test_notes_must_be_a_string(self):
+        doc = dict(CONFIGS["device"], notes=3)
+        assert [str(d) for d in validate_config(doc)] == ["$.notes: must be a string"]
+
+    def test_null_flit_sweep_is_rejected(self):
+        doc = dict(CONFIGS["network"], flit_sweep=None)
+        assert [str(d) for d in validate_config(doc)] == ["$.flit_sweep: must be an object"]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_numbers_must_be_finite(self, value):
+        doc = copy.deepcopy(CONFIGS["network"])
+        doc["mesh"]["spacing_m"] = value
+        doc["noc"]["flit_bits"] = value
+        assert [str(d) for d in validate_config(doc)] == [
+            "$.mesh.spacing_m: must be finite", "$.noc.flit_bits: must be finite"]
+
+    def test_unknown_technology_is_an_unknown_key(self):
+        doc = copy.deepcopy(CONFIGS["network"])
+        doc["noc"]["link_rate_bps"]["quantum"] = 1e9
+        assert [str(d) for d in validate_config(doc)] == [
+            "$.noc.link_rate_bps.quantum: unknown key"]
+
+    def test_one_diagnostic_per_value(self):
+        doc = copy.deepcopy(CONFIGS["link"])
+        electronic = next(link for link in doc["links"] if link["name"] == "electronic")
+        electronic["repeater_spacing_m"] = "x"
+        electronic["cost_curve"] = {"initial_unit_cost": 1.0, "halving_period": 2.0,
+                                    "reference_time": 2016.0}
+        electronic["cost_curve_csv"] = 3
+        i = doc["links"].index(electronic)
+        assert sorted(str(d) for d in validate_config(doc)) == sorted([
+            f"$.links[{i}]: cost_curve and cost_curve_csv are mutually exclusive",
+            f"$.links[{i}].cost_curve_csv: must be a string",
+            f"$.links[{i}].repeater_spacing_m: must be a number"])
+
+    def test_wrong_transport_kind_reports_the_closest_alternative(self):
+        doc = copy.deepcopy(CONFIGS["link"])
+        transport = next(link["transport"] for link in doc["links"]
+                         if link["transport"]["kind"] == "optical")
+        transport["kind"] = "magnetic"
+        assert [d.message for d in validate_config(doc)] == ["must be optical"]
+
+
+class TestIntegerFieldsAsFloats:
+    def test_network_artifacts_identical(self, tmp_path):
+        doc = CONFIGS["network"]
+        floats = copy.deepcopy(doc)
+        floats["mesh"]["rows"] = float(doc["mesh"]["rows"])
+        floats["mesh"]["cols"] = float(doc["mesh"]["cols"])
+        floats["noc"]["flit_bits"] = float(doc["noc"]["flit_bits"])
+        floats["noc"]["link_latency_clks"] = {
+            tech: float(v) for tech, v in doc["noc"]["link_latency_clks"].items()}
+        express = next(c["express"] for c in floats["cases"] if "express" in c)
+        express["hop_span"] = float(express["hop_span"])
+        floats["flit_sweep"]["flit_bits"] = [float(v) for v in doc["flit_sweep"]["flit_bits"]]
+        hashes = []
+        for label, variant in (("ints", doc), ("floats", floats)):
+            config = tmp_path / f"{label}.json"
+            config.write_text(json.dumps(variant), encoding="utf-8")
+            out = tmp_path / label
+            assert main(["network", "--config", str(config), "--seed", "7",
+                         "--out", str(out), "--format", "csv,json"]) == 0
+            hashes.append(_hash_tree(out))
+        assert hashes[0] == hashes[1]
+        assert "network_report.json" in hashes[0]
+
+    def test_float_hotspot_node_gives_same_traffic(self):
+        from clearfom.network import build_mesh, generate_traffic
+
+        matrices = []
+        for node in (3, 3.0):
+            doc = copy.deepcopy(CONFIGS["network"])
+            doc["mesh"] = {"rows": 3, "cols": 3, "spacing_m": 1e-3}
+            doc["traffic"] = {"pattern": "hotspot", "injection_bps_per_node": 1e9,
+                              "hotspot_nodes": [node], "hotspot_fraction": 0.5}
+            assert validate_config(doc) == []
+            config = load_network_config(doc)
+            assert config.traffic_params.hotspot_nodes == (3,)
+            assert type(config.traffic_params.hotspot_nodes[0]) is int
+            mesh = build_mesh(3, 3, 1e-3, config.cases[0].technology)
+            matrices.append(generate_traffic(config.traffic_pattern, config.traffic_params,
+                                             mesh, 7).rates)
+        assert np.array_equal(matrices[0], matrices[1])
+
+
+def _run_mutated(command, doc, extra=()):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        return main([command, "--config", str(config), "--out", str(Path(tmp) / "out"),
+                     "--format", "csv,json", *extra])
+
+
+class TestCliNeverRaises:
+    """Every mutated config ends in exit code 0-3, never in a traceback."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([(name, m) for name, m in MUTATIONS if name in ("device", "link")]))
+    def test_device_and_link(self, case):
+        name, mutation = case
+        assert _run_mutated(name, mutate(CONFIGS[name], mutation)) in (0, 1, 2, 3)
+
+    @pytest.fixture(scope="class")
+    def small_network(self, tmp_path_factory):
+        path = _small_network_config(tmp_path_factory.mktemp("net"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        return doc, mutations(doc)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_small_network(self, small_network, data):
+        doc, found = small_network
+        mutation = data.draw(st.sampled_from(found))
+        assert _run_mutated("network", mutate(doc, mutation), ("--seed", "7")) in (0, 1, 2, 3)
