@@ -9,8 +9,9 @@ experience curve.
 
 The names re-exported here resolve lazily (PEP 562): ``from clearfom import
 link_clear`` imports :mod:`clearfom.link` on first use, not when the package
-is imported. Only the mesh-NoC model in :mod:`clearfom.network` needs numpy,
-so numpy loads only when one of its names, or that module, is first touched.
+is imported. numpy loads only inside the mesh-NoC model in
+:mod:`clearfom.network`, and there only for explicit traffic matrices, the
+dense ``rates`` of generated traffic, and a seeded hotspot pick.
 """
 
 __version__ = "0.1.0"

@@ -93,6 +93,12 @@ class RunManifest:
             raise ConfigurationError("command 'network' requires --seed for traffic generation")
         if self.seed is not None and self.seed < 0:
             raise ConfigurationError(f"--seed must be non-negative, got {self.seed}")
+        for flag, value in (("--eval-year", self.eval_year),
+                            ("--temperature", self.temperature_k),
+                            ("--link-length", self.limit_link_length_m),
+                            ("--group-index", self.limit_group_index)):
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{flag} must be a finite number, got {value}")
 
 
 def _slug(name: str) -> str:
@@ -328,7 +334,8 @@ def _network_cases(config, seed: int):
 
 
 def _run_network(manifest: RunManifest, artifacts: _Artifacts):
-    # The NoC model, and numpy with it, loads only for this subcommand.
+    # The NoC model loads only for this subcommand. It needs numpy only for a
+    # seeded hotspot pick (traffic without explicit hotspot_nodes).
     from .network import case_activities, flit_sweep, network_clear
 
     doc = _load_config(manifest.config_path)

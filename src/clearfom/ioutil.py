@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ClearError
+from .errors import ClearError, DomainError
 
 __all__ = ["fmt", "atomic_write_text", "write_csv", "write_json", "IoError"]
 
@@ -56,4 +56,8 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
 
 
 def write_json(path: str | Path, document):
-    atomic_write_text(path, json.dumps(document, sort_keys=True, indent=2) + "\n")
+    try:
+        text = json.dumps(document, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # NaN or Infinity, which strict JSON cannot hold
+        raise DomainError(f"cannot write {path}: {exc}") from exc
+    atomic_write_text(path, text + "\n")

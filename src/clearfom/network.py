@@ -13,9 +13,13 @@ normative one for all shipped results.
 Link loads are aggregated, not walked flow by flow. A flow's X phase stays
 in its source row and its Y phase in its destination column, so the loads
 follow from per-row (c1 -> c2) and per-column (r1 -> r2) demand sums: the
-column pairs of a row are routed once per distinct pattern of express links
-and applied to every row with that pattern as one incidence product, and
-vertical loads are prefix sums of the column demands. Routing reads only the
+column pairs of a row are routed once per distinct pattern of express links,
+each horizontal load is the fsum of its pairs' demands, and vertical loads
+are running sums of the column demands. Generated traffic supplies those
+demand sums in closed form, in O(k^3) pure Python for a k x k mesh, so
+routing it needs neither numpy nor an n x n matrix; numpy is imported only
+for explicit traffic matrices, the dense ``rates`` of generated traffic
+(built on first access), and a seeded hotspot pick. Routing reads only the
 mesh shape and the express link endpoints, so :func:`case_activities` routes
 each distinct geometry once and cases that differ only in link technology
 share the result. Totals over links use :func:`math.fsum`, so they do not
@@ -32,9 +36,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Sequence
-
-import numpy as np
+from functools import partial
+from itertools import accumulate
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .errors import ConfigurationError, DomainError
 from .link import (
@@ -45,6 +50,9 @@ from .link import (
     link_energy_per_bit,
 )
 from .metric import ClearFactors, ClearValue, Level, Technology, clear_value
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MeshLink",
@@ -242,11 +250,11 @@ class _RouteIndex:
             groups.setdefault(tuple(sorted(pattern)), []).append(row)
         return list(groups.values())
 
-    def row_incidence(self, row: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+    def row_incidence(self, row: int) -> dict[tuple[int, int], list[int]]:
         """Route every (c1, c2) column pair within ``row`` once.
 
-        Returns the directed hops as (from, to) column pairs and a 0/1 matrix
-        whose entry [c1 * cols + c2, h] marks that the pair's route takes hop h.
+        Maps each directed hop, as a (from, to) column pair, to the indices
+        ``c1 * cols + c2`` of the pairs whose routes take it.
         """
         cols = self.topology.cols
         base = row * cols
@@ -255,10 +263,7 @@ class _RouteIndex:
             for c2 in range(cols):
                 for u, v in self.walk(base + c1, base + c2):
                     pairs_by_hop.setdefault((u - base, v - base), []).append(c1 * cols + c2)
-        incidence = np.zeros((cols * cols, len(pairs_by_hop)))
-        for hop, pairs in enumerate(pairs_by_hop.values()):
-            incidence[pairs, hop] = 1.0
-        return list(pairs_by_hop), incidence
+        return pairs_by_hop
 
 
 def route(topology: MeshTopology, src: int, dst: int) -> list[tuple[int, int, MeshLink]]:
@@ -296,45 +301,105 @@ class TrafficParams:
             raise DomainError("locality_scale_hops must be strictly positive")
 
 
-@dataclass(eq=False)
+# Row demands [r][c1][c2], column demands [c][r1][r2], injected total.
+Demands = tuple[list[list[list[float]]], list[list[list[float]]], float]
+
+
 class TrafficMatrix:
-    """Offered load in bit/s per ordered (source, destination) pair."""
+    """Offered load in bit/s per ordered (source, destination) pair.
 
-    rates: np.ndarray
+    ``TrafficMatrix(rates=...)`` wraps an explicit n x n array. A matrix from
+    :func:`generate_traffic` instead carries the closed form of its
+    :meth:`demands` and builds the dense ``rates`` only when that is first
+    read, so routing generated traffic allocates no n x n array.
+    """
 
-    def __post_init__(self):
-        rates = np.asarray(self.rates, dtype=float)
+    def __init__(self, rates: np.ndarray):
+        import numpy as np
+
+        rates = np.asarray(rates, dtype=float)
         if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
             raise DomainError("traffic matrix must be square")
         if not np.all(np.isfinite(rates)) or np.any(rates < 0):
             raise DomainError("traffic rates must be finite and non-negative")
         if np.any(np.diagonal(rates) != 0):
             raise DomainError("self-traffic is not allowed")
-        self.rates = rates
+        self._rates = rates
+        self._node_count = rates.shape[0]
+        self._closed_form: tuple[tuple[int, int], Callable[[], Demands]] | None = None
+        self._materialise: Callable[[], np.ndarray] | None = None
+        self._demands: dict[tuple[int, int], Demands] = {}
+
+    @classmethod
+    def _generated(cls, topology: MeshTopology, demands: Callable[[], Demands],
+                   materialise: Callable[[], np.ndarray]) -> TrafficMatrix:
+        traffic = cls.__new__(cls)
+        traffic._rates = None
+        traffic._node_count = topology.node_count
+        traffic._closed_form = ((topology.rows, topology.cols), demands)
+        traffic._materialise = materialise
+        traffic._demands = {}
+        return traffic
+
+    @property
+    def rates(self) -> np.ndarray:
+        if self._rates is None:
+            self._rates = self._materialise()
+        return self._rates
 
     @property
     def node_count(self) -> int:
-        return self.rates.shape[0]
+        return self._node_count
 
     @property
     def total_bps(self) -> float:
-        return float(self.rates.sum())
+        if self._closed_form is None:
+            return float(self._rates.sum())
+        return self.demands(*self._closed_form[0])[2]
+
+    def demands(self, rows: int, cols: int) -> Demands:
+        """Demand sums of this traffic laid out on a ``rows`` x ``cols`` mesh.
+
+        Returns ``row[r][c1][c2]``, the sum over r2 of the rate from (r, c1)
+        to (r2, c2); ``col[c][r1][r2]``, the sum over c1 of the rate from
+        (r1, c1) to (r2, c); and the injected total, all as Python floats.
+        Generated traffic answers from its closed form in O(k^3) on its own
+        mesh shape; an explicit matrix, or another shape, is summed with
+        numpy. The result is cached and shared: do not modify it.
+        """
+        if rows * cols != self._node_count:
+            raise DomainError("traffic matrix size does not match the topology")
+        shape = (rows, cols)
+        if shape not in self._demands:
+            if self._closed_form is not None and self._closed_form[0] == shape:
+                self._demands[shape] = self._closed_form[1]()
+            else:
+                grid = self.rates.reshape(rows, cols, rows, cols)  # [r1, c1, r2, c2]
+                self._demands[shape] = (grid.sum(axis=2).tolist(),
+                                        grid.sum(axis=1).transpose(2, 0, 1).tolist(),
+                                        math.fsum(self.rates.sum(axis=1).tolist()))
+        return self._demands[shape]
 
 
 def generate_traffic(pattern: TrafficPattern | str, params: TrafficParams,
                      topology: MeshTopology, seed: int) -> TrafficMatrix:
-    """Synthetic offered-load matrix; identical seeds give identical matrices."""
+    """Synthetic offered-load matrix; identical seeds give identical matrices.
+
+    Only a seeded hotspot pick (no ``hotspot_nodes``) imports numpy here; the
+    dense ``rates`` of the result are built on first access.
+    """
     pattern = TrafficPattern(pattern)
     n = topology.node_count
     if n < 2:
         raise DomainError("traffic generation needs at least two nodes")
-    rng = np.random.default_rng(seed)
-    rates = np.zeros((n, n))
     inj = params.injection_bps_per_node
+    if not math.isfinite(inj):
+        raise DomainError("traffic rates must be finite and non-negative")
+    rows, cols = topology.rows, topology.cols
 
     if pattern is TrafficPattern.UNIFORM:
-        rates[:] = inj / (n - 1)
-        np.fill_diagonal(rates, 0.0)
+        demands = partial(_uniform_demands, rows, cols, inj)
+        materialise = partial(_uniform_rates, n, inj)
     elif pattern is TrafficPattern.HOTSPOT:
         if params.hotspot_nodes is not None:
             hotspots = sorted(set(params.hotspot_nodes))
@@ -343,36 +408,175 @@ def generate_traffic(pattern: TrafficPattern | str, params: TrafficParams,
             if not hotspots:
                 raise DomainError("hotspot_nodes must not be empty")
         else:
+            import numpy as np
+
+            rng = np.random.default_rng(seed)
             hotspots = sorted(rng.choice(n, size=min(params.hotspot_count, n),
                                          replace=False).tolist())
-        is_hot = np.zeros(n, dtype=bool)
-        is_hot[hotspots] = True
-        # Destinations of each class per source, the source itself excluded.
-        hot_targets = len(hotspots) - is_hot
-        others = n - len(hotspots) - 1 + is_hot
-        # A source with no valid targets in a class simply injects less.
-        hot_share = np.divide(inj * params.hotspot_fraction, hot_targets,
-                              out=np.zeros(n), where=hot_targets > 0)
-        other_share = np.divide(inj * (1.0 - params.hotspot_fraction), others,
-                                out=np.zeros(n), where=others > 0)
-        np.copyto(rates, hot_share[:, None], where=is_hot)
-        np.copyto(rates, other_share[:, None], where=~is_hot)
-        np.fill_diagonal(rates, 0.0)
+        demands = partial(_hotspot_demands, rows, cols, hotspots, inj,
+                          params.hotspot_fraction)
+        materialise = partial(_hotspot_rates, n, hotspots, inj, params.hotspot_fraction)
     else:
-        # exp(-(|dr| + |dc|) / s) separates into a row factor times a column
-        # factor; their broadcast product is written straight into ``rates``.
-        rows, cols = topology.rows, topology.cols
-        row_weight = np.exp(-np.abs(np.subtract.outer(np.arange(rows), np.arange(rows)))
-                            / params.locality_scale_hops)
-        col_weight = np.exp(-np.abs(np.subtract.outer(np.arange(cols), np.arange(cols)))
-                            / params.locality_scale_hops)
-        np.multiply(row_weight[:, None, :, None], col_weight[None, :, None, :],
-                    out=rates.reshape(rows, cols, rows, cols))
-        np.fill_diagonal(rates, 0.0)
-        totals = rates.sum(axis=1, keepdims=True)
-        rates *= inj
-        rates /= totals
-    return TrafficMatrix(rates=rates)
+        scale = params.locality_scale_hops
+        row_weight, col_weight = _locality_weights(rows, scale), _locality_weights(cols, scale)
+        row_off = _off_diagonal_sums(row_weight)
+        col_off = _off_diagonal_sums(col_weight)
+        # A source's weights to every other node sum to (1 + a)(1 + b) - 1 for
+        # its row and column off-diagonal sums a and b; a + b + a*b is the
+        # same normaliser without the cancellation of the -1.
+        norms = [[a + b + a * b for b in col_off] for a in row_off]
+        smallest = min(min(line) for line in norms)
+        if smallest <= 0 or not math.isfinite(inj / smallest):
+            raise DomainError(
+                f"locality_scale_hops={scale:g} is too small: the locality weights "
+                "fall outside the floating-point range")
+        per_source = [[inj / norm for norm in line] for line in norms]
+        demands = partial(_locality_demands, row_weight, col_weight, row_off, per_source)
+        materialise = partial(_locality_rates, rows, cols, inj, scale)
+    return TrafficMatrix._generated(topology, demands, materialise)
+
+
+def _uniform_demands(rows: int, cols: int, inj: float) -> Demands:
+    n = rows * cols
+    q = inj / (n - 1)
+
+    def block(size: int, count: int) -> list[list[float]]:
+        # ``count`` destinations per pair, one fewer where a node sends to itself.
+        off, own = count * q, (count - 1) * q
+        return [[own if a == b else off for b in range(size)] for a in range(size)]
+
+    # Every row (column) has the same demands, so they share one block.
+    return [block(cols, rows)] * rows, [block(rows, cols)] * cols, n * (n - 1) * q
+
+
+def _hotspot_demands(rows: int, cols: int, hotspots: Sequence[int], inj: float,
+                     fraction: float) -> Demands:
+    n, h = rows * cols, len(hotspots)
+    # A source's share per hot and per other destination, indexed by whether
+    # the source is itself hot: its own class has one destination fewer. A
+    # class with no destinations gets nothing, and the source injects less.
+    to_hot = [inj * fraction / t if t else 0.0 for t in (h, h - 1)]
+    to_other = [inj * (1.0 - fraction) / t if t else 0.0 for t in (n - h - 1, n - h)]
+    is_hot = [[0] * cols for _ in range(rows)]
+    for node in hotspots:
+        is_hot[node // cols][node % cols] = 1
+    hot_in_col = [sum(column) for column in zip(*is_hot)]
+    hot_in_row = [sum(line) for line in is_hot]
+
+    row_demand = []
+    for r in range(rows):
+        plane = []
+        for c1, own in enumerate(is_hot[r]):
+            hot, other = to_hot[own], to_other[own]
+            line = [hot * k + other * (rows - k) for k in hot_in_col]
+            k = hot_in_col[c1] - own  # the source leaves its own column
+            line[c1] = hot * k + other * (rows - 1 - k)
+            plane.append(line)
+        row_demand.append(plane)
+
+    def row_sum(shares: list[float], hot: int, cold: int) -> float:
+        return shares[1] * hot + shares[0] * cold
+
+    # What all of row r1 sends to one other and to one hot destination.
+    toward = [(row_sum(to_other, hot, cols - hot), row_sum(to_hot, hot, cols - hot))
+              for hot in hot_in_row]
+    col_demand = []
+    for c in range(cols):
+        plane = []
+        for r1, hot in enumerate(hot_in_row):
+            line = [toward[r1][is_hot[r2][c]] for r2 in range(rows)]
+            # (r1, c) does not send to itself.
+            own = is_hot[r1][c]
+            line[r1] = row_sum(to_hot if own else to_other, hot - own, cols - hot - 1 + own)
+            plane.append(line)
+        col_demand.append(plane)
+    return row_demand, col_demand, _injected(row_demand)
+
+
+def _locality_weights(size: int, scale: float) -> list[list[float]]:
+    return [[math.exp(-abs(a - b) / scale) for b in range(size)] for a in range(size)]
+
+
+def _off_diagonal_sums(weights: list[list[float]]) -> list[float]:
+    return [math.fsum(w for b, w in enumerate(line) if b != a)
+            for a, line in enumerate(weights)]
+
+
+def _locality_demands(row_weight: list[list[float]], col_weight: list[list[float]],
+                      row_off: list[float], per_source: list[list[float]]) -> Demands:
+    """Demands of rate((r1, c1), (r2, c2)) = u[r1][c1] * R[r1][r2] * C[c1][c2]."""
+    cols = len(col_weight)
+    row_demand = []
+    for r, scales in enumerate(per_source):
+        plane = []
+        row_total = 1.0 + row_off[r]
+        for c1, u in enumerate(scales):
+            line = [u * w * row_total for w in col_weight[c1]]
+            line[c1] = u * row_off[r]  # the source leaves its own column
+            plane.append(line)
+        row_demand.append(plane)
+
+    col_demand = []
+    for c in range(cols):
+        plane = []
+        for r1, scales in enumerate(per_source):
+            terms = [u * weights[c] for u, weights in zip(scales, col_weight)]
+            total = math.fsum(terms)
+            line = [w * total for w in row_weight[r1]]
+            line[r1] = math.fsum(terms[:c] + terms[c + 1:])  # without (r1, c) itself
+            plane.append(line)
+        col_demand.append(plane)
+    return row_demand, col_demand, _injected(row_demand)
+
+
+def _injected(row_demand: list[list[list[float]]]) -> float:
+    return math.fsum(value for plane in row_demand for line in plane for value in line)
+
+
+def _uniform_rates(n: int, inj: float) -> np.ndarray:
+    import numpy as np
+
+    rates = np.full((n, n), inj / (n - 1))
+    np.fill_diagonal(rates, 0.0)
+    return rates
+
+
+def _hotspot_rates(n: int, hotspots: Sequence[int], inj: float,
+                   fraction: float) -> np.ndarray:
+    import numpy as np
+
+    rates = np.zeros((n, n))
+    is_hot = np.zeros(n, dtype=bool)
+    is_hot[hotspots] = True
+    # Destinations of each class per source, the source itself excluded.
+    hot_targets = len(hotspots) - is_hot
+    others = n - len(hotspots) - 1 + is_hot
+    # A source with no valid targets in a class simply injects less.
+    hot_share = np.divide(inj * fraction, hot_targets,
+                          out=np.zeros(n), where=hot_targets > 0)
+    other_share = np.divide(inj * (1.0 - fraction), others,
+                            out=np.zeros(n), where=others > 0)
+    np.copyto(rates, hot_share[:, None], where=is_hot)
+    np.copyto(rates, other_share[:, None], where=~is_hot)
+    np.fill_diagonal(rates, 0.0)
+    return rates
+
+
+def _locality_rates(rows: int, cols: int, inj: float, scale: float) -> np.ndarray:
+    import numpy as np
+
+    # exp(-(|dr| + |dc|) / s) separates into a row factor times a column
+    # factor; their broadcast product is written straight into ``rates``.
+    rates = np.zeros((rows * cols, rows * cols))
+    row_weight = np.exp(-np.abs(np.subtract.outer(np.arange(rows), np.arange(rows))) / scale)
+    col_weight = np.exp(-np.abs(np.subtract.outer(np.arange(cols), np.arange(cols))) / scale)
+    np.multiply(row_weight[:, None, :, None], col_weight[None, :, None, :],
+                out=rates.reshape(rows, cols, rows, cols))
+    np.fill_diagonal(rates, 0.0)
+    totals = rates.sum(axis=1, keepdims=True)
+    rates *= inj
+    rates /= totals
+    return rates
 
 
 @dataclass(frozen=True)
@@ -399,47 +603,49 @@ class LinkActivity:
 def link_activity(topology: MeshTopology, traffic: TrafficMatrix) -> LinkActivity:
     """Charge each flow's full rate to every directed link on its route.
 
-    Loads come from aggregated demands rather than a per-flow walk: row r
-    carries the X phase of every flow leaving it, with demand
-    ``sum over r2 of rates[(r, c1), (r2, c2)]`` per column pair, and column c
-    carries the Y phase of every flow entering it, with demand
-    ``sum over c1 of rates[(r1, c1), (r2, c)]`` per row pair. Only links that
-    carry load appear in ``loads``, in (from, to) order, as Python floats.
+    Loads come from the aggregated :meth:`TrafficMatrix.demands` rather than
+    a per-flow walk: row r carries the X phase of every flow leaving it, and
+    column c the Y phase of every flow entering it. Only links that carry
+    load appear in ``loads``, in (from, to) order, as Python floats.
     """
-    if traffic.node_count != topology.node_count:
-        raise DomainError("traffic matrix size does not match the topology")
     rows, cols, n = topology.rows, topology.cols, topology.node_count
-    grid = traffic.rates.reshape(rows, cols, rows, cols)  # [r1, c1, r2, c2]
+    row_demand, col_demand, injected = traffic.demands(rows, cols)
     loads_by_key: dict[int, float] = {}
 
-    row_demand = grid.sum(axis=2).reshape(rows, cols * cols)
+    # A horizontal hop's load is the fsum of the demands of the column pairs
+    # routed over it, so each load is rounded once.
     index = _RouteIndex(topology)
+    # Each getter also reads a trailing 0.0, so it returns a tuple even for a
+    # hop that carries a single pair.
+    zero = cols * cols
     for members in index.rows_by_pattern():
-        hops, incidence = index.row_incidence(members[0])
-        # einsum, not @: threaded BLAS costs more than this small product.
-        carried = np.einsum("rp,ph->rh", row_demand[members], incidence)
-        for row, row_loads in zip(members, carried.tolist()):
+        getters = [(cu, cv, itemgetter(*pairs, zero))
+                   for (cu, cv), pairs in index.row_incidence(members[0]).items()]
+        for row in members:
+            demand = [value for line in row_demand[row] for value in line]
+            demand.append(0.0)
             base = row * cols
-            for (cu, cv), load in zip(hops, row_loads):
+            for cu, cv, gather in getters:
+                load = math.fsum(gather(demand))
                 if load > 0:
                     loads_by_key[(base + cu) * n + base + cv] = load
 
-    # Column demands [r1, r2, c]. The link from row r down to r + 1 carries
-    # every r1 <= r < r2 pair; the link from r + 1 up to r every r2 <= r < r1.
-    col_demand = grid.sum(axis=1)
-    later = np.triu(np.ones((rows, rows)), k=1)[:-1]
-    down = np.einsum("rsc,rs->rc", np.cumsum(col_demand, axis=0)[:-1], later)
-    up = np.einsum("rsc,rs->rc", np.cumsum(col_demand[::-1], axis=0)[-2::-1], 1.0 - later)
-    for row, (down_row, up_row) in enumerate(zip(down.tolist(), up.tolist())):
-        for col, (load_down, load_up) in enumerate(zip(down_row, up_row)):
+    # The link from row r down to r + 1 carries every r1 <= r < r2 pair of its
+    # column, the link from r + 1 up to r every r2 <= r < r1. Running sums
+    # along each source row r1 give its share of either, in O(rows^2) a column.
+    for col, demand in enumerate(col_demand):
+        upto = [list(accumulate(line)) for line in demand]            # r2 <= r
+        beyond = [list(accumulate(line[::-1]))[::-1] for line in demand]  # r2 >= r
+        for row in range(rows - 1):
             upper = row * cols + col
+            load_down = math.fsum([beyond[r1][row + 1] for r1 in range(row + 1)])
+            load_up = math.fsum([upto[r1][row] for r1 in range(row + 1, rows)])
             if load_down > 0:
                 loads_by_key[upper * n + upper + cols] = load_down
             if load_up > 0:
                 loads_by_key[(upper + cols) * n + upper] = load_up
 
     loads = {(key // n, key % n): load for key, load in sorted(loads_by_key.items())}
-    injected = math.fsum(traffic.rates.sum(axis=1).tolist())
     flow_hops = math.fsum(loads.values())
     return LinkActivity(loads=loads, injected_bps=injected, flow_hop_bps=flow_hops,
                         router_traversal_bps=flow_hops + injected)

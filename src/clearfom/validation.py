@@ -9,8 +9,8 @@ a schema cannot state them: numbers must be finite (Python's ``json`` parses
 NaN and Infinity), and four cross-field rules (:func:`_cross_field_errors`).
 
 Loaders assume a clean validation pass and build domain objects; the CLI runs
-them in that order. The NoC types come from :mod:`clearfom.network`, which
-needs numpy, so they are imported only when a network config is loaded.
+them in that order. The NoC types come from :mod:`clearfom.network`, so
+that module is imported only when a network config is loaded.
 """
 
 from __future__ import annotations

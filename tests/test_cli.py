@@ -9,6 +9,8 @@ from referencing import Registry, Resource
 
 from clearfom.cli import EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from clearfom.data import example_path
+from clearfom.errors import DomainError
+from clearfom.ioutil import write_json
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -20,7 +22,8 @@ def schema_registry():
     for path in SCHEMA_DIR.glob("*.schema.json"):
         doc = json.loads(path.read_text(encoding="utf-8"))
         schemas[path.name] = doc
-        resources.append((path.name, Resource.from_contents(doc)))
+        # Registered by $id, which is what their $refs resolve against.
+        resources.append((doc["$id"], Resource.from_contents(doc)))
     return Registry().with_resources(resources), schemas
 
 
@@ -267,6 +270,35 @@ class TestNumericRange:
         assert err.startswith("clearfom: error code=1 kind=validation")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestNonFiniteFlags:
+    """A NaN or infinite float flag is rejected by name before anything runs."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--temperature", "--eval-year", "--link-length",
+                                      "--group-index"])
+    def test_exits_one_naming_the_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        # The = form, because argparse reads a bare "-inf" as an option.
+        assert main(["limits", f"{flag}={value}", "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("clearfom: error code=1 kind=validation")
+        assert f"{flag} must be a finite number" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_eval_year_on_link_command(self, tmp_path, capsys):
+        config = example_path("links/four_technologies.json")
+        assert main(["link", "--config", str(config), "--eval-year", "nan",
+                     "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert "--eval-year must be a finite number" in capsys.readouterr().err
+
+    def test_write_json_refuses_non_finite_numbers(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(DomainError, match="report.json"):
+            write_json(path, {"value": float("nan")})
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("content", [b'\xff\xfe{"kind": 1}', b"[" * 100000],

@@ -1,8 +1,9 @@
 """The package surface and the numpy import boundary.
 
-Only the mesh-NoC model needs numpy. The package re-exports its names lazily,
-so the limits, device, link and trend subcommands run without importing
-numpy or :mod:`clearfom.network`; the network subcommand imports both.
+The package re-exports its names lazily, so the limits, device, link and
+trend subcommands run without importing numpy or :mod:`clearfom.network`.
+The network subcommand imports :mod:`clearfom.network`, and numpy only for a
+seeded hotspot pick: generated traffic is routed from closed-form demands.
 """
 
 import importlib
@@ -85,9 +86,27 @@ class TestImportBoundary:
         assert result == {"code": 0, "numpy": False, "network": False}
 
     def test_network_command_loads_numpy(self, tmp_path):
+        # Kept under its old name: the shipped uniform config no longer needs numpy.
         config = str(example_path("networks/mesh16_comparison.json"))
         result = _probe(["network", "--config", config, "--seed", "7"], tmp_path)
-        assert result == {"code": 0, "numpy": True, "network": True}
+        assert result == {"code": 0, "numpy": False, "network": True}
+
+    @pytest.mark.parametrize("traffic,numpy", [
+        ({"pattern": "exponential_locality", "locality_scale_hops": 2.0}, False),
+        ({"pattern": "hotspot", "hotspot_fraction": 0.7, "hotspot_nodes": [5, 17]}, False),
+        ({"pattern": "hotspot", "hotspot_fraction": 0.7, "hotspot_count": 3}, True),
+    ], ids=["locality_24x24", "explicit_hotspots", "seeded_hotspots"])
+    def test_only_a_seeded_hotspot_pick_loads_numpy(self, tmp_path, network_config_doc,
+                                                     traffic, numpy):
+        doc = dict(network_config_doc)
+        doc["traffic"] = {**traffic, "injection_bps_per_node":
+                          network_config_doc["traffic"]["injection_bps_per_node"]}
+        if traffic["pattern"] == "exponential_locality":
+            doc["mesh"] = {**doc["mesh"], "rows": 24, "cols": 24}
+        config = tmp_path / "network.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        result = _probe(["network", "--config", str(config), "--seed", "7"], tmp_path)
+        assert result == {"code": 0, "numpy": numpy, "network": True}
 
 
 class TestLazyExports:

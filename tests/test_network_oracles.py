@@ -1,9 +1,10 @@
-"""Aggregated routing and vectorised traffic checked against scalar references.
+"""Aggregated routing and generated traffic checked against scalar references.
 
 The references below are the per-flow walker and the per-source locality and
 hotspot loops that the library used before it aggregated demands and
 vectorised the generators; they stay here as the oracles the faster paths
-must agree with.
+must agree with. Generated traffic is routed from closed-form row and column
+demands, which are checked against sums of its materialised ``rates``.
 """
 
 import math
@@ -22,6 +23,7 @@ from clearfom.network import (
     NetworkCase,
     TrafficMatrix,
     TrafficParams,
+    TrafficPattern,
     _RouteIndex,
     add_express_links,
     build_mesh,
@@ -157,6 +159,93 @@ class TestAggregatedLinkActivity:
         assert all(type(a) is int and type(b) is int for a, b in activity.loads)
 
 
+@st.composite
+def generated_cases(draw):
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.integers(2 if rows == 1 else 1, 9))
+    mesh = build_mesh(rows, cols, 1e-3, "electronic")
+    if cols >= 3 and draw(st.booleans()):
+        mesh = add_express_links(mesh, draw(st.integers(2, cols - 1)), "hybrid")
+    n = rows * cols
+    explicit = draw(st.booleans())
+    params = TrafficParams(
+        injection_bps_per_node=draw(st.sampled_from([1.0, 3e9, 1e12 / 7])),
+        hotspot_fraction=draw(st.sampled_from([0.0, 0.7, 1.0])),
+        hotspot_nodes=tuple(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                          max_size=n + 1))) if explicit else None,
+        hotspot_count=draw(st.integers(1, n + 2)),
+        locality_scale_hops=draw(st.sampled_from([0.1, 0.5, 2.0, 4.0, 1e3])))
+    pattern = draw(st.sampled_from(list(TrafficPattern)))
+    return mesh, generate_traffic(pattern, params, mesh, seed=draw(st.integers(0, 2 ** 16)))
+
+
+def assert_close(got, want):
+    assert got == want or math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (got, want)
+
+
+class TestClosedFormDemands:
+    @settings(max_examples=150, deadline=None)
+    @given(generated_cases())
+    def test_demands_match_sums_of_materialised_rates(self, case):
+        mesh, traffic = case
+        row, col, injected = traffic.demands(mesh.rows, mesh.cols)
+        grid = traffic.rates.reshape(mesh.rows, mesh.cols, mesh.rows, mesh.cols)
+        for got, want in ((np.array(row), grid.sum(axis=2)),
+                          (np.array(col), grid.sum(axis=1).transpose(2, 0, 1))):
+            assert got.shape == want.shape
+            assert np.array_equal(got == 0.0, want == 0.0)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert_close(injected, math.fsum(traffic.rates.flat))
+        assert_close(traffic.total_bps, float(traffic.rates.sum()))
+
+    @settings(max_examples=150, deadline=None)
+    @given(generated_cases())
+    def test_link_activity_matches_scalar_walker(self, case):
+        mesh, traffic = case
+        fast = link_activity(mesh, traffic)
+        slow = reference_link_activity(mesh, traffic)
+        assert list(fast.loads) == list(slow.loads)
+        for key, load in slow.loads.items():
+            assert_close(fast.loads[key], load)
+        assert_close(fast.injected_bps, slow.injected_bps)
+        assert_close(fast.flow_hop_bps, slow.flow_hop_bps)
+        assert_close(fast.router_traversal_bps, slow.router_traversal_bps)
+
+    def test_other_mesh_shape_sums_the_rates(self):
+        # Generated on 4x6 but routed on 6x4: the closed form does not apply.
+        params = TrafficParams(injection_bps_per_node=1e9, locality_scale_hops=2.0)
+        traffic = generate_traffic("exponential_locality", params,
+                                   build_mesh(4, 6, 1e-3, "electronic"), seed=0)
+        tall = build_mesh(6, 4, 1e-3, "electronic")
+        got = link_activity(tall, traffic)
+        want = reference_link_activity(tall, traffic)
+        assert list(got.loads) == list(want.loads)
+        for key, load in want.loads.items():
+            assert_close(got.loads[key], load)
+
+    def test_demands_reject_a_mesh_of_another_size(self):
+        traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
+                                   build_mesh(3, 3, 1e-3, "electronic"), seed=0)
+        with pytest.raises(DomainError, match="does not match"):
+            traffic.demands(2, 5)
+
+    def test_underflowing_locality_weights_are_a_domain_error(self):
+        params = TrafficParams(injection_bps_per_node=1e9, locality_scale_hops=1e-3)
+        with pytest.raises(DomainError, match="locality_scale_hops"):
+            generate_traffic("exponential_locality", params,
+                             build_mesh(3, 3, 1e-3, "electronic"), seed=0)
+
+    def test_uniform_demands_are_rows_and_cols_times_q(self):
+        mesh = build_mesh(3, 5, 1e-3, "electronic")
+        traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=7e9),
+                                   mesh, seed=0)
+        q = 7e9 / 14
+        row, col, injected = traffic.demands(3, 5)
+        assert row[2][1] == [3 * q, 2 * q, 3 * q, 3 * q, 3 * q]
+        assert col[4][0] == [4 * q, 5 * q, 5 * q]
+        assert injected == 15 * 14 * q
+
+
 class TestRouteOncePerGeometry:
     def test_technology_variants_share_one_activity(self):
         base = build_mesh(4, 6, 1e-3, "electronic")
@@ -183,6 +272,14 @@ class TestShippedNetwork:
         traffic = generate_traffic(config.traffic_pattern, config.traffic_params, mesh, seed=1)
         latency = network_clear(mesh, traffic, config.noc).latency_clks
         assert abs(latency - 128 / 3) <= 4 * math.ulp(128 / 3)
+
+    def test_electronic_uniform_latency_is_128_over_3_within_1_ulp(self, network_config_doc):
+        # Closed-form demands and one fsum per load leave at most one rounding.
+        config = load_network_config(network_config_doc)
+        mesh = build_mesh(config.rows, config.cols, config.spacing_m, Technology.ELECTRONIC)
+        traffic = generate_traffic(config.traffic_pattern, config.traffic_params, mesh, seed=1)
+        latency = network_clear(mesh, traffic, config.noc).latency_clks
+        assert abs(latency - 128 / 3) <= math.ulp(128 / 3)
 
     def test_flit_sweep_accepts_precomputed_activities(self, network_config_doc):
         config = load_network_config(network_config_doc)
