@@ -30,15 +30,7 @@ from .errors import ClearError, ConfigurationError, DomainError, InfeasibleLinkE
 from .ioutil import IoError, write_csv, write_json
 from .limits import DEFAULT_COST_EFFICIENCY_AXIS, axis_limits, make_limit_set
 from .link import link_factors
-from .metric import (
-    AXIS_NAMES,
-    Level,
-    clear_value,
-    default_floors,
-    radar_area,
-    radar_scores,
-    radar_vertices,
-)
+from .metric import Level, clear_value, default_floors, radar_area, radar_scores, radar_vertices
 from .trend import (
     classify_vs_trend,
     efficiency_point,
@@ -99,6 +91,28 @@ class RunManifest:
                             ("--group-index", self.limit_group_index)):
             if value is not None and not math.isfinite(value):
                 raise ConfigurationError(f"{flag} must be a finite number, got {value}")
+
+
+# Report keys of the five CLEAR factors at each level, in Axes order; JSON
+# entries and CSV rows both take their factor columns from these.
+_FACTOR_KEYS = {
+    Level.DEVICE: ("capability_hz", "critical_length_m", "energy_j_per_bit", "footprint_m2",
+                   "unit_cost_usd"),
+    Level.LINK: ("capacity_bps", "latency_s", "energy_j_per_bit", "area_m2", "cost_usd"),
+    Level.NETWORK: ("capacity_bps_per_node", "latency_clks", "energy_j_per_bit", "area_m2",
+                    "cost_usd"),
+}
+
+# One limits-report row per ceiling: (JSON key, LimitSet field, CSV quantity, unit).
+_LIMIT_ROWS = (
+    ("min_energy_j_per_bit", "min_energy_j_per_bit", "min_energy", "J/bit"),
+    ("max_rate_hz", "max_rate_hz", "max_rate", "Hz"),
+    ("min_length_m", "min_length_m", "min_length", "m"),
+    ("min_area_m2", "min_area_m2", "min_area", "m^2"),
+    ("max_capacity_bps", "max_capacity_bps", "max_capacity", "bit/s"),
+    ("max_tof_rate_hz", "max_tof_rate_hz", "max_tof_rate", "Hz"),
+    ("cost_efficiency_axis_per_usd", "cost_efficiency_axis", "cost_efficiency_axis", "1/USD"),
+)
 
 
 def _slug(name: str) -> str:
@@ -171,24 +185,10 @@ def _run_limits(manifest: RunManifest, artifacts: _Artifacts):
             group_index=manifest.limit_group_index,
             level=Level(level),
         )
-        reports[level] = {
-            "min_energy_j_per_bit": limits.min_energy_j_per_bit,
-            "max_rate_hz": limits.max_rate_hz,
-            "min_length_m": limits.min_length_m,
-            "min_area_m2": limits.min_area_m2,
-            "max_capacity_bps": limits.max_capacity_bps,
-            "max_tof_rate_hz": limits.max_tof_rate_hz,
-            "cost_efficiency_axis_per_usd": limits.cost_efficiency_axis,
-        }
-        for quantity, value, unit in (
-                ("min_energy", limits.min_energy_j_per_bit, "J/bit"),
-                ("max_rate", limits.max_rate_hz, "Hz"),
-                ("min_length", limits.min_length_m, "m"),
-                ("min_area", limits.min_area_m2, "m^2"),
-                ("max_capacity", limits.max_capacity_bps, "bit/s"),
-                ("max_tof_rate", limits.max_tof_rate_hz, "Hz"),
-                ("cost_efficiency_axis", limits.cost_efficiency_axis, "1/USD")):
-            rows.append((level, quantity, value, unit))
+        reports[level] = {}
+        for key, name, quantity, unit in _LIMIT_ROWS:
+            reports[level][key] = getattr(limits, name)
+            rows.append((level, quantity, reports[level][key], unit))
     document = {
         "kind": "limits_report",
         "temperature_k": manifest.temperature_k,
@@ -227,14 +227,8 @@ def _run_device(manifest: RunManifest, artifacts: _Artifacts):
             "name": spec.name,
             "technology": spec.technology.value,
             "clear": value.value,
-            "factors": {
-                "capability_hz": spec.capability_hz,
-                "critical_length_m": spec.critical_length_m,
-                "energy_j_per_bit": spec.energy_j_per_bit,
-                "footprint_m2": spec.footprint_m2,
-                "unit_cost_usd": spec.unit_cost_usd,
-            },
-            "radar": {axis: getattr(scores, axis) for axis in AXIS_NAMES},
+            "factors": dict(zip(_FACTOR_KEYS[Level.DEVICE], value.factors)),
+            "radar": scores._asdict(),
             "radar_area": area,
             "limit_violations": violations,
         })
@@ -243,12 +237,8 @@ def _run_device(manifest: RunManifest, artifacts: _Artifacts):
              radar_vertices(scores)))
     artifacts.csv_files.append(
         ("device_clear.csv",
-         ("name", "technology", "clear", "capability_hz", "critical_length_m",
-          "energy_j_per_bit", "footprint_m2", "unit_cost_usd", "radar_area"),
-         [(d["name"], d["technology"], d["clear"],
-           d["factors"]["capability_hz"], d["factors"]["critical_length_m"],
-           d["factors"]["energy_j_per_bit"], d["factors"]["footprint_m2"],
-           d["factors"]["unit_cost_usd"], d["radar_area"])
+         ("name", "technology", "clear", *_FACTOR_KEYS[Level.DEVICE], "radar_area"),
+         [(d["name"], d["technology"], d["clear"], *d["factors"].values(), d["radar_area"])
           for d in report_devices]))
     artifacts.json_files.append(("device_report.json", {
         "kind": "device_report",
@@ -282,13 +272,9 @@ def _run_link(manifest: RunManifest, artifacts: _Artifacts):
             scores = radar_scores(factors, axis_limits(limits), floors)
             report_links[spec.name].append({
                 "length_m": length,
-                "capacity_bps": factors.capability,
-                "latency_s": factors.latency,
-                "energy_j_per_bit": factors.energy,
-                "area_m2": factors.amount,
-                "cost_usd": factors.resistance,
+                **dict(zip(_FACTOR_KEYS[Level.LINK], factors)),
                 "clear": value.value,
-                "radar": {axis: getattr(scores, axis) for axis in AXIS_NAMES},
+                "radar": scores._asdict(),
             })
             table_rows.append((spec.name, length, factors.capability, value.value))
             artifacts.csv_files.append(
@@ -299,8 +285,7 @@ def _run_link(manifest: RunManifest, artifacts: _Artifacts):
             (f"link_sweep_{_slug(spec.name)}.csv",
              ("length_m", "capacity_bps", "latency_s", "energy_j", "area_m2",
               "cost_usd", "clear"),
-             [(e["length_m"], e["capacity_bps"], e["latency_s"],
-               e["energy_j_per_bit"], e["area_m2"], e["cost_usd"], e["clear"])
+             [(e["length_m"], *(e[key] for key in _FACTOR_KEYS[Level.LINK]), e["clear"])
               for e in report_links[spec.name]]))
     artifacts.json_files.append(("link_report.json", {
         "kind": "link_report",
@@ -367,11 +352,7 @@ def _run_network(manifest: RunManifest, artifacts: _Artifacts):
             "label": case.label,
             "technology": spec.technology.value,
             "clear": result.clear.value,
-            "capacity_bps_per_node": result.capacity_bps_per_node,
-            "latency_clks": result.latency_clks,
-            "energy_j_per_bit": result.energy_j_per_bit,
-            "area_m2": result.area_m2,
-            "cost_usd": result.cost_usd,
+            **dict(zip(_FACTOR_KEYS[Level.NETWORK], result.clear.factors)),
         })
     artifacts.csv_files.append(
         ("network_summary.csv",

@@ -12,17 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .limits import LimitSet, axis_limits
-from .metric import (
-    AxisFloors,
-    ClearFactors,
-    ClearValue,
-    Level,
-    RadarScores,
-    Technology,
-    clear_value,
-    default_floors,
-    radar_scores,
-)
+from .metric import Axes, ClearValue, Level, Technology, clear_value, default_floors, radar_scores
 
 __all__ = ["DeviceSpec", "device_clear", "device_factors", "radar_normalize", "default_device_floors"]
 
@@ -60,8 +50,8 @@ class DeviceSpec:
         return problems
 
 
-def device_factors(spec: DeviceSpec) -> ClearFactors:
-    return ClearFactors(
+def device_factors(spec: DeviceSpec) -> Axes:
+    return Axes(
         capability=spec.capability_hz,
         latency=spec.critical_length_m,
         energy=spec.energy_j_per_bit,
@@ -75,13 +65,13 @@ def device_clear(spec: DeviceSpec) -> ClearValue:
     return clear_value(device_factors(spec), Level.DEVICE)
 
 
-def radar_normalize(spec: DeviceSpec, limits: LimitSet, floors: AxisFloors) -> RadarScores:
+def radar_normalize(spec: DeviceSpec, limits: LimitSet, floors: Axes) -> Axes:
     """Limit-normalized radar scores for one device."""
     if limits.level is not Level.DEVICE:
         raise DomainError("device radar requires a device-level LimitSet")
     return radar_scores(device_factors(spec), axis_limits(limits), floors)
 
 
-def default_device_floors(specs, margin: float = 10.0) -> AxisFloors:
+def default_device_floors(specs, margin: float = 10.0) -> Axes:
     """Floors spanning a set of devices under comparison."""
     return default_floors((device_factors(s) for s in specs), margin=margin)

@@ -1,10 +1,12 @@
 """Economic resistance model: unit cost decaying log-linearly with time.
 
-Unit cost follows ``c(t) = c0 * 2^(-(t - t0) / halving_period)``. Fitting is
-ordinary least squares of log2(cost) against calendar year. A flat or rising
-series fits a non-negative slope; that is outside the decay model, so the
-fitted curve carries an infinite halving period (flat extrapolation) and the
-raw slope stays available on the fit result.
+Unit cost follows ``c(t) = c0 * 2^(-(t - t0) / halving_period)``; an infinite
+halving period is a flat rate. Fitting is ordinary least squares of
+log2(cost) against calendar year (:func:`ols_log2`, shared with the system
+growth trend). A flat or rising series fits a non-negative slope; that is
+outside the decay model, so the fitted curve carries an infinite halving
+period (flat extrapolation) and the raw slope stays available on the fit
+result.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "CurveFit",
     "unit_cost",
     "relative_cost",
+    "ols_log2",
     "fit_experience_curve",
     "load_cost_observations",
 ]
@@ -68,6 +71,29 @@ def relative_cost(curve: ExperienceCurve, time: float) -> float:
     return unit_cost(curve, time) / curve.initial_unit_cost
 
 
+def ols_log2(years: Sequence[float], log2_values: Sequence[float]
+             ) -> tuple[float, float, float, float | None]:
+    """OLS of log2 values against year: (year mean, log2 mean, slope, r-squared).
+
+    r-squared is None when the log2 values do not vary. Every sum is an
+    :func:`math.fsum`, so the fit does not depend on the order of the points.
+    """
+    if len(set(years)) < 2:
+        raise InsufficientDataError("need at least two distinct years")
+    n = len(years)
+    year_mean = math.fsum(years) / n
+    log_mean = math.fsum(log2_values) / n
+    sxx = math.fsum((t - year_mean) ** 2 for t in years)
+    sxy = math.fsum((t - year_mean) * (y - log_mean) for t, y in zip(years, log2_values))
+    slope = sxy / sxx
+
+    ss_tot = math.fsum((y - log_mean) ** 2 for y in log2_values)
+    ss_res = math.fsum((y - (log_mean + slope * (t - year_mean))) ** 2
+                       for t, y in zip(years, log2_values))
+    r_squared = None if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return year_mean, log_mean, slope, r_squared
+
+
 def fit_experience_curve(observations: Sequence[tuple[float, float]]) -> CurveFit:
     """OLS fit of log2(cost) vs year, returned as a curve plus r-squared.
 
@@ -80,30 +106,10 @@ def fit_experience_curve(observations: Sequence[tuple[float, float]]) -> CurveFi
     costs = [float(c) for _, c in observations]
     if any(c <= 0 for c in costs):
         raise DomainError("costs must be strictly positive")
-    if len(set(years)) < 2:
-        raise InsufficientDataError("need at least two distinct years")
-
-    log_costs = [math.log2(c) for c in costs]
-    n = len(years)
-    year_mean = math.fsum(years) / n
-    log_mean = math.fsum(log_costs) / n
-    sxx = math.fsum((t - year_mean) ** 2 for t in years)
-    sxy = math.fsum((t - year_mean) * (y - log_mean) for t, y in zip(years, log_costs))
-    slope = sxy / sxx
-
-    if slope < 0:
-        halving = -1.0 / slope
-    else:
-        halving = math.inf
-
-    ss_tot = math.fsum((y - log_mean) ** 2 for y in log_costs)
-    ss_res = math.fsum((y - (log_mean + slope * (t - year_mean))) ** 2
-                       for t, y in zip(years, log_costs))
-    r_squared = None if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-
+    year_mean, log_mean, slope, r_squared = ols_log2(years, [math.log2(c) for c in costs])
     curve = ExperienceCurve(
         initial_unit_cost=2.0 ** log_mean,
-        halving_period=halving,
+        halving_period=-1.0 / slope if slope < 0 else math.inf,
         reference_time=year_mean,
     )
     return CurveFit(curve=curve, r_squared=r_squared, slope_log2_per_year=slope)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .constants import CODATA_2018, PhysicalConstants
 from .errors import DomainError
-from .metric import AxisLimits, Level
+from .metric import Axes, Level
 
 __all__ = [
     "LimitSet",
@@ -165,7 +165,7 @@ def make_limit_set(temperature: float,
     )
 
 
-def axis_limits(limit_set: LimitSet) -> AxisLimits:
+def axis_limits(limit_set: LimitSet) -> Axes:
     """Project a LimitSet onto the five radar axes in raw factor units.
 
     Device level: capability is bounded by the transition-rate ceiling and
@@ -179,7 +179,7 @@ def axis_limits(limit_set: LimitSet) -> AxisLimits:
     else:
         capability = limit_set.max_capacity_bps
         latency = 1.0 / limit_set.max_tof_rate_hz
-    return AxisLimits(
+    return Axes(
         capability=capability,
         latency=latency,
         energy=limit_set.min_energy_j_per_bit,

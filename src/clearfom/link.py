@@ -21,17 +21,7 @@ from enum import Enum
 from .economics import ExperienceCurve, relative_cost
 from .errors import ConfigurationError, DomainError, InfeasibleLinkError
 from .limits import LimitSet, axis_limits
-from .metric import (
-    AxisFloors,
-    ClearFactors,
-    ClearValue,
-    Level,
-    RadarScores,
-    Technology,
-    clear_value,
-    default_floors,
-    radar_scores,
-)
+from .metric import Axes, ClearValue, Level, Technology, clear_value, default_floors, radar_scores
 
 __all__ = [
     "ComponentRole",
@@ -66,7 +56,6 @@ class ComponentRole(str, Enum):
     DRIVER = "driver"
     SERDES = "serdes"
     REPEATER = "repeater"
-    AMPLIFIER = "amplifier"
 
 
 @dataclass(frozen=True)
@@ -80,16 +69,12 @@ class LinkComponent:
     area_m2: float = 0.0
     cost_usd: float = 0.0
     delay_s: float = 0.0
-    insertion_loss_db: float | None = None
-    output_swing_v: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "role", ComponentRole(self.role))
         for name in ("bandwidth_hz", "energy_j_per_bit", "area_m2", "cost_usd", "delay_s"):
             if getattr(self, name) < 0:
                 raise DomainError(f"LinkComponent.{name} must be non-negative")
-        if self.insertion_loss_db is not None and self.insertion_loss_db < 0:
-            raise DomainError("insertion_loss_db must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -177,10 +162,6 @@ class SpanBudget:
     length_m: float
     loss_db: float
     budget_db: float
-
-    @property
-    def margin_db(self) -> float:
-        return self.budget_db - self.loss_db
 
 
 @dataclass(frozen=True)
@@ -318,13 +299,13 @@ def link_cost(link: LinkSpec, eval_year: float | None = None) -> float:
     return cost
 
 
-def link_factors(link: LinkSpec, eval_year: float | None = None) -> ClearFactors:
+def link_factors(link: LinkSpec, eval_year: float | None = None) -> Axes:
     capacity = link_capacity(link)
     if not capacity.feasible or capacity.bps <= 0:
         raise InfeasibleLinkError(
             f"link '{link.name}' cannot close its power budget",
             failing_span=capacity.failing_span)
-    return ClearFactors(
+    return Axes(
         capability=capacity.bps,
         latency=p2p_latency(link),
         energy=link_energy_per_bit(link),
@@ -336,12 +317,12 @@ def link_factors(link: LinkSpec, eval_year: float | None = None) -> ClearFactors
 @dataclass(frozen=True)
 class LinkClearResult:
     clear: ClearValue
-    radar: RadarScores
+    radar: Axes
 
 
 def link_clear(link: LinkSpec, limits: LimitSet,
                eval_year: float | None = None,
-               floors: AxisFloors | None = None) -> LinkClearResult:
+               floors: Axes | None = None) -> LinkClearResult:
     """Composite link CLEAR plus limit-normalized radar scores.
 
     ``floors`` should be shared across a comparison set; when omitted they

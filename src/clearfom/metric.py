@@ -1,10 +1,11 @@
-"""Shared CLEAR metric machinery: factor bundles, composite values, radar scores.
+"""Shared CLEAR metric machinery: the five axes, composite values, radar scores.
 
 The composite value is always capability divided by the product of the four
 cost factors. What each factor *means* depends on the hierarchy level
-(device, link, network, system), so the fields here carry the generic
+(device, link, network, system), so :class:`Axes` carries the generic
 capability / latency / energy / amount / resistance names and the evaluators
-document the level-specific interpretation.
+document the level-specific interpretation. The same five-axis type holds raw
+factors, radar floors, physical limits and radar scores.
 
 Radar scores use a log-scale interpolation between a per-axis floor and the
 axis' physical limit. Factors routinely sit ten or more orders of magnitude
@@ -17,18 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "Level",
     "Technology",
-    "ClearFactors",
+    "Axes",
     "ClearValue",
-    "AxisFloors",
-    "AxisLimits",
-    "RadarScores",
     "AXIS_NAMES",
     "clear_value",
     "log_scale_score",
@@ -37,9 +35,6 @@ __all__ = [
     "radar_vertices",
     "default_floors",
 ]
-
-# Fixed axis order for all radar output and polygon geometry.
-AXIS_NAMES = ("capability", "latency", "energy", "amount", "resistance")
 
 
 class Level(str, Enum):
@@ -56,13 +51,16 @@ class Technology(str, Enum):
     HYBRID = "hybrid"
 
 
-@dataclass(frozen=True)
-class ClearFactors:
-    """The five raw factors, in the natural units of their level.
+class Axes(NamedTuple):
+    """One value per CLEAR axis: raw factors, floors, limits or radar scores.
 
-    ``capability`` is the lone numerator; the other four are costs, so
-    smaller is better for them. The latency slot holds a critical length at
-    device level, seconds at link level, and clock cycles at network level.
+    As factors, in the natural units of their level: ``capability`` is the
+    lone numerator and the other four are costs, so smaller is better for
+    them. The latency slot holds a critical length at device level, seconds
+    at link level, and clock cycles at network level. As floors, capability
+    is the *lowest* value shown and every cost the *largest* (worst); floors
+    must be strictly worse than the physical limits. Radar scores lie in
+    [0, 1].
     """
 
     capability: float
@@ -71,14 +69,9 @@ class ClearFactors:
     amount: float
     resistance: float
 
-    def __post_init__(self):
-        for name in AXIS_NAMES:
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise DomainError(f"factor {name} must be finite and strictly positive")
 
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.capability, self.latency, self.energy, self.amount, self.resistance)
+# Fixed axis order for all radar output and polygon geometry.
+AXIS_NAMES = Axes._fields
 
 
 @dataclass(frozen=True)
@@ -87,7 +80,7 @@ class ClearValue:
 
     value: float
     level: Level
-    factors: ClearFactors
+    factors: Axes
 
     def __post_init__(self):
         f = self.factors
@@ -96,64 +89,13 @@ class ClearValue:
             raise DomainError("ClearValue.value does not match its factor breakdown")
 
 
-def clear_value(factors: ClearFactors, level: Level) -> ClearValue:
+def clear_value(factors: Axes, level: Level) -> ClearValue:
+    for name, value in zip(AXIS_NAMES, factors):
+        if not math.isfinite(value) or value <= 0:
+            raise DomainError(f"factor {name} must be finite and strictly positive")
     f = factors
     value = f.capability / (f.latency * f.energy * f.amount * f.resistance)
     return ClearValue(value=value, level=level, factors=factors)
-
-
-@dataclass(frozen=True)
-class AxisFloors:
-    """Per-axis score-zero anchors, in raw factor units.
-
-    The capability floor is the *lowest* capability shown; every other floor
-    is the *largest* (worst) cost shown. Floors must be strictly worse than
-    the corresponding physical limits.
-    """
-
-    capability: float
-    latency: float
-    energy: float
-    amount: float
-    resistance: float
-
-    def as_tuple(self):
-        return (self.capability, self.latency, self.energy, self.amount, self.resistance)
-
-
-@dataclass(frozen=True)
-class AxisLimits:
-    """Per-axis score-one anchors (the physical limits), in raw factor units."""
-
-    capability: float
-    latency: float
-    energy: float
-    amount: float
-    resistance: float
-
-    def as_tuple(self):
-        return (self.capability, self.latency, self.energy, self.amount, self.resistance)
-
-
-@dataclass(frozen=True)
-class RadarScores:
-    """Five scores in [0, 1] plus the floors they were normalized against."""
-
-    capability: float
-    latency: float
-    energy: float
-    amount: float
-    resistance: float
-    floors: AxisFloors
-
-    def __post_init__(self):
-        for name in AXIS_NAMES:
-            score = getattr(self, name)
-            if not 0.0 <= score <= 1.0:
-                raise DomainError(f"radar score {name} outside [0, 1]")
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.capability, self.latency, self.energy, self.amount, self.resistance)
 
 
 def log_scale_score(value: float, floor: float, limit: float, *, bigger_is_better: bool) -> float:
@@ -175,60 +117,53 @@ def log_scale_score(value: float, floor: float, limit: float, *, bigger_is_bette
     return min(max(raw, 0.0), 1.0)
 
 
-def radar_scores(factors: ClearFactors, limits: AxisLimits, floors: AxisFloors) -> RadarScores:
+def radar_scores(factors: Axes, limits: Axes, floors: Axes) -> Axes:
     """Score all five factors against their limits and floors."""
-    scores = {}
-    for name in AXIS_NAMES:
-        scores[name] = log_scale_score(
-            getattr(factors, name),
-            getattr(floors, name),
-            getattr(limits, name),
-            bigger_is_better=(name == "capability"),
-        )
-    return RadarScores(floors=floors, **scores)
+    return Axes(*(log_scale_score(value, floor, limit, bigger_is_better=(name == "capability"))
+                  for name, value, floor, limit in zip(AXIS_NAMES, factors, floors, limits)))
 
 
-def radar_area(scores: RadarScores) -> float:
+def _checked_scores(scores: Axes) -> Axes:
+    for name, score in zip(AXIS_NAMES, scores):
+        if not 0.0 <= score <= 1.0:
+            raise DomainError(f"radar score {name} outside [0, 1]")
+    return scores
+
+
+def radar_area(scores: Axes) -> float:
     """Area of the pentagon spanned by the five scores at 72 degree spacing.
 
     Axis order is fixed (capability, latency, energy, amount, resistance);
     the area depends on that order.
     """
-    s = scores.as_tuple()
+    s = _checked_scores(scores)
     step = 2.0 * math.pi / len(s)
     return 0.5 * math.sin(step) * sum(s[i] * s[(i + 1) % len(s)] for i in range(len(s)))
 
 
-def radar_vertices(scores: RadarScores) -> list[tuple[str, float, float, float]]:
+def radar_vertices(scores: Axes) -> list[tuple[str, float, float, float]]:
     """Polygon vertices (axis, score, x, y) for coordinate export.
 
     Vertices start at the top (capability) and proceed clockwise in the
     fixed axis order.
     """
     out = []
-    for i, name in enumerate(AXIS_NAMES):
-        score = getattr(scores, name)
+    for i, (name, score) in enumerate(zip(AXIS_NAMES, _checked_scores(scores))):
         angle = 0.5 * math.pi - 2.0 * math.pi * i / len(AXIS_NAMES)
         out.append((name, score, score * math.cos(angle), score * math.sin(angle)))
     return out
 
 
-def default_floors(factor_sets: Iterable[ClearFactors], margin: float = 10.0) -> AxisFloors:
+def default_floors(factor_sets: Iterable[Axes], margin: float = 10.0) -> Axes:
     """Floors from the worst factor in a comparison set, padded by ``margin``.
 
     The capability floor sits a factor of ``margin`` below the weakest
     capability; every cost floor sits a factor of ``margin`` above the worst
     cost, so all compared items score strictly inside (0, 1) on every axis.
     """
-    sets: Sequence[ClearFactors] = list(factor_sets)
-    if not sets:
+    columns = list(zip(*factor_sets))
+    if not columns:
         raise DomainError("default_floors needs at least one factor set")
     if margin <= 1.0:
         raise DomainError("floor margin must exceed 1")
-    return AxisFloors(
-        capability=min(f.capability for f in sets) / margin,
-        latency=max(f.latency for f in sets) * margin,
-        energy=max(f.energy for f in sets) * margin,
-        amount=max(f.amount for f in sets) * margin,
-        resistance=max(f.resistance for f in sets) * margin,
-    )
+    return Axes(min(columns[0]) / margin, *(max(column) * margin for column in columns[1:]))

@@ -36,11 +36,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from itertools import accumulate
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
+from .economics import ExperienceCurve, unit_cost
 from .errors import ConfigurationError, DomainError
 from .link import (
     ComponentRole,
@@ -49,7 +50,7 @@ from .link import (
     link_area,
     link_energy_per_bit,
 )
-from .metric import ClearFactors, ClearValue, Level, Technology, clear_value
+from .metric import Axes, ClearValue, Level, Technology, clear_value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,7 +60,6 @@ __all__ = [
     "MeshTopology",
     "NocLinkTemplate",
     "RouterModel",
-    "WaferCost",
     "NocConfig",
     "TrafficPattern",
     "TrafficParams",
@@ -145,11 +145,17 @@ class MeshTopology:
     def node_id(self, row: int, col: int) -> int:
         return row * self.cols + col
 
-    def node_rc(self, node: int) -> tuple[int, int]:
-        return divmod(node, self.cols)
-
     def all_links(self) -> tuple[MeshLink, ...]:
         return self.base_links + self.express_links
+
+    @cached_property
+    def directed_links(self) -> dict[tuple[int, int], MeshLink]:
+        """Each link under both of its (from, to) directions, built once."""
+        links = {}
+        for link in self.all_links():
+            links[(link.a, link.b)] = link
+            links[(link.b, link.a)] = link
+        return links
 
     def link_length_m(self, link: MeshLink) -> float:
         return link.hop_span * self.spacing_m
@@ -195,10 +201,6 @@ class _RouteIndex:
 
     def __init__(self, topology: MeshTopology):
         self.topology = topology
-        self.links: dict[tuple[int, int], MeshLink] = {}
-        for link in topology.all_links():
-            self.links[(link.a, link.b)] = link
-            self.links[(link.b, link.a)] = link
         # Rightward/leftward express spans keyed by the node they start from.
         self.express_right: dict[int, int] = {}
         self.express_left: dict[int, int] = {}
@@ -231,7 +233,8 @@ class _RouteIndex:
             node = nxt
 
     def route(self, src: int, dst: int) -> list[tuple[int, int, MeshLink]]:
-        return [(u, v, self.links[(u, v)]) for u, v in self.walk(src, dst)]
+        links = self.topology.directed_links
+        return [(u, v, links[(u, v)]) for u, v in self.walk(src, dst)]
 
     def rows_by_pattern(self) -> list[list[int]]:
         """Group rows whose express links sit in the same columns.
@@ -590,7 +593,7 @@ class LinkActivity:
 
     def utilization(self, topology: MeshTopology,
                     rated_bps: Mapping[Technology, float]) -> dict[tuple[int, int], float]:
-        links = _RouteIndex(topology).links
+        links = topology.directed_links
         out = {}
         for key, load in self.loads.items():
             link = links[key]
@@ -682,29 +685,6 @@ class RouterModel:
 
 
 @dataclass(frozen=True)
-class WaferCost:
-    """Per-die wafer rate, optionally riding a cost halving curve."""
-
-    usd_per_m2: float
-    halving_period_years: float | None = None
-    reference_year: float | None = None
-
-    def __post_init__(self):
-        if self.usd_per_m2 <= 0:
-            raise DomainError("wafer cost must be strictly positive")
-        if (self.halving_period_years is None) != (self.reference_year is None):
-            raise ConfigurationError(
-                "wafer cost curves need both halving_period_years and reference_year")
-        if self.halving_period_years is not None and self.halving_period_years <= 0:
-            raise DomainError("halving_period_years must be strictly positive")
-
-    def rate_at(self, year: float | None) -> float:
-        if year is None or self.halving_period_years is None:
-            return self.usd_per_m2
-        return self.usd_per_m2 * 2.0 ** (-(year - self.reference_year) / self.halving_period_years)
-
-
-@dataclass(frozen=True)
 class NocLinkTemplate:
     """Length-free link description instantiated per mesh link."""
 
@@ -743,7 +723,7 @@ class NocConfig:
     link_rate_bps: Mapping[Technology, float]
     router: RouterModel
     link_templates: Mapping[Technology, NocLinkTemplate]
-    wafer_cost: Mapping[str, WaferCost]
+    wafer_cost: Mapping[str, ExperienceCurve]  # USD per m^2 of each die
 
     def __post_init__(self):
         if self.flit_bits < 1:
@@ -809,7 +789,7 @@ def _latency_from_activity(topology: MeshTopology, activity: LinkActivity,
     """
     if activity.injected_bps <= 0:
         raise DomainError("average latency is undefined for zero traffic")
-    links = _RouteIndex(topology).links
+    links = topology.directed_links
     terms = [config.router_pipeline_clks * activity.flow_hop_bps]
     for key, load in activity.loads.items():
         link = links[key]
@@ -841,7 +821,7 @@ def network_energy_per_bit(topology: MeshTopology, activity: LinkActivity,
     """
     if activity.injected_bps <= 0:
         raise DomainError("energy per bit is undefined for zero traffic")
-    links = _RouteIndex(topology).links
+    links = topology.directed_links
     energy_cache: dict[tuple[Technology, float], float] = {}
     terms = [activity.router_traversal_bps * config.router.dynamic_j_per_bit]
     for key, load in activity.loads.items():
@@ -903,7 +883,9 @@ def network_area_and_cost(topology: MeshTopology, config: NocConfig,
     for die, area in sorted(area_by_die.items()):
         if die not in config.wafer_cost:
             raise ConfigurationError(f"wafer_cost has no entry for die '{die}'")
-        cost_terms.append(area * config.wafer_cost[die].rate_at(eval_year))
+        curve = config.wafer_cost[die]
+        rate = curve.initial_unit_cost if eval_year is None else unit_cost(curve, eval_year)
+        cost_terms.append(area * rate)
     return NetworkAreaCost(area_m2=math.fsum(area_by_die.values()),
                            cost_usd=math.fsum(cost_terms), area_by_die=area_by_die)
 
@@ -942,8 +924,8 @@ def network_clear(topology: MeshTopology, traffic: TrafficMatrix, config: NocCon
     energy = network_energy_per_bit(topology, activity, config)
     area_cost = network_area_and_cost(topology, config, eval_year)
     capability = _aggregate_capacity_per_node(topology, config)
-    factors = ClearFactors(capability=capability, latency=latency, energy=energy,
-                           amount=area_cost.area_m2, resistance=area_cost.cost_usd)
+    factors = Axes(capability=capability, latency=latency, energy=energy,
+                   amount=area_cost.area_m2, resistance=area_cost.cost_usd)
     return NetworkClearResult(
         clear=clear_value(factors, Level.NETWORK),
         capacity_bps_per_node=capability,

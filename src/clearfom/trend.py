@@ -16,9 +16,10 @@ from pathlib import Path
 from typing import Sequence
 
 from .constants import CODATA_2018, PhysicalConstants
+from .economics import ols_log2
 from .errors import DomainError, InsufficientDataError
 from .limits import landauer_energy
-from .metric import ClearFactors, ClearValue, Level, clear_value
+from .metric import Axes, ClearValue, Level, clear_value
 
 __all__ = [
     "SystemClass",
@@ -76,7 +77,7 @@ class SystemRecord:
 
 def system_clear(record: SystemRecord) -> ClearValue:
     """MIPS over clock period, energy per bit, volume, and price."""
-    factors = ClearFactors(
+    factors = Axes(
         capability=record.mips,
         latency=record.clock_period_s,
         energy=record.energy_j_per_bit,
@@ -109,23 +110,8 @@ def fit_growth(records: Sequence[SystemRecord]) -> GrowthFit:
     """OLS of log2(system CLEAR) against year, unweighted."""
     if len(records) < 2:
         raise InsufficientDataError("need at least two records")
-    years = [r.year for r in records]
-    if len(set(years)) < 2:
-        raise InsufficientDataError("need at least two distinct years")
-    logs = [math.log2(system_clear(r).value) for r in records]
-
-    n = len(records)
-    year_mean = math.fsum(years) / n
-    log_mean = math.fsum(logs) / n
-    sxx = math.fsum((t - year_mean) ** 2 for t in years)
-    sxy = math.fsum((t - year_mean) * (y - log_mean) for t, y in zip(years, logs))
-    slope = sxy / sxx
-
-    ss_tot = math.fsum((y - log_mean) ** 2 for y in logs)
-    ss_res = math.fsum((y - (log_mean + slope * (t - year_mean))) ** 2
-                       for t, y in zip(years, logs))
-    r_squared = None if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-
+    year_mean, log_mean, slope, r_squared = ols_log2(
+        [r.year for r in records], [math.log2(system_clear(r).value) for r in records])
     doubling_months = 12.0 / slope if slope != 0.0 else math.inf
     return GrowthFit(
         annual_factor=2.0 ** slope,

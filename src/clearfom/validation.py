@@ -301,8 +301,6 @@ def _load_component(obj: Mapping) -> LinkComponent:
         area_m2=float(obj.get("area_m2", 0.0)),
         cost_usd=float(obj.get("cost_usd", 0.0)),
         delay_s=float(obj.get("delay_s", 0.0)),
-        insertion_loss_db=obj.get("insertion_loss_db"),
-        output_swing_v=obj.get("output_swing_v"),
     )
 
 
@@ -392,7 +390,6 @@ def load_network_config(doc: Mapping) -> NetworkConfig:
         RouterModel,
         TrafficParams,
         TrafficPattern,
-        WaferCost,
     )
 
     mesh = doc["mesh"]
@@ -416,11 +413,12 @@ def load_network_config(doc: Mapping) -> NetworkConfig:
             repeater_spacing_m=body.get("repeater_spacing_m"),
         )
     router_doc = noc_doc["router"]
+    # A wafer rate without a halving period is flat: an infinite halving period.
     wafer = {
-        die: WaferCost(
-            usd_per_m2=float(entry["usd_per_m2"]),
-            halving_period_years=entry.get("halving_period_years"),
-            reference_year=entry.get("reference_year"),
+        die: ExperienceCurve(
+            initial_unit_cost=float(entry["usd_per_m2"]),
+            halving_period=float(entry.get("halving_period_years", math.inf)),
+            reference_time=float(entry.get("reference_year", 0.0)),
         )
         for die, entry in noc_doc["wafer_cost_usd_per_m2"].items()}
     noc = NocConfig(

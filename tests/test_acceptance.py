@@ -26,7 +26,7 @@ from clearfom.limits import (
     time_of_flight_rate_limit,
 )
 from clearfom.link import ElectricalTransport, LinkSpec, link_capacity, link_energy_per_bit
-from clearfom.metric import ClearFactors, Level, Technology, clear_value
+from clearfom.metric import Axes, Level, Technology, clear_value
 from clearfom.network import (
     NetworkCase,
     TrafficMatrix,
@@ -178,13 +178,13 @@ def test_criterion_8_homogeneity():
     factor_names = ("capability", "latency", "energy", "amount", "resistance")
     for _ in range(2000):
         raw = 10.0 ** rng.uniform(-6, 6, size=5)
-        base = ClearFactors(*raw)
+        base = Axes(*raw)
         base_value = clear_value(base, Level.NETWORK).value
         scale = float(10.0 ** rng.uniform(-6, 6))
         for i, name in enumerate(factor_names):
             scaled_raw = list(raw)
             scaled_raw[i] *= scale
-            scaled_value = clear_value(ClearFactors(*scaled_raw), Level.NETWORK).value
+            scaled_value = clear_value(Axes(*scaled_raw), Level.NETWORK).value
             expected = base_value * scale if name == "capability" else base_value / scale
             assert abs(scaled_value - expected) <= 1e-12 * abs(expected)
 

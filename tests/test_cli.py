@@ -242,7 +242,8 @@ class TestConfigSchemasMatchValidator:
 
 class TestNumericRange:
     """Valid inputs whose magnitudes break floating-point arithmetic in the
-    model end in a validation error, not a traceback."""
+    model end in a validation error, not a traceback; so do the component
+    keys, component role and trend key that are no longer accepted."""
 
     @pytest.mark.parametrize("command,example,owner,key,value", [
         ("device", "devices/four_technologies.json",
@@ -255,16 +256,31 @@ class TestNumericRange:
         ("link", "links/four_technologies.json",
          lambda doc: next(l for l in doc["links"] if l["name"] == "plasmonic"),
          "repeater_spacing_m", 1e-320),
-    ], ids=["unit_cost_usd", "critical_length_m", "voltage_swing_v", "repeater_spacing_m"])
+        ("link", "links/four_technologies.json",
+         lambda doc: doc["links"][1]["components"][0], "insertion_loss_db", 1.0),
+        ("link", "links/four_technologies.json",
+         lambda doc: doc["links"][0]["components"][0], "output_swing_v", 1.0),
+        ("network", "networks/mesh16_comparison.json",
+         lambda doc: doc["noc"]["link_templates"]["photonic"]["components"][0],
+         "role", "amplifier"),
+        ("trend", None, lambda doc: doc, "eval_year", 2016.0),
+    ], ids=["unit_cost_usd", "critical_length_m", "voltage_swing_v", "repeater_spacing_m",
+            "removed_insertion_loss_db", "removed_output_swing_v", "removed_amplifier_role",
+            "removed_trend_eval_year"])
     def test_exits_one_without_artifacts(self, tmp_path, capsys, command, example, owner,
                                          key, value):
-        with open(example_path(example), encoding="utf-8") as fh:
-            doc = json.load(fh)
+        if example is None:
+            doc = {"kind": "trend",
+                   "records_csv": str(example_path("trend/sample_synthetic_systems.csv"))}
+        else:
+            with open(example_path(example), encoding="utf-8") as fh:
+                doc = json.load(fh)
         owner(doc)[key] = value
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "out"
-        assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+        assert main([command, "--config", str(config), "--out", str(out),
+                     "--seed", "1"]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("clearfom: error code=1 kind=validation")

@@ -76,7 +76,7 @@ class TestDeviceRadar:
                      unit_cost_usd=1.0 / limits.cost_efficiency_axis)
         floors = default_device_floors([spec, _spec(capability_hz=0.5)])
         scores = radar_normalize(spec, limits, floors)
-        assert scores.as_tuple() == (1.0, 1.0, 1.0, 1.0, 1.0)
+        assert scores == (1.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_factor_at_floor_scores_zero(self):
         limits = self._limits()
@@ -88,7 +88,7 @@ class TestDeviceRadar:
                       footprint_m2=floors.amount,
                       unit_cost_usd=floors.resistance)
         scores = radar_normalize(worst, limits, floors)
-        assert scores.as_tuple() == (0.0, 0.0, 0.0, 0.0, 0.0)
+        assert scores == (0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_improving_one_factor_never_lowers_its_score(self):
         limits = self._limits()

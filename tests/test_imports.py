@@ -31,8 +31,7 @@ EXPORTS = {
     "link": ("ElectricalTransport", "LinkComponent", "LinkSpec", "OpticalTransport",
              "link_area", "link_capacity", "link_clear", "link_energy_per_bit",
              "p2p_latency", "repeater_count"),
-    "metric": ("ClearFactors", "ClearValue", "Level", "RadarScores", "Technology",
-               "radar_area"),
+    "metric": ("Axes", "ClearValue", "Level", "Technology", "radar_area"),
     "network": ("MeshTopology", "NocConfig", "TrafficMatrix", "add_express_links",
                 "avg_latency_clks", "build_mesh", "flit_sweep", "generate_traffic",
                 "link_activity", "network_area_and_cost", "network_clear",

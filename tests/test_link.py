@@ -262,7 +262,7 @@ class TestLinkClear:
         first = link_clear(link, limits)
         second = link_clear(link, limits)
         assert first.clear.value == second.clear.value
-        assert first.radar.as_tuple() == second.radar.as_tuple()
+        assert first.radar == second.radar
 
 
 class TestShippedLinks:
@@ -296,7 +296,7 @@ class TestShippedLinks:
             for spec in config.links:
                 result = link_clear(spec.at_length(length), limits)
                 factors = result.clear.factors
-                for score in result.radar.as_tuple():
+                for score in result.radar:
                     assert 0.0 <= score <= 1.0
                 assert factors.capability <= limits.max_capacity_bps
                 assert 1.0 / factors.latency <= limits.max_tof_rate_hz * (1 + 1e-12)

@@ -6,11 +6,8 @@ from hypothesis import strategies as st
 
 from clearfom.errors import ConfigurationError, DomainError
 from clearfom.metric import (
-    AxisFloors,
-    AxisLimits,
-    ClearFactors,
+    Axes,
     Level,
-    RadarScores,
     clear_value,
     default_floors,
     log_scale_score,
@@ -23,23 +20,21 @@ _positive = st.floats(min_value=1e-12, max_value=1e12)
 
 
 def _scores(values):
-    return RadarScores(capability=values[0], latency=values[1], energy=values[2],
-                       amount=values[3], resistance=values[4],
-                       floors=AxisFloors(1, 1, 1, 1, 1))
+    return Axes(*values)
 
 
 class TestClearValue:
     def test_all_ones(self):
-        factors = ClearFactors(1.0, 1.0, 1.0, 1.0, 1.0)
+        factors = Axes(1.0, 1.0, 1.0, 1.0, 1.0)
         assert clear_value(factors, Level.DEVICE).value == 1.0
 
     def test_rejects_non_positive_factor(self):
         with pytest.raises(DomainError):
-            ClearFactors(1.0, 0.0, 1.0, 1.0, 1.0)
+            clear_value(Axes(1.0, 0.0, 1.0, 1.0, 1.0), Level.DEVICE)
 
     @given(_positive, _positive, _positive, _positive, _positive)
     def test_value_matches_recomputation(self, c, l, e, a, r):
-        value = clear_value(ClearFactors(c, l, e, a, r), Level.SYSTEM)
+        value = clear_value(Axes(c, l, e, a, r), Level.SYSTEM)
         assert value.value == pytest.approx(c / (l * e * a * r), rel=1e-12)
 
 
@@ -83,24 +78,26 @@ class TestLogScaleScore:
 
 
 class TestRadarScores:
-    LIMITS = AxisLimits(capability=1e13, latency=1e-9, energy=1e-21, amount=1e-18,
-                        resistance=1e-10)
-    FLOORS = AxisFloors(capability=1e3, latency=1.0, energy=1e-9, amount=1e-6,
-                        resistance=1e2)
+    LIMITS = Axes(capability=1e13, latency=1e-9, energy=1e-21, amount=1e-18,
+                  resistance=1e-10)
+    FLOORS = Axes(capability=1e3, latency=1.0, energy=1e-9, amount=1e-6,
+                  resistance=1e2)
 
     def test_factors_at_limits_score_all_ones(self):
-        factors = ClearFactors(1e13, 1e-9, 1e-21, 1e-18, 1e-10)
+        factors = Axes(1e13, 1e-9, 1e-21, 1e-18, 1e-10)
         scores = radar_scores(factors, self.LIMITS, self.FLOORS)
-        assert scores.as_tuple() == (1.0, 1.0, 1.0, 1.0, 1.0)
+        assert scores == (1.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_factors_at_floors_score_all_zeros(self):
-        factors = ClearFactors(1e3, 1.0, 1e-9, 1e-6, 1e2)
+        factors = Axes(1e3, 1.0, 1e-9, 1e-6, 1e2)
         scores = radar_scores(factors, self.LIMITS, self.FLOORS)
-        assert scores.as_tuple() == (0.0, 0.0, 0.0, 0.0, 0.0)
+        assert scores == (0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_score_outside_unit_interval_rejected(self):
-        with pytest.raises(DomainError):
-            _scores((0.5, 0.5, 1.5, 0.5, 0.5))
+        with pytest.raises(DomainError, match="energy outside"):
+            radar_area(_scores((0.5, 0.5, 1.5, 0.5, 0.5)))
+        with pytest.raises(DomainError, match="latency outside"):
+            radar_vertices(_scores((0.5, -0.1, 0.5, 0.5, 0.5)))
 
 
 class TestRadarArea:
@@ -134,8 +131,8 @@ class TestRadarVertices:
 
 class TestDefaultFloors:
     def test_margin_pads_worst_values(self):
-        sets = [ClearFactors(10.0, 2.0, 3.0, 4.0, 5.0),
-                ClearFactors(100.0, 1.0, 1.0, 1.0, 1.0)]
+        sets = [Axes(10.0, 2.0, 3.0, 4.0, 5.0),
+                Axes(100.0, 1.0, 1.0, 1.0, 1.0)]
         floors = default_floors(sets, margin=10.0)
         assert floors.capability == pytest.approx(1.0)
         assert floors.latency == pytest.approx(20.0)
@@ -145,4 +142,4 @@ class TestDefaultFloors:
         with pytest.raises(DomainError):
             default_floors([])
         with pytest.raises(DomainError):
-            default_floors([ClearFactors(1, 1, 1, 1, 1)], margin=1.0)
+            default_floors([Axes(1, 1, 1, 1, 1)], margin=1.0)

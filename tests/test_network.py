@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from clearfom.economics import ExperienceCurve
 from clearfom.errors import ConfigurationError, DomainError
 from clearfom.link import ComponentRole, ElectricalTransport, LinkComponent, OpticalTransport
 from clearfom.metric import Technology
@@ -16,7 +17,6 @@ from clearfom.network import (
     RouterModel,
     TrafficMatrix,
     TrafficParams,
-    WaferCost,
     add_express_links,
     avg_latency_clks,
     build_mesh,
@@ -92,8 +92,8 @@ def _config(e_link=1e-13, e_router=6e-13, a_router=1.5e-8, a_link=5e-10,
                        Technology.PLASMONIC: rate, Technology.HYBRID: rate},
         router=RouterModel(dynamic_j_per_bit=e_router, area_m2=a_router),
         link_templates=templates,
-        wafer_cost={"electronic": WaferCost(usd_per_m2=2e5),
-                    "photonic": WaferCost(usd_per_m2=2.5e6)},
+        wafer_cost={"electronic": ExperienceCurve(2e5, math.inf, 0.0),
+                    "photonic": ExperienceCurve(2.5e6, math.inf, 0.0)},
     )
 
 
@@ -408,7 +408,7 @@ class TestAreaAndCost:
     def test_missing_wafer_entry_is_configuration_error(self):
         mesh = build_mesh(1, 2, 1e-3, "hybrid")
         config = _config()
-        broken = replace(config, wafer_cost={"electronic": WaferCost(usd_per_m2=2e5)})
+        broken = replace(config, wafer_cost={"electronic": ExperienceCurve(2e5, math.inf, 0.0)})
         with pytest.raises(ConfigurationError):
             network_area_and_cost(mesh, broken)
 
@@ -416,9 +416,8 @@ class TestAreaAndCost:
         mesh = build_mesh(1, 2, 1e-3, "electronic")
         config = _config()
         curved = replace(config, wafer_cost={
-            "electronic": WaferCost(usd_per_m2=2e5, halving_period_years=4.0,
-                                    reference_year=2016.0),
-            "photonic": WaferCost(usd_per_m2=2.5e6)})
+            "electronic": ExperienceCurve(2e5, halving_period=4.0, reference_time=2016.0),
+            "photonic": ExperienceCurve(2.5e6, math.inf, 0.0)})
         now = network_area_and_cost(mesh, curved, eval_year=2016.0).cost_usd
         later = network_area_and_cost(mesh, curved, eval_year=2020.0).cost_usd
         assert later == pytest.approx(now / 2.0, rel=1e-12)
