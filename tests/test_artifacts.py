@@ -59,7 +59,7 @@ def run_and_digest(name: str, work: Path) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_artifacts_match_pinned_digests(name, tmp_path, capsys):
+def test_artifacts_match_pinned_digests(name, tmp_path):
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
     assert run_and_digest(name, tmp_path) == expected
 
