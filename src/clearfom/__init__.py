@@ -8,7 +8,7 @@ for radar comparison, and the economic resistance factor rides a log-linear
 experience curve.
 
 The names re-exported here resolve lazily (PEP 562): ``from clearfom import
-link_clear`` imports :mod:`clearfom.link` on first use, not when the package
+link_capacity`` imports :mod:`clearfom.link` on first use, not when the package
 is imported. numpy loads only inside the mesh-NoC model in
 :mod:`clearfom.network`, and there only for explicit traffic matrices, the
 dense ``rates`` of generated traffic, and a seeded hotspot pick.
@@ -28,7 +28,7 @@ _EXPORTS = {
                      "landauer_energy", "make_limit_set", "margolus_levitin_rate",
                      "time_of_flight_rate_limit"), "limits"),
     **dict.fromkeys(("ElectricalTransport", "LinkComponent", "LinkSpec", "OpticalTransport",
-                     "link_area", "link_capacity", "link_clear", "link_energy_per_bit",
+                     "link_area", "link_capacity", "link_energy_per_bit",
                      "p2p_latency", "repeater_count"), "link"),
     **dict.fromkeys(("Axes", "ClearValue", "Level", "Technology", "radar_area"), "metric"),
     **dict.fromkeys(("MeshTopology", "NocConfig", "TrafficMatrix", "add_express_links",

@@ -8,9 +8,10 @@ Every artifact is written atomically after the whole evaluation succeeds, so
 a failing run leaves no partial output.
 
 Exit codes: 0 success, 1 validation error, 2 infeasible model, 3 I/O error.
-Errors print one machine-parsable line on stderr. Valid inputs whose
-magnitudes overflow or underflow the model's floating-point arithmetic are
-validation errors too.
+Errors print one machine-parsable line on stderr. Usage errors (an unknown
+subcommand, a missing or malformed flag) and valid inputs whose magnitudes
+overflow or underflow the model's floating-point arithmetic are validation
+errors too.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .device import default_device_floors, device_clear, radar_normalize
+from .device import device_clear, device_factors, radar_normalize
 from .errors import ClearError, ConfigurationError, DomainError, InfeasibleLinkError
 from .ioutil import IoError, write_csv, write_json
 from .limits import DEFAULT_COST_EFFICIENCY_AXIS, axis_limits, make_limit_set
@@ -46,7 +47,7 @@ from .validation import (
     validate_config,
 )
 
-__all__ = ["RunManifest", "run", "main"]
+__all__ = ["main"]
 
 OUT_DIR_ENV = "CLEARFOM_OUT"
 ALL_FORMATS = ("table", "csv", "json", "radar_csv")
@@ -55,42 +56,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """One CLI invocation, resolved from flags and the environment."""
-
-    command: str
-    config_path: str | None = None
-    out_dir: str = "."
-    formats: tuple[str, ...] = ALL_FORMATS
-    seed: int | None = None
-    eval_year: float | None = None
-    temperature_k: float = 300.0
-    limit_link_length_m: float = 1e-4
-    limit_group_index: float = 3.0
-
-    def __post_init__(self):
-        if self.command not in ("limits", "device", "link", "network", "trend"):
-            raise ConfigurationError(f"unknown command '{self.command}'")
-        if not self.formats:
-            raise ConfigurationError("at least one output format is required")
-        for name in self.formats:
-            if name not in ALL_FORMATS:
-                raise ConfigurationError(f"unknown output format '{name}'")
-        if self.command != "limits" and self.config_path is None:
-            raise ConfigurationError(f"command '{self.command}' requires --config")
-        if self.command == "network" and self.seed is None:
-            raise ConfigurationError("command 'network' requires --seed for traffic generation")
-        if self.seed is not None and self.seed < 0:
-            raise ConfigurationError(f"--seed must be non-negative, got {self.seed}")
-        for flag, value in (("--eval-year", self.eval_year),
-                            ("--temperature", self.temperature_k),
-                            ("--link-length", self.limit_link_length_m),
-                            ("--group-index", self.limit_group_index)):
-            if value is not None and not math.isfinite(value):
-                raise ConfigurationError(f"{flag} must be a finite number, got {value}")
 
 
 # Report keys of the five CLEAR factors at each level, in Axes order; JSON
@@ -175,14 +140,14 @@ class _Artifacts:
         return written
 
 
-def _run_limits(manifest: RunManifest, artifacts: _Artifacts):
+def _run_limits(args: argparse.Namespace, artifacts: _Artifacts):
     rows = []
     reports = {}
     for level in ("device", "link"):
         limits = make_limit_set(
-            temperature=manifest.temperature_k,
-            link_length=manifest.limit_link_length_m,
-            group_index=manifest.limit_group_index,
+            temperature=args.temperature,
+            link_length=args.link_length,
+            group_index=args.group_index,
             level=Level(level),
         )
         reports[level] = {}
@@ -191,29 +156,29 @@ def _run_limits(manifest: RunManifest, artifacts: _Artifacts):
             rows.append((level, quantity, reports[level][key], unit))
     document = {
         "kind": "limits_report",
-        "temperature_k": manifest.temperature_k,
-        "tof_link_length_m": manifest.limit_link_length_m,
-        "tof_group_index": manifest.limit_group_index,
+        "temperature_k": args.temperature,
+        "tof_link_length_m": args.link_length,
+        "tof_group_index": args.group_index,
         "levels": reports,
     }
     artifacts.json_files.append(("limits.json", document))
     artifacts.csv_files.append(("limits.csv", ("level", "quantity", "value", "unit"), rows))
-    if "table" in manifest.formats:
-        print(f"physical limits at {manifest.temperature_k:g} K "
-              f"(time of flight over {manifest.limit_link_length_m:g} m, "
-              f"group index {manifest.limit_group_index:g})")
+    if "table" in args.format:
+        print(f"physical limits at {args.temperature:g} K "
+              f"(time of flight over {args.link_length:g} m, "
+              f"group index {args.group_index:g})")
         _print_table(("level", "quantity", "value", "unit"), rows)
 
 
-def _run_device(manifest: RunManifest, artifacts: _Artifacts):
-    doc = _load_config(manifest.config_path)
+def _run_device(args: argparse.Namespace, artifacts: _Artifacts):
+    doc = _load_config(args.config)
     _require_valid(doc, "device_comparison")
     config = load_device_config(doc)
     limits = make_limit_set(
         temperature=config.temperature_k,
         cost_efficiency_axis=config.cost_efficiency_axis or DEFAULT_COST_EFFICIENCY_AXIS,
         level=Level.DEVICE)
-    floors = default_device_floors(config.devices, margin=config.floor_margin)
+    floors = default_floors(map(device_factors, config.devices), margin=config.floor_margin)
 
     table_rows = []
     report_devices = []
@@ -245,15 +210,15 @@ def _run_device(manifest: RunManifest, artifacts: _Artifacts):
         "temperature_k": config.temperature_k,
         "devices": report_devices,
     }))
-    if "table" in manifest.formats:
+    if "table" in args.format:
         _print_table(("device", "technology", "clear", "radar_area"), table_rows)
 
 
-def _run_link(manifest: RunManifest, artifacts: _Artifacts):
-    doc = _load_config(manifest.config_path)
+def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
+    doc = _load_config(args.config)
     _require_valid(doc, "link_comparison")
-    config = load_link_config(doc, base_dir=str(Path(manifest.config_path).parent))
-    eval_year = manifest.eval_year if manifest.eval_year is not None else config.eval_year
+    config = load_link_config(doc, base_dir=str(Path(args.config).parent))
+    eval_year = args.eval_year if args.eval_year is not None else config.eval_year
 
     report_links = {spec.name: [] for spec in config.links}
     table_rows = []
@@ -296,7 +261,7 @@ def _run_link(manifest: RunManifest, artifacts: _Artifacts):
                    "sweep": report_links[spec.name]}
                   for spec in sorted(config.links, key=lambda s: s.name)],
     }))
-    if "table" in manifest.formats:
+    if "table" in args.format:
         _print_table(("link", "length_m", "capacity_bps", "clear"), table_rows)
 
 
@@ -318,23 +283,24 @@ def _network_cases(config, seed: int):
     return cases
 
 
-def _run_network(manifest: RunManifest, artifacts: _Artifacts):
+def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
     # The NoC model loads only for this subcommand. It needs numpy only for a
     # seeded hotspot pick (traffic without explicit hotspot_nodes).
     from .network import case_activities, flit_sweep, network_clear
 
-    doc = _load_config(manifest.config_path)
+    doc = _load_config(args.config)
     _require_valid(doc, "network_comparison")
     config = load_network_config(doc)
-    eval_year = manifest.eval_year if manifest.eval_year is not None else config.eval_year
-    cases = _network_cases(config, manifest.seed)
+    eval_year = args.eval_year if args.eval_year is not None else config.eval_year
+    cases = _network_cases(config, args.seed)
     activities = case_activities(cases)
 
     summary_rows = []
     report_cases = []
     for spec, case, activity in zip(config.cases, cases, activities):
-        result = network_clear(case.topology, case.traffic, case.config, eval_year,
-                               activity=activity)
+        clear = network_clear(case.topology, case.traffic, case.config, eval_year,
+                              activity=activity)
+        factors = clear.factors
         utilization = activity.utilization(case.topology, case.config.link_rate_bps)
         activity_rows = [
             (f"{a}->{b}", load, utilization[(a, b)])
@@ -342,17 +308,17 @@ def _run_network(manifest: RunManifest, artifacts: _Artifacts):
         artifacts.csv_files.append(
             (f"link_activity_{_slug(case.label)}.csv",
              ("link_id", "load_bps", "utilization"), activity_rows))
-        summary_rows.append((case.label, spec.technology.value, result.clear.value,
-                             result.capacity_bps_per_node / 1e9,
-                             result.latency_clks,
-                             result.energy_j_per_bit / 1e-12,
-                             result.area_m2 / 1e-6,
-                             result.cost_usd))
+        summary_rows.append((case.label, spec.technology.value, clear.value,
+                             factors.capability / 1e9,
+                             factors.latency,
+                             factors.energy / 1e-12,
+                             factors.amount / 1e-6,
+                             factors.resistance))
         report_cases.append({
             "label": case.label,
             "technology": spec.technology.value,
-            "clear": result.clear.value,
-            **dict(zip(_FACTOR_KEYS[Level.NETWORK], result.clear.factors)),
+            "clear": clear.value,
+            **dict(zip(_FACTOR_KEYS[Level.NETWORK], factors)),
         })
     artifacts.csv_files.append(
         ("network_summary.csv",
@@ -374,25 +340,25 @@ def _run_network(manifest: RunManifest, artifacts: _Artifacts):
         }
     artifacts.json_files.append(("network_report.json", {
         "kind": "network_report",
-        "seed": manifest.seed,
+        "seed": args.seed,
         "eval_year": eval_year,
         "mesh": {"rows": config.rows, "cols": config.cols, "spacing_m": config.spacing_m},
         "cases": report_cases,
         "flit_sweep": sweep_report,
     }))
-    if "table" in manifest.formats:
+    if "table" in args.format:
         _print_table(
             ("case", "technology", "clear", "capacity_gbps", "latency_clks",
              "energy_pj_per_bit", "area_mm2", "cost_usd"), summary_rows)
 
 
-def _run_trend(manifest: RunManifest, artifacts: _Artifacts):
-    doc = _load_config(manifest.config_path)
+def _run_trend(args: argparse.Namespace, artifacts: _Artifacts):
+    doc = _load_config(args.config)
     _require_valid(doc, "trend")
     config = load_trend_config(doc)
     csv_path = Path(config.records_csv)
     if not csv_path.is_absolute():
-        csv_path = Path(manifest.config_path).parent / csv_path
+        csv_path = Path(args.config).parent / csv_path
     try:
         records = load_system_records(csv_path)
     except OSError as exc:
@@ -433,7 +399,7 @@ def _run_trend(manifest: RunManifest, artifacts: _Artifacts):
         },
         "points": report_points,
     }))
-    if "table" in manifest.formats:
+    if "table" in args.format:
         print(f"growth: x{fit.annual_factor:.3g}/year "
               f"(doubling every {fit.doubling_months:.3g} months, "
               f"r^2 = {fit.r_squared if fit.r_squared is not None else 'undefined'})")
@@ -449,34 +415,40 @@ _RUNNERS = {
 }
 
 
-def run(manifest: RunManifest) -> int:
-    """Execute one manifest; artifacts land in its output directory."""
-    artifacts = _Artifacts()
-    _RUNNERS[manifest.command](manifest, artifacts)
-    written = artifacts.flush(Path(manifest.out_dir), manifest.formats)
-    for relpath in written:
-        print(f"wrote {Path(manifest.out_dir) / relpath}")
-    return EXIT_OK
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as validation errors instead of exiting with 2."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
+def _formats(text: str) -> tuple[str, ...]:
+    formats = tuple(part.strip() for part in text.split(",") if part.strip())
+    if not formats:
+        raise argparse.ArgumentTypeError("at least one output format is required")
+    for name in formats:
+        if name not in ALL_FORMATS:
+            raise argparse.ArgumentTypeError(f"unknown output format '{name}'")
+    return formats
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clearfom",
         description="Multi-hierarchy CLEAR figure-of-merit toolkit")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (("limits", False), ("device", True), ("link", True),
-                               ("network", True), ("trend", True)):
+    for name in _RUNNERS:
         cmd = sub.add_parser(name)
-        if needs_config:
+        if name != "limits":
             cmd.add_argument("--config", required=True, help="JSON config document")
-        cmd.add_argument("--out", default=None,
+        cmd.add_argument("--out", default=os.environ.get(OUT_DIR_ENV, "."),
                          help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
-        cmd.add_argument("--format", default=",".join(ALL_FORMATS),
+        cmd.add_argument("--format", type=_formats, default=ALL_FORMATS,
                          help="comma list from: " + ", ".join(ALL_FORMATS))
-        cmd.add_argument("--seed", type=int, default=None,
+        cmd.add_argument("--seed", type=int, required=name == "network",
                          help="traffic seed (required for 'network')")
-        cmd.add_argument("--eval-year", type=float, default=None,
+        cmd.add_argument("--eval-year", type=float,
                          help="evaluation year for economic cost scaling")
         cmd.add_argument("--temperature", type=float, default=300.0,
                          help="temperature in K for physical limits")
@@ -488,20 +460,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
-    out_dir = args.out if args.out is not None else os.environ.get(OUT_DIR_ENV, ".")
-    formats = tuple(part.strip() for part in args.format.split(",") if part.strip())
-    return RunManifest(
-        command=args.command,
-        config_path=getattr(args, "config", None),
-        out_dir=out_dir,
-        formats=formats,
-        seed=args.seed,
-        eval_year=args.eval_year,
-        temperature_k=args.temperature,
-        limit_link_length_m=getattr(args, "link_length", 1e-4),
-        limit_group_index=getattr(args, "group_index", 3.0),
-    )
+def _check_args(args: argparse.Namespace):
+    if args.seed is not None and args.seed < 0:
+        raise ConfigurationError(f"--seed must be non-negative, got {args.seed}")
+    for flag in ("--eval-year", "--temperature", "--link-length", "--group-index"):
+        value = getattr(args, flag[2:].replace("-", "_"), None)  # None: not on this command
+        if value is not None and not math.isfinite(value):
+            raise ConfigurationError(f"{flag} must be a finite number, got {value}")
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -511,10 +476,14 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        manifest = _manifest_from_args(args)
-        return run(manifest)
+        args = _build_parser().parse_args(argv)
+        _check_args(args)
+        artifacts = _Artifacts()
+        _RUNNERS[args.command](args, artifacts)
+        for relpath in artifacts.flush(Path(args.out), args.format):
+            print(f"wrote {Path(args.out) / relpath}")
+        return EXIT_OK
     except InfeasibleLinkError as exc:
         detail = str(exc)
         if exc.failing_span is not None:

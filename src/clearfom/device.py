@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .limits import LimitSet, axis_limits
-from .metric import Axes, ClearValue, Level, Technology, clear_value, default_floors, radar_scores
+from .metric import Axes, ClearValue, Level, Technology, clear_value, radar_scores
 
-__all__ = ["DeviceSpec", "device_clear", "device_factors", "radar_normalize", "default_device_floors"]
+__all__ = ["DeviceSpec", "device_clear", "device_factors", "radar_normalize"]
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,3 @@ def radar_normalize(spec: DeviceSpec, limits: LimitSet, floors: Axes) -> Axes:
     if limits.level is not Level.DEVICE:
         raise DomainError("device radar requires a device-level LimitSet")
     return radar_scores(device_factors(spec), axis_limits(limits), floors)
-
-
-def default_device_floors(specs, margin: float = 10.0) -> Axes:
-    """Floors spanning a set of devices under comparison."""
-    return default_floors((device_factors(s) for s in specs), margin=margin)

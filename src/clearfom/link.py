@@ -19,9 +19,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .economics import ExperienceCurve, relative_cost
-from .errors import ConfigurationError, DomainError, InfeasibleLinkError
-from .limits import LimitSet, axis_limits
-from .metric import Axes, ClearValue, Level, Technology, clear_value, default_floors, radar_scores
+from .errors import DomainError, InfeasibleLinkError
+from .metric import Axes, Technology
 
 __all__ = [
     "ComponentRole",
@@ -31,7 +30,6 @@ __all__ = [
     "LinkSpec",
     "CapacityResult",
     "SpanBudget",
-    "LinkClearResult",
     "repeater_count",
     "span_lengths",
     "link_capacity",
@@ -39,7 +37,6 @@ __all__ = [
     "link_energy_per_bit",
     "link_area",
     "link_cost",
-    "link_clear",
     "link_factors",
 ]
 
@@ -313,27 +310,3 @@ def link_factors(link: LinkSpec, eval_year: float | None = None) -> Axes:
         resistance=link_cost(link, eval_year),
     )
 
-
-@dataclass(frozen=True)
-class LinkClearResult:
-    clear: ClearValue
-    radar: Axes
-
-
-def link_clear(link: LinkSpec, limits: LimitSet,
-               eval_year: float | None = None,
-               floors: Axes | None = None) -> LinkClearResult:
-    """Composite link CLEAR plus limit-normalized radar scores.
-
-    ``floors`` should be shared across a comparison set; when omitted they
-    default to this link's own factors with the standard margin.
-    """
-    if limits.level is not Level.LINK:
-        raise ConfigurationError("link radar requires a link-level LimitSet")
-    factors = link_factors(link, eval_year)
-    if floors is None:
-        floors = default_floors([factors])
-    return LinkClearResult(
-        clear=clear_value(factors, Level.LINK),
-        radar=radar_scores(factors, axis_limits(limits), floors),
-    )

@@ -94,7 +94,13 @@ def clear_value(factors: Axes, level: Level) -> ClearValue:
         if not math.isfinite(value) or value <= 0:
             raise DomainError(f"factor {name} must be finite and strictly positive")
     f = factors
-    value = f.capability / (f.latency * f.energy * f.amount * f.resistance)
+    # A cost product that underflows to 0.0 is an overflow of the quotient.
+    denominator = f.latency * f.energy * f.amount * f.resistance
+    value = f.capability / denominator if denominator > 0 else math.inf
+    if not 0.0 < value < math.inf:
+        named = ", ".join(f"{name}={factor:g}" for name, factor in zip(AXIS_NAMES, factors))
+        raise DomainError(f"{level.value} CLEAR is outside the floating-point range "
+                          f"for factors {named}")
     return ClearValue(value=value, level=level, factors=factors)
 
 

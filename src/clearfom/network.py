@@ -58,7 +58,6 @@ if TYPE_CHECKING:
 __all__ = [
     "MeshLink",
     "MeshTopology",
-    "NocLinkTemplate",
     "RouterModel",
     "NocConfig",
     "TrafficPattern",
@@ -66,7 +65,6 @@ __all__ = [
     "TrafficMatrix",
     "LinkActivity",
     "NetworkAreaCost",
-    "NetworkClearResult",
     "NetworkCase",
     "FlitSweepRow",
     "FlitSweepResult",
@@ -164,8 +162,6 @@ class MeshTopology:
 def build_mesh(rows: int, cols: int, spacing_m: float,
                technology: Technology | str) -> MeshTopology:
     """Grid of neighbor links only, all tagged with one technology."""
-    if rows < 1 or cols < 1:
-        raise DomainError("mesh dimensions must be at least 1x1")
     technology = Technology(technology)
     links = []
     for r in range(rows):
@@ -685,28 +681,6 @@ class RouterModel:
 
 
 @dataclass(frozen=True)
-class NocLinkTemplate:
-    """Length-free link description instantiated per mesh link."""
-
-    technology: Technology
-    components: tuple
-    transport: object
-    cross_section_width_m: float
-    repeater_spacing_m: float | None = None
-
-    def at_length(self, length_m: float) -> LinkSpec:
-        return LinkSpec(
-            name=f"{self.technology.value}-noc-link",
-            technology=self.technology,
-            length_m=length_m,
-            components=self.components,
-            transport=self.transport,
-            cross_section_width_m=self.cross_section_width_m,
-            repeater_spacing_m=self.repeater_spacing_m,
-        )
-
-
-@dataclass(frozen=True)
 class NocConfig:
     """DSENT-replacement parameter tables for one NoC evaluation.
 
@@ -722,7 +696,7 @@ class NocConfig:
     link_latency_clks: Mapping[Technology, int]
     link_rate_bps: Mapping[Technology, float]
     router: RouterModel
-    link_templates: Mapping[Technology, NocLinkTemplate]
+    link_templates: Mapping[Technology, LinkSpec]  # "<tech>-noc-link" at the mesh spacing
     wafer_cost: Mapping[str, ExperienceCurve]  # USD per m^2 of each die
 
     def __post_init__(self):
@@ -790,13 +764,13 @@ def _latency_from_activity(topology: MeshTopology, activity: LinkActivity,
     if activity.injected_bps <= 0:
         raise DomainError("average latency is undefined for zero traffic")
     links = topology.directed_links
+    latency_clks = config.link_latency_clks
     terms = [config.router_pipeline_clks * activity.flow_hop_bps]
     for key, load in activity.loads.items():
-        link = links[key]
-        if link.technology not in config.link_latency_clks:
-            raise ConfigurationError(
-                f"link_latency_clks has no entry for '{link.technology.value}'")
-        terms.append(load * config.link_latency_clks[link.technology])
+        technology = links[key].technology
+        if technology not in latency_clks:
+            config.require_technology(technology)
+        terms.append(load * latency_clks[technology])
     return math.fsum(terms) / activity.injected_bps
 
 
@@ -890,30 +864,21 @@ def network_area_and_cost(topology: MeshTopology, config: NocConfig,
                            cost_usd=math.fsum(cost_terms), area_by_die=area_by_die)
 
 
-@dataclass(frozen=True)
-class NetworkClearResult:
-    clear: ClearValue
-    capacity_bps_per_node: float
-    latency_clks: float
-    energy_j_per_bit: float
-    area_m2: float
-    cost_usd: float
-
-
 def _aggregate_capacity_per_node(topology: MeshTopology, config: NocConfig) -> float:
     counts = Counter(link.technology for link in topology.all_links())
     for technology in counts:
-        if technology not in config.link_rate_bps:
-            raise ConfigurationError(
-                f"link_rate_bps has no entry for '{technology.value}'")
+        config.require_technology(technology)
     return math.fsum(count * config.link_rate_bps[technology]
                      for technology, count in counts.items()) / topology.node_count
 
 
 def network_clear(topology: MeshTopology, traffic: TrafficMatrix, config: NocConfig,
                   eval_year: float | None = None,
-                  activity: LinkActivity | None = None) -> NetworkClearResult:
+                  activity: LinkActivity | None = None) -> ClearValue:
     """Aggregate capacity per node over latency, energy, area, and cost.
+
+    The factors are capacity in bit/s per node, latency in clocks, energy in
+    J/bit, area in m^2 and cost in USD.
 
     ``activity`` may carry a precomputed routing pass for this exact
     (topology, traffic) pair; callers evaluating many variants reuse it.
@@ -926,14 +891,7 @@ def network_clear(topology: MeshTopology, traffic: TrafficMatrix, config: NocCon
     capability = _aggregate_capacity_per_node(topology, config)
     factors = Axes(capability=capability, latency=latency, energy=energy,
                    amount=area_cost.area_m2, resistance=area_cost.cost_usd)
-    return NetworkClearResult(
-        clear=clear_value(factors, Level.NETWORK),
-        capacity_bps_per_node=capability,
-        latency_clks=latency,
-        energy_j_per_bit=energy,
-        area_m2=area_cost.area_m2,
-        cost_usd=area_cost.cost_usd,
-    )
+    return clear_value(factors, Level.NETWORK)
 
 
 @dataclass(frozen=True)
@@ -1008,7 +966,7 @@ def flit_sweep(cases: Sequence[NetworkCase], flit_sizes: Sequence[int],
         for case, activity in zip(cases, activities):
             config = case.config.with_flit_bits(flit)
             value = network_clear(case.topology, case.traffic, config, eval_year,
-                                  activity=activity).clear.value
+                                  activity=activity).value
             rows.append(FlitSweepRow(flit_bits=flit, label=case.label, clear=value))
             by_label[case.label].append(value)
 

@@ -322,6 +322,21 @@ def _load_transport(obj: Mapping):
     )
 
 
+def _load_link(obj: Mapping, name: str, technology: str, length_m: float,
+               cost_curve: ExperienceCurve | None = None) -> LinkSpec:
+    """One link body: a link-config entry, or a NoC link template."""
+    return LinkSpec(
+        name=name,
+        technology=Technology(technology),
+        length_m=length_m,
+        components=tuple(_load_component(c) for c in obj["components"]),
+        transport=_load_transport(obj["transport"]),
+        cross_section_width_m=float(obj["cross_section_width_m"]),
+        repeater_spacing_m=obj.get("repeater_spacing_m"),
+        cost_curve=cost_curve,
+    )
+
+
 def _load_curve(obj: Mapping) -> ExperienceCurve:
     return ExperienceCurve(
         initial_unit_cost=float(obj["initial_unit_cost"]),
@@ -363,16 +378,7 @@ def load_link_config(doc: Mapping, base_dir: str | None = None) -> LinkConfig:
             curve = fit_experience_curve(load_cost_observations(path)).curve
         else:
             curve = None
-        links.append(LinkSpec(
-            name=entry["name"],
-            technology=Technology(entry["technology"]),
-            length_m=lengths[0],
-            components=tuple(_load_component(c) for c in entry["components"]),
-            transport=_load_transport(entry["transport"]),
-            cross_section_width_m=float(entry["cross_section_width_m"]),
-            repeater_spacing_m=entry.get("repeater_spacing_m"),
-            cost_curve=curve,
-        ))
+        links.append(_load_link(entry, entry["name"], entry["technology"], lengths[0], curve))
     return LinkConfig(
         temperature_k=float(doc["temperature_k"]),
         limit_group_index=float(doc.get("limit_group_index", 3.0)),
@@ -386,7 +392,6 @@ def load_link_config(doc: Mapping, base_dir: str | None = None) -> LinkConfig:
 def load_network_config(doc: Mapping) -> NetworkConfig:
     from .network import (
         NocConfig,
-        NocLinkTemplate,
         RouterModel,
         TrafficParams,
         TrafficPattern,
@@ -403,15 +408,9 @@ def load_network_config(doc: Mapping) -> NetworkConfig:
         locality_scale_hops=float(traffic.get("locality_scale_hops", 4.0)),
     )
     noc_doc = doc["noc"]
-    templates = {}
-    for tech, body in noc_doc["link_templates"].items():
-        templates[Technology(tech)] = NocLinkTemplate(
-            technology=Technology(tech),
-            components=tuple(_load_component(c) for c in body["components"]),
-            transport=_load_transport(body["transport"]),
-            cross_section_width_m=float(body["cross_section_width_m"]),
-            repeater_spacing_m=body.get("repeater_spacing_m"),
-        )
+    spacing_m = float(mesh["spacing_m"])
+    templates = {Technology(tech): _load_link(body, f"{tech}-noc-link", tech, spacing_m)
+                 for tech, body in noc_doc["link_templates"].items()}
     router_doc = noc_doc["router"]
     # A wafer rate without a halving period is flat: an infinite halving period.
     wafer = {
@@ -450,7 +449,7 @@ def load_network_config(doc: Mapping) -> NetworkConfig:
     return NetworkConfig(
         rows=int(mesh["rows"]),
         cols=int(mesh["cols"]),
-        spacing_m=float(mesh["spacing_m"]),
+        spacing_m=spacing_m,
         traffic_pattern=TrafficPattern(traffic["pattern"]),
         traffic_params=params,
         noc=noc,

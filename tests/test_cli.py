@@ -287,6 +287,36 @@ class TestNumericRange:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mips,clock_period_s", [("1e-300", "1e300"), ("1e300", "1e-300")],
+                             ids=["clear_underflows", "clear_overflows"])
+    def test_trend_record_clear_outside_float_range(self, tmp_path, capsys, mips,
+                                                    clock_period_s):
+        records = tmp_path / "records.csv"
+        records.write_text(
+            "name,year,mips,clock_period_s,energy_j_per_bit,volume_m3,cost_usd,class\n"
+            f"a,1990,{mips},{clock_period_s},1,1,1,other\n"
+            "b,2000,1,1,1,1,1,other\n", encoding="utf-8")
+        config = tmp_path / "trend.json"
+        config.write_text(json.dumps({"kind": "trend", "records_csv": str(records)}),
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["trend", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("clearfom: error code=1 kind=validation")
+        assert f"capability={float(mips):g}" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["device"], ["bogus"], ["limits", "--seed", "abc"]],
+                         ids=["missing_config", "unknown_command", "non_integer_seed"])
+def test_usage_error_is_a_validation_error(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("clearfom: error code=1 kind=validation")
+    assert not (tmp_path / "out").exists()
+
 
 class TestNonFiniteFlags:
     """A NaN or infinite float flag is rejected by name before anything runs."""

@@ -4,17 +4,20 @@ from hypothesis import strategies as st
 
 from clearfom.device import (
     DeviceSpec,
-    default_device_floors,
     device_clear,
     device_factors,
     radar_normalize,
 )
 from clearfom.errors import DomainError
 from clearfom.limits import make_limit_set
-from clearfom.metric import Level, radar_area
+from clearfom.metric import Level, default_floors, radar_area
 from clearfom.validation import load_device_config
 
 _scale = st.floats(min_value=1e-3, max_value=1e3)
+
+
+def _floors(specs, margin=10.0):
+    return default_floors(map(device_factors, specs), margin=margin)
 
 
 def _spec(**overrides):
@@ -74,14 +77,14 @@ class TestDeviceRadar:
                      energy_j_per_bit=limits.min_energy_j_per_bit,
                      footprint_m2=limits.min_area_m2,
                      unit_cost_usd=1.0 / limits.cost_efficiency_axis)
-        floors = default_device_floors([spec, _spec(capability_hz=0.5)])
+        floors = _floors([spec, _spec(capability_hz=0.5)])
         scores = radar_normalize(spec, limits, floors)
         assert scores == (1.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_factor_at_floor_scores_zero(self):
         limits = self._limits()
         spec = _spec()
-        floors = default_device_floors([spec], margin=10.0)
+        floors = _floors([spec], margin=10.0)
         worst = _spec(capability_hz=floors.capability,
                       critical_length_m=floors.latency,
                       energy_j_per_bit=floors.energy,
@@ -94,14 +97,14 @@ class TestDeviceRadar:
         limits = self._limits()
         base = _spec(energy_j_per_bit=1e-12)
         better = _spec(energy_j_per_bit=1e-15)
-        floors = default_device_floors([base, better])
+        floors = _floors([base, better])
         assert radar_normalize(better, limits, floors).energy >= \
             radar_normalize(base, limits, floors).energy
 
     def test_requires_device_level_limits(self):
         link_limits = make_limit_set(300.0, level=Level.LINK)
         with pytest.raises(DomainError):
-            radar_normalize(_spec(), link_limits, default_device_floors([_spec()]))
+            radar_normalize(_spec(), link_limits, _floors([_spec()]))
 
     def test_limit_violations_reported_not_clamped(self):
         limits = self._limits()
@@ -115,7 +118,7 @@ class TestShippedDevices:
     def test_radar_area_ordering_matches_clear_ordering(self, device_config_doc):
         config = load_device_config(device_config_doc)
         limits = make_limit_set(config.temperature_k, level=Level.DEVICE)
-        floors = default_device_floors(config.devices, margin=config.floor_margin)
+        floors = _floors(config.devices, margin=config.floor_margin)
         entries = []
         for spec in config.devices:
             entries.append((device_clear(spec).value,

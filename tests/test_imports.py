@@ -9,6 +9,7 @@ seeded hotspot pick: generated traffic is routed from closed-form demands.
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ EXPORTS = {
     "limits": ("LimitSet", "bremermann_rate", "heisenberg_min_length", "landauer_energy",
                "make_limit_set", "margolus_levitin_rate", "time_of_flight_rate_limit"),
     "link": ("ElectricalTransport", "LinkComponent", "LinkSpec", "OpticalTransport",
-             "link_area", "link_capacity", "link_clear", "link_energy_per_bit",
+             "link_area", "link_capacity", "link_energy_per_bit",
              "p2p_latency", "repeater_count"),
     "metric": ("Axes", "ClearValue", "Level", "Technology", "radar_area"),
     "network": ("MeshTopology", "NocConfig", "TrafficMatrix", "add_express_links",
@@ -40,6 +41,10 @@ EXPORTS = {
               "fit_growth", "system_clear"),
 }
 ALL_NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+# The package and every module in it.
+MODULES = ["clearfom", *sorted(info.name for info in
+                               pkgutil.walk_packages(clearfom.__path__, "clearfom."))]
 
 # Runs ``clearfom.cli.main`` on argv and reports which heavy modules it loaded.
 _PROBE = """
@@ -126,3 +131,10 @@ class TestLazyExports:
             clearfom.no_such_name
         with pytest.raises(ImportError):
             exec("from clearfom import no_such_name", {})
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_all_lists_only_defined_names(module_name):
+    module = importlib.import_module(module_name)
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []

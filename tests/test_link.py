@@ -3,7 +3,7 @@ import math
 import pytest
 
 from clearfom.errors import DomainError, InfeasibleLinkError
-from clearfom.limits import make_limit_set, time_of_flight_rate_limit
+from clearfom.limits import axis_limits, make_limit_set, time_of_flight_rate_limit
 from clearfom.link import (
     ComponentRole,
     ElectricalTransport,
@@ -12,7 +12,6 @@ from clearfom.link import (
     OpticalTransport,
     link_area,
     link_capacity,
-    link_clear,
     link_cost,
     link_energy_per_bit,
     link_factors,
@@ -20,7 +19,7 @@ from clearfom.link import (
     repeater_count,
     span_lengths,
 )
-from clearfom.metric import Level
+from clearfom.metric import Level, clear_value, default_floors, radar_scores
 from clearfom.validation import load_link_config
 
 _C = 299792458.0
@@ -230,6 +229,13 @@ class TestArea:
         assert link_area(link) == pytest.approx(5e-10 + 9 * 3e-10, rel=1e-12)
 
 
+def _clear_and_radar(link, limits):
+    """Link CLEAR, and radar scores against floors padded from this link alone."""
+    factors = link_factors(link)
+    return (clear_value(factors, Level.LINK),
+            radar_scores(factors, axis_limits(limits), default_floors([factors])))
+
+
 class TestLinkClear:
     def _unit_link(self, delay=1.0):
         comps = [LinkComponent(name="x", role=ComponentRole.DRIVER, bandwidth_hz=1.0,
@@ -239,30 +245,27 @@ class TestLinkClear:
                            components=comps, width=0.0)
 
     def test_unit_factors_give_unit_clear(self):
-        limits = make_limit_set(300.0, level=Level.LINK)
-        result = link_clear(self._unit_link(), limits)
-        assert result.clear.value == pytest.approx(1.0, rel=1e-9)
+        value = clear_value(link_factors(self._unit_link()), Level.LINK).value
+        assert value == pytest.approx(1.0, rel=1e-9)
 
     def test_halving_latency_doubles_value(self):
-        limits = make_limit_set(300.0, level=Level.LINK)
-        slow = link_clear(self._unit_link(delay=1.0), limits).clear.value
-        fast = link_clear(self._unit_link(delay=0.5), limits).clear.value
+        slow = clear_value(link_factors(self._unit_link(delay=1.0)), Level.LINK).value
+        fast = clear_value(link_factors(self._unit_link(delay=0.5)), Level.LINK).value
         assert fast == pytest.approx(2.0 * slow, rel=1e-9)
 
     def test_infeasible_link_raises(self):
-        limits = make_limit_set(300.0, level=Level.LINK)
         with pytest.raises(InfeasibleLinkError):
-            link_clear(_optical(length=1e-3, loss=1.5e5), limits)
+            link_factors(_optical(length=1e-3, loss=1.5e5))
 
     def test_determinism_bit_identical(self):
         limits = make_limit_set(300.0, link_length=1e-3, level=Level.LINK)
         link = _optical(components=[LinkComponent(name="m", role=ComponentRole.MODULATOR,
                                                   bandwidth_hz=1.25e10, energy_j_per_bit=5e-15,
                                                   area_m2=2e-9, cost_usd=2.0)])
-        first = link_clear(link, limits)
-        second = link_clear(link, limits)
-        assert first.clear.value == second.clear.value
-        assert first.radar == second.radar
+        first_clear, first_radar = _clear_and_radar(link, limits)
+        second_clear, second_radar = _clear_and_radar(link, limits)
+        assert first_clear.value == second_clear.value
+        assert first_radar == second_radar
 
 
 class TestShippedLinks:
@@ -294,9 +297,9 @@ class TestShippedLinks:
             limits = make_limit_set(config.temperature_k, link_length=length,
                                     group_index=config.limit_group_index, level=Level.LINK)
             for spec in config.links:
-                result = link_clear(spec.at_length(length), limits)
-                factors = result.clear.factors
-                for score in result.radar:
+                clear, radar = _clear_and_radar(spec.at_length(length), limits)
+                factors = clear.factors
+                for score in radar:
                     assert 0.0 <= score <= 1.0
                 assert factors.capability <= limits.max_capacity_bps
                 assert 1.0 / factors.latency <= limits.max_tof_rate_hz * (1 + 1e-12)

@@ -32,6 +32,15 @@ class TestClearValue:
         with pytest.raises(DomainError):
             clear_value(Axes(1.0, 0.0, 1.0, 1.0, 1.0), Level.DEVICE)
 
+    @pytest.mark.parametrize("factors", [
+        Axes(1e-300, 1e300, 1.0, 1.0, 1.0),    # quotient underflows to 0.0
+        Axes(1e300, 1e-300, 1.0, 1.0, 1.0),    # quotient overflows to inf
+        Axes(1.0, 1e-200, 1e-200, 1.0, 1.0),   # cost product underflows to 0.0
+    ], ids=["underflow", "overflow", "zero_denominator"])
+    def test_rejects_value_outside_float_range(self, factors):
+        with pytest.raises(DomainError, match="latency="):
+            clear_value(factors, Level.SYSTEM)
+
     @given(_positive, _positive, _positive, _positive, _positive)
     def test_value_matches_recomputation(self, c, l, e, a, r):
         value = clear_value(Axes(c, l, e, a, r), Level.SYSTEM)

@@ -7,13 +7,18 @@ import pytest
 
 from clearfom.economics import ExperienceCurve
 from clearfom.errors import ConfigurationError, DomainError
-from clearfom.link import ComponentRole, ElectricalTransport, LinkComponent, OpticalTransport
+from clearfom.link import (
+    ComponentRole,
+    ElectricalTransport,
+    LinkComponent,
+    LinkSpec,
+    OpticalTransport,
+)
 from clearfom.metric import Technology
 from clearfom.network import (
     MeshLink,
     NetworkCase,
     NocConfig,
-    NocLinkTemplate,
     RouterModel,
     TrafficMatrix,
     TrafficParams,
@@ -63,8 +68,8 @@ def _config(e_link=1e-13, e_router=6e-13, a_router=1.5e-8, a_link=5e-10,
     """Minimal tables: zero-RC electronic wires and a capped optical channel."""
     templates = {}
     if "electronic" in technologies:
-        templates[Technology.ELECTRONIC] = NocLinkTemplate(
-            technology=Technology.ELECTRONIC,
+        templates[Technology.ELECTRONIC] = LinkSpec(
+            name="electronic-noc-link", technology=Technology.ELECTRONIC, length_m=1e-3,
             components=(LinkComponent(name="drv", role=ComponentRole.DRIVER,
                                       bandwidth_hz=1.5625e9, energy_j_per_bit=e_link,
                                       area_m2=a_link),),
@@ -73,8 +78,8 @@ def _config(e_link=1e-13, e_router=6e-13, a_router=1.5e-8, a_link=5e-10,
                                           voltage_swing_v=1.0, lanes=32),
             cross_section_width_m=0.0)
     if "hybrid" in technologies:
-        templates[Technology.HYBRID] = NocLinkTemplate(
-            technology=Technology.HYBRID,
+        templates[Technology.HYBRID] = LinkSpec(
+            name="hybrid-noc-link", technology=Technology.HYBRID, length_m=1e-3,
             components=(LinkComponent(name="mod", role=ComponentRole.MODULATOR,
                                       bandwidth_hz=2.5e10, energy_j_per_bit=e_link,
                                       area_m2=a_link),),
@@ -436,19 +441,19 @@ class TestNetworkClear:
         doubled_rates = {t: 2 * r for t, r in _config().link_rate_bps.items()}
         doubled = replace(_config(rate=5e10), link_rate_bps=doubled_rates)
         faster = network_clear(mesh, traffic, doubled)
-        assert faster.clear.value == pytest.approx(2 * base.clear.value, rel=1e-9)
+        assert faster.value == pytest.approx(2 * base.value, rel=1e-9)
 
     def test_halving_energy_doubles_value(self):
         mesh, traffic = self._setup()
         # Zero router energy keeps link energy the only term.
         base = network_clear(mesh, traffic, _config(e_link=2e-13, e_router=0.0))
         halved = network_clear(mesh, traffic, _config(e_link=1e-13, e_router=0.0))
-        assert halved.clear.value == pytest.approx(2 * base.clear.value, rel=1e-9)
+        assert halved.value == pytest.approx(2 * base.value, rel=1e-9)
 
     def test_capability_is_rated_sum_per_node(self):
         mesh, traffic = self._setup()
         result = network_clear(mesh, traffic, _config(rate=5e10))
-        assert result.capacity_bps_per_node == pytest.approx(12 * 5e10 / 9, rel=1e-12)
+        assert result.factors.capability == pytest.approx(12 * 5e10 / 9, rel=1e-12)
 
     def test_precomputed_activity_matches(self):
         mesh, traffic = self._setup()
@@ -456,16 +461,26 @@ class TestNetworkClear:
         direct = network_clear(mesh, traffic, config)
         shared = network_clear(mesh, traffic, config,
                                activity=link_activity(mesh, traffic))
-        assert direct.clear.value == shared.clear.value
+        assert direct.value == shared.value
 
     def test_determinism_bit_identical(self):
         mesh, traffic = self._setup()
         config = _config()
         a = network_clear(mesh, traffic, config)
         b = network_clear(mesh, traffic, config)
-        assert a.clear.value == b.clear.value
-        assert a.latency_clks == b.latency_clks
-        assert a.energy_j_per_bit == b.energy_j_per_bit
+        assert a.value == b.value
+        assert a.factors.latency == b.factors.latency
+        assert a.factors.energy == b.factors.energy
+
+    @pytest.mark.parametrize("table", ["link_latency_clks", "link_rate_bps"])
+    def test_missing_table_entry_names_the_table(self, table):
+        mesh, traffic = self._setup()
+        config = _config()
+        broken = replace(config, **{table: {t: v for t, v in getattr(config, table).items()
+                                            if t is not Technology.ELECTRONIC}})
+        with pytest.raises(ConfigurationError,
+                           match=f"{table} has no entry for technology 'electronic'"):
+            network_clear(mesh, traffic, broken)
 
 
 class TestFlitSweep:
@@ -487,7 +502,7 @@ class TestFlitSweep:
         case = NetworkCase(label="electronic", topology=mesh, traffic=traffic, config=config)
         sweep = flit_sweep([case], [32])
         assert len(sweep.rows) == 1
-        direct = network_clear(mesh, traffic, config).clear.value
+        direct = network_clear(mesh, traffic, config).value
         assert sweep.rows[0].clear == pytest.approx(direct, rel=1e-12)
 
     def test_electronic_lane_count_tracks_flit_bits(self):
