@@ -18,7 +18,8 @@ __version__ = "0.1.0"
 
 # Re-exported name -> defining submodule.
 _EXPORTS = {
-    **dict.fromkeys(("CODATA_2018", "PhysicalConstants"), "constants"),
+    **dict.fromkeys(("BOLTZMANN_K", "ELECTRON_MASS", "LIGHT_SPEED_VACUUM", "PLANCK_H",
+                     "REDUCED_PLANCK", "SILICON_DENSITY"), "constants"),
     **dict.fromkeys(("DeviceSpec", "device_clear", "radar_normalize"), "device"),
     **dict.fromkeys(("ExperienceCurve", "fit_experience_curve", "load_cost_observations",
                      "unit_cost"), "economics"),

@@ -125,19 +125,19 @@ class _Artifacts:
     json_files: list = field(default_factory=list)  # (relpath, document)
 
     def flush(self, out_dir: Path, formats):
+        """Write the selected artifacts; return their paths, CSVs first."""
+        # Only the JSON report can fail to render (strict JSON has no NaN or
+        # inf); a CSV cell always renders. Each subcommand stages exactly one
+        # report, so writing it first means a refused report leaves no file.
+        reports = self.json_files if "json" in formats else []
+        for relpath, document in reports:
+            write_json(out_dir / relpath, document)
         written = []
-        if "csv" in formats or "radar_csv" in formats:
-            for relpath, header, rows in self.csv_files:
-                is_radar = relpath.startswith("radar_")
-                wanted = "radar_csv" if is_radar else "csv"
-                if wanted in formats:
-                    write_csv(out_dir / relpath, header, rows)
-                    written.append(relpath)
-        if "json" in formats:
-            for relpath, document in self.json_files:
-                write_json(out_dir / relpath, document)
+        for relpath, header, rows in self.csv_files:
+            if ("radar_csv" if relpath.startswith("radar_") else "csv") in formats:
+                write_csv(out_dir / relpath, header, rows)
                 written.append(relpath)
-        return written
+        return written + [relpath for relpath, _ in reports]
 
 
 def _run_limits(args: argparse.Namespace, artifacts: _Artifacts):
@@ -298,8 +298,7 @@ def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
     summary_rows = []
     report_cases = []
     for spec, case, activity in zip(config.cases, cases, activities):
-        clear = network_clear(case.topology, case.traffic, case.config, eval_year,
-                              activity=activity)
+        clear = network_clear(case.topology, activity, case.config, eval_year)
         factors = clear.factors
         utilization = activity.utilization(case.topology, case.config.link_rate_bps)
         activity_rows = [
@@ -446,13 +445,14 @@ def _build_parser() -> argparse.ArgumentParser:
                          help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
         cmd.add_argument("--format", type=_formats, default=ALL_FORMATS,
                          help="comma list from: " + ", ".join(ALL_FORMATS))
-        cmd.add_argument("--seed", type=int, required=name == "network",
-                         help="traffic seed (required for 'network')")
-        cmd.add_argument("--eval-year", type=float,
-                         help="evaluation year for economic cost scaling")
-        cmd.add_argument("--temperature", type=float, default=300.0,
-                         help="temperature in K for physical limits")
+        if name == "network":
+            cmd.add_argument("--seed", type=int, required=True, help="traffic seed")
+        if name in ("link", "network"):
+            cmd.add_argument("--eval-year", type=float,
+                             help="evaluation year for economic cost scaling")
         if name == "limits":
+            cmd.add_argument("--temperature", type=float, default=300.0,
+                             help="temperature in K for physical limits")
             cmd.add_argument("--link-length", type=float, default=1e-4,
                              help="length in m for the time-of-flight ceiling")
             cmd.add_argument("--group-index", type=float, default=3.0,
@@ -461,10 +461,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args: argparse.Namespace):
-    if args.seed is not None and args.seed < 0:
+    if getattr(args, "seed", 0) < 0:  # --seed is on 'network' only, and required there
         raise ConfigurationError(f"--seed must be non-negative, got {args.seed}")
     for flag in ("--eval-year", "--temperature", "--link-length", "--group-index"):
-        value = getattr(args, flag[2:].replace("-", "_"), None)  # None: not on this command
+        value = getattr(args, flag[2:].replace("-", "_"), None)  # not on this command, or unset
         if value is not None and not math.isfinite(value):
             raise ConfigurationError(f"{flag} must be a finite number, got {value}")
 

@@ -1,46 +1,19 @@
-"""Fundamental physical constants (CODATA 2018).
+"""Fundamental physical constants (CODATA 2018), in SI units.
 
-All limit formulas pull their constants from one table so that no value is
-ever inlined at a call site. ``reduced_planck`` is derived from ``planck_h``
-at construction time, which keeps the h / 2pi relation exact instead of
-relying on an independently rounded literal.
+All limit formulas take their constants from here so that no value is ever
+inlined at a call site. ``REDUCED_PLANCK`` is derived from ``PLANCK_H``,
+which keeps the h / 2pi relation exact instead of relying on an
+independently rounded literal.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
 
-from .errors import DomainError
+__all__ = ["BOLTZMANN_K", "PLANCK_H", "REDUCED_PLANCK", "LIGHT_SPEED_VACUUM",
+           "ELECTRON_MASS", "SILICON_DENSITY"]
 
-__all__ = ["PhysicalConstants", "CODATA_2018"]
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Constant table used by every first-principles limit formula.
-
-    Units: SI throughout (J/K, J*s, m/s, kg, kg/m^3).
-    """
-
-    boltzmann_k: float = 1.380649e-23
-    planck_h: float = 6.62607015e-34
-    light_speed_vacuum: float = 299792458.0
-    electron_mass: float = 9.1093837015e-31
-    silicon_density: float = 2330.0
-    # Derived; do not override independently of planck_h.
-    reduced_planck: float = field(default=0.0)
-
-    def __post_init__(self):
-        for name in ("boltzmann_k", "planck_h", "light_speed_vacuum",
-                     "electron_mass", "silicon_density"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be strictly positive")
-        derived = self.planck_h / (2.0 * math.pi)
-        if self.reduced_planck == 0.0:
-            object.__setattr__(self, "reduced_planck", derived)
-        elif abs(self.reduced_planck - derived) > 1e-12 * derived:
-            raise DomainError("reduced_planck must equal planck_h / (2*pi)")
-
-
-CODATA_2018 = PhysicalConstants()
+BOLTZMANN_K = 1.380649e-23         # J/K
+PLANCK_H = 6.62607015e-34          # J*s
+REDUCED_PLANCK = PLANCK_H / (2.0 * math.pi)
+LIGHT_SPEED_VACUUM = 299792458.0   # m/s
+ELECTRON_MASS = 9.1093837015e-31   # kg
+SILICON_DENSITY = 2330.0           # kg/m^3

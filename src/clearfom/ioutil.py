@@ -40,6 +40,10 @@ def atomic_write_text(path: str | Path, text: str):
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
+            # mkstemp creates the file 0600; give it the mode open(path, "w") would.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp_name, 0o666 & ~umask)
             os.replace(tmp_name, path)
         except BaseException:
             if os.path.exists(tmp_name):

@@ -23,7 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import CODATA_2018, PhysicalConstants
+from .constants import (
+    BOLTZMANN_K,
+    ELECTRON_MASS,
+    LIGHT_SPEED_VACUUM,
+    PLANCK_H,
+    REDUCED_PLANCK,
+    SILICON_DENSITY,
+)
 from .errors import DomainError
 from .metric import Axes, Level
 
@@ -67,86 +74,95 @@ class LimitSet:
         for name in ("min_energy_j_per_bit", "max_rate_hz", "min_length_m",
                      "min_area_m2", "max_capacity_bps", "max_tof_rate_hz",
                      "cost_efficiency_axis"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"LimitSet.{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"LimitSet.{name} must be finite and strictly positive")
         if self.level not in (Level.DEVICE, Level.LINK):
             raise DomainError("LimitSet.level must be device or link")
 
 
-def landauer_energy(temperature: float, constants: PhysicalConstants = CODATA_2018) -> float:
+def landauer_energy(temperature: float) -> float:
     """Minimum energy to erase one bit at ``temperature``, in J/bit."""
     if temperature < 0:
         raise DomainError("temperature must be non-negative")
-    return constants.boltzmann_k * temperature * math.log(2.0)
+    return BOLTZMANN_K * temperature * math.log(2.0)
 
 
-def margolus_levitin_rate(energy: float, constants: PhysicalConstants = CODATA_2018) -> float:
+def margolus_levitin_rate(energy: float) -> float:
     """Maximum state-transition rate 4E/h for a system holding ``energy`` joules."""
     if energy <= 0:
         raise DomainError("energy must be strictly positive")
-    return 4.0 * energy / constants.planck_h
+    return 4.0 * energy / PLANCK_H
 
 
-def heisenberg_min_length(temperature: float, mass: float,
-                          constants: PhysicalConstants = CODATA_2018) -> float:
+def heisenberg_min_length(temperature: float, mass: float) -> float:
     """Minimum localization length for a mass switching at the thermal bit energy."""
     if temperature <= 0:
         raise DomainError("temperature must be strictly positive")
     if mass <= 0:
         raise DomainError("mass must be strictly positive")
-    return constants.reduced_planck / math.sqrt(
-        2.0 * mass * constants.boltzmann_k * temperature * math.log(2.0))
+    momentum = math.sqrt(2.0 * mass * BOLTZMANN_K * temperature * math.log(2.0))
+    if momentum == 0.0:  # the product underflowed
+        raise DomainError(f"temperature {temperature} K puts the minimum length "
+                          "outside the floating-point range")
+    return REDUCED_PLANCK / momentum
 
 
-def bremermann_rate(mass: float, constants: PhysicalConstants = CODATA_2018) -> float:
+def bremermann_rate(mass: float) -> float:
     """Maximum information rate m*c^2/h for a system of ``mass`` kg, in bit/s."""
     if mass <= 0:
         raise DomainError("mass must be strictly positive")
-    return mass * constants.light_speed_vacuum ** 2 / constants.planck_h
+    return mass * LIGHT_SPEED_VACUUM ** 2 / PLANCK_H
 
 
-def time_of_flight_rate_limit(length: float, group_index: float,
-                              constants: PhysicalConstants = CODATA_2018) -> float:
+def time_of_flight_rate_limit(length: float, group_index: float) -> float:
     """Propagation-limited signaling rate c/(n*L) over a guided span, in Hz."""
     if length <= 0:
         raise DomainError("length must be strictly positive")
     if group_index < 1:
         raise DomainError("group index must be at least 1 (vacuum)")
-    return constants.light_speed_vacuum / (group_index * length)
+    rate = LIGHT_SPEED_VACUUM / (group_index * length)
+    if not 0.0 < rate < math.inf:
+        raise DomainError(f"link length {length} m and group index {group_index} put the "
+                          "time-of-flight rate outside the floating-point range")
+    return rate
 
 
-def minimum_device_pair_mass(temperature: float, mass: float,
-                             constants: PhysicalConstants = CODATA_2018) -> float:
+def minimum_device_pair_mass(temperature: float, mass: float) -> float:
     """Mass of a sender/receiver pair of minimum-size crystalline-silicon cubes.
 
     Each endpoint is a cube with side equal to the minimum localization
     length; this is the mass model behind the link capacity ceiling.
     """
-    side = heisenberg_min_length(temperature, mass, constants)
-    return 2.0 * constants.silicon_density * side ** 3
+    side = heisenberg_min_length(temperature, mass)
+    try:
+        pair_mass = 2.0 * SILICON_DENSITY * side ** 3
+    except OverflowError:  # float ** raises where * would give inf
+        pair_mass = math.inf
+    if not 0.0 < pair_mass < math.inf:
+        raise DomainError(f"temperature {temperature} K puts the minimum device pair "
+                          "mass outside the floating-point range")
+    return pair_mass
 
 
 def make_limit_set(temperature: float,
-                   mass: float | None = None,
                    link_length: float = 1e-4,
                    group_index: float = 3.0,
                    level: Level = Level.DEVICE,
-                   cost_efficiency_axis: float = DEFAULT_COST_EFFICIENCY_AXIS,
-                   constants: PhysicalConstants = CODATA_2018) -> LimitSet:
+                   cost_efficiency_axis: float = DEFAULT_COST_EFFICIENCY_AXIS) -> LimitSet:
     """Assemble the full per-factor ceiling table for one hierarchy level.
 
-    ``mass`` defaults to the electron mass. ``link_length`` and
+    The length bound is taken at the electron mass. ``link_length`` and
     ``group_index`` parameterize the time-of-flight ceiling and only matter
     at link level, where the limit set must be built for the same physical
     length as the link it normalizes.
     """
-    if mass is None:
-        mass = constants.electron_mass
     level = Level(level)
-    energy = landauer_energy(temperature, constants)
-    if energy <= 0:
-        raise DomainError("limit set requires strictly positive temperature")
-    length = heisenberg_min_length(temperature, mass, constants)
+    energy = landauer_energy(temperature)
+    length = heisenberg_min_length(temperature, ELECTRON_MASS)
+    capacity = bremermann_rate(minimum_device_pair_mass(temperature, ELECTRON_MASS))
+    if math.isinf(capacity):
+        raise DomainError(f"temperature {temperature} K puts the capacity ceiling "
+                          "outside the floating-point range")
     area = length ** 2
     if level is Level.LINK:
         # One transported bit is manipulated at both endpoints.
@@ -154,12 +170,11 @@ def make_limit_set(temperature: float,
         area *= 2.0
     return LimitSet(
         min_energy_j_per_bit=energy,
-        max_rate_hz=margolus_levitin_rate(landauer_energy(temperature, constants), constants),
+        max_rate_hz=margolus_levitin_rate(landauer_energy(temperature)),
         min_length_m=length,
         min_area_m2=area,
-        max_capacity_bps=bremermann_rate(
-            minimum_device_pair_mass(temperature, mass, constants), constants),
-        max_tof_rate_hz=time_of_flight_rate_limit(link_length, group_index, constants),
+        max_capacity_bps=capacity,
+        max_tof_rate_hz=time_of_flight_rate_limit(link_length, group_index),
         cost_efficiency_axis=cost_efficiency_axis,
         level=level,
     )

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
+from .constants import LIGHT_SPEED_VACUUM
 from .economics import ExperienceCurve, relative_cost
 from .errors import DomainError, InfeasibleLinkError
 from .metric import Axes, Technology
@@ -250,11 +251,9 @@ def link_capacity(link: LinkSpec) -> CapacityResult:
 
 def p2p_latency(link: LinkSpec) -> float:
     """Source-to-detector time of flight for one bit, in seconds."""
-    from .constants import CODATA_2018
-
     delay = sum(c.delay_s * _component_multiplicity(link, c) for c in link.components)
     if link.is_optical:
-        return delay + link.transport.group_index * link.length_m / CODATA_2018.light_speed_vacuum
+        return delay + link.transport.group_index * link.length_m / LIGHT_SPEED_VACUUM
     rc = link.transport.resistance_ohm_per_m * link.transport.capacitance_f_per_m
     return delay + sum(RC_DELAY_COEFF * rc * span ** 2 for span in span_lengths(link))
 

@@ -691,7 +691,6 @@ class NocConfig:
     """
 
     flit_bits: int
-    router_clock_hz: float
     router_pipeline_clks: int
     link_latency_clks: Mapping[Technology, int]
     link_rate_bps: Mapping[Technology, float]
@@ -704,8 +703,6 @@ class NocConfig:
             raise DomainError("flit_bits must be at least 1")
         if self.router_pipeline_clks < 1:
             raise DomainError("router pipeline must be at least 1 clock")
-        if self.router_clock_hz <= 0:
-            raise DomainError("router clock must be strictly positive")
         for tech, clks in self.link_latency_clks.items():
             if clks < 1:
                 raise DomainError(f"link latency for {Technology(tech).value} must be >= 1 clk")
@@ -746,20 +743,17 @@ class NocConfig:
                     for c in components]
             templates[tech] = replace(template, components=tuple(components),
                                       transport=transport)
-        clock = self.router_clock_hz
-        if Technology.ELECTRONIC in self.link_rate_bps:
-            clock = self.link_rate_bps[Technology.ELECTRONIC] / flit_bits
-        return replace(self, flit_bits=flit_bits, router_clock_hz=clock,
-                       router=router, link_templates=templates)
+        return replace(self, flit_bits=flit_bits, router=router, link_templates=templates)
 
 
-def _latency_from_activity(topology: MeshTopology, activity: LinkActivity,
-                           config: NocConfig) -> float:
-    """Derive the traffic-weighted mean clock cost from link loads.
+def avg_latency_clks(topology: MeshTopology, activity: LinkActivity,
+                     config: NocConfig) -> float:
+    """Traffic-weighted mean clock cost over all loaded flows.
 
-    Per flow, the clock cost is pipeline * hops plus the per-hop technology
-    latencies; summed over flows that is pipeline * (rate-weighted hops)
-    plus each link's carried load times its technology latency.
+    Each hop charges one router pipeline plus the link's technology latency;
+    ejection at the destination adds nothing, so a 1-hop electronic flow
+    costs pipeline + 1. Summed over flows that is pipeline * (rate-weighted
+    hops) plus each link's carried load times its technology latency.
     """
     if activity.injected_bps <= 0:
         raise DomainError("average latency is undefined for zero traffic")
@@ -772,17 +766,6 @@ def _latency_from_activity(topology: MeshTopology, activity: LinkActivity,
             config.require_technology(technology)
         terms.append(load * latency_clks[technology])
     return math.fsum(terms) / activity.injected_bps
-
-
-def avg_latency_clks(topology: MeshTopology, traffic: TrafficMatrix,
-                     config: NocConfig) -> float:
-    """Traffic-weighted mean clock cost over all loaded flows.
-
-    Each hop charges one router pipeline plus the link's technology latency;
-    ejection at the destination adds nothing, so a 1-hop electronic flow
-    costs pipeline + 1.
-    """
-    return _latency_from_activity(topology, link_activity(topology, traffic), config)
 
 
 def network_energy_per_bit(topology: MeshTopology, activity: LinkActivity,
@@ -872,20 +855,15 @@ def _aggregate_capacity_per_node(topology: MeshTopology, config: NocConfig) -> f
                      for technology, count in counts.items()) / topology.node_count
 
 
-def network_clear(topology: MeshTopology, traffic: TrafficMatrix, config: NocConfig,
-                  eval_year: float | None = None,
-                  activity: LinkActivity | None = None) -> ClearValue:
+def network_clear(topology: MeshTopology, activity: LinkActivity, config: NocConfig,
+                  eval_year: float | None = None) -> ClearValue:
     """Aggregate capacity per node over latency, energy, area, and cost.
 
-    The factors are capacity in bit/s per node, latency in clocks, energy in
-    J/bit, area in m^2 and cost in USD.
-
-    ``activity`` may carry a precomputed routing pass for this exact
-    (topology, traffic) pair; callers evaluating many variants reuse it.
+    ``activity`` is the routed traffic on ``topology`` (see
+    :func:`link_activity`). The factors are capacity in bit/s per node,
+    latency in clocks, energy in J/bit, area in m^2 and cost in USD.
     """
-    if activity is None:
-        activity = link_activity(topology, traffic)
-    latency = _latency_from_activity(topology, activity, config)
+    latency = avg_latency_clks(topology, activity, config)
     energy = network_energy_per_bit(topology, activity, config)
     area_cost = network_area_and_cost(topology, config, eval_year)
     capability = _aggregate_capacity_per_node(topology, config)
@@ -965,8 +943,7 @@ def flit_sweep(cases: Sequence[NetworkCase], flit_sizes: Sequence[int],
     for flit in flit_sizes:
         for case, activity in zip(cases, activities):
             config = case.config.with_flit_bits(flit)
-            value = network_clear(case.topology, case.traffic, config, eval_year,
-                                  activity=activity).value
+            value = network_clear(case.topology, activity, config, eval_year).value
             rows.append(FlitSweepRow(flit_bits=flit, label=case.label, clear=value))
             by_label[case.label].append(value)
 

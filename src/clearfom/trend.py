@@ -15,7 +15,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .constants import CODATA_2018, PhysicalConstants
 from .economics import ols_log2
 from .errors import DomainError, InsufficientDataError
 from .limits import landauer_energy
@@ -140,11 +139,10 @@ class EfficiencyPoint:
     landauer_fraction: float
 
 
-def efficiency_point(record: SystemRecord,
-                     constants: PhysicalConstants = CODATA_2018) -> EfficiencyPoint:
+def efficiency_point(record: SystemRecord) -> EfficiencyPoint:
     energy_efficiency = 1.0 / record.energy_j_per_bit
     computational = 1.0 / (record.clock_period_s * record.volume_m3 * record.cost_usd)
-    ceiling = 1.0 / landauer_energy(300.0, constants)
+    ceiling = 1.0 / landauer_energy(300.0)
     return EfficiencyPoint(
         computational_efficiency=computational,
         energy_efficiency=energy_efficiency,

@@ -422,7 +422,6 @@ def load_network_config(doc: Mapping) -> NetworkConfig:
         for die, entry in noc_doc["wafer_cost_usd_per_m2"].items()}
     noc = NocConfig(
         flit_bits=int(noc_doc["flit_bits"]),
-        router_clock_hz=float(noc_doc["router_clock_hz"]),
         router_pipeline_clks=int(noc_doc["router_pipeline_clks"]),
         link_latency_clks={Technology(t): int(v)
                            for t, v in noc_doc["link_latency_clks"].items()},

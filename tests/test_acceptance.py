@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from clearfom.cli import EXIT_OK, main
-from clearfom.constants import CODATA_2018
+from clearfom.constants import ELECTRON_MASS
 from clearfom.data import example_path
 from clearfom.limits import (
     bremermann_rate,
@@ -59,7 +59,7 @@ def criterion(number, description):
 @criterion(1, "physical limits: Landauer, Heisenberg, Margolus-Levitin, Bremermann")
 def test_criterion_1_physical_limits():
     assert landauer_energy(300.0) == pytest.approx(2.87e-21, rel=0.01)
-    electron = CODATA_2018.electron_mass
+    electron = ELECTRON_MASS
     assert heisenberg_min_length(300.0, electron) == pytest.approx(1.5e-9, rel=0.05)
     assert margolus_levitin_rate(landauer_energy(300.0)) > 1.6e13
     assert bremermann_rate(minimum_device_pair_mass(300.0, electron)) > 1e16
@@ -110,9 +110,11 @@ def test_criterion_5_latency(network_config_doc):
     pair_elec = build_mesh(1, 2, 1e-3, "electronic")
     rates = np.zeros((2, 2))
     rates[0, 1] = 1e9
-    assert avg_latency_clks(pair_elec, TrafficMatrix(rates=rates.copy()), config) == 4.0
+    activity = link_activity(pair_elec, TrafficMatrix(rates=rates.copy()))
+    assert avg_latency_clks(pair_elec, activity, config) == 4.0
     pair_opt = build_mesh(1, 2, 1e-3, "hybrid")
-    assert avg_latency_clks(pair_opt, TrafficMatrix(rates=rates.copy()), config) == 5.0
+    activity = link_activity(pair_opt, TrafficMatrix(rates=rates.copy()))
+    assert avg_latency_clks(pair_opt, activity, config) == 5.0
 
     mesh = build_mesh(4, 4, 1e-3, "electronic")
     traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
@@ -145,7 +147,8 @@ def test_criterion_5_latency(network_config_doc):
                 weighted += rate * bfs(src, dst) * per_hop
                 total += rate
     oracle = weighted / total
-    assert avg_latency_clks(mesh, traffic, config) == pytest.approx(oracle, rel=1e-12)
+    latency = avg_latency_clks(mesh, link_activity(mesh, traffic), config)
+    assert latency == pytest.approx(oracle, rel=1e-12)
 
 
 @criterion(6, "rate consistency: 32 x 1.5625 GHz and 2 x 25 Gb/s both equal 50 Gb/s")

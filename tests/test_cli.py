@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 from pathlib import Path
 
@@ -279,8 +280,9 @@ class TestNumericRange:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "out"
+        seed = ["--seed", "1"] if command == "network" else []
         assert main([command, "--config", str(config), "--out", str(out),
-                     "--seed", "1"]) == EXIT_VALIDATION
+                     *seed]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("clearfom: error code=1 kind=validation")
@@ -307,10 +309,71 @@ class TestNumericRange:
         assert f"capability={float(mips):g}" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_refused_report_leaves_no_csv(self, tmp_path, capsys):
+        # Finite inputs whose energy efficiency (1 / 1e-320 J/bit) is infinite.
+        records = tmp_path / "records.csv"
+        records.write_text(
+            "name,year,mips,clock_period_s,energy_j_per_bit,volume_m3,cost_usd,class\n"
+            "a,1990,1e-20,1e10,1e-320,1,1,other\n"
+            "b,2000,1,1,1,1,1,other\n", encoding="utf-8")
+        config = tmp_path / "trend.json"
+        config.write_text(json.dumps({"kind": "trend", "records_csv": str(records)}),
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["trend", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+        assert "trend_report.json" in capsys.readouterr().err
+        assert not out.exists()
 
-@pytest.mark.parametrize("argv", [["device"], ["bogus"], ["limits", "--seed", "abc"]],
-                         ids=["missing_config", "unknown_command", "non_integer_seed"])
+    @pytest.mark.parametrize("flag,quantity", [
+        ("--temperature=1e300", "temperature 1e+300 K"),     # pair mass underflows
+        ("--temperature=1e-200", "temperature 1e-200 K"),    # capacity ceiling overflows
+        ("--temperature=1e-250", "temperature 1e-250 K"),    # pair mass overflows
+        ("--temperature=1e-300", "temperature 1e-300 K"),    # minimum length overflows
+        ("--link-length=1e-320", "link length 1e-320 m"),
+    ], ids=["temperature_high", "temperature_low", "temperature_lower", "temperature_lowest",
+            "link_length_short"])
+    def test_limits_outside_float_range_name_the_input(self, tmp_path, capsys, flag,
+                                                       quantity):
+        out = tmp_path / "out"
+        assert main(["limits", flag, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("clearfom: error code=1 kind=validation")
+        assert quantity in err and "Traceback" not in err
+        assert not out.exists()
+
+
+_DEVICE_CONFIG = str(example_path("devices/four_technologies.json"))
+_LINK_CONFIG = str(example_path("links/four_technologies.json"))
+_NETWORK_CONFIG = str(example_path("networks/mesh16_comparison.json"))
+
+
+# Besides malformed usage: every flag that a subcommand does not read, on an
+# otherwise valid run. "{trend}" is a trend config written per test.
+@pytest.mark.parametrize("argv", [
+    ["device"], ["bogus"], ["network", "--seed", "abc"],
+    ["limits", "--seed", "1"],
+    ["limits", "--eval-year", "2020"],
+    ["device", "--config", _DEVICE_CONFIG, "--seed", "1"],
+    ["device", "--config", _DEVICE_CONFIG, "--eval-year", "2020"],
+    ["device", "--config", _DEVICE_CONFIG, "--temperature", "77"],
+    ["link", "--config", _LINK_CONFIG, "--seed", "1"],
+    ["link", "--config", _LINK_CONFIG, "--temperature", "77"],
+    ["network", "--config", _NETWORK_CONFIG, "--seed", "1", "--temperature", "77"],
+    ["trend", "--config", "{trend}", "--seed", "1"],
+    ["trend", "--config", "{trend}", "--eval-year", "2020"],
+    ["trend", "--config", "{trend}", "--temperature", "77"],
+], ids=["missing_config", "unknown_command", "non_integer_seed",
+        "limits_seed", "limits_eval_year", "device_seed", "device_eval_year",
+        "device_temperature", "link_seed", "link_temperature", "network_temperature",
+        "trend_seed", "trend_eval_year", "trend_temperature"])
 def test_usage_error_is_a_validation_error(tmp_path, capsys, argv):
+    trend = tmp_path / "trend.json"
+    trend.write_text(json.dumps({
+        "kind": "trend",
+        "records_csv": str(example_path("trend/sample_synthetic_systems.csv"))}),
+        encoding="utf-8")
+    argv = [str(trend) if arg == "{trend}" else arg for arg in argv]
     assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.count("\n") == 1
@@ -322,8 +385,7 @@ class TestNonFiniteFlags:
     """A NaN or infinite float flag is rejected by name before anything runs."""
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("flag", ["--temperature", "--eval-year", "--link-length",
-                                      "--group-index"])
+    @pytest.mark.parametrize("flag", ["--temperature", "--link-length", "--group-index"])
     def test_exits_one_naming_the_flag(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         # The = form, because argparse reads a bare "-inf" as an option.
@@ -334,17 +396,35 @@ class TestNonFiniteFlags:
         assert f"{flag} must be a finite number" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_eval_year_on_link_command(self, tmp_path, capsys):
-        config = example_path("links/four_technologies.json")
-        assert main(["link", "--config", str(config), "--eval-year", "nan",
-                     "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
-        assert "--eval-year must be a finite number" in capsys.readouterr().err
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_eval_year_on_link_command(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert main(["link", "--config", _LINK_CONFIG, f"--eval-year={value}",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("clearfom: error code=1 kind=validation")
+        assert "--eval-year must be a finite number" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_write_json_refuses_non_finite_numbers(self, tmp_path):
         path = tmp_path / "report.json"
         with pytest.raises(DomainError, match="report.json"):
             write_json(path, {"value": float("nan")})
         assert not path.exists()
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask_022", "umask_077"])
+def test_artifacts_follow_the_umask(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        assert main(["limits", "--out", str(tmp_path / "out")]) == EXIT_OK
+    finally:
+        os.umask(previous)
+    written = sorted((tmp_path / "out").iterdir())
+    assert [p.name for p in written] == ["limits.csv", "limits.json"]
+    assert {p.stat().st_mode & 0o777 for p in written} == {mode}
 
 
 @pytest.mark.parametrize("content", [b'\xff\xfe{"kind": 1}', b"[" * 100000],

@@ -21,7 +21,8 @@ from clearfom.data import example_path
 
 # Every name the package re-exports, by defining module.
 EXPORTS = {
-    "constants": ("CODATA_2018", "PhysicalConstants"),
+    "constants": ("BOLTZMANN_K", "ELECTRON_MASS", "LIGHT_SPEED_VACUUM", "PLANCK_H",
+                  "REDUCED_PLANCK", "SILICON_DENSITY"),
     "device": ("DeviceSpec", "device_clear", "radar_normalize"),
     "economics": ("ExperienceCurve", "fit_experience_curve", "load_cost_observations",
                   "unit_cost"),

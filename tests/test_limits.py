@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clearfom.constants import CODATA_2018, PhysicalConstants
+from clearfom.constants import ELECTRON_MASS, PLANCK_H, REDUCED_PLANCK
 from clearfom.errors import DomainError
 from clearfom.limits import (
+    LimitSet,
     bremermann_rate,
     heisenberg_min_length,
     landauer_energy,
@@ -27,13 +28,7 @@ _BREMERMANN_1KG = _C ** 2 / _H  # 1.3563924896521321e+50
 
 
 def test_constants_reduced_planck_relation():
-    pc = CODATA_2018
-    assert abs(pc.reduced_planck - pc.planck_h / (2 * math.pi)) <= 1e-12 * pc.reduced_planck
-
-
-def test_constants_reject_inconsistent_reduced_planck():
-    with pytest.raises(DomainError):
-        PhysicalConstants(reduced_planck=1.06e-34)
+    assert abs(REDUCED_PLANCK - PLANCK_H / (2 * math.pi)) <= 1e-12 * REDUCED_PLANCK
 
 
 class TestLandauer:
@@ -64,7 +59,7 @@ class TestMargolusLevitin:
         assert 1.6e13 < rate < 1.8e13
 
     def test_quarter_planck_gives_one_hertz(self):
-        assert margolus_levitin_rate(CODATA_2018.planck_h / 4.0) == pytest.approx(1.0, rel=1e-12)
+        assert margolus_levitin_rate(PLANCK_H / 4.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_doubling_energy_doubles_rate(self):
         assert margolus_levitin_rate(2e-21) == 2.0 * margolus_levitin_rate(1e-21)
@@ -82,7 +77,7 @@ class TestMargolusLevitin:
 
 class TestHeisenberg:
     def test_room_temperature_electron(self):
-        length = heisenberg_min_length(300.0, CODATA_2018.electron_mass)
+        length = heisenberg_min_length(300.0, ELECTRON_MASS)
         assert length == pytest.approx(1.5e-9, rel=0.05)
 
     def test_quadruple_mass_halves_length(self):
@@ -111,7 +106,7 @@ class TestBremermann:
         assert bremermann_rate(1.0) == pytest.approx(_BREMERMANN_1KG, rel=1e-12)
 
     def test_two_minimum_silicon_cubes_exceed_1e16(self):
-        mass = minimum_device_pair_mass(300.0, CODATA_2018.electron_mass)
+        mass = minimum_device_pair_mass(300.0, ELECTRON_MASS)
         assert bremermann_rate(mass) > 1e16
 
     def test_linear_in_mass(self):
@@ -165,14 +160,14 @@ class TestMakeLimitSet:
 
     def test_link_area_matches_doubled_heisenberg_square(self):
         link = make_limit_set(300.0, level=Level.LINK)
-        side = heisenberg_min_length(300.0, CODATA_2018.electron_mass)
+        side = heisenberg_min_length(300.0, ELECTRON_MASS)
         assert link.min_area_m2 == 2.0 * side ** 2
         # The rounded nominal 1.5 nm side puts the figure near 4.5e-18 m^2.
         assert link.min_area_m2 == pytest.approx(4.5e-18, rel=0.07)
 
     def test_link_capacity_is_two_cube_bound(self):
         link = make_limit_set(300.0, level=Level.LINK)
-        mass = minimum_device_pair_mass(300.0, CODATA_2018.electron_mass)
+        mass = minimum_device_pair_mass(300.0, ELECTRON_MASS)
         assert link.max_capacity_bps == bremermann_rate(mass)
 
     def test_tof_ceiling_follows_link_length(self):
@@ -187,3 +182,9 @@ class TestMakeLimitSet:
     def test_rejects_zero_temperature(self):
         with pytest.raises(DomainError):
             make_limit_set(0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    def test_limit_set_requires_finite_positive_ceilings(self, value):
+        fields = dict(vars(make_limit_set(300.0)), max_rate_hz=value)
+        with pytest.raises(DomainError, match="max_rate_hz must be finite"):
+            LimitSet(**fields)

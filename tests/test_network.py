@@ -89,7 +89,6 @@ def _config(e_link=1e-13, e_router=6e-13, a_router=1.5e-8, a_link=5e-10,
             cross_section_width_m=0.0)
     return NocConfig(
         flit_bits=32,
-        router_clock_hz=1.5625e9,
         router_pipeline_clks=3,
         link_latency_clks={Technology.ELECTRONIC: 1, Technology.PHOTONIC: 2,
                            Technology.PLASMONIC: 2, Technology.HYBRID: 2},
@@ -321,11 +320,13 @@ class TestLinkActivity:
 class TestLatency:
     def test_single_hop_electronic_is_four_clks(self):
         mesh = build_mesh(1, 2, 1e-3, "electronic")
-        assert avg_latency_clks(mesh, _single_flow(2, 0, 1), _config()) == 4.0
+        activity = link_activity(mesh, _single_flow(2, 0, 1))
+        assert avg_latency_clks(mesh, activity, _config()) == 4.0
 
     def test_single_hop_optical_is_five_clks(self):
         mesh = build_mesh(1, 2, 1e-3, "hybrid")
-        assert avg_latency_clks(mesh, _single_flow(2, 0, 1), _config()) == 5.0
+        activity = link_activity(mesh, _single_flow(2, 0, 1))
+        assert avg_latency_clks(mesh, activity, _config()) == 5.0
 
     def test_2x2_uniform_matches_enumeration(self):
         mesh = build_mesh(2, 2, 1e-3, "electronic")
@@ -333,17 +334,20 @@ class TestLatency:
                                    mesh, seed=1)
         # Manhattan hops over the 12 ordered pairs: eight 1-hop, four 2-hop.
         expected = (8 * 1 + 4 * 2) / 12 * 4.0
-        assert avg_latency_clks(mesh, traffic, _config()) == pytest.approx(expected, rel=1e-12)
+        latency = avg_latency_clks(mesh, link_activity(mesh, traffic), _config())
+        assert latency == pytest.approx(expected, rel=1e-12)
 
     def test_mixed_technology_path(self):
         mesh = add_express_links(build_mesh(1, 4, 1e-3, "electronic"), 3, "hybrid")
-        latency = avg_latency_clks(mesh, _single_flow(4, 0, 3), _config())
+        activity = link_activity(mesh, _single_flow(4, 0, 3))
+        latency = avg_latency_clks(mesh, activity, _config())
         assert latency == 5.0  # one express hop replaces three electronic hops
 
     def test_zero_traffic_is_undefined(self):
         mesh = build_mesh(2, 2, 1e-3, "electronic")
         with pytest.raises(DomainError):
-            avg_latency_clks(mesh, TrafficMatrix(rates=np.zeros((4, 4))), _config())
+            avg_latency_clks(mesh, link_activity(mesh, TrafficMatrix(rates=np.zeros((4, 4)))),
+                             _config())
 
 
 class TestEnergy:
@@ -433,54 +437,46 @@ class TestNetworkClear:
         mesh = build_mesh(3, 3, 1e-3, tech)
         traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
                                    mesh, seed=4)
-        return mesh, traffic
+        return mesh, link_activity(mesh, traffic)
 
     def test_doubling_rated_capacity_doubles_value(self):
-        mesh, traffic = self._setup()
-        base = network_clear(mesh, traffic, _config(rate=5e10))
+        mesh, activity = self._setup()
+        base = network_clear(mesh, activity, _config(rate=5e10))
         doubled_rates = {t: 2 * r for t, r in _config().link_rate_bps.items()}
         doubled = replace(_config(rate=5e10), link_rate_bps=doubled_rates)
-        faster = network_clear(mesh, traffic, doubled)
+        faster = network_clear(mesh, activity, doubled)
         assert faster.value == pytest.approx(2 * base.value, rel=1e-9)
 
     def test_halving_energy_doubles_value(self):
-        mesh, traffic = self._setup()
+        mesh, activity = self._setup()
         # Zero router energy keeps link energy the only term.
-        base = network_clear(mesh, traffic, _config(e_link=2e-13, e_router=0.0))
-        halved = network_clear(mesh, traffic, _config(e_link=1e-13, e_router=0.0))
+        base = network_clear(mesh, activity, _config(e_link=2e-13, e_router=0.0))
+        halved = network_clear(mesh, activity, _config(e_link=1e-13, e_router=0.0))
         assert halved.value == pytest.approx(2 * base.value, rel=1e-9)
 
     def test_capability_is_rated_sum_per_node(self):
-        mesh, traffic = self._setup()
-        result = network_clear(mesh, traffic, _config(rate=5e10))
+        mesh, activity = self._setup()
+        result = network_clear(mesh, activity, _config(rate=5e10))
         assert result.factors.capability == pytest.approx(12 * 5e10 / 9, rel=1e-12)
 
-    def test_precomputed_activity_matches(self):
-        mesh, traffic = self._setup()
-        config = _config()
-        direct = network_clear(mesh, traffic, config)
-        shared = network_clear(mesh, traffic, config,
-                               activity=link_activity(mesh, traffic))
-        assert direct.value == shared.value
-
     def test_determinism_bit_identical(self):
-        mesh, traffic = self._setup()
+        mesh, activity = self._setup()
         config = _config()
-        a = network_clear(mesh, traffic, config)
-        b = network_clear(mesh, traffic, config)
+        a = network_clear(mesh, activity, config)
+        b = network_clear(mesh, activity, config)
         assert a.value == b.value
         assert a.factors.latency == b.factors.latency
         assert a.factors.energy == b.factors.energy
 
     @pytest.mark.parametrize("table", ["link_latency_clks", "link_rate_bps"])
     def test_missing_table_entry_names_the_table(self, table):
-        mesh, traffic = self._setup()
+        mesh, activity = self._setup()
         config = _config()
         broken = replace(config, **{table: {t: v for t, v in getattr(config, table).items()
                                             if t is not Technology.ELECTRONIC}})
         with pytest.raises(ConfigurationError,
                            match=f"{table} has no entry for technology 'electronic'"):
-            network_clear(mesh, traffic, broken)
+            network_clear(mesh, activity, broken)
 
 
 class TestFlitSweep:
@@ -502,7 +498,7 @@ class TestFlitSweep:
         case = NetworkCase(label="electronic", topology=mesh, traffic=traffic, config=config)
         sweep = flit_sweep([case], [32])
         assert len(sweep.rows) == 1
-        direct = network_clear(mesh, traffic, config).value
+        direct = network_clear(mesh, link_activity(mesh, traffic), config).value
         assert sweep.rows[0].clear == pytest.approx(direct, rel=1e-12)
 
     def test_electronic_lane_count_tracks_flit_bits(self):
@@ -512,7 +508,6 @@ class TestFlitSweep:
         assert template.transport.lanes == 128
         assert template.components[0].bandwidth_hz == pytest.approx(5e10 / 128, rel=1e-12)
         assert wide.router.area_m2 == pytest.approx(config.router.area_m2 * 4, rel=1e-12)
-        assert wide.router_clock_hz == pytest.approx(5e10 / 128, rel=1e-12)
 
     def test_serdes_area_scales_but_energy_does_not(self):
         serdes = LinkComponent(name="serdes", role=ComponentRole.SERDES,

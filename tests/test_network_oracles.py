@@ -270,7 +270,7 @@ class TestShippedNetwork:
         config = load_network_config(network_config_doc)
         mesh = build_mesh(config.rows, config.cols, config.spacing_m, Technology.ELECTRONIC)
         traffic = generate_traffic(config.traffic_pattern, config.traffic_params, mesh, seed=1)
-        latency = network_clear(mesh, traffic, config.noc).factors.latency
+        latency = network_clear(mesh, link_activity(mesh, traffic), config.noc).factors.latency
         assert abs(latency - 128 / 3) <= 4 * math.ulp(128 / 3)
 
     def test_electronic_uniform_latency_is_128_over_3_within_1_ulp(self, network_config_doc):
@@ -278,7 +278,7 @@ class TestShippedNetwork:
         config = load_network_config(network_config_doc)
         mesh = build_mesh(config.rows, config.cols, config.spacing_m, Technology.ELECTRONIC)
         traffic = generate_traffic(config.traffic_pattern, config.traffic_params, mesh, seed=1)
-        latency = network_clear(mesh, traffic, config.noc).factors.latency
+        latency = network_clear(mesh, link_activity(mesh, traffic), config.noc).factors.latency
         assert abs(latency - 128 / 3) <= math.ulp(128 / 3)
 
     def test_flit_sweep_accepts_precomputed_activities(self, network_config_doc):
