@@ -28,7 +28,7 @@ from pathlib import Path
 from . import __version__
 from .device import device_clear, device_factors, radar_normalize
 from .errors import ClearError, ConfigurationError, DomainError, InfeasibleLinkError
-from .ioutil import IoError, write_csv, write_json
+from .ioutil import IoError, fmt, write_csv, write_json
 from .limits import DEFAULT_COST_EFFICIENCY_AXIS, axis_limits, make_limit_set
 from .link import link_factors
 from .metric import Level, clear_value, default_floors, radar_area, radar_scores, radar_vertices
@@ -125,7 +125,16 @@ class _Artifacts:
     json_files: list = field(default_factory=list)  # (relpath, document)
 
     def flush(self, out_dir: Path, formats):
-        """Write the selected artifacts; return their paths, CSVs first."""
+        """Write the selected artifacts; return their paths, CSVs first.
+
+        Two staged artifacts with one path would replace each other, so they
+        refuse the whole run before anything is written.
+        """
+        seen = set()
+        for relpath, *_ in self.csv_files + self.json_files:
+            if relpath in seen:
+                raise ConfigurationError(f"two artifacts would both be written to {relpath}")
+            seen.add(relpath)
         # Only the JSON report can fail to render (strict JSON has no NaN or
         # inf); a CSV cell always renders. Each subcommand stages exactly one
         # report, so writing it first means a refused report leaves no file.
@@ -243,7 +252,7 @@ def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
             })
             table_rows.append((spec.name, length, factors.capability, value.value))
             artifacts.csv_files.append(
-                (f"radar_{_slug(spec.name)}_{length:g}m.csv",
+                (f"radar_{_slug(spec.name)}_{fmt(length)}m.csv",
                  ("axis", "score", "x", "y"), radar_vertices(scores)))
     for spec in sorted(config.links, key=lambda s: s.name):
         artifacts.csv_files.append(
@@ -326,8 +335,8 @@ def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
 
     sweep_report = None
     if config.flit_sizes:
-        sweep = flit_sweep(cases, config.flit_sizes, eval_year,
-                           baseline=config.sweep_baseline, activities=activities)
+        sweep = flit_sweep(cases, activities, config.flit_sizes, eval_year,
+                           baseline=config.sweep_baseline)
         artifacts.csv_files.append(
             ("flit_sweep.csv", ("flit_bits", "case", "clear"),
              [(row.flit_bits, row.label, row.clear) for row in sweep.rows]))
@@ -388,7 +397,6 @@ def _run_trend(args: argparse.Namespace, artifacts: _Artifacts):
     artifacts.json_files.append(("trend_report.json", {
         "kind": "trend_report",
         "band_db": config.band_db,
-        "bits_per_instruction": config.bits_per_instruction,
         "fit": {
             "annual_factor": fit.annual_factor,
             # A flat series fits an infinite doubling time; JSON has no inf.

@@ -5,22 +5,25 @@ bit/s, each flow's full rate is charged to every directed link on its route,
 and latency is the traffic-weighted mean of per-hop clock costs. Queueing
 and contention are out of scope.
 
-Routing is X-first dimension order. Express links (long horizontal links
-added every ``hop_span`` columns) are taken greedily whenever the far
-endpoint does not overshoot the destination column; this rule is the
-normative one for all shipped results.
+Routing is X-first dimension order. A mesh has at most one express layout,
+Dally's express cube along rows: horizontal links of ``hop_span`` columns
+start at every ``hop_span``-th column of each row. An express link is taken
+greedily whenever its far end does not overshoot the destination column;
+this rule is the normative one for all shipped results. Links are derived
+from the mesh shape and the layout, never stored: a hop's technology is a
+set lookup, and area, cost and capacity use closed-form link counts.
 
 Link loads are aggregated, not walked flow by flow. A flow's X phase stays
 in its source row and its Y phase in its destination column, so the loads
-follow from per-row (c1 -> c2) and per-column (r1 -> r2) demand sums: the
-column pairs of a row are routed once per distinct pattern of express links,
+follow from per-row (c1 -> c2) and per-column (r1 -> r2) demand sums: every
+row has the same layout, so the column pairs are routed once for all rows,
 each horizontal load is the fsum of its pairs' demands, and vertical loads
 are running sums of the column demands. Generated traffic supplies those
 demand sums in closed form, in O(k^3) pure Python for a k x k mesh, so
 routing it needs neither numpy nor an n x n matrix; numpy is imported only
 for explicit traffic matrices, the dense ``rates`` of generated traffic
 (built on first access), and a seeded hotspot pick. Routing reads only the
-mesh shape and the express link endpoints, so :func:`case_activities` routes
+mesh shape and the express span, so :func:`case_activities` routes
 each distinct geometry once and cases that differ only in link technology
 share the result. Totals over links use :func:`math.fsum`, so they do not
 depend on the order in which links are visited.
@@ -95,17 +98,6 @@ class MeshLink:
     technology: Technology
     hop_span: int = 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "technology", Technology(self.technology))
-        if self.a == self.b:
-            raise DomainError("a link cannot connect a node to itself")
-        if self.a > self.b:
-            a, b = self.b, self.a
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
-        if self.hop_span < 1:
-            raise DomainError("hop_span must be at least 1")
-
     @property
     def express(self) -> bool:
         return self.hop_span > 1
@@ -113,156 +105,116 @@ class MeshLink:
 
 @dataclass(frozen=True)
 class MeshTopology:
+    """A ``rows`` x ``cols`` mesh of ``technology`` links with at most one express layout.
+
+    The layout is Dally's express cube along rows: in every row, links of
+    ``express_technology`` span ``express_span`` columns from columns 0, span,
+    2 span, ... as far as the row reaches. Links are derived, never stored.
+    """
+
     rows: int
     cols: int
     spacing_m: float
-    base_links: tuple[MeshLink, ...]
-    express_links: tuple[MeshLink, ...] = ()
+    technology: Technology
+    express_span: int | None = None
+    express_technology: Technology | None = None
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise DomainError("mesh dimensions must be at least 1x1")
         if self.spacing_m <= 0:
             raise DomainError("spacing_m must be strictly positive")
-        expected = self.rows * (self.cols - 1) + self.cols * (self.rows - 1)
-        if len(self.base_links) != expected:
-            raise DomainError(f"a {self.rows}x{self.cols} mesh needs {expected} base links")
-        # Routing takes express links as horizontal spans of hop_span columns.
-        for link in self.express_links:
-            if not (0 <= link.a and link.b < self.node_count
-                    and link.a // self.cols == link.b // self.cols
-                    and link.b - link.a == link.hop_span):
-                raise DomainError(
-                    f"express link {link.a}-{link.b} must join two nodes of one row "
-                    f"exactly hop_span={link.hop_span} columns apart")
+        object.__setattr__(self, "technology", Technology(self.technology))
+        if self.express_span is not None or self.express_technology is not None:
+            if self.express_technology is None or not 2 <= (self.express_span or 0) < self.cols:
+                raise DomainError("an express layout needs a technology and 2 <= span < cols")
+            object.__setattr__(self, "express_technology", Technology(self.express_technology))
 
     @property
     def node_count(self) -> int:
         return self.rows * self.cols
 
-    def node_id(self, row: int, col: int) -> int:
-        return row * self.cols + col
-
-    def all_links(self) -> tuple[MeshLink, ...]:
-        return self.base_links + self.express_links
+    @cached_property
+    def express_columns(self) -> range:
+        """Columns at which an express link starts, the same in every row."""
+        span = self.express_span
+        return range(0, self.cols - span, span) if span else range(0)
 
     @cached_property
-    def directed_links(self) -> dict[tuple[int, int], MeshLink]:
-        """Each link under both of its (from, to) directions, built once."""
-        links = {}
-        for link in self.all_links():
-            links[(link.a, link.b)] = link
-            links[(link.b, link.a)] = link
-        return links
+    def base_links(self) -> tuple[MeshLink, ...]:
+        """Neighbour links node by node, each rightward link before the downward one."""
+        cols, n = self.cols, self.node_count
+        return tuple(MeshLink(node, far, self.technology) for node in range(n)
+                     for far, exists in ((node + 1, node % cols + 1 < cols),
+                                         (node + cols, node + cols < n)) if exists)
 
-    def link_length_m(self, link: MeshLink) -> float:
-        return link.hop_span * self.spacing_m
+    @cached_property
+    def express_links(self) -> tuple[MeshLink, ...]:
+        """Express links row by row, left to right."""
+        span = self.express_span
+        return tuple(MeshLink(row * self.cols + col, row * self.cols + col + span,
+                              self.express_technology, span)
+                     for row in range(self.rows) for col in self.express_columns)
+
+    @cached_property
+    def express_hops(self) -> frozenset[tuple[int, int]]:
+        """Both directions of every express link, as (from, to) node pairs."""
+        return frozenset(hop for link in self.express_links
+                         for hop in ((link.a, link.b), (link.b, link.a)))
+
+    def hop_class(self, hop: tuple[int, int]) -> tuple[Technology, int]:
+        """(technology, hop_span) of the link that a (from, to) hop crosses."""
+        if hop in self.express_hops:
+            return self.express_technology, self.express_span
+        return self.technology, 1
+
+    def link_counts(self) -> dict[tuple[Technology, int], int]:
+        """Physical links per (technology, hop_span) class that has any."""
+        counts = {(self.technology, 1): self.rows * (self.cols - 1) + self.cols * (self.rows - 1),
+                  (self.express_technology, self.express_span):
+                      self.rows * len(self.express_columns)}
+        return {key: count for key, count in counts.items() if count}
 
 
 def build_mesh(rows: int, cols: int, spacing_m: float,
                technology: Technology | str) -> MeshTopology:
     """Grid of neighbor links only, all tagged with one technology."""
-    technology = Technology(technology)
-    links = []
-    for r in range(rows):
-        for c in range(cols):
-            node = r * cols + c
-            if c + 1 < cols:
-                links.append(MeshLink(node, node + 1, technology))
-            if r + 1 < rows:
-                links.append(MeshLink(node, node + cols, technology))
-    return MeshTopology(rows=rows, cols=cols, spacing_m=spacing_m,
-                        base_links=tuple(links))
+    return MeshTopology(rows=rows, cols=cols, spacing_m=spacing_m, technology=technology)
 
 
 def add_express_links(topology: MeshTopology, hop_span: int,
                       technology: Technology | str) -> MeshTopology:
-    """Add horizontal express links every ``hop_span`` columns in each row."""
+    """Lay express links of ``hop_span`` columns every ``hop_span`` columns in each row.
+
+    A mesh has one layout at most; a row too short for one link leaves it as it is.
+    """
     if hop_span < 2:
         raise DomainError("an express link must span at least 2 hops")
     technology = Technology(technology)
-    added = []
-    for r in range(topology.rows):
-        col = 0
-        while col + hop_span <= topology.cols - 1:
-            added.append(MeshLink(topology.node_id(r, col),
-                                  topology.node_id(r, col + hop_span),
-                                  technology, hop_span=hop_span))
-            col += hop_span
-    return replace(topology, express_links=topology.express_links + tuple(added))
+    if topology.express_span is not None:
+        raise DomainError("the mesh already has an express layout")
+    if hop_span > topology.cols - 1:
+        return topology
+    return replace(topology, express_span=hop_span, express_technology=technology)
 
 
-class _RouteIndex:
-    """Per-topology lookup tables shared across many route computations."""
+def _x_hops(topology: MeshTopology, c1: int, c2: int):
+    """Yield the (from, to) columns of the X phase from column ``c1`` to ``c2``.
 
-    def __init__(self, topology: MeshTopology):
-        self.topology = topology
-        # Rightward/leftward express spans keyed by the node they start from.
-        self.express_right: dict[int, int] = {}
-        self.express_left: dict[int, int] = {}
-        for link in topology.express_links:
-            self.express_right[link.a] = link.hop_span
-            self.express_left[link.b] = link.hop_span
-
-    def walk(self, src: int, dst: int):
-        """Yield (from, to) node pairs along the X-then-Y path."""
-        cols = self.topology.cols
-        r1, c1 = divmod(src, cols)
-        r2, c2 = divmod(dst, cols)
-        node, col = src, c1
-        express_right = self.express_right
-        express_left = self.express_left
-        while col != c2:
-            if c2 > col:
-                span = express_right.get(node, 0)
-                span = span if 0 < span <= c2 - col else 1
-            else:
-                span = express_left.get(node, 0)
-                span = -(span if 0 < span <= col - c2 else 1)
-            nxt = node + span
-            yield node, nxt
-            node, col = nxt, col + span
-        step = cols if r2 > r1 else -cols
-        while node != dst:
-            nxt = node + step
-            yield node, nxt
-            node = nxt
-
-    def route(self, src: int, dst: int) -> list[tuple[int, int, MeshLink]]:
-        links = self.topology.directed_links
-        return [(u, v, links[(u, v)]) for u, v in self.walk(src, dst)]
-
-    def rows_by_pattern(self) -> list[list[int]]:
-        """Group rows whose express links sit in the same columns.
-
-        :meth:`walk` routes a row's X phase from the express spans keyed by
-        that row's nodes alone, so rows with equal patterns route alike.
-        """
-        cols = self.topology.cols
-        patterns: list[list[tuple[int, int]]] = [[] for _ in range(self.topology.rows)]
-        for node, span in self.express_right.items():
-            patterns[node // cols].append((node % cols, span))
-        for node, span in self.express_left.items():
-            patterns[node // cols].append((node % cols, -span))
-        groups: dict[tuple, list[int]] = {}
-        for row, pattern in enumerate(patterns):
-            groups.setdefault(tuple(sorted(pattern)), []).append(row)
-        return list(groups.values())
-
-    def row_incidence(self, row: int) -> dict[tuple[int, int], list[int]]:
-        """Route every (c1, c2) column pair within ``row`` once.
-
-        Maps each directed hop, as a (from, to) column pair, to the indices
-        ``c1 * cols + c2`` of the pairs whose routes take it.
-        """
-        cols = self.topology.cols
-        base = row * cols
-        pairs_by_hop: dict[tuple[int, int], list[int]] = {}
-        for c1 in range(cols):
-            for c2 in range(cols):
-                for u, v in self.walk(base + c1, base + c2):
-                    pairs_by_hop.setdefault((u - base, v - base), []).append(c1 * cols + c2)
-        return pairs_by_hop
+    Express links start at the columns divisible by the span, short of the
+    last column the layout reaches; one is taken whenever its far end does
+    not overshoot ``c2``.
+    """
+    span = topology.express_span or 1  # without a layout, reach is 0: no hop is express
+    reach = len(topology.express_columns) * span
+    col = c1
+    while col != c2:
+        if c2 > col:
+            step = span if col % span == 0 and col + span <= min(c2, reach) else 1
+        else:
+            step = -span if col % span == 0 and c2 <= col - span and col <= reach else -1
+        yield col, col + step
+        col += step
 
 
 def route(topology: MeshTopology, src: int, dst: int) -> list[tuple[int, int, MeshLink]]:
@@ -270,7 +222,13 @@ def route(topology: MeshTopology, src: int, dst: int) -> list[tuple[int, int, Me
     n = topology.node_count
     if not (0 <= src < n and 0 <= dst < n):
         raise DomainError("src and dst must be valid node ids")
-    return _RouteIndex(topology).route(src, dst)
+    cols = topology.cols
+    (r1, c1), (r2, c2) = divmod(src, cols), divmod(dst, cols)
+    hops = [(r1 * cols + u, r1 * cols + v) for u, v in _x_hops(topology, c1, c2)]
+    step = cols if r2 > r1 else -cols
+    hops += [(node, node + step) for node in range(r1 * cols + c2, dst, step)]
+    return [(u, v, MeshLink(min(u, v), max(u, v), *topology.hop_class((u, v))))
+            for u, v in hops]
 
 
 class TrafficPattern(str, Enum):
@@ -589,13 +547,12 @@ class LinkActivity:
 
     def utilization(self, topology: MeshTopology,
                     rated_bps: Mapping[Technology, float]) -> dict[tuple[int, int], float]:
-        links = topology.directed_links
         out = {}
         for key, load in self.loads.items():
-            link = links[key]
-            if link.technology not in rated_bps:
-                raise ConfigurationError(f"no rated capacity for {link.technology.value}")
-            out[key] = load / rated_bps[link.technology]
+            technology, _ = topology.hop_class(key)
+            if technology not in rated_bps:
+                raise ConfigurationError(f"no rated capacity for {technology.value}")
+            out[key] = load / rated_bps[technology]
         return out
 
 
@@ -611,23 +568,27 @@ def link_activity(topology: MeshTopology, traffic: TrafficMatrix) -> LinkActivit
     row_demand, col_demand, injected = traffic.demands(rows, cols)
     loads_by_key: dict[int, float] = {}
 
+    # Every row has the same express layout, so the (c1, c2) column pairs are
+    # routed once for all rows: each directed hop, as a (from, to) column pair,
+    # maps to the indices c1 * cols + c2 of the pairs whose routes take it.
+    pairs_by_hop: dict[tuple[int, int], list[int]] = {}
+    for c1 in range(cols):
+        for c2 in range(cols):
+            for hop in _x_hops(topology, c1, c2):
+                pairs_by_hop.setdefault(hop, []).append(c1 * cols + c2)
     # A horizontal hop's load is the fsum of the demands of the column pairs
-    # routed over it, so each load is rounded once.
-    index = _RouteIndex(topology)
-    # Each getter also reads a trailing 0.0, so it returns a tuple even for a
-    # hop that carries a single pair.
+    # routed over it, so each load is rounded once. Each getter also reads a
+    # trailing 0.0, so it returns a tuple even for a hop that carries one pair.
     zero = cols * cols
-    for members in index.rows_by_pattern():
-        getters = [(cu, cv, itemgetter(*pairs, zero))
-                   for (cu, cv), pairs in index.row_incidence(members[0]).items()]
-        for row in members:
-            demand = [value for line in row_demand[row] for value in line]
-            demand.append(0.0)
-            base = row * cols
-            for cu, cv, gather in getters:
-                load = math.fsum(gather(demand))
-                if load > 0:
-                    loads_by_key[(base + cu) * n + base + cv] = load
+    getters = [(cu, cv, itemgetter(*pairs, zero)) for (cu, cv), pairs in pairs_by_hop.items()]
+    for row in range(rows):
+        demand = [value for line in row_demand[row] for value in line]
+        demand.append(0.0)
+        base = row * cols
+        for cu, cv, gather in getters:
+            load = math.fsum(gather(demand))
+            if load > 0:
+                loads_by_key[(base + cu) * n + base + cv] = load
 
     # The link from row r down to r + 1 carries every r1 <= r < r2 pair of its
     # column, the link from r + 1 up to r every r2 <= r < r1. Running sums
@@ -653,16 +614,15 @@ def link_activity(topology: MeshTopology, traffic: TrafficMatrix) -> LinkActivit
 def case_activities(cases: Sequence[NetworkCase]) -> list[LinkActivity]:
     """One :class:`LinkActivity` per case, routing each distinct geometry once.
 
-    Routing reads the mesh shape and the express link endpoints, not link
-    technology, so cases that share those and the same traffic matrix share
-    one routing pass.
+    Routing reads the mesh shape and the express span, not link technology,
+    so cases that share those and the same traffic matrix share one routing
+    pass.
     """
     shared: dict[tuple, LinkActivity] = {}
     activities = []
     for case in cases:
         topology = case.topology
-        key = (topology.rows, topology.cols,
-               tuple((link.a, link.b) for link in topology.express_links), case.traffic)
+        key = (topology.rows, topology.cols, topology.express_span, case.traffic)
         if key not in shared:
             shared[key] = link_activity(topology, case.traffic)
         activities.append(shared[key])
@@ -746,6 +706,18 @@ class NocConfig:
         return replace(self, flit_bits=flit_bits, router=router, link_templates=templates)
 
 
+def _loads_by_class(topology: MeshTopology,
+                    activity: LinkActivity) -> dict[tuple[Technology, int], list[float]]:
+    """Carried loads by the (technology, hop_span) of the links that carry them."""
+    express_hops = topology.express_hops
+    base, express = [], []
+    for key, load in activity.loads.items():
+        (express if key in express_hops else base).append(load)
+    return {hop_class: loads for hop_class, loads in (
+        ((topology.technology, 1), base),
+        ((topology.express_technology, topology.express_span), express)) if loads}
+
+
 def avg_latency_clks(topology: MeshTopology, activity: LinkActivity,
                      config: NocConfig) -> float:
     """Traffic-weighted mean clock cost over all loaded flows.
@@ -757,14 +729,13 @@ def avg_latency_clks(topology: MeshTopology, activity: LinkActivity,
     """
     if activity.injected_bps <= 0:
         raise DomainError("average latency is undefined for zero traffic")
-    links = topology.directed_links
     latency_clks = config.link_latency_clks
     terms = [config.router_pipeline_clks * activity.flow_hop_bps]
-    for key, load in activity.loads.items():
-        technology = links[key].technology
+    for (technology, _), loads in _loads_by_class(topology, activity).items():
         if technology not in latency_clks:
             config.require_technology(technology)
-        terms.append(load * latency_clks[technology])
+        clks = latency_clks[technology]
+        terms += [load * clks for load in loads]
     return math.fsum(terms) / activity.injected_bps
 
 
@@ -778,18 +749,12 @@ def network_energy_per_bit(topology: MeshTopology, activity: LinkActivity,
     """
     if activity.injected_bps <= 0:
         raise DomainError("energy per bit is undefined for zero traffic")
-    links = topology.directed_links
-    energy_cache: dict[tuple[Technology, float], float] = {}
     terms = [activity.router_traversal_bps * config.router.dynamic_j_per_bit]
-    for key, load in activity.loads.items():
-        link = links[key]
-        length = topology.link_length_m(link)
-        cache_key = (link.technology, length)
-        if cache_key not in energy_cache:
-            config.require_technology(link.technology)
-            spec = config.link_templates[link.technology].at_length(length)
-            energy_cache[cache_key] = link_energy_per_bit(spec)
-        terms.append(load * energy_cache[cache_key])
+    for (technology, hop_span), loads in _loads_by_class(topology, activity).items():
+        config.require_technology(technology)
+        spec = config.link_templates[technology].at_length(hop_span * topology.spacing_m)
+        energy = link_energy_per_bit(spec)
+        terms += [load * energy for load in loads]
     return math.fsum(terms) / activity.injected_bps
 
 
@@ -815,24 +780,20 @@ def _link_area_by_die(spec: LinkSpec, native_die: str) -> dict[str, float]:
     return {ELECTRONIC_DIE: electronic, native_die: total - electronic}
 
 
-def _native_die(technology: Technology) -> str:
-    return ELECTRONIC_DIE if technology is Technology.ELECTRONIC else PHOTONIC_DIE
-
-
 def network_area_and_cost(topology: MeshTopology, config: NocConfig,
                           eval_year: float | None = None) -> NetworkAreaCost:
     """Sum component areas per die and price them at the wafer rates.
 
-    Links of one technology and span are identical, so each such group is
-    instantiated once and its footprint multiplied by the group size.
+    Links of one technology and span are identical, so each such class is
+    instantiated once and its footprint multiplied by its link count.
     """
     terms_by_die: dict[str, list[float]] = {
         config.router.die: [config.router.area_m2 * topology.node_count]}
-    groups = Counter((link.technology, link.hop_span) for link in topology.all_links())
-    for (technology, hop_span), count in groups.items():
+    for (technology, hop_span), count in topology.link_counts().items():
         config.require_technology(technology)
         spec = config.link_templates[technology].at_length(hop_span * topology.spacing_m)
-        for die, area in _link_area_by_die(spec, _native_die(technology)).items():
+        native_die = ELECTRONIC_DIE if technology is Technology.ELECTRONIC else PHOTONIC_DIE
+        for die, area in _link_area_by_die(spec, native_die).items():
             terms_by_die.setdefault(die, []).append(count * area)
     area_by_die = {die: math.fsum(terms) for die, terms in terms_by_die.items()}
 
@@ -848,9 +809,10 @@ def network_area_and_cost(topology: MeshTopology, config: NocConfig,
 
 
 def _aggregate_capacity_per_node(topology: MeshTopology, config: NocConfig) -> float:
-    counts = Counter(link.technology for link in topology.all_links())
-    for technology in counts:
+    counts: Counter[Technology] = Counter()
+    for (technology, _), count in topology.link_counts().items():
         config.require_technology(technology)
+        counts[technology] += count
     return math.fsum(count * config.link_rate_bps[technology]
                      for technology, count in counts.items()) / topology.node_count
 
@@ -912,16 +874,14 @@ def find_crossover(flit_sizes: Sequence[int], series: Sequence[float],
     return None
 
 
-def flit_sweep(cases: Sequence[NetworkCase], flit_sizes: Sequence[int],
-               eval_year: float | None = None,
-               baseline: str | None = None,
-               activities: Sequence[LinkActivity] | None = None) -> FlitSweepResult:
+def flit_sweep(cases: Sequence[NetworkCase], activities: Sequence[LinkActivity],
+               flit_sizes: Sequence[int], eval_year: float | None = None,
+               baseline: str | None = None) -> FlitSweepResult:
     """Re-evaluate every case at each flit size and report crossovers.
 
-    Routing, latency, and link activity do not depend on flit size, so they
-    are computed once per geometry and reused across the sweep. ``activities``
-    may carry those routing passes, one per case, from a caller that already
-    has them.
+    Routing, latency, and link activity do not depend on flit size, so the
+    routed ``activities``, one per case (see :func:`case_activities`), serve
+    the whole sweep.
     """
     if not flit_sizes:
         raise DomainError("flit_sweep needs at least one flit size")
@@ -933,8 +893,6 @@ def flit_sweep(cases: Sequence[NetworkCase], flit_sizes: Sequence[int],
     if baseline not in labels:
         raise ConfigurationError(f"baseline '{baseline}' is not among the cases")
 
-    if activities is None:
-        activities = case_activities(cases)
     if len(activities) != len(cases):
         raise DomainError("flit_sweep needs one link activity per case")
 

@@ -26,20 +26,14 @@ __all__ = [
     "GrowthFit",
     "EfficiencyPoint",
     "TrendPosition",
-    "DEFAULT_BITS_PER_INSTRUCTION",
     "DEFAULT_TREND_BAND_DB",
     "system_clear",
     "fit_growth",
     "predict_log2_clear",
     "efficiency_point",
     "classify_vs_trend",
-    "mips_bit_rate",
     "load_system_records",
 ]
-
-# Weighted MIPS already fold instruction lengths into the rating; converting
-# a rating to a raw bit rate still needs a representation width.
-DEFAULT_BITS_PER_INSTRUCTION = 32
 
 # "On the trend line" means within half a decade unless configured otherwise.
 DEFAULT_TREND_BAND_DB = 5.0
@@ -148,14 +142,6 @@ def efficiency_point(record: SystemRecord) -> EfficiencyPoint:
         energy_efficiency=energy_efficiency,
         landauer_fraction=energy_efficiency / ceiling,
     )
-
-
-def mips_bit_rate(record: SystemRecord,
-                  bits_per_instruction: int = DEFAULT_BITS_PER_INSTRUCTION) -> float:
-    """Nominal bit rate implied by the MIPS rating, in bit/s."""
-    if bits_per_instruction < 1:
-        raise DomainError("bits_per_instruction must be at least 1")
-    return record.mips * 1e6 * bits_per_instruction
 
 
 class TrendPosition(str, Enum):

@@ -289,7 +289,6 @@ class NetworkConfig:
 class TrendConfig:
     records_csv: str
     band_db: float
-    bits_per_instruction: int
 
 
 def _load_component(obj: Mapping) -> LinkComponent:
@@ -463,6 +462,5 @@ def load_trend_config(doc: Mapping) -> TrendConfig:
     return TrendConfig(
         records_csv=doc["records_csv"],
         band_db=float(doc.get("band_db", 5.0)),
-        bits_per_instruction=int(doc.get("bits_per_instruction", 32)),
     )
 

@@ -34,6 +34,7 @@ from clearfom.network import (
     add_express_links,
     avg_latency_clks,
     build_mesh,
+    case_activities,
     flit_sweep,
     generate_traffic,
     link_activity,
@@ -230,7 +231,8 @@ def test_criterion_10_shipped_orderings(network_config_doc):
                                          spec.express_technology)
         cases.append(NetworkCase(label=spec.label, topology=topology,
                                  traffic=traffic, config=config.noc))
-    sweep = flit_sweep(cases, [32, 64, 128, 256], baseline="electronic")
+    sweep = flit_sweep(cases, case_activities(cases), [32, 64, 128, 256],
+                       baseline="electronic")
     values = {(row.label, row.flit_bits): row.clear for row in sweep.rows}
 
     assert values[("electronic+hyppi-express", 32)] > values[("electronic", 32)]

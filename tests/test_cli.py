@@ -102,6 +102,20 @@ class TestDeviceCommand:
         assert main(["device", "--config", str(bad), "--out", str(out)]) == EXIT_VALIDATION
         assert not out.exists() or list(out.iterdir()) == []
 
+    def test_names_that_share_a_file_name_are_refused(self, tmp_path, capsys):
+        with open(example_path("devices/four_technologies.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        twin = dict(doc["devices"][0], name=doc["devices"][0]["name"] + "!")
+        doc["devices"].append(twin)
+        config = tmp_path / "twins.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["device", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("clearfom: error code=1 kind=validation")
+        assert "radar_cmos_transistor_14nm.csv" in err
+        assert not out.exists()
+
 
 class TestLinkCommand:
     def test_sweep_and_schema(self, tmp_path, schema_registry):
@@ -144,6 +158,18 @@ class TestLinkCommand:
         assert err.startswith("clearfom: error code=1 kind=validation")
         assert ".role: must be a string" in err
         assert "Traceback" not in err
+
+    def test_close_lengths_get_a_radar_file_each(self, tmp_path):
+        with open(example_path("links/four_technologies.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["lengths_m"] = [0.001, 0.0010000001, 0.01]
+        config = tmp_path / "close.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["link", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        radar = sorted(p.name for p in out.glob("radar_*.csv"))
+        assert len(radar) == 3 * len(doc["links"])
+        assert "radar_photonic_0.0010000001m.csv" in radar
 
     def test_missing_config_exits_three(self, tmp_path, capsys):
         assert main(["link", "--config", str(tmp_path / "nope.json"),
@@ -236,8 +262,7 @@ class TestConfigSchemasMatchValidator:
         _assert_valid(doc, schema, schema_registry)
 
     def test_trend_config_schema(self, schema_registry, tmp_path):
-        doc = {"kind": "trend", "records_csv": "records.csv",
-               "band_db": 5.0, "bits_per_instruction": 32}
+        doc = {"kind": "trend", "records_csv": "records.csv", "band_db": 5.0}
         _assert_valid(doc, "trend_config.schema.json", schema_registry)
 
 
@@ -265,9 +290,10 @@ class TestNumericRange:
          lambda doc: doc["noc"]["link_templates"]["photonic"]["components"][0],
          "role", "amplifier"),
         ("trend", None, lambda doc: doc, "eval_year", 2016.0),
+        ("trend", None, lambda doc: doc, "bits_per_instruction", 32),
     ], ids=["unit_cost_usd", "critical_length_m", "voltage_swing_v", "repeater_spacing_m",
             "removed_insertion_loss_db", "removed_output_swing_v", "removed_amplifier_role",
-            "removed_trend_eval_year"])
+            "removed_trend_eval_year", "removed_bits_per_instruction"])
     def test_exits_one_without_artifacts(self, tmp_path, capsys, command, example, owner,
                                          key, value):
         if example is None:

@@ -16,7 +16,6 @@ from clearfom.link import (
 )
 from clearfom.metric import Technology
 from clearfom.network import (
-    MeshLink,
     NetworkCase,
     NocConfig,
     RouterModel,
@@ -25,6 +24,7 @@ from clearfom.network import (
     add_express_links,
     avg_latency_clks,
     build_mesh,
+    case_activities,
     find_crossover,
     flit_sweep,
     generate_traffic,
@@ -135,9 +135,13 @@ class TestExpressLinks:
         first_row = [l for l in mesh.express_links if l.b < 16]
         assert len(first_row) == 5
 
-    def test_span_beyond_row_width_adds_nothing(self):
-        mesh = add_express_links(build_mesh(4, 4, 1e-3, "electronic"), 4, "hybrid")
-        assert len(mesh.express_links) == 0
+    @pytest.mark.parametrize("span", [4, 5])
+    def test_span_of_the_row_width_or_more_leaves_the_mesh_as_it_is(self, span):
+        mesh = build_mesh(4, 4, 1e-3, "electronic")
+        unchanged = add_express_links(mesh, span, "hybrid")
+        assert unchanged == mesh
+        assert unchanged.express_links == ()
+        assert len(add_express_links(unchanged, 3, "hybrid").express_links) == 4
 
     def test_four_columns_span_three(self):
         mesh = add_express_links(build_mesh(4, 4, 1e-3, "electronic"), 3, "hybrid")
@@ -153,6 +157,20 @@ class TestExpressLinks:
     def test_span_below_two_rejected(self):
         with pytest.raises(DomainError):
             add_express_links(build_mesh(4, 4, 1e-3, "electronic"), 1, "hybrid")
+
+    @pytest.mark.parametrize("second_span", [3, 2])
+    def test_a_second_layout_is_rejected(self, second_span):
+        mesh = add_express_links(build_mesh(1, 7, 1e-3, "electronic"), 3, "hybrid")
+        with pytest.raises(DomainError, match="already has an express layout"):
+            add_express_links(mesh, second_span, "hybrid")
+
+    @pytest.mark.parametrize("rows,cols,span", [(2, 7, 3), (3, 10, 3), (2, 9, 2), (1, 16, 3)])
+    def test_leftward_routes_match_bfs(self, rows, cols, span):
+        mesh = add_express_links(build_mesh(rows, cols, 1e-3, "electronic"), span, "hybrid")
+        for src in range(mesh.node_count):
+            for dst in range(mesh.node_count):
+                if dst % cols < src % cols:
+                    assert len(route(mesh, src, dst)) == _bfs_hops(mesh, src, dst)
 
 
 class TestRoute:
@@ -181,11 +199,13 @@ class TestRoute:
         base = build_mesh(5, 7, 1e-3, "electronic")
         express = add_express_links(base, 3, "hybrid")
         for mesh in (base, express):
+            links = set(mesh.base_links + mesh.express_links)
             for _ in range(200):
                 src, dst = rng.integers(0, mesh.node_count, size=2)
-                hops = len(route(mesh, int(src), int(dst)))
-                assert hops >= _bfs_hops(mesh, int(src), int(dst))
-                assert hops <= _manhattan(mesh, int(src), int(dst))
+                path = route(mesh, int(src), int(dst))
+                assert all(link in links for _, _, link in path)
+                assert len(path) >= _bfs_hops(mesh, int(src), int(dst))
+                assert len(path) <= _manhattan(mesh, int(src), int(dst))
 
     def test_express_free_routes_are_shortest(self):
         mesh = build_mesh(5, 7, 1e-3, "electronic")
@@ -496,7 +516,7 @@ class TestFlitSweep:
                                    mesh, seed=4)
         config = _config()
         case = NetworkCase(label="electronic", topology=mesh, traffic=traffic, config=config)
-        sweep = flit_sweep([case], [32])
+        sweep = flit_sweep([case], case_activities([case]), [32])
         assert len(sweep.rows) == 1
         direct = network_clear(mesh, link_activity(mesh, traffic), config).value
         assert sweep.rows[0].clear == pytest.approx(direct, rel=1e-12)
@@ -530,7 +550,7 @@ class TestFlitSweep:
                                    mesh, seed=4)
         case = NetworkCase(label="x", topology=mesh, traffic=traffic, config=_config())
         with pytest.raises(DomainError):
-            flit_sweep([case, case], [32])
+            flit_sweep([case, case], case_activities([case, case]), [32])
 
     def test_unknown_baseline_rejected(self):
         mesh = build_mesh(2, 2, 1e-3, "electronic")
@@ -538,4 +558,4 @@ class TestFlitSweep:
                                    mesh, seed=4)
         case = NetworkCase(label="x", topology=mesh, traffic=traffic, config=_config())
         with pytest.raises(ConfigurationError):
-            flit_sweep([case], [32], baseline="y")
+            flit_sweep([case], case_activities([case]), [32], baseline="y")

@@ -49,7 +49,7 @@ CROSS_FIELD_MESSAGES = ("case labels must be unique", "must match one of the cas
 REPLACEMENTS = (None, True, "x", -1, 0, 1.0, 1e-320, [], {})
 
 TREND_DOC = {"kind": "trend", "records_csv": "records.csv", "band_db": 5.0,
-             "bits_per_instruction": 32, "notes": "synthetic"}
+             "notes": "synthetic"}
 
 
 def _shipped(relative):

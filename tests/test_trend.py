@@ -15,7 +15,6 @@ from clearfom.trend import (
     efficiency_point,
     fit_growth,
     load_system_records,
-    mips_bit_rate,
     predict_log2_clear,
     system_clear,
 )
@@ -117,11 +116,6 @@ class TestEfficiencyPoint:
         point = efficiency_point(record)
         product = record.mips * point.computational_efficiency * point.energy_efficiency
         assert product == pytest.approx(system_clear(record).value, rel=1e-9)
-
-    def test_bit_rate_convention(self):
-        assert mips_bit_rate(_record(mips=2.0)) == pytest.approx(2e6 * 32, rel=1e-12)
-        assert mips_bit_rate(_record(mips=2.0), bits_per_instruction=8) == \
-            pytest.approx(1.6e7, rel=1e-12)
 
 
 class TestClassify:

@@ -146,4 +146,3 @@ class TestLoaders:
     def test_trend_loader_defaults(self):
         config = load_trend_config({"kind": "trend", "records_csv": "x.csv"})
         assert config.band_db == 5.0
-        assert config.bits_per_instruction == 32
