@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: limits | device | link | network | trend. Configs are JSON
-documents validated against the JSON Schemas shipped as package data in
-``clearfom/schemas`` (see :mod:`clearfom.validation`); tabular artifacts are
+Subcommands: limits | device | link | network | trend. Each subcommand but
+``limits`` gets its typed config from one ``load_*_config`` call on its
+``--config`` path (see :mod:`clearfom.validation`), which reads, validates
+and assembles the config and the CSV inputs it names. Tabular artifacts are
 CSV, reports are JSON, and radar exports are coordinate files.
 Every artifact is written atomically after the whole evaluation succeeds, so
 a failing run leaves no partial output.
@@ -17,7 +18,6 @@ errors too.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -32,19 +32,12 @@ from .ioutil import IoError, fmt, write_csv, write_json
 from .limits import DEFAULT_COST_EFFICIENCY_AXIS, axis_limits, make_limit_set
 from .link import link_factors
 from .metric import Level, clear_value, default_floors, radar_area, radar_scores, radar_vertices
-from .trend import (
-    classify_vs_trend,
-    efficiency_point,
-    fit_growth,
-    load_system_records,
-    system_clear,
-)
+from .trend import classify_vs_trend, efficiency_point, fit_growth, system_clear
 from .validation import (
     load_device_config,
     load_link_config,
     load_network_config,
     load_trend_config,
-    validate_config,
 )
 
 __all__ = ["main"]
@@ -95,26 +88,6 @@ def _print_table(headers, rows):
     print("  ".join("-" * w for w in widths))
     for row in text_rows:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-
-
-def _load_config(path: str):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise IoError(f"cannot read config {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, nesting too deep
-        raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
-
-
-def _require_valid(doc, expected_kind: str):
-    diagnostics = validate_config(doc)
-    if diagnostics:
-        raise ConfigurationError(
-            "invalid config: " + "; ".join(str(d) for d in diagnostics))
-    if doc["kind"] != expected_kind:
-        raise ConfigurationError(
-            f"config kind '{doc['kind']}' does not match the '{expected_kind}' command")
 
 
 @dataclass
@@ -180,9 +153,7 @@ def _run_limits(args: argparse.Namespace, artifacts: _Artifacts):
 
 
 def _run_device(args: argparse.Namespace, artifacts: _Artifacts):
-    doc = _load_config(args.config)
-    _require_valid(doc, "device_comparison")
-    config = load_device_config(doc)
+    config = load_device_config(args.config)
     limits = make_limit_set(
         temperature=config.temperature_k,
         cost_efficiency_axis=config.cost_efficiency_axis or DEFAULT_COST_EFFICIENCY_AXIS,
@@ -224,9 +195,7 @@ def _run_device(args: argparse.Namespace, artifacts: _Artifacts):
 
 
 def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
-    doc = _load_config(args.config)
-    _require_valid(doc, "link_comparison")
-    config = load_link_config(doc, base_dir=str(Path(args.config).parent))
+    config = load_link_config(args.config)
     eval_year = args.eval_year if args.eval_year is not None else config.eval_year
 
     report_links = {spec.name: [] for spec in config.links}
@@ -274,49 +243,32 @@ def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
         _print_table(("link", "length_m", "capacity_bps", "clear"), table_rows)
 
 
-def _network_cases(config, seed: int):
-    from .network import NetworkCase, add_express_links, build_mesh, generate_traffic
-
-    base_mesh = build_mesh(config.rows, config.cols, config.spacing_m,
-                           config.cases[0].technology)
-    traffic = generate_traffic(config.traffic_pattern, config.traffic_params,
-                               base_mesh, seed)
-    cases = []
-    for case in config.cases:
-        topology = build_mesh(config.rows, config.cols, config.spacing_m, case.technology)
-        if case.express_span is not None:
-            topology = add_express_links(topology, case.express_span,
-                                         case.express_technology)
-        cases.append(NetworkCase(label=case.label, topology=topology,
-                                 traffic=traffic, config=config.noc))
-    return cases
-
-
 def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
     # The NoC model loads only for this subcommand. It needs numpy only for a
     # seeded hotspot pick (traffic without explicit hotspot_nodes).
-    from .network import case_activities, flit_sweep, network_clear
+    from .network import case_activities, flit_sweep, generate_traffic, network_clear
 
-    doc = _load_config(args.config)
-    _require_valid(doc, "network_comparison")
-    config = load_network_config(doc)
+    config = load_network_config(args.config)
     eval_year = args.eval_year if args.eval_year is not None else config.eval_year
-    cases = _network_cases(config, args.seed)
-    activities = case_activities(cases)
+    cases = config.cases
+    mesh = cases[0].topology
+    traffic = generate_traffic(config.traffic_pattern, config.traffic_params, mesh, args.seed)
+    activities = case_activities(cases, traffic)
 
     summary_rows = []
     report_cases = []
-    for spec, case, activity in zip(config.cases, cases, activities):
-        clear = network_clear(case.topology, activity, case.config, eval_year)
+    for case, activity in zip(cases, activities):
+        clear = network_clear(case.topology, activity, config.noc, eval_year)
         factors = clear.factors
-        utilization = activity.utilization(case.topology, case.config.link_rate_bps)
+        technology = case.topology.technology.value
+        utilization = activity.utilization(case.topology, config.noc.link_rate_bps)
         activity_rows = [
             (f"{a}->{b}", load, utilization[(a, b)])
             for (a, b), load in sorted(activity.loads.items())]
         artifacts.csv_files.append(
             (f"link_activity_{_slug(case.label)}.csv",
              ("link_id", "load_bps", "utilization"), activity_rows))
-        summary_rows.append((case.label, spec.technology.value, clear.value,
+        summary_rows.append((case.label, technology, clear.value,
                              factors.capability / 1e9,
                              factors.latency,
                              factors.energy / 1e-12,
@@ -324,7 +276,7 @@ def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
                              factors.resistance))
         report_cases.append({
             "label": case.label,
-            "technology": spec.technology.value,
+            "technology": technology,
             "clear": clear.value,
             **dict(zip(_FACTOR_KEYS[Level.NETWORK], factors)),
         })
@@ -335,7 +287,7 @@ def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
 
     sweep_report = None
     if config.flit_sizes:
-        sweep = flit_sweep(cases, activities, config.flit_sizes, eval_year,
+        sweep = flit_sweep(cases, activities, config.noc, config.flit_sizes, eval_year,
                            baseline=config.sweep_baseline)
         artifacts.csv_files.append(
             ("flit_sweep.csv", ("flit_bits", "case", "clear"),
@@ -350,7 +302,7 @@ def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
         "kind": "network_report",
         "seed": args.seed,
         "eval_year": eval_year,
-        "mesh": {"rows": config.rows, "cols": config.cols, "spacing_m": config.spacing_m},
+        "mesh": {"rows": mesh.rows, "cols": mesh.cols, "spacing_m": mesh.spacing_m},
         "cases": report_cases,
         "flit_sweep": sweep_report,
     }))
@@ -361,23 +313,11 @@ def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
 
 
 def _run_trend(args: argparse.Namespace, artifacts: _Artifacts):
-    doc = _load_config(args.config)
-    _require_valid(doc, "trend")
-    config = load_trend_config(doc)
-    csv_path = Path(config.records_csv)
-    if not csv_path.is_absolute():
-        csv_path = Path(args.config).parent / csv_path
-    try:
-        records = load_system_records(csv_path)
-    except OSError as exc:
-        raise IoError(f"cannot read records {csv_path}: {exc}") from exc
-    if len(records) < 2:
-        raise DomainError("trend fitting needs at least two records")
-
-    fit = fit_growth(records)
+    config = load_trend_config(args.config)
+    fit = fit_growth(config.records)
     point_rows = []
     report_points = []
-    for record in sorted(records, key=lambda r: (r.year, r.name)):
+    for record in sorted(config.records, key=lambda r: (r.year, r.name)):
         value = system_clear(record)
         point = efficiency_point(record)
         position = classify_vs_trend(record, fit, config.band_db)

@@ -11,13 +11,13 @@ result.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .errors import DomainError, InsufficientDataError
+from .ioutil import finite_float, read_csv
 
 __all__ = [
     "ExperienceCurve",
@@ -117,15 +117,4 @@ def fit_experience_curve(observations: Sequence[tuple[float, float]]) -> CurveFi
 
 def load_cost_observations(path: str | Path) -> list[tuple[float, float]]:
     """Read (year, cost) observations from a CSV with header ``year,cost_usd``."""
-    observations = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != ("year", "cost_usd"):
-            raise DomainError(
-                f"expected CSV header year,cost_usd, got {','.join(reader.fieldnames or ())}")
-        for line, row in enumerate(reader, start=2):
-            try:
-                observations.append((float(row["year"]), float(row["cost_usd"])))
-            except (TypeError, ValueError) as exc:
-                raise DomainError(f"{path}:{line}: {exc}") from exc
-    return observations
+    return read_csv(path, ("year", "cost_usd"), lambda cells: tuple(map(finite_float, cells)))

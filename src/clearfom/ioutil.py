@@ -1,4 +1,4 @@
-"""Deterministic, atomic file output helpers.
+"""File helpers: the one CSV reader for inputs, and atomic artifact output.
 
 All artifacts are UTF-8 with LF line endings, '.' decimal separators, and
 scientific notation where appropriate. Files are written to a temporary name
@@ -8,15 +8,20 @@ a partial artifact.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import ClearError, DomainError
 
-__all__ = ["fmt", "atomic_write_text", "write_csv", "write_json", "IoError"]
+__all__ = ["fmt", "read_csv", "finite_float", "atomic_write_text", "write_csv", "write_json", "IoError"]
+
+T = TypeVar("T")
 
 
 class IoError(ClearError):
@@ -30,6 +35,50 @@ def fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def read_csv(path: str | Path, header: Sequence[str],
+             parse: Callable[[list[str]], T]) -> list[T]:
+    """``parse`` of the cells of each row of the CSV input at ``path``.
+
+    The file is UTF-8, its first row is exactly ``header`` and every later
+    row has one cell per column; blank lines are skipped. A file that cannot
+    be read raises :class:`IoError`. Undecodable bytes, bad quoting, a row of
+    the wrong width, or a row that ``parse`` refuses with a ``ValueError``
+    raise :class:`DomainError` naming ``path:line``.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DomainError(f"{path}:{line}: not UTF-8: {exc.reason}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    rows = []
+    try:
+        first = next(reader, [])
+        if first != list(header):
+            raise ValueError(f"expected CSV header {','.join(header)}, got {','.join(first)}")
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise ValueError(f"expected {len(header)} cells, got {len(cells)}")
+            rows.append(parse(cells))
+    except (csv.Error, ValueError) as exc:  # an empty file has read no line yet
+        raise DomainError(f"{path}:{max(reader.line_num, 1)}: {exc}") from exc
+    return rows
+
+
+def finite_float(text: str) -> float:
+    """A numeric CSV cell; like a config number, it must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def atomic_write_text(path: str | Path, text: str):

@@ -127,7 +127,9 @@ class MeshTopology:
         object.__setattr__(self, "technology", Technology(self.technology))
         if self.express_span is not None or self.express_technology is not None:
             if self.express_technology is None or not 2 <= (self.express_span or 0) < self.cols:
-                raise DomainError("an express layout needs a technology and 2 <= span < cols")
+                raise DomainError(
+                    "an express layout needs a technology and 2 <= span < cols, got span "
+                    f"{self.express_span} on {self.cols} cols")
             object.__setattr__(self, "express_technology", Technology(self.express_technology))
 
     @property
@@ -186,15 +188,11 @@ def add_express_links(topology: MeshTopology, hop_span: int,
                       technology: Technology | str) -> MeshTopology:
     """Lay express links of ``hop_span`` columns every ``hop_span`` columns in each row.
 
-    A mesh has one layout at most; a row too short for one link leaves it as it is.
+    A mesh has one layout at most, and its rows must be long enough for one
+    link: ``2 <= hop_span < cols``.
     """
-    if hop_span < 2:
-        raise DomainError("an express link must span at least 2 hops")
-    technology = Technology(technology)
     if topology.express_span is not None:
         raise DomainError("the mesh already has an express layout")
-    if hop_span > topology.cols - 1:
-        return topology
     return replace(topology, express_span=hop_span, express_technology=technology)
 
 
@@ -611,20 +609,19 @@ def link_activity(topology: MeshTopology, traffic: TrafficMatrix) -> LinkActivit
                         router_traversal_bps=flow_hops + injected)
 
 
-def case_activities(cases: Sequence[NetworkCase]) -> list[LinkActivity]:
-    """One :class:`LinkActivity` per case, routing each distinct geometry once.
+def case_activities(cases: Sequence[NetworkCase], traffic: TrafficMatrix) -> list[LinkActivity]:
+    """One :class:`LinkActivity` per case under ``traffic``, routing each geometry once.
 
     Routing reads the mesh shape and the express span, not link technology,
-    so cases that share those and the same traffic matrix share one routing
-    pass.
+    so cases that share those share one routing pass.
     """
     shared: dict[tuple, LinkActivity] = {}
     activities = []
     for case in cases:
         topology = case.topology
-        key = (topology.rows, topology.cols, topology.express_span, case.traffic)
+        key = (topology.rows, topology.cols, topology.express_span)
         if key not in shared:
-            shared[key] = link_activity(topology, case.traffic)
+            shared[key] = link_activity(topology, traffic)
         activities.append(shared[key])
     return activities
 
@@ -836,12 +833,10 @@ def network_clear(topology: MeshTopology, activity: LinkActivity, config: NocCon
 
 @dataclass(frozen=True)
 class NetworkCase:
-    """One named network under evaluation (topology + traffic + tables)."""
+    """One named network under evaluation."""
 
     label: str
     topology: MeshTopology
-    traffic: TrafficMatrix
-    config: NocConfig
 
 
 @dataclass(frozen=True)
@@ -875,9 +870,9 @@ def find_crossover(flit_sizes: Sequence[int], series: Sequence[float],
 
 
 def flit_sweep(cases: Sequence[NetworkCase], activities: Sequence[LinkActivity],
-               flit_sizes: Sequence[int], eval_year: float | None = None,
+               config: NocConfig, flit_sizes: Sequence[int], eval_year: float | None = None,
                baseline: str | None = None) -> FlitSweepResult:
-    """Re-evaluate every case at each flit size and report crossovers.
+    """Re-evaluate every case under ``config`` at each flit size and report crossovers.
 
     Routing, latency, and link activity do not depend on flit size, so the
     routed ``activities``, one per case (see :func:`case_activities`), serve
@@ -899,9 +894,9 @@ def flit_sweep(cases: Sequence[NetworkCase], activities: Sequence[LinkActivity],
     rows: list[FlitSweepRow] = []
     by_label: dict[str, list[float]] = {label: [] for label in labels}
     for flit in flit_sizes:
+        at_flit = config.with_flit_bits(flit)
         for case, activity in zip(cases, activities):
-            config = case.config.with_flit_bits(flit)
-            value = network_clear(case.topology, activity, config, eval_year).value
+            value = network_clear(case.topology, activity, at_flit, eval_year).value
             rows.append(FlitSweepRow(flit_bits=flit, label=case.label, clear=value))
             by_label[case.label].append(value)
 

@@ -8,7 +8,6 @@ as a doubling time in months.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -17,6 +16,7 @@ from typing import Sequence
 
 from .economics import ols_log2
 from .errors import DomainError, InsufficientDataError
+from .ioutil import finite_float, read_csv
 from .limits import landauer_energy
 from .metric import Axes, ClearValue, Level, clear_value
 
@@ -164,31 +164,16 @@ def classify_vs_trend(record: SystemRecord, fit: GrowthFit,
     return TrendPosition.ON
 
 
+# In SystemRecord field order.
 _CSV_FIELDS = ("name", "year", "mips", "clock_period_s", "energy_j_per_bit",
                "volume_m3", "cost_usd", "class")
 
 
+def _record(cells: list[str]) -> SystemRecord:
+    name, *quantities, system_class = cells
+    return SystemRecord(name, *map(finite_float, quantities), SystemClass(system_class))
+
+
 def load_system_records(path: str | Path) -> list[SystemRecord]:
     """Read records from the documented CSV layout; raises DomainError on bad rows."""
-    records = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != _CSV_FIELDS:
-            raise DomainError(
-                f"expected CSV header {','.join(_CSV_FIELDS)}, got "
-                f"{','.join(reader.fieldnames or ())}")
-        for line, row in enumerate(reader, start=2):
-            try:
-                records.append(SystemRecord(
-                    name=row["name"],
-                    year=float(row["year"]),
-                    mips=float(row["mips"]),
-                    clock_period_s=float(row["clock_period_s"]),
-                    energy_j_per_bit=float(row["energy_j_per_bit"]),
-                    volume_m3=float(row["volume_m3"]),
-                    cost_usd=float(row["cost_usd"]),
-                    system_class=SystemClass(row["class"]),
-                ))
-            except (ValueError, KeyError) as exc:
-                raise DomainError(f"{path}:{line}: {exc}") from exc
-    return records
+    return read_csv(path, _CSV_FIELDS, _record)

@@ -1,4 +1,14 @@
-"""Config document validation and loading.
+"""Config loading: from a ``--config`` path to the typed config a command runs.
+
+Each ``load_*_config`` takes the path of a config file and does every step
+between that file and the domain objects: it reads and decodes the JSON,
+validates it, checks its ``kind``, reads the CSV inputs it names and builds
+the typed config. No loader runs on an unchecked document. A relative CSV
+path in a config (``cost_curve_csv``, ``records_csv``) names a file relative
+to the directory of the config file, never to the working directory. A
+config or CSV that cannot be read raises :class:`~clearfom.ioutil.IoError`;
+every other bad input raises a :class:`~clearfom.errors.ConfigurationError`
+or :class:`~clearfom.errors.DomainError` that names it.
 
 The JSON Schemas shipped as package data in ``clearfom/schemas`` state the
 config rules. :func:`validate_config` interprets the subset of JSON Schema
@@ -8,9 +18,8 @@ failing value one diagnostic. Only two kinds of rule live in Python, because
 a schema cannot state them: numbers must be finite (Python's ``json`` parses
 NaN and Infinity), and four cross-field rules (:func:`_cross_field_errors`).
 
-Loaders assume a clean validation pass and build domain objects; the CLI runs
-them in that order. The NoC types come from :mod:`clearfom.network`, so
-that module is imported only when a network config is loaded.
+The NoC types come from :mod:`clearfom.network`, so that module is imported
+only when a network config is loaded.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ from typing import TYPE_CHECKING, Any
 
 from .device import DeviceSpec
 from .economics import ExperienceCurve, fit_experience_curve, load_cost_observations
+from .errors import ConfigurationError
+from .ioutil import IoError
 from .link import (
     ComponentRole,
     ElectricalTransport,
@@ -35,16 +46,16 @@ from .link import (
     OpticalTransport,
 )
 from .metric import Technology
+from .trend import SystemRecord, load_system_records
 
 if TYPE_CHECKING:
-    from .network import NocConfig, TrafficParams, TrafficPattern
+    from .network import NetworkCase, NocConfig, TrafficParams, TrafficPattern
 
 __all__ = [
     "Diagnostic",
     "validate_config",
     "DeviceConfig",
     "LinkConfig",
-    "NetworkCaseSpec",
     "NetworkConfig",
     "TrendConfig",
     "load_device_config",
@@ -242,8 +253,31 @@ def validate_config(doc: Any) -> list[Diagnostic]:
     return errors + [d for d in _cross_field_errors(doc) if d.path not in flagged]
 
 
+def _read_config(path: str | Path, kind: str) -> Mapping:
+    """The config document at ``path``, which must be a valid ``kind`` config."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except OSError as exc:
+        raise IoError(f"cannot read config {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, nesting too deep
+        raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
+    diagnostics = validate_config(doc)
+    if diagnostics:
+        raise ConfigurationError("invalid config: " + "; ".join(map(str, diagnostics)))
+    if doc["kind"] != kind:
+        raise ConfigurationError(
+            f"config kind '{doc['kind']}' does not match the '{kind}' command")
+    return doc
+
+
+def _input_path(config_path: str | Path, name: str) -> Path:
+    """A CSV input that a config names; a relative name is relative to the config."""
+    return Path(config_path).parent / name
+
+
 # ---------------------------------------------------------------------------
-# Loaders (assume a clean validation pass).
+# Loaders.
 
 @dataclass(frozen=True)
 class DeviceConfig:
@@ -264,22 +298,11 @@ class LinkConfig:
 
 
 @dataclass(frozen=True)
-class NetworkCaseSpec:
-    label: str
-    technology: Technology
-    express_span: int | None = None
-    express_technology: Technology | None = None
-
-
-@dataclass(frozen=True)
 class NetworkConfig:
-    rows: int
-    cols: int
-    spacing_m: float
+    cases: tuple[NetworkCase, ...]  # all on one mesh shape
     traffic_pattern: TrafficPattern
     traffic_params: TrafficParams
     noc: NocConfig
-    cases: tuple[NetworkCaseSpec, ...]
     flit_sizes: tuple[int, ...] | None
     sweep_baseline: str | None
     eval_year: float | None
@@ -287,7 +310,7 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class TrendConfig:
-    records_csv: str
+    records: tuple[SystemRecord, ...]
     band_db: float
 
 
@@ -344,7 +367,8 @@ def _load_curve(obj: Mapping) -> ExperienceCurve:
     )
 
 
-def load_device_config(doc: Mapping) -> DeviceConfig:
+def load_device_config(path: str | Path) -> DeviceConfig:
+    doc = _read_config(path, "device_comparison")
     devices = tuple(
         DeviceSpec(
             name=entry["name"],
@@ -364,17 +388,16 @@ def load_device_config(doc: Mapping) -> DeviceConfig:
     )
 
 
-def load_link_config(doc: Mapping, base_dir: str | None = None) -> LinkConfig:
+def load_link_config(path: str | Path) -> LinkConfig:
+    doc = _read_config(path, "link_comparison")
     lengths = tuple(float(v) for v in doc["lengths_m"])
     links = []
     for entry in doc["links"]:
         if "cost_curve" in entry:
             curve = _load_curve(entry["cost_curve"])
         elif "cost_curve_csv" in entry:
-            path = Path(entry["cost_curve_csv"])
-            if base_dir is not None and not path.is_absolute():
-                path = Path(base_dir) / path
-            curve = fit_experience_curve(load_cost_observations(path)).curve
+            observations = load_cost_observations(_input_path(path, entry["cost_curve_csv"]))
+            curve = fit_experience_curve(observations).curve
         else:
             curve = None
         links.append(_load_link(entry, entry["name"], entry["technology"], lengths[0], curve))
@@ -388,14 +411,18 @@ def load_link_config(doc: Mapping, base_dir: str | None = None) -> LinkConfig:
     )
 
 
-def load_network_config(doc: Mapping) -> NetworkConfig:
+def load_network_config(path: str | Path) -> NetworkConfig:
     from .network import (
+        NetworkCase,
         NocConfig,
         RouterModel,
         TrafficParams,
         TrafficPattern,
+        add_express_links,
+        build_mesh,
     )
 
+    doc = _read_config(path, "network_comparison")
     mesh = doc["mesh"]
     traffic = doc["traffic"]
     params = TrafficParams(
@@ -407,7 +434,7 @@ def load_network_config(doc: Mapping) -> NetworkConfig:
         locality_scale_hops=float(traffic.get("locality_scale_hops", 4.0)),
     )
     noc_doc = doc["noc"]
-    spacing_m = float(mesh["spacing_m"])
+    rows, cols, spacing_m = int(mesh["rows"]), int(mesh["cols"]), float(mesh["spacing_m"])
     templates = {Technology(tech): _load_link(body, f"{tech}-noc-link", tech, spacing_m)
                  for tech, body in noc_doc["link_templates"].items()}
     router_doc = noc_doc["router"]
@@ -436,31 +463,27 @@ def load_network_config(doc: Mapping) -> NetworkConfig:
     )
     cases = []
     for entry in doc["cases"]:
-        express = entry.get("express")
-        cases.append(NetworkCaseSpec(
-            label=entry["label"],
-            technology=Technology(entry["technology"]),
-            express_span=int(express["hop_span"]) if express else None,
-            express_technology=Technology(express["technology"]) if express else None,
-        ))
+        topology = build_mesh(rows, cols, spacing_m, entry["technology"])
+        if "express" in entry:
+            express = entry["express"]
+            topology = add_express_links(topology, int(express["hop_span"]),
+                                         express["technology"])
+        cases.append(NetworkCase(label=entry["label"], topology=topology))
     sweep = doc.get("flit_sweep")
     return NetworkConfig(
-        rows=int(mesh["rows"]),
-        cols=int(mesh["cols"]),
-        spacing_m=spacing_m,
+        cases=tuple(cases),
         traffic_pattern=TrafficPattern(traffic["pattern"]),
         traffic_params=params,
         noc=noc,
-        cases=tuple(cases),
         flit_sizes=tuple(int(v) for v in sweep["flit_bits"]) if sweep else None,
         sweep_baseline=sweep.get("baseline") if sweep else None,
         eval_year=doc.get("eval_year"),
     )
 
 
-def load_trend_config(doc: Mapping) -> TrendConfig:
+def load_trend_config(path: str | Path) -> TrendConfig:
+    doc = _read_config(path, "trend")
     return TrendConfig(
-        records_csv=doc["records_csv"],
+        records=tuple(load_system_records(_input_path(path, doc["records_csv"]))),
         band_db=float(doc.get("band_db", 5.0)),
     )
-

@@ -26,5 +26,20 @@ def network_config_doc():
 
 
 @pytest.fixture(scope="session")
+def device_config_path():
+    return example_path("devices/four_technologies.json")
+
+
+@pytest.fixture(scope="session")
+def link_config_path():
+    return example_path("links/four_technologies.json")
+
+
+@pytest.fixture(scope="session")
+def network_config_path():
+    return example_path("networks/mesh16_comparison.json")
+
+
+@pytest.fixture(scope="session")
 def sample_records_path():
     return example_path("trend/sample_synthetic_systems.csv")

@@ -28,7 +28,6 @@ from clearfom.limits import (
 from clearfom.link import ElectricalTransport, LinkSpec, link_capacity, link_energy_per_bit
 from clearfom.metric import Axes, Level, Technology, clear_value
 from clearfom.network import (
-    NetworkCase,
     TrafficMatrix,
     TrafficParams,
     add_express_links,
@@ -105,8 +104,8 @@ def test_criterion_4_mesh_structure():
 
 
 @criterion(5, "latency accounting: 4/5 clks per hop and the 4x4 BFS oracle")
-def test_criterion_5_latency(network_config_doc):
-    config = load_network_config(network_config_doc).noc
+def test_criterion_5_latency(network_config_path):
+    config = load_network_config(network_config_path).noc
 
     pair_elec = build_mesh(1, 2, 1e-3, "electronic")
     rates = np.zeros((2, 2))
@@ -153,8 +152,8 @@ def test_criterion_5_latency(network_config_doc):
 
 
 @criterion(6, "rate consistency: 32 x 1.5625 GHz and 2 x 25 Gb/s both equal 50 Gb/s")
-def test_criterion_6_rate_consistency(network_config_doc):
-    config = load_network_config(network_config_doc).noc
+def test_criterion_6_rate_consistency(network_config_path):
+    config = load_network_config(network_config_path).noc
     electronic = config.link_templates[Technology.ELECTRONIC].at_length(1e-3)
     assert electronic.transport.lanes == 32
     assert link_capacity(electronic).bps == 32 * 1.5625e9 == 5e10
@@ -215,24 +214,14 @@ def test_criterion_9_trend_fit():
 
 
 @criterion(10, "shipped orderings: express augmentation wins; flit sweep crossover exists")
-def test_criterion_10_shipped_orderings(network_config_doc):
-    config = load_network_config(network_config_doc)
-    traffic = generate_traffic(config.traffic_pattern, config.traffic_params,
-                               build_mesh(config.rows, config.cols, config.spacing_m,
-                                          "electronic"), seed=7)
+def test_criterion_10_shipped_orderings(network_config_path):
+    config = load_network_config(network_config_path)
     wanted = {"electronic", "hyppi", "electronic+hyppi-express"}
-    cases = []
-    for spec in config.cases:
-        if spec.label not in wanted:
-            continue
-        topology = build_mesh(config.rows, config.cols, config.spacing_m, spec.technology)
-        if spec.express_span is not None:
-            topology = add_express_links(topology, spec.express_span,
-                                         spec.express_technology)
-        cases.append(NetworkCase(label=spec.label, topology=topology,
-                                 traffic=traffic, config=config.noc))
-    sweep = flit_sweep(cases, case_activities(cases), [32, 64, 128, 256],
-                       baseline="electronic")
+    cases = [case for case in config.cases if case.label in wanted]
+    traffic = generate_traffic(config.traffic_pattern, config.traffic_params,
+                               cases[0].topology, seed=7)
+    sweep = flit_sweep(cases, case_activities(cases, traffic), config.noc,
+                       [32, 64, 128, 256], baseline="electronic")
     values = {(row.label, row.flit_bits): row.clear for row in sweep.rows}
 
     assert values[("electronic+hyppi-express", 32)] > values[("electronic", 32)]

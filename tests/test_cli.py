@@ -193,6 +193,20 @@ class TestNetworkCommand:
         assert "--seed" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_express_span_of_the_mesh_width_is_refused(self, tmp_path, capsys):
+        doc = json.loads(Path(_NETWORK_CONFIG).read_text(encoding="utf-8"))
+        next(c for c in doc["cases"] if "express" in c)["express"]["hop_span"] = 16
+        config = tmp_path / "net.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["network", "--config", str(config), "--seed", "1",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("clearfom: error code=1 kind=validation")
+        assert "got span 16 on 16 cols" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_deterministic_artifacts_byte_identical(self, tmp_path):
         config = _small_network_config(tmp_path, cases=("electronic", "hyppi"))
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -453,13 +467,49 @@ def test_artifacts_follow_the_umask(tmp_path, umask, mode):
     assert {p.stat().st_mode & 0o777 for p in written} == {mode}
 
 
-@pytest.mark.parametrize("content", [b'\xff\xfe{"kind": 1}', b"[" * 100000],
-                         ids=["not_utf8", "nested_too_deep"])
-def test_undecodable_config_is_a_validation_error(tmp_path, capsys, content):
+_RECORDS = (b"name,year,mips,clock_period_s,energy_j_per_bit,volume_m3,cost_usd,class\n"
+            b"a,1990,1,1,1,1,1,other\n")
+
+
+# A config, or a CSV input it names, that cannot be read exits 3; a malformed
+# one exits 1 naming the file and line. ``None`` writes a directory.
+@pytest.mark.parametrize("command,inputs,code,where", [
+    ("device", {"config.json": b'\xff\xfe{"kind": 1}'}, EXIT_VALIDATION, "not valid JSON"),
+    ("device", {"config.json": b"[" * 100000}, EXIT_VALIDATION, "not valid JSON"),
+    ("link", {}, EXIT_IO, "costs.csv"),
+    ("link", {"costs.csv": None}, EXIT_IO, "costs.csv"),
+    ("link", {"costs.csv": b"year,cost_usd\n2014,4\n2016,\xff1\n"},
+     EXIT_VALIDATION, "costs.csv:3: not UTF-8"),
+    ("trend", {"records.csv": _RECORDS + b"b,2000,\xff1,1,1,1,1,other\n"},
+     EXIT_VALIDATION, "records.csv:3: not UTF-8"),
+    ("trend", {"records.csv": _RECORDS + b"b,2000,1,1\n"},
+     EXIT_VALIDATION, "records.csv:3: expected 8 cells, got 4"),
+    ("trend", {"records.csv": _RECORDS + b'b,2000,1,1,1,1,1,"other\n'},
+     EXIT_VALIDATION, "records.csv:3: unexpected end of data"),
+    ("trend", {"records.csv": _RECORDS + b"b" * 200_000 + b",2000,1,1,1,1,1,other\n"},
+     EXIT_VALIDATION, "records.csv:3: field larger than field limit"),
+], ids=["not_utf8", "nested_too_deep", "cost_csv_missing", "cost_csv_is_a_directory",
+        "cost_csv_not_utf8", "records_not_utf8", "records_row_short",
+        "records_unterminated_quote", "records_field_200kB"])
+def test_undecodable_config_is_a_validation_error(tmp_path, capsys, command, inputs, code,
+                                                  where):
     config = tmp_path / "config.json"
-    config.write_bytes(content)
-    assert main(["device", "--config", str(config), "--out", str(tmp_path / "o")]) \
-        == EXIT_VALIDATION
+    if command == "link":
+        doc = json.loads(Path(_LINK_CONFIG).read_text(encoding="utf-8"))
+        doc["links"][0]["cost_curve_csv"] = "costs.csv"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+    elif command == "trend":
+        config.write_text(json.dumps({"kind": "trend", "records_csv": "records.csv"}),
+                          encoding="utf-8")
+    for name, content in inputs.items():
+        if content is None:
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_bytes(content)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config), "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert "not valid JSON" in err and "Traceback" not in err
+    assert err.startswith(f"clearfom: error code={code}")
+    assert where in err and "Traceback" not in err
+    assert not out.exists()

@@ -115,8 +115,8 @@ class TestDeviceRadar:
 
 
 class TestShippedDevices:
-    def test_radar_area_ordering_matches_clear_ordering(self, device_config_doc):
-        config = load_device_config(device_config_doc)
+    def test_radar_area_ordering_matches_clear_ordering(self, device_config_path):
+        config = load_device_config(device_config_path)
         limits = make_limit_set(config.temperature_k, level=Level.DEVICE)
         floors = _floors(config.devices, margin=config.floor_margin)
         entries = []
@@ -128,14 +128,14 @@ class TestShippedDevices:
         by_area = [name for _, _, name in sorted(entries, key=lambda e: e[1])]
         assert by_clear == by_area
 
-    def test_shipped_devices_respect_all_limits(self, device_config_doc):
-        config = load_device_config(device_config_doc)
+    def test_shipped_devices_respect_all_limits(self, device_config_path):
+        config = load_device_config(device_config_path)
         limits = make_limit_set(config.temperature_k, level=Level.DEVICE)
         for spec in config.devices:
             assert spec.limit_violations(limits) == []
 
-    def test_factors_roundtrip(self, device_config_doc):
-        config = load_device_config(device_config_doc)
+    def test_factors_roundtrip(self, device_config_path):
+        config = load_device_config(device_config_path)
         for spec in config.devices:
             factors = device_factors(spec)
             assert factors.capability == spec.capability_hz

@@ -127,3 +127,10 @@ class TestCsvObservations:
         with pytest.raises(DomainError) as excinfo:
             load_cost_observations(path)
         assert ":2:" in str(excinfo.value)
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e400"])
+    def test_non_finite_cell_reports_line(self, tmp_path, cell):
+        path = tmp_path / "costs.csv"
+        path.write_text(f"year,cost_usd\n2000,8.0\n2003,{cell}\n", encoding="utf-8")
+        with pytest.raises(DomainError, match=f"costs.csv:3: '{cell}' is not a finite number"):
+            load_cost_observations(path)

@@ -271,11 +271,8 @@ class TestLinkClear:
 class TestShippedLinks:
     LENGTHS = (1e-4, 1e-3, 1e-2)
 
-    def _config(self, doc):
-        return load_link_config(doc)
-
-    def test_chip_scale_ordering(self, link_config_doc):
-        config = self._config(link_config_doc)
+    def test_chip_scale_ordering(self, link_config_path):
+        config = load_link_config(link_config_path)
         values = {}
         for spec in config.links:
             factors = link_factors(spec.at_length(1e-2))
@@ -284,15 +281,15 @@ class TestShippedLinks:
         assert values["photonic"] > values["plasmonic"]
         assert values["hyppi"] > values["plasmonic"]
 
-    def test_photonic_energy_nearly_length_independent(self, link_config_doc):
-        config = self._config(link_config_doc)
+    def test_photonic_energy_nearly_length_independent(self, link_config_path):
+        config = load_link_config(link_config_path)
         photonic = next(s for s in config.links if s.name == "photonic")
         ratio = link_energy_per_bit(photonic.at_length(1e-2)) / \
             link_energy_per_bit(photonic.at_length(1e-4))
         assert ratio < 1.5
 
-    def test_radar_scores_in_range_and_below_limits(self, link_config_doc):
-        config = self._config(link_config_doc)
+    def test_radar_scores_in_range_and_below_limits(self, link_config_path):
+        config = load_link_config(link_config_path)
         for length in self.LENGTHS:
             limits = make_limit_set(config.temperature_k, link_length=length,
                                     group_index=config.limit_group_index, level=Level.LINK)
@@ -307,8 +304,8 @@ class TestShippedLinks:
                 assert factors.amount >= limits.min_area_m2
                 assert 1.0 / factors.resistance <= limits.cost_efficiency_axis
 
-    def test_cost_scales_with_eval_year_curve(self, link_config_doc):
-        config = self._config(link_config_doc)
+    def test_cost_scales_with_eval_year_curve(self, link_config_path):
+        config = load_link_config(link_config_path)
         spec = config.links[0]
         from dataclasses import replace
         from clearfom.economics import ExperienceCurve

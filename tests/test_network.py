@@ -136,12 +136,10 @@ class TestExpressLinks:
         assert len(first_row) == 5
 
     @pytest.mark.parametrize("span", [4, 5])
-    def test_span_of_the_row_width_or_more_leaves_the_mesh_as_it_is(self, span):
+    def test_span_of_the_row_width_or_more_is_rejected(self, span):
         mesh = build_mesh(4, 4, 1e-3, "electronic")
-        unchanged = add_express_links(mesh, span, "hybrid")
-        assert unchanged == mesh
-        assert unchanged.express_links == ()
-        assert len(add_express_links(unchanged, 3, "hybrid").express_links) == 4
+        with pytest.raises(DomainError, match=f"got span {span} on 4 cols"):
+            add_express_links(mesh, span, "hybrid")
 
     def test_four_columns_span_three(self):
         mesh = add_express_links(build_mesh(4, 4, 1e-3, "electronic"), 3, "hybrid")
@@ -515,8 +513,8 @@ class TestFlitSweep:
         traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
                                    mesh, seed=4)
         config = _config()
-        case = NetworkCase(label="electronic", topology=mesh, traffic=traffic, config=config)
-        sweep = flit_sweep([case], case_activities([case]), [32])
+        case = NetworkCase(label="electronic", topology=mesh)
+        sweep = flit_sweep([case], case_activities([case], traffic), config, [32])
         assert len(sweep.rows) == 1
         direct = network_clear(mesh, link_activity(mesh, traffic), config).value
         assert sweep.rows[0].clear == pytest.approx(direct, rel=1e-12)
@@ -548,14 +546,14 @@ class TestFlitSweep:
         mesh = build_mesh(2, 2, 1e-3, "electronic")
         traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
                                    mesh, seed=4)
-        case = NetworkCase(label="x", topology=mesh, traffic=traffic, config=_config())
+        case = NetworkCase(label="x", topology=mesh)
         with pytest.raises(DomainError):
-            flit_sweep([case, case], case_activities([case, case]), [32])
+            flit_sweep([case, case], case_activities([case, case], traffic), _config(), [32])
 
     def test_unknown_baseline_rejected(self):
         mesh = build_mesh(2, 2, 1e-3, "electronic")
         traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
                                    mesh, seed=4)
-        case = NetworkCase(label="x", topology=mesh, traffic=traffic, config=_config())
+        case = NetworkCase(label="x", topology=mesh)
         with pytest.raises(ConfigurationError):
-            flit_sweep([case], case_activities([case]), [32], baseline="y")
+            flit_sweep([case], case_activities([case], traffic), _config(), [32], baseline="y")

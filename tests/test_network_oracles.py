@@ -271,44 +271,40 @@ class TestRouteOncePerGeometry:
         express = add_express_links(base, 3, "hybrid")
         traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
                                    base, seed=0)
-        other = TrafficMatrix(rates=traffic.rates * 2.0)
-        cases = [NetworkCase(label, topology, t, config=None)
-                 for label, topology, t in (("e", base, traffic), ("p", photonic, traffic),
-                                            ("x", express, traffic), ("e2", base, other))]
-        activities = case_activities(cases)
+        cases = [NetworkCase(label, topology)
+                 for label, topology in (("e", base), ("p", photonic), ("x", express))]
+        activities = case_activities(cases, traffic)
         assert activities[0] is activities[1]
         assert activities[2] is not activities[0]
-        assert activities[3] is not activities[0]
-        assert activities[3].injected_bps == 2.0 * activities[0].injected_bps
         assert activities[2].loads == link_activity(express, traffic).loads
 
 
 class TestShippedNetwork:
-    def test_electronic_uniform_latency_is_128_over_3(self, network_config_doc):
-        config = load_network_config(network_config_doc)
-        mesh = build_mesh(config.rows, config.cols, config.spacing_m, Technology.ELECTRONIC)
+    def test_electronic_uniform_latency_is_128_over_3(self, network_config_path):
+        config = load_network_config(network_config_path)
+        mesh = config.cases[0].topology
+        assert (mesh.rows, mesh.cols, mesh.technology) == (16, 16, Technology.ELECTRONIC)
         traffic = generate_traffic(config.traffic_pattern, config.traffic_params, mesh, seed=1)
         latency = network_clear(mesh, link_activity(mesh, traffic), config.noc).factors.latency
         assert abs(latency - 128 / 3) <= 4 * math.ulp(128 / 3)
 
-    def test_electronic_uniform_latency_is_128_over_3_within_1_ulp(self, network_config_doc):
+    def test_electronic_uniform_latency_is_128_over_3_within_1_ulp(self, network_config_path):
         # Closed-form demands and one fsum per load leave at most one rounding.
-        config = load_network_config(network_config_doc)
-        mesh = build_mesh(config.rows, config.cols, config.spacing_m, Technology.ELECTRONIC)
+        config = load_network_config(network_config_path)
+        mesh = config.cases[0].topology
         traffic = generate_traffic(config.traffic_pattern, config.traffic_params, mesh, seed=1)
         latency = network_clear(mesh, link_activity(mesh, traffic), config.noc).factors.latency
         assert abs(latency - 128 / 3) <= math.ulp(128 / 3)
 
-    def test_flit_sweep_needs_one_activity_per_case(self, network_config_doc):
-        config = load_network_config(network_config_doc)
-        base = build_mesh(4, 4, config.spacing_m, Technology.ELECTRONIC)
+    def test_flit_sweep_needs_one_activity_per_case(self, network_config_path):
+        config = load_network_config(network_config_path)
+        base = build_mesh(4, 4, 1e-3, Technology.ELECTRONIC)
         traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
                                    base, seed=0)
-        cases = [NetworkCase("electronic", base, traffic, config.noc),
-                 NetworkCase("hyppi", build_mesh(4, 4, config.spacing_m, Technology.HYBRID),
-                             traffic, config.noc)]
+        cases = [NetworkCase("electronic", base),
+                 NetworkCase("hyppi", build_mesh(4, 4, 1e-3, Technology.HYBRID))]
         with pytest.raises(DomainError, match="one link activity per case"):
-            flit_sweep(cases, case_activities(cases)[:1], [32])
+            flit_sweep(cases, case_activities(cases, traffic)[:1], config.noc, [32])
 
 
 class TestFindCrossoverNumpy:

@@ -266,22 +266,23 @@ class TestIntegerFieldsAsFloats:
         assert hashes[0] == hashes[1]
         assert "network_report.json" in hashes[0]
 
-    def test_float_hotspot_node_gives_same_traffic(self):
-        from clearfom.network import build_mesh, generate_traffic
+    def test_float_hotspot_node_gives_same_traffic(self, tmp_path):
+        from clearfom.network import generate_traffic
 
         matrices = []
         for node in (3, 3.0):
             doc = copy.deepcopy(CONFIGS["network"])
-            doc["mesh"] = {"rows": 3, "cols": 3, "spacing_m": 1e-3}
+            # Four columns: the shipped express case spans three.
+            doc["mesh"] = {"rows": 3, "cols": 4, "spacing_m": 1e-3}
             doc["traffic"] = {"pattern": "hotspot", "injection_bps_per_node": 1e9,
                               "hotspot_nodes": [node], "hotspot_fraction": 0.5}
-            assert validate_config(doc) == []
-            config = load_network_config(doc)
+            path = tmp_path / "network.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            config = load_network_config(path)
             assert config.traffic_params.hotspot_nodes == (3,)
             assert type(config.traffic_params.hotspot_nodes[0]) is int
-            mesh = build_mesh(3, 3, 1e-3, config.cases[0].technology)
             matrices.append(generate_traffic(config.traffic_pattern, config.traffic_params,
-                                             mesh, 7).rates)
+                                             config.cases[0].topology, 7).rates)
         assert np.array_equal(matrices[0], matrices[1])
 
 

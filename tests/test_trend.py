@@ -148,6 +148,16 @@ class TestClassify:
 
 
 class TestCsvIngestion:
+    @pytest.mark.parametrize("row", ["x,2000,nan,1.0,1.0,1.0,1.0,other",
+                                     "x,2000,1.0,1.0,1.0,1.0,1e400,other"])
+    def test_non_finite_cell_reports_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "name,year,mips,clock_period_s,energy_j_per_bit,volume_m3,cost_usd,class\n"
+            f"{row}\n", encoding="utf-8")
+        with pytest.raises(DomainError, match="bad.csv:2: .* is not a finite number"):
+            load_system_records(path)
+
     def test_sample_loads_and_fits(self, sample_records_path):
         records = load_system_records(sample_records_path)
         assert len(records) >= 10

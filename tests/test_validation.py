@@ -1,7 +1,12 @@
 import copy
+import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+from clearfom.errors import ConfigurationError
+from clearfom.metric import Technology
 from clearfom.validation import (
     load_device_config,
     load_link_config,
@@ -13,6 +18,11 @@ from clearfom.validation import (
 
 def _paths(diagnostics):
     return [d.path for d in diagnostics]
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
 
 
 class TestShippedConfigsValidate:
@@ -113,13 +123,13 @@ class TestRejections:
 
 
 class TestLoaders:
-    def test_device_loader(self, device_config_doc):
-        config = load_device_config(device_config_doc)
+    def test_device_loader(self, device_config_path):
+        config = load_device_config(device_config_path)
         assert len(config.devices) == 4
         assert config.temperature_k == 300.0
 
-    def test_link_loader_defaults(self, link_config_doc):
-        config = load_link_config(link_config_doc)
+    def test_link_loader_defaults(self, link_config_path):
+        config = load_link_config(link_config_path)
         assert config.lengths_m == (1e-4, 1e-3, 1e-2)
         assert config.limit_group_index == 3.0
         assert {l.name for l in config.links} == \
@@ -130,19 +140,50 @@ class TestLoaders:
             "year,cost_usd\n2014,4.0\n2016,1.0\n", encoding="utf-8")
         doc = copy.deepcopy(link_config_doc)
         doc["links"][0]["cost_curve_csv"] = "costs.csv"
-        config = load_link_config(doc, base_dir=str(tmp_path))
+        config = load_link_config(_write(tmp_path / "link.json", doc))
         curve = config.links[0].cost_curve
         assert curve is not None
         assert curve.halving_period == pytest.approx(1.0, rel=1e-9)
 
-    def test_network_loader(self, network_config_doc):
-        config = load_network_config(network_config_doc)
-        assert config.rows == config.cols == 16
+    def test_network_loader(self, network_config_path):
+        config = load_network_config(network_config_path)
+        assert {(c.topology.rows, c.topology.cols) for c in config.cases} == {(16, 16)}
         assert config.flit_sizes == (32, 64, 128, 256)
-        express_cases = [c for c in config.cases if c.express_span is not None]
+        express_cases = [c for c in config.cases if c.topology.express_span is not None]
         assert len(express_cases) == 1
-        assert express_cases[0].express_span == 3
+        assert express_cases[0].topology.express_span == 3
+        assert express_cases[0].topology.express_technology is Technology.HYBRID
 
-    def test_trend_loader_defaults(self):
-        config = load_trend_config({"kind": "trend", "records_csv": "x.csv"})
+    def test_trend_loader_defaults(self, tmp_path, sample_records_path):
+        shutil.copy(sample_records_path, tmp_path / "records.csv")
+        config = load_trend_config(
+            _write(tmp_path / "trend.json", {"kind": "trend", "records_csv": "records.csv"}))
         assert config.band_db == 5.0
+        assert len(config.records) >= 10
+        assert config.records[0].name == "relay-one"
+
+    def test_relative_csv_paths_resolve_against_the_config(
+            self, tmp_path, monkeypatch, link_config_doc, sample_records_path):
+        inputs, elsewhere = tmp_path / "inputs", tmp_path / "elsewhere"
+        inputs.mkdir()
+        elsewhere.mkdir()
+        (inputs / "costs.csv").write_text("year,cost_usd\n2014,4.0\n2016,1.0\n",
+                                          encoding="utf-8")
+        shutil.copy(sample_records_path, inputs / "records.csv")
+        doc = copy.deepcopy(link_config_doc)
+        doc["links"][0]["cost_curve_csv"] = "costs.csv"
+        link = _write(inputs / "link.json", doc)
+        trend = _write(inputs / "trend.json", {"kind": "trend", "records_csv": "records.csv"})
+        monkeypatch.chdir(elsewhere)
+        config = load_link_config(Path("..") / "inputs" / link.name)
+        assert config.links[0].cost_curve.halving_period == pytest.approx(1.0, rel=1e-9)
+        assert len(load_trend_config(trend).records) >= 10
+
+    def test_loaders_refuse_an_invalid_or_other_kind_of_config(
+            self, tmp_path, device_config_doc, link_config_path):
+        doc = copy.deepcopy(device_config_doc)
+        doc["devices"][0]["bogus_field"] = 1.0
+        with pytest.raises(ConfigurationError, match=r"\$\.devices\[0\]\.bogus_field"):
+            load_device_config(_write(tmp_path / "device.json", doc))
+        with pytest.raises(ConfigurationError, match="does not match"):
+            load_device_config(link_config_path)
