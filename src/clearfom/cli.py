@@ -4,7 +4,8 @@ Subcommands: limits | device | link | network | trend. Each subcommand but
 ``limits`` gets its typed config from one ``load_*_config`` call on its
 ``--config`` path (see :mod:`clearfom.validation`), which reads, validates
 and assembles the config and the CSV inputs it names. Tabular artifacts are
-CSV, reports are JSON, and radar exports are coordinate files.
+CSV, reports are JSON, and radar exports are coordinate files. Each
+subcommand imports only the model and loader it runs; this module loads none.
 Every artifact is written atomically after the whole evaluation succeeds, so
 a failing run leaves no partial output.
 
@@ -26,19 +27,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .device import device_clear, device_factors, radar_normalize
 from .errors import ClearError, ConfigurationError, DomainError, InfeasibleLinkError
 from .ioutil import IoError, fmt, write_csv, write_json
-from .limits import DEFAULT_COST_EFFICIENCY_AXIS, axis_limits, make_limit_set
-from .link import link_factors
 from .metric import Level, clear_value, default_floors, radar_area, radar_scores, radar_vertices
-from .trend import classify_vs_trend, efficiency_point, fit_growth, system_clear
-from .validation import (
-    load_device_config,
-    load_link_config,
-    load_network_config,
-    load_trend_config,
-)
 
 __all__ = ["main"]
 
@@ -123,6 +114,8 @@ class _Artifacts:
 
 
 def _run_limits(args: argparse.Namespace, artifacts: _Artifacts):
+    from .limits import make_limit_set
+
     rows = []
     reports = {}
     for level in ("device", "link"):
@@ -153,6 +146,10 @@ def _run_limits(args: argparse.Namespace, artifacts: _Artifacts):
 
 
 def _run_device(args: argparse.Namespace, artifacts: _Artifacts):
+    from .device import device_clear, device_factors, radar_normalize
+    from .limits import DEFAULT_COST_EFFICIENCY_AXIS, make_limit_set
+    from .validation import load_device_config
+
     config = load_device_config(args.config)
     limits = make_limit_set(
         temperature=config.temperature_k,
@@ -195,6 +192,10 @@ def _run_device(args: argparse.Namespace, artifacts: _Artifacts):
 
 
 def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
+    from .limits import DEFAULT_COST_EFFICIENCY_AXIS, axis_limits, make_limit_set
+    from .link import link_factors
+    from .validation import load_link_config
+
     config = load_link_config(args.config)
     eval_year = args.eval_year if args.eval_year is not None else config.eval_year
 
@@ -244,9 +245,9 @@ def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
 
 
 def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
-    # The NoC model loads only for this subcommand. It needs numpy only for a
-    # seeded hotspot pick (traffic without explicit hotspot_nodes).
+    # numpy loads only for a seeded hotspot pick (traffic without explicit hotspot_nodes).
     from .network import case_activities, flit_sweep, generate_traffic, network_clear
+    from .validation import load_network_config
 
     config = load_network_config(args.config)
     eval_year = args.eval_year if args.eval_year is not None else config.eval_year
@@ -313,20 +314,24 @@ def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
 
 
 def _run_trend(args: argparse.Namespace, artifacts: _Artifacts):
+    from .trend import classify_vs_trend, efficiency_point, fit_growth, system_clear
+    from .validation import load_trend_config
+
     config = load_trend_config(args.config)
-    fit = fit_growth(config.records)
+    records = sorted(config.records, key=lambda r: (r.year, r.name))
+    observations = [(record.year, system_clear(record).value) for record in records]
+    fit = fit_growth(observations)
     point_rows = []
     report_points = []
-    for record in sorted(config.records, key=lambda r: (r.year, r.name)):
-        value = system_clear(record)
+    for record, (year, clear) in zip(records, observations):
         point = efficiency_point(record)
-        position = classify_vs_trend(record, fit, config.band_db)
-        point_rows.append((record.name, record.year, value.value, position.value))
+        position = classify_vs_trend(year, clear, fit, config.band_db)
+        point_rows.append((record.name, year, clear, position.value))
         report_points.append({
             "name": record.name,
-            "year": record.year,
+            "year": year,
             "class": record.system_class.value,
-            "clear": value.value,
+            "clear": clear,
             "computational_efficiency": point.computational_efficiency,
             "energy_efficiency_bits_per_j": point.energy_efficiency,
             "landauer_fraction": point.landauer_fraction,

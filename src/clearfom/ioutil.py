@@ -13,7 +13,6 @@ import io
 import json
 import math
 import os
-import tempfile
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -83,16 +82,14 @@ def finite_float(text: str) -> float:
 
 def atomic_write_text(path: str | Path, text: str):
     path = Path(path)
+    # Unique to this process; mode 0o666 lets the kernel apply the umask, as open(path, "w") does.
+    tmp_name = f"{path}.{os.getpid()}.tmp"
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
-            # mkstemp creates the file 0600; give it the mode open(path, "w") would.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp_name, 0o666 & ~umask)
             os.replace(tmp_name, path)
         except BaseException:
             if os.path.exists(tmp_name):

@@ -99,12 +99,12 @@ class GrowthFit:
         return 12.0 / self.doubling_months
 
 
-def fit_growth(records: Sequence[SystemRecord]) -> GrowthFit:
-    """OLS of log2(system CLEAR) against year, unweighted."""
-    if len(records) < 2:
+def fit_growth(observations: Sequence[tuple[float, float]]) -> GrowthFit:
+    """OLS of log2(system CLEAR) against year, unweighted, over (year, CLEAR) pairs."""
+    if len(observations) < 2:
         raise InsufficientDataError("need at least two records")
     year_mean, log_mean, slope, r_squared = ols_log2(
-        [r.year for r in records], [math.log2(system_clear(r).value) for r in records])
+        [year for year, _ in observations], [math.log2(clear) for _, clear in observations])
     doubling_months = 12.0 / slope if slope != 0.0 else math.inf
     return GrowthFit(
         annual_factor=2.0 ** slope,
@@ -150,12 +150,12 @@ class TrendPosition(str, Enum):
     BELOW = "below"
 
 
-def classify_vs_trend(record: SystemRecord, fit: GrowthFit,
+def classify_vs_trend(year: float, clear: float, fit: GrowthFit,
                       band_db: float = DEFAULT_TREND_BAND_DB) -> TrendPosition:
-    """Place a record relative to the fitted line within a +/- dB band."""
+    """Place a system CLEAR of ``year`` relative to the fitted line within a +/- dB band."""
     if band_db < 0:
         raise DomainError("band_db must be non-negative")
-    residual_log2 = math.log2(system_clear(record).value) - predict_log2_clear(fit, record.year)
+    residual_log2 = math.log2(clear) - predict_log2_clear(fit, year)
     residual_db = residual_log2 * _DB_PER_LOG2
     if residual_db > band_db:
         return TrendPosition.ABOVE

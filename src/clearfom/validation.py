@@ -18,8 +18,8 @@ failing value one diagnostic. Only two kinds of rule live in Python, because
 a schema cannot state them: numbers must be finite (Python's ``json`` parses
 NaN and Infinity), and four cross-field rules (:func:`_cross_field_errors`).
 
-The NoC types come from :mod:`clearfom.network`, so that module is imported
-only when a network config is loaded.
+Each loader imports the domain types it builds, so a config loads only its
+own model: :mod:`clearfom.network`, say, only for a network config.
 """
 
 from __future__ import annotations
@@ -34,22 +34,16 @@ from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from .device import DeviceSpec
-from .economics import ExperienceCurve, fit_experience_curve, load_cost_observations
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError, InsufficientDataError
 from .ioutil import IoError
-from .link import (
-    ComponentRole,
-    ElectricalTransport,
-    LinkComponent,
-    LinkSpec,
-    OpticalTransport,
-)
 from .metric import Technology
-from .trend import SystemRecord, load_system_records
 
 if TYPE_CHECKING:
+    from .device import DeviceSpec
+    from .economics import ExperienceCurve
+    from .link import LinkComponent, LinkSpec
     from .network import NetworkCase, NocConfig, TrafficParams, TrafficPattern
+    from .trend import SystemRecord
 
 __all__ = [
     "Diagnostic",
@@ -315,6 +309,7 @@ class TrendConfig:
 
 
 def _load_component(obj: Mapping) -> LinkComponent:
+    from .link import ComponentRole, LinkComponent
     return LinkComponent(
         name=obj["name"],
         role=ComponentRole(obj["role"]),
@@ -327,6 +322,7 @@ def _load_component(obj: Mapping) -> LinkComponent:
 
 
 def _load_transport(obj: Mapping):
+    from .link import ElectricalTransport, OpticalTransport
     if obj["kind"] == "electrical":
         return ElectricalTransport(
             capacitance_f_per_m=float(obj["capacitance_f_per_m"]),
@@ -347,6 +343,7 @@ def _load_transport(obj: Mapping):
 def _load_link(obj: Mapping, name: str, technology: str, length_m: float,
                cost_curve: ExperienceCurve | None = None) -> LinkSpec:
     """One link body: a link-config entry, or a NoC link template."""
+    from .link import LinkSpec
     return LinkSpec(
         name=name,
         technology=Technology(technology),
@@ -360,6 +357,7 @@ def _load_link(obj: Mapping, name: str, technology: str, length_m: float,
 
 
 def _load_curve(obj: Mapping) -> ExperienceCurve:
+    from .economics import ExperienceCurve
     return ExperienceCurve(
         initial_unit_cost=float(obj["initial_unit_cost"]),
         halving_period=float(obj["halving_period"]),
@@ -368,6 +366,7 @@ def _load_curve(obj: Mapping) -> ExperienceCurve:
 
 
 def load_device_config(path: str | Path) -> DeviceConfig:
+    from .device import DeviceSpec
     doc = _read_config(path, "device_comparison")
     devices = tuple(
         DeviceSpec(
@@ -389,6 +388,7 @@ def load_device_config(path: str | Path) -> DeviceConfig:
 
 
 def load_link_config(path: str | Path) -> LinkConfig:
+    from .economics import fit_experience_curve, load_cost_observations
     doc = _read_config(path, "link_comparison")
     lengths = tuple(float(v) for v in doc["lengths_m"])
     links = []
@@ -396,8 +396,12 @@ def load_link_config(path: str | Path) -> LinkConfig:
         if "cost_curve" in entry:
             curve = _load_curve(entry["cost_curve"])
         elif "cost_curve_csv" in entry:
-            observations = load_cost_observations(_input_path(path, entry["cost_curve_csv"]))
-            curve = fit_experience_curve(observations).curve
+            csv_path = _input_path(path, entry["cost_curve_csv"])
+            observations = load_cost_observations(csv_path)
+            try:  # too few observations or distinct years, or a cost that is not positive
+                curve = fit_experience_curve(observations).curve
+            except DomainError as exc:
+                raise DomainError(f"{csv_path}: {exc}") from exc
         else:
             curve = None
         links.append(_load_link(entry, entry["name"], entry["technology"], lengths[0], curve))
@@ -412,6 +416,7 @@ def load_link_config(path: str | Path) -> LinkConfig:
 
 
 def load_network_config(path: str | Path) -> NetworkConfig:
+    from .economics import ExperienceCurve
     from .network import (
         NetworkCase,
         NocConfig,
@@ -482,8 +487,10 @@ def load_network_config(path: str | Path) -> NetworkConfig:
 
 
 def load_trend_config(path: str | Path) -> TrendConfig:
+    from .trend import load_system_records
     doc = _read_config(path, "trend")
-    return TrendConfig(
-        records=tuple(load_system_records(_input_path(path, doc["records_csv"]))),
-        band_db=float(doc.get("band_db", 5.0)),
-    )
+    records_csv = _input_path(path, doc["records_csv"])
+    records = tuple(load_system_records(records_csv))
+    if len({record.year for record in records}) < 2:  # the growth fit needs two years
+        raise InsufficientDataError(f"{records_csv}: need at least two records of distinct years")
+    return TrendConfig(records=records, band_db=float(doc.get("band_db", 5.0)))

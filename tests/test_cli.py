@@ -467,12 +467,23 @@ def test_artifacts_follow_the_umask(tmp_path, umask, mode):
     assert {p.stat().st_mode & 0o777 for p in written} == {mode}
 
 
+def test_artifact_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    def umask(mask):
+        raise AssertionError("an artifact write changed the process umask")
+
+    monkeypatch.setattr(os, "umask", umask)
+    write_json(tmp_path / "report.json", {"value": 1})
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8")) == {"value": 1}
+
+
 _RECORDS = (b"name,year,mips,clock_period_s,energy_j_per_bit,volume_m3,cost_usd,class\n"
             b"a,1990,1,1,1,1,1,other\n")
 
 
 # A config, or a CSV input it names, that cannot be read exits 3; a malformed
-# one exits 1 naming the file and line. ``None`` writes a directory.
+# one exits 1 naming the file and line, and one with too few rows to fit exits 1
+# naming the file. ``None`` writes a directory.
 @pytest.mark.parametrize("command,inputs,code,where", [
     ("device", {"config.json": b'\xff\xfe{"kind": 1}'}, EXIT_VALIDATION, "not valid JSON"),
     ("device", {"config.json": b"[" * 100000}, EXIT_VALIDATION, "not valid JSON"),
@@ -488,9 +499,15 @@ _RECORDS = (b"name,year,mips,clock_period_s,energy_j_per_bit,volume_m3,cost_usd,
      EXIT_VALIDATION, "records.csv:3: unexpected end of data"),
     ("trend", {"records.csv": _RECORDS + b"b" * 200_000 + b",2000,1,1,1,1,1,other\n"},
      EXIT_VALIDATION, "records.csv:3: field larger than field limit"),
+    ("link", {"costs.csv": b"year,cost_usd\n2014,4\n"},
+     EXIT_VALIDATION, "costs.csv: need at least two observations"),
+    ("trend", {"records.csv": _RECORDS}, EXIT_VALIDATION, "records.csv: need at least two records"),
+    ("trend", {"records.csv": _RECORDS + b"b,1990,2,1,1,1,1,other\n"},
+     EXIT_VALIDATION, "records.csv: need at least two records of distinct years"),
 ], ids=["not_utf8", "nested_too_deep", "cost_csv_missing", "cost_csv_is_a_directory",
         "cost_csv_not_utf8", "records_not_utf8", "records_row_short",
-        "records_unterminated_quote", "records_field_200kB"])
+        "records_unterminated_quote", "records_field_200kB", "cost_csv_one_row",
+        "records_one_row", "records_one_year"])
 def test_undecodable_config_is_a_validation_error(tmp_path, capsys, command, inputs, code,
                                                   where):
     config = tmp_path / "config.json"
@@ -512,4 +529,5 @@ def test_undecodable_config_is_a_validation_error(tmp_path, capsys, command, inp
     assert err.count("\n") == 1
     assert err.startswith(f"clearfom: error code={code}")
     assert where in err and "Traceback" not in err
+    assert str(tmp_path) in err  # the file is named by its resolved path
     assert not out.exists()

@@ -1,9 +1,10 @@
-"""The package surface and the numpy import boundary.
+"""The package surface and the import boundaries of the CLI.
 
-The package re-exports its names lazily, so the limits, device, link and
-trend subcommands run without importing numpy or :mod:`clearfom.network`.
-The network subcommand imports :mod:`clearfom.network`, and numpy only for a
-seeded hotspot pick: generated traffic is routed from closed-form demands.
+The package re-exports its names lazily, and ``import clearfom.cli`` loads no
+model module: each subcommand imports only the modules it runs, so each run
+loads exactly the ``clearfom`` modules listed in ``ADDED``. Only the network
+subcommand imports :mod:`clearfom.network`, and numpy only for a seeded
+hotspot pick: generated traffic is routed from closed-form demands.
 """
 
 import importlib
@@ -47,13 +48,30 @@ ALL_NAMES = [(module, name) for module, names in EXPORTS.items() for name in nam
 MODULES = ["clearfom", *sorted(info.name for info in
                                pkgutil.walk_packages(clearfom.__path__, "clearfom."))]
 
-# Runs ``clearfom.cli.main`` on argv and reports which heavy modules it loaded.
+# The clearfom modules that ``import clearfom.cli`` loads.
+CLI_MODULES = ["clearfom", "clearfom.cli", "clearfom.errors", "clearfom.ioutil", "clearfom.metric"]
+
+# The clearfom modules each subcommand loads on top of CLI_MODULES.
+ADDED = {
+    "limits": ["constants", "limits"],
+    "device": ["constants", "device", "limits", "validation"],
+    "link": ["constants", "economics", "limits", "link", "validation"],
+    "trend": ["constants", "economics", "limits", "trend", "validation"],
+    "network": ["constants", "economics", "link", "network", "validation"],
+}
+
+# Imports ``clearfom.cli``, runs its ``main`` on argv and reports the clearfom
+# modules loaded by the import and added by the run, and whether numpy loaded.
 _PROBE = """
 import json, sys
+def loaded():
+    return [name for name in sorted(sys.modules) if name.partition(".")[0] == "clearfom"]
 from clearfom.cli import main
+imported = loaded()
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
-                  "network": "clearfom.network" in sys.modules}))
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "imported": imported,
+                  "added": [name.removeprefix("clearfom.") for name in loaded()
+                            if name not in imported]}))
 """
 
 
@@ -88,13 +106,15 @@ class TestImportBoundary:
             "trend": ["--config", _trend_config(tmp_path)],
         }
         result = _probe([command, *configs[command]], tmp_path)
-        assert result == {"code": 0, "numpy": False, "network": False}
+        assert result == {"code": 0, "numpy": False, "imported": CLI_MODULES,
+                          "added": ADDED[command]}
 
     def test_network_command_loads_numpy(self, tmp_path):
         # Kept under its old name: the shipped uniform config no longer needs numpy.
         config = str(example_path("networks/mesh16_comparison.json"))
         result = _probe(["network", "--config", config, "--seed", "7"], tmp_path)
-        assert result == {"code": 0, "numpy": False, "network": True}
+        assert result == {"code": 0, "numpy": False, "imported": CLI_MODULES,
+                          "added": ADDED["network"]}
 
     @pytest.mark.parametrize("traffic,numpy", [
         ({"pattern": "exponential_locality", "locality_scale_hops": 2.0}, False),
@@ -111,7 +131,8 @@ class TestImportBoundary:
         config = tmp_path / "network.json"
         config.write_text(json.dumps(doc), encoding="utf-8")
         result = _probe(["network", "--config", str(config), "--seed", "7"], tmp_path)
-        assert result == {"code": 0, "numpy": numpy, "network": True}
+        assert result == {"code": 0, "numpy": numpy, "imported": CLI_MODULES,
+                          "added": ADDED["network"]}
 
 
 class TestLazyExports:

@@ -29,6 +29,14 @@ def _record(**overrides):
     return SystemRecord(**base)
 
 
+def _observation(record):
+    return record.year, system_clear(record).value
+
+
+def _observations(records):
+    return [_observation(record) for record in records]
+
+
 def _doubling_series(years, per_year=2.0, noise=None, rng=None):
     records = []
     for year in years:
@@ -59,27 +67,27 @@ class TestSystemClear:
 class TestFitGrowth:
     def test_exact_doubling_per_year(self):
         records = _doubling_series(range(2000, 2011))
-        fit = fit_growth(records)
+        fit = fit_growth(_observations(records))
         assert fit.doubling_months == 12.0
         assert fit.r_squared == 1.0
         assert fit.annual_factor == pytest.approx(2.0, rel=1e-12)
 
     def test_exact_quadrupling_per_year(self):
         records = _doubling_series(range(2000, 2011), per_year=4.0)
-        assert fit_growth(records).doubling_months == pytest.approx(6.0, rel=1e-12)
+        assert fit_growth(_observations(records)).doubling_months == pytest.approx(6.0, rel=1e-12)
 
     def test_noisy_series_recovers_doubling_time(self):
         rng = np.random.default_rng(9)
         records = _doubling_series(range(1980, 2010), noise=math.log2(1.10), rng=rng)
-        fit = fit_growth(records)
+        fit = fit_growth(_observations(records))
         assert 10.8 <= fit.doubling_months <= 13.2
         assert fit.r_squared > 0.95
 
     def test_insufficient_records(self):
         with pytest.raises(InsufficientDataError):
-            fit_growth([_record()])
+            fit_growth(_observations([_record()]))
         with pytest.raises(InsufficientDataError):
-            fit_growth([_record(name="a"), _record(name="b")])
+            fit_growth(_observations([_record(name="a"), _record(name="b")]))
 
     def test_rescaling_clear_shifts_only_intercept(self):
         records = _doubling_series(range(2000, 2011))
@@ -88,8 +96,8 @@ class TestFitGrowth:
                                energy_j_per_bit=r.energy_j_per_bit,
                                volume_m3=r.volume_m3, cost_usd=r.cost_usd)
                   for r in records]
-        fit_a = fit_growth(records)
-        fit_b = fit_growth(scaled)
+        fit_a = fit_growth(_observations(records))
+        fit_b = fit_growth(_observations(scaled))
         assert fit_b.doubling_months == pytest.approx(fit_a.doubling_months, rel=1e-12)
         assert fit_b.intercept - fit_a.intercept == pytest.approx(6.0, abs=1e-6)
 
@@ -120,26 +128,26 @@ class TestEfficiencyPoint:
 
 class TestClassify:
     def _fit(self):
-        return fit_growth(_doubling_series(range(2000, 2011)))
+        return fit_growth(_observations(_doubling_series(range(2000, 2011))))
 
     def test_on_the_line(self):
         fit = self._fit()
-        assert classify_vs_trend(_record(mips=2.0 ** 5, year=2005.0), fit) is TrendPosition.ON
+        on_line = _observation(_record(mips=2.0 ** 5, year=2005.0))
+        assert classify_vs_trend(*on_line, fit) is TrendPosition.ON
 
     def test_tenfold_shortfall_with_three_db_band(self):
         fit = self._fit()
         low = _record(mips=2.0 ** 5 / 10.0, year=2005.0)
-        assert classify_vs_trend(low, fit, band_db=3.0) is TrendPosition.BELOW
+        assert classify_vs_trend(*_observation(low), fit, band_db=3.0) is TrendPosition.BELOW
 
     def test_supercomputer_style_record_falls_below(self):
         fit = self._fit()
         heavy = _record(mips=2.0 ** 5 * 10.0, year=2005.0, volume_m3=500.0, cost_usd=100.0)
-        assert classify_vs_trend(heavy, fit) is TrendPosition.BELOW
+        assert classify_vs_trend(*_observation(heavy), fit) is TrendPosition.BELOW
 
     def test_monotone_in_residual(self):
         fit = self._fit()
-        positions = [classify_vs_trend(_record(mips=2.0 ** 5 * f, year=2005.0), fit)
-                     for f in (0.01, 1.0, 100.0)]
+        positions = [classify_vs_trend(2005.0, 2.0 ** 5 * f, fit) for f in (0.01, 1.0, 100.0)]
         assert positions == [TrendPosition.BELOW, TrendPosition.ON, TrendPosition.ABOVE]
 
     def test_prediction_line(self):
@@ -161,13 +169,13 @@ class TestCsvIngestion:
     def test_sample_loads_and_fits(self, sample_records_path):
         records = load_system_records(sample_records_path)
         assert len(records) >= 10
-        fit = fit_growth(records)
+        fit = fit_growth(_observations(records))
         assert 9.0 <= fit.doubling_months <= 15.0
         assert fit.r_squared > 0.9
         supers = [r for r in records if r.system_class.value == "supercomputer"]
         assert supers
         for record in supers:
-            assert classify_vs_trend(record, fit) is TrendPosition.BELOW
+            assert classify_vs_trend(*_observation(record), fit) is TrendPosition.BELOW
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
