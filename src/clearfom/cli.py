@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .errors import ClearError, ConfigurationError, DomainError, InfeasibleLinkError
+from .errors import ClearError, ConfigurationError, InfeasibleLinkError
 from .ioutil import IoError, fmt, write_csv, write_json
 from .metric import Level, clear_value, default_floors, radar_area, radar_scores, radar_vertices
 
@@ -444,8 +444,6 @@ def main(argv=None) -> int:
             detail += (f" (span {span.index}: {span.length_m:g} m, "
                        f"loss {span.loss_db:g} dB, budget {span.budget_db:g} dB)")
         return _fail(EXIT_INFEASIBLE, "infeasible", detail)
-    except (ConfigurationError, DomainError) as exc:
-        return _fail(EXIT_VALIDATION, "validation", str(exc))
     except IoError as exc:
         return _fail(EXIT_IO, "io", str(exc))
     except ClearError as exc:

@@ -29,7 +29,6 @@ __all__ = [
     "ElectricalTransport",
     "OpticalTransport",
     "LinkSpec",
-    "CapacityResult",
     "SpanBudget",
     "repeater_count",
     "span_lengths",
@@ -162,15 +161,6 @@ class SpanBudget:
     budget_db: float
 
 
-@dataclass(frozen=True)
-class CapacityResult:
-    """Link capacity; zero with a failing span when the budget cannot close."""
-
-    bps: float
-    feasible: bool = True
-    failing_span: SpanBudget | None = None
-
-
 def _span_count(length: float, spacing: float) -> int:
     ratio = length / spacing
     nearest = round(ratio)
@@ -209,13 +199,15 @@ def _min_positive_bandwidth(link: LinkSpec) -> float:
     return min(bandwidths) if bandwidths else math.inf
 
 
-def link_capacity(link: LinkSpec) -> CapacityResult:
-    """Deliverable bit rate under the min-of-constraints model.
+def link_capacity(link: LinkSpec) -> float:
+    """Deliverable bit rate in bit/s under the min-of-constraints model.
 
     Optical: per-channel rate = min(2 * slowest device bandwidth, channel
     cap), times the WDM channel count, gated on the span power budget.
     Electrical: lanes * min(slowest device bandwidth, RC-limited bandwidth
-    of the longest unrepeated span).
+    of the longest unrepeated span). Raises :class:`InfeasibleLinkError`,
+    with the failing span, when a span cannot close its power budget, and
+    when the rate underflows to zero.
     """
     device_bw = _min_positive_bandwidth(link)
     if link.is_optical:
@@ -224,8 +216,8 @@ def link_capacity(link: LinkSpec) -> CapacityResult:
         for index, span in enumerate(span_lengths(link)):
             loss_db = t.loss_db_per_m * span
             if loss_db > budget_db:
-                return CapacityResult(
-                    bps=0.0, feasible=False,
+                raise InfeasibleLinkError(
+                    f"link '{link.name}' cannot close its power budget",
                     failing_span=SpanBudget(index=index, length_m=span,
                                             loss_db=loss_db, budget_db=budget_db))
         per_channel = 2.0 * device_bw
@@ -234,7 +226,7 @@ def link_capacity(link: LinkSpec) -> CapacityResult:
         if math.isinf(per_channel):
             raise DomainError(
                 "optical link needs a device bandwidth or per-channel rate cap")
-        return CapacityResult(bps=per_channel * t.wdm_channels)
+        return per_channel * t.wdm_channels
 
     t = link.transport
     rc = t.resistance_ohm_per_m * t.capacitance_f_per_m
@@ -246,7 +238,9 @@ def link_capacity(link: LinkSpec) -> CapacityResult:
     lane_rate = min(device_bw, rc_bw)
     if math.isinf(lane_rate):
         raise DomainError("electrical link needs a device bandwidth or RC constraint")
-    return CapacityResult(bps=t.lanes * lane_rate)
+    if lane_rate <= 0:  # the RC term underflowed
+        raise InfeasibleLinkError(f"link '{link.name}' cannot close its power budget")
+    return t.lanes * lane_rate
 
 
 def p2p_latency(link: LinkSpec) -> float:
@@ -268,12 +262,7 @@ def link_energy_per_bit(link: LinkSpec) -> float:
     energy = sum(c.energy_j_per_bit * _component_multiplicity(link, c)
                  for c in link.components)
     if link.is_optical:
-        capacity = link_capacity(link)
-        if not capacity.feasible or capacity.bps <= 0:
-            raise InfeasibleLinkError(
-                f"link '{link.name}' cannot close its power budget",
-                failing_span=capacity.failing_span)
-        return energy + link.transport.launch_power_w / capacity.bps
+        return energy + link.transport.launch_power_w / link_capacity(link)
     t = link.transport
     return energy + 0.5 * t.capacitance_f_per_m * link.length_m * t.voltage_swing_v ** 2
 
@@ -296,13 +285,8 @@ def link_cost(link: LinkSpec, eval_year: float | None = None) -> float:
 
 
 def link_factors(link: LinkSpec, eval_year: float | None = None) -> Axes:
-    capacity = link_capacity(link)
-    if not capacity.feasible or capacity.bps <= 0:
-        raise InfeasibleLinkError(
-            f"link '{link.name}' cannot close its power budget",
-            failing_span=capacity.failing_span)
     return Axes(
-        capability=capacity.bps,
+        capability=link_capacity(link),
         latency=p2p_latency(link),
         energy=link_energy_per_bit(link),
         amount=link_area(link),

@@ -3,7 +3,10 @@
 Each ``load_*_config`` takes the path of a config file and does every step
 between that file and the domain objects: it reads and decodes the JSON,
 validates it, checks its ``kind``, reads the CSV inputs it names and builds
-the typed config. No loader runs on an unchecked document. A relative CSV
+the typed config. No loader runs on an unchecked document. A config key
+fills the field of the same name, and an optional key that is left out takes
+that field's default; the defaults live on the domain types (``LinkComponent``,
+``TrafficParams``, ...) and on the four ``*Config`` types here. A relative CSV
 path in a config (``cost_curve_csv``, ``records_csv``) names a file relative
 to the directory of the config file, never to the working directory. A
 config or CSV that cannot be read raises :class:`~clearfom.ioutil.IoError`;
@@ -29,7 +32,7 @@ import math
 import operator
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -41,7 +44,7 @@ from .metric import Technology
 if TYPE_CHECKING:
     from .device import DeviceSpec
     from .economics import ExperienceCurve
-    from .link import LinkComponent, LinkSpec
+    from .link import LinkSpec
     from .network import NetworkCase, NocConfig, TrafficParams, TrafficPattern
     from .trend import SystemRecord
 
@@ -277,18 +280,18 @@ def _input_path(config_path: str | Path, name: str) -> Path:
 class DeviceConfig:
     temperature_k: float
     devices: tuple[DeviceSpec, ...]
-    floor_margin: float
-    cost_efficiency_axis: float | None
+    floor_margin: float = 10.0
+    cost_efficiency_axis: float | None = None
 
 
 @dataclass(frozen=True)
 class LinkConfig:
     temperature_k: float
-    limit_group_index: float
     lengths_m: tuple[float, ...]
     links: tuple[LinkSpec, ...]
-    cost_efficiency_axis: float | None
-    eval_year: float | None
+    limit_group_index: float = 3.0
+    cost_efficiency_axis: float | None = None
+    eval_year: float | None = None
 
 
 @dataclass(frozen=True)
@@ -299,102 +302,60 @@ class NetworkConfig:
     noc: NocConfig
     flit_sizes: tuple[int, ...] | None
     sweep_baseline: str | None
-    eval_year: float | None
+    eval_year: float | None = None
 
 
 @dataclass(frozen=True)
 class TrendConfig:
     records: tuple[SystemRecord, ...]
-    band_db: float
+    band_db: float = 5.0
 
 
-def _load_component(obj: Mapping) -> LinkComponent:
-    from .link import ComponentRole, LinkComponent
-    return LinkComponent(
-        name=obj["name"],
-        role=ComponentRole(obj["role"]),
-        bandwidth_hz=float(obj.get("bandwidth_hz", 0.0)),
-        energy_j_per_bit=float(obj.get("energy_j_per_bit", 0.0)),
-        area_m2=float(obj.get("area_m2", 0.0)),
-        cost_usd=float(obj.get("cost_usd", 0.0)),
-        delay_s=float(obj.get("delay_s", 0.0)),
-    )
+# A field annotated exactly ``float`` or ``int`` converts its value: JSON has one
+# number type, and the schemas accept ``16.0`` for an integer.
+_NUMBER_FIELDS = {float: float, "float": float, int: int, "int": int}
 
 
-def _load_transport(obj: Mapping):
-    from .link import ElectricalTransport, OpticalTransport
-    if obj["kind"] == "electrical":
-        return ElectricalTransport(
-            capacitance_f_per_m=float(obj["capacitance_f_per_m"]),
-            resistance_ohm_per_m=float(obj["resistance_ohm_per_m"]),
-            voltage_swing_v=float(obj["voltage_swing_v"]),
-            lanes=int(obj.get("lanes", 1)),
-        )
-    return OpticalTransport(
-        loss_db_per_m=float(obj["loss_db_per_m"]),
-        group_index=float(obj["group_index"]),
-        launch_power_w=float(obj["launch_power_w"]),
-        detector_sensitivity_w=float(obj["detector_sensitivity_w"]),
-        wdm_channels=int(obj.get("wdm_channels", 1)),
-        per_channel_rate_cap_bps=obj.get("per_channel_rate_cap_bps"),
-    )
+def _build(cls, obj: Mapping, **given):
+    """A ``cls`` from the keys of ``obj`` that name its fields; ``given`` adds or overrides.
+
+    A field that neither fills takes its default. A value for a field that is
+    not a plain number passes through as it is.
+    """
+    for field in fields(cls):
+        if field.name in obj and field.name not in given:
+            convert = _NUMBER_FIELDS.get(field.type)
+            value = obj[field.name]
+            given[field.name] = convert(value) if convert else value
+    return cls(**given)
 
 
 def _load_link(obj: Mapping, name: str, technology: str, length_m: float,
                cost_curve: ExperienceCurve | None = None) -> LinkSpec:
     """One link body: a link-config entry, or a NoC link template."""
-    from .link import LinkSpec
-    return LinkSpec(
-        name=name,
-        technology=Technology(technology),
-        length_m=length_m,
-        components=tuple(_load_component(c) for c in obj["components"]),
-        transport=_load_transport(obj["transport"]),
-        cross_section_width_m=float(obj["cross_section_width_m"]),
-        repeater_spacing_m=obj.get("repeater_spacing_m"),
-        cost_curve=cost_curve,
-    )
-
-
-def _load_curve(obj: Mapping) -> ExperienceCurve:
-    from .economics import ExperienceCurve
-    return ExperienceCurve(
-        initial_unit_cost=float(obj["initial_unit_cost"]),
-        halving_period=float(obj["halving_period"]),
-        reference_time=float(obj["reference_time"]),
-    )
+    from .link import ElectricalTransport, LinkComponent, LinkSpec, OpticalTransport
+    transport = obj["transport"]
+    kind = ElectricalTransport if transport["kind"] == "electrical" else OpticalTransport
+    return _build(LinkSpec, obj, name=name, technology=technology, length_m=length_m,
+                  components=tuple(_build(LinkComponent, c) for c in obj["components"]),
+                  transport=_build(kind, transport), cost_curve=cost_curve)
 
 
 def load_device_config(path: str | Path) -> DeviceConfig:
     from .device import DeviceSpec
     doc = _read_config(path, "device_comparison")
-    devices = tuple(
-        DeviceSpec(
-            name=entry["name"],
-            technology=Technology(entry["technology"]),
-            capability_hz=float(entry["capability_hz"]),
-            critical_length_m=float(entry["critical_length_m"]),
-            energy_j_per_bit=float(entry["energy_j_per_bit"]),
-            footprint_m2=float(entry["footprint_m2"]),
-            unit_cost_usd=float(entry["unit_cost_usd"]),
-        )
-        for entry in doc["devices"])
-    return DeviceConfig(
-        temperature_k=float(doc["temperature_k"]),
-        devices=devices,
-        floor_margin=float(doc.get("floor_margin", 10.0)),
-        cost_efficiency_axis=doc.get("cost_efficiency_axis"),
-    )
+    return _build(DeviceConfig, doc,
+                  devices=tuple(_build(DeviceSpec, entry) for entry in doc["devices"]))
 
 
 def load_link_config(path: str | Path) -> LinkConfig:
-    from .economics import fit_experience_curve, load_cost_observations
+    from .economics import ExperienceCurve, fit_experience_curve, load_cost_observations
     doc = _read_config(path, "link_comparison")
     lengths = tuple(float(v) for v in doc["lengths_m"])
     links = []
     for entry in doc["links"]:
         if "cost_curve" in entry:
-            curve = _load_curve(entry["cost_curve"])
+            curve = _build(ExperienceCurve, entry["cost_curve"])
         elif "cost_curve_csv" in entry:
             csv_path = _input_path(path, entry["cost_curve_csv"])
             observations = load_cost_observations(csv_path)
@@ -405,14 +366,7 @@ def load_link_config(path: str | Path) -> LinkConfig:
         else:
             curve = None
         links.append(_load_link(entry, entry["name"], entry["technology"], lengths[0], curve))
-    return LinkConfig(
-        temperature_k=float(doc["temperature_k"]),
-        limit_group_index=float(doc.get("limit_group_index", 3.0)),
-        lengths_m=lengths,
-        links=tuple(links),
-        cost_efficiency_axis=doc.get("cost_efficiency_axis"),
-        eval_year=doc.get("eval_year"),
-    )
+    return _build(LinkConfig, doc, lengths_m=lengths, links=tuple(links))
 
 
 def load_network_config(path: str | Path) -> NetworkConfig:
@@ -430,19 +384,12 @@ def load_network_config(path: str | Path) -> NetworkConfig:
     doc = _read_config(path, "network_comparison")
     mesh = doc["mesh"]
     traffic = doc["traffic"]
-    params = TrafficParams(
-        injection_bps_per_node=float(traffic["injection_bps_per_node"]),
-        hotspot_fraction=float(traffic.get("hotspot_fraction", 0.5)),
-        hotspot_nodes=(tuple(int(v) for v in traffic["hotspot_nodes"])
-                       if "hotspot_nodes" in traffic else None),
-        hotspot_count=int(traffic.get("hotspot_count", 1)),
-        locality_scale_hops=float(traffic.get("locality_scale_hops", 4.0)),
-    )
+    hotspots = ({"hotspot_nodes": tuple(int(v) for v in traffic["hotspot_nodes"])}
+                if "hotspot_nodes" in traffic else {})
     noc_doc = doc["noc"]
     rows, cols, spacing_m = int(mesh["rows"]), int(mesh["cols"]), float(mesh["spacing_m"])
     templates = {Technology(tech): _load_link(body, f"{tech}-noc-link", tech, spacing_m)
                  for tech, body in noc_doc["link_templates"].items()}
-    router_doc = noc_doc["router"]
     # A wafer rate without a halving period is flat: an infinite halving period.
     wafer = {
         die: ExperienceCurve(
@@ -451,18 +398,13 @@ def load_network_config(path: str | Path) -> NetworkConfig:
             reference_time=float(entry.get("reference_year", 0.0)),
         )
         for die, entry in noc_doc["wafer_cost_usd_per_m2"].items()}
-    noc = NocConfig(
-        flit_bits=int(noc_doc["flit_bits"]),
-        router_pipeline_clks=int(noc_doc["router_pipeline_clks"]),
+    noc = _build(
+        NocConfig, noc_doc,
         link_latency_clks={Technology(t): int(v)
                            for t, v in noc_doc["link_latency_clks"].items()},
         link_rate_bps={Technology(t): float(v)
                        for t, v in noc_doc["link_rate_bps"].items()},
-        router=RouterModel(
-            dynamic_j_per_bit=float(router_doc["dynamic_j_per_bit"]),
-            area_m2=float(router_doc["area_m2"]),
-            die=router_doc.get("die", "electronic"),
-        ),
+        router=_build(RouterModel, noc_doc["router"]),
         link_templates=templates,
         wafer_cost=wafer,
     )
@@ -475,14 +417,14 @@ def load_network_config(path: str | Path) -> NetworkConfig:
                                          express["technology"])
         cases.append(NetworkCase(label=entry["label"], topology=topology))
     sweep = doc.get("flit_sweep")
-    return NetworkConfig(
+    return _build(
+        NetworkConfig, doc,
         cases=tuple(cases),
         traffic_pattern=TrafficPattern(traffic["pattern"]),
-        traffic_params=params,
+        traffic_params=_build(TrafficParams, traffic, **hotspots),
         noc=noc,
         flit_sizes=tuple(int(v) for v in sweep["flit_bits"]) if sweep else None,
         sweep_baseline=sweep.get("baseline") if sweep else None,
-        eval_year=doc.get("eval_year"),
     )
 
 
@@ -493,4 +435,4 @@ def load_trend_config(path: str | Path) -> TrendConfig:
     records = tuple(load_system_records(records_csv))
     if len({record.year for record in records}) < 2:  # the growth fit needs two years
         raise InsufficientDataError(f"{records_csv}: need at least two records of distinct years")
-    return TrendConfig(records=records, band_db=float(doc.get("band_db", 5.0)))
+    return _build(TrendConfig, doc, records=records)

@@ -87,45 +87,50 @@ class TestCapacity:
     def test_electronic_noc_link_rate(self):
         driver = LinkComponent(name="drv", role=ComponentRole.DRIVER, bandwidth_hz=1.5625e9)
         link = _electrical(lanes=32, components=[driver])
-        assert link_capacity(link).bps == 32 * 1.5625e9 == 5e10
+        assert link_capacity(link) == 32 * 1.5625e9 == 5e10
 
     def test_photonic_two_channels_at_25g(self):
         mod = LinkComponent(name="mod", role=ComponentRole.MODULATOR, bandwidth_hz=1.25e10)
         link = _optical(wdm=2, cap=2.5e10, components=[mod])
-        result = link_capacity(link)
-        assert result.feasible
-        assert result.bps == 5e10
+        assert link_capacity(link) == 5e10
 
     def test_budget_violation_flags_failing_span(self):
         link = _optical(length=1e-3, loss=1.5e5, cap=5e10)  # 150 dB over 20 dB budget
-        result = link_capacity(link)
-        assert not result.feasible
-        assert result.bps == 0.0
-        assert result.failing_span is not None
-        assert result.failing_span.loss_db > result.failing_span.budget_db
+        with pytest.raises(InfeasibleLinkError) as excinfo:
+            link_capacity(link)
+        span = excinfo.value.failing_span
+        assert span is not None
+        assert span.loss_db > span.budget_db
 
     def test_repeaters_restore_feasibility(self):
         link = _optical(length=1e-3, loss=1.5e5, components=[_repeater()], spacing=1e-4)
-        assert link_capacity(link).feasible
+        assert link_capacity(link) > 0
 
     def test_rc_limit_caps_long_electrical_links(self):
         driver = LinkComponent(name="drv", role=ComponentRole.DRIVER, bandwidth_hz=6.25e9)
         short = _electrical(length=1e-4, lanes=8, components=[driver])
         long = _electrical(length=1e-2, lanes=8, components=[driver])
-        assert link_capacity(short).bps == 8 * 6.25e9
+        assert link_capacity(short) == 8 * 6.25e9
         rc = 1e5 * 1.65e-10
         expected = 8.0 / (2.0 * math.pi * 0.35 * rc * 1e-2 ** 2)
-        assert link_capacity(long).bps == pytest.approx(expected, rel=1e-12)
+        assert link_capacity(long) == pytest.approx(expected, rel=1e-12)
+
+    def test_rc_rate_that_underflows_is_infeasible(self):
+        link = _electrical(length=1.0, c_per_m=1e200, r_per_m=1e200)  # rc_bw = 1/inf
+        with pytest.raises(InfeasibleLinkError) as excinfo:
+            link_capacity(link)
+        assert excinfo.value.failing_span is None
 
     def test_capacity_monotone_in_loss_launch_and_channels(self):
         base = _optical(loss=1.99e4, cap=2.5e10)  # ~19.9 dB over 1 mm, near the edge
-        assert link_capacity(base).feasible
-        worse_loss = _optical(loss=2.1e4, cap=2.5e10)
-        assert link_capacity(worse_loss).bps <= link_capacity(base).bps
+        assert link_capacity(base) > 0
+        worse_loss = _optical(loss=2.1e4, cap=2.5e10)  # 21 dB: the budget cannot close
+        with pytest.raises(InfeasibleLinkError):
+            link_capacity(worse_loss)
         more_power = _optical(loss=2.1e4, launch=2e-3, cap=2.5e10)
-        assert link_capacity(more_power).bps >= link_capacity(worse_loss).bps
+        assert link_capacity(more_power) == link_capacity(base)
         more_channels = _optical(loss=1.99e4, cap=2.5e10, wdm=4)
-        assert link_capacity(more_channels).bps >= link_capacity(base).bps
+        assert link_capacity(more_channels) >= link_capacity(base)
 
     def test_unconstrained_link_rejected(self):
         with pytest.raises(DomainError):

@@ -2,8 +2,9 @@
 
 ``validate_config`` interprets them. These tests compare its verdict with
 ``jsonschema`` on single-leaf mutations of the shipped configs, check that it
-implements every keyword the config schemas use, and fuzz the CLI with the
-same mutations: every run must end in an exit code, never in a traceback.
+implements every keyword the config schemas use, check that the loaders read
+every optional key, and fuzz the CLI with the same mutations: every run must
+end in an exit code, never in a traceback.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ from clearfom.cli import main
 from clearfom.data import example_path
 from clearfom.link import ComponentRole
 from clearfom.metric import Technology
-from clearfom.validation import load_network_config, validate_config
+from clearfom.validation import (
+    load_device_config,
+    load_link_config,
+    load_network_config,
+    load_trend_config,
+    validate_config,
+)
 from test_cli import _hash_tree, _small_network_config
 
 REPO = Path(__file__).resolve().parent.parent
@@ -284,6 +291,99 @@ class TestIntegerFieldsAsFloats:
             matrices.append(generate_traffic(config.traffic_pattern, config.traffic_params,
                                              config.cases[0].topology, 7).rates)
         assert np.array_equal(matrices[0], matrices[1])
+
+
+LOADERS = {"device": load_device_config, "link": load_link_config,
+           "network": load_network_config, "trend": load_trend_config}
+
+# For each optional config key, a valid value that differs from the default of
+# the field it fills and from the shipped configs. No loader reads ``notes``.
+OPTIONAL_VALUES = {
+    "floor_margin": 20.0, "cost_efficiency_axis": 1e9, "limit_group_index": 4.0,
+    "eval_year": 2030.0, "band_db": 3.0,
+    "bandwidth_hz": 7e9, "energy_j_per_bit": 7e-15, "area_m2": 7e-10, "cost_usd": 0.07,
+    "delay_s": 7e-12, "lanes": 3, "wdm_channels": 3, "per_channel_rate_cap_bps": 7e9,
+    "repeater_spacing_m": 3e-4, "cost_curve_csv": "costs.csv",
+    "cost_curve": {"initial_unit_cost": 5.0, "halving_period": 4.0, "reference_time": 2016.0},
+    "hotspot_fraction": 0.25, "hotspot_nodes": [3], "hotspot_count": 2,
+    "locality_scale_hops": 2.0, "die": "photonic",
+    "halving_period_years": 4.0, "reference_year": 2020.0,
+    "express": {"hop_span": 2, "technology": "hybrid"},
+    "flit_sweep": {"flit_bits": [16]}, "baseline": "photonic",
+}
+
+
+def _optional_keys(schema, base, path=()):
+    """(path, key) of every optional property below ``schema`` but ``notes``;
+    ``*`` in a path stands for any array item or object member."""
+    while "$ref" in schema:
+        target, _, pointer = schema["$ref"].partition("#")
+        base = target or base
+        schema = validation._schema(base)
+        for part in pointer.split("/")[1:]:
+            schema = schema[part]
+    for sub in schema.get("oneOf", ()):
+        yield from _optional_keys(sub, base, path)
+    for key, sub in schema.get("properties", {}).items():
+        if key not in schema.get("required", ()) and key != "notes":
+            yield path, key
+        yield from _optional_keys(sub, base, path + (key,))
+    for sub in [*schema.get("patternProperties", {}).values(),
+                schema.get("additionalProperties"), schema.get("items")]:
+        if isinstance(sub, dict):
+            yield from _optional_keys(sub, base, path + ("*",))
+
+
+def _locations(value, path, where=()):
+    """The concrete location of every node of ``value`` at ``path``, in document order."""
+    if not path:
+        yield where
+        return
+    head, rest = path[0], path[1:]
+    if head != "*":
+        keys = [head] if isinstance(value, dict) and head in value else []
+    else:
+        keys = range(len(value)) if isinstance(value, list) else list(value)
+    for key in keys:
+        yield from _locations(value[key], rest, where + (key,))
+
+
+OPTIONAL_KEYS = [pytest.param(name, path, key, id=f"{name}:" + ".".join(("$", *path, key)))
+                 for name in CONFIGS
+                 for path, key in _optional_keys(validation._schema(f"{name}_config.schema.json"),
+                                                 f"{name}_config.schema.json")]
+
+
+class TestEveryOptionalKeyIsLoaded:
+    """A loader fills a field from each key of the same name and skips the rest,
+    so a key whose name no field has would be dropped without a word."""
+
+    def _load(self, name, doc, tmp_path):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        (tmp_path / "records.csv").write_bytes(
+            example_path("trend/sample_synthetic_systems.csv").read_bytes())
+        (tmp_path / "costs.csv").write_text("year,cost_usd\n2010,10.0\n2020,5.0\n",
+                                            encoding="utf-8")
+        return LOADERS[name](path)
+
+    def test_every_config_has_optional_keys(self):
+        assert {param.values[0] for param in OPTIONAL_KEYS} == set(CONFIGS)
+
+    @pytest.mark.parametrize("name, path, key", OPTIONAL_KEYS)
+    def test_a_non_default_value_changes_the_config(self, tmp_path, name, path, key):
+        # Set the key on the first node at its path where the config stays valid.
+        for where in _locations(CONFIGS[name], path):
+            doc = copy.deepcopy(CONFIGS[name])
+            node = doc
+            for part in where:
+                node = node[part]
+            node[key] = OPTIONAL_VALUES[key]
+            if validate_config(doc) == []:
+                break
+        else:
+            pytest.fail(f"no node of the shipped {name} config takes {key} validly")
+        assert self._load(name, doc, tmp_path) != self._load(name, CONFIGS[name], tmp_path)
 
 
 def _run_mutated(command, doc, extra=()):
