@@ -9,9 +9,9 @@ experience curve.
 
 The names re-exported here resolve lazily (PEP 562): ``from clearfom import
 link_capacity`` imports :mod:`clearfom.link` on first use, not when the package
-is imported, and each CLI subcommand loads only the modules it runs. numpy
-loads only in :mod:`clearfom.network`, and there only for explicit traffic
-matrices, the dense ``rates`` of generated traffic, and a seeded hotspot pick.
+is imported, and each CLI subcommand loads only the modules it runs. The
+runtime needs only the standard library; numpy loads only to build the dense
+``rates`` of generated traffic in :mod:`clearfom.network`.
 """
 
 __version__ = "0.1.0"

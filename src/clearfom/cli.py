@@ -245,7 +245,6 @@ def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
 
 
 def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
-    # numpy loads only for a seeded hotspot pick (traffic without explicit hotspot_nodes).
     from .network import case_activities, flit_sweep, generate_traffic, network_clear
     from .validation import load_network_config
 

@@ -206,8 +206,9 @@ def link_capacity(link: LinkSpec) -> float:
     cap), times the WDM channel count, gated on the span power budget.
     Electrical: lanes * min(slowest device bandwidth, RC-limited bandwidth
     of the longest unrepeated span). Raises :class:`InfeasibleLinkError`,
-    with the failing span, when a span cannot close its power budget, and
-    when the rate underflows to zero.
+    with the failing span, when an optical span cannot close its power
+    budget, and without one when an electrical RC-limited lane rate
+    underflows to zero.
     """
     device_bw = _min_positive_bandwidth(link)
     if link.is_optical:
@@ -238,8 +239,9 @@ def link_capacity(link: LinkSpec) -> float:
     lane_rate = min(device_bw, rc_bw)
     if math.isinf(lane_rate):
         raise DomainError("electrical link needs a device bandwidth or RC constraint")
-    if lane_rate <= 0:  # the RC term underflowed
-        raise InfeasibleLinkError(f"link '{link.name}' cannot close its power budget")
+    if lane_rate <= 0:
+        raise InfeasibleLinkError(
+            f"link '{link.name}': the RC-limited lane rate underflows to zero")
     return t.lanes * lane_rate
 
 

@@ -20,13 +20,13 @@ row has the same layout, so the column pairs are routed once for all rows,
 each horizontal load is the fsum of its pairs' demands, and vertical loads
 are running sums of the column demands. Generated traffic supplies those
 demand sums in closed form, in O(k^3) pure Python for a k x k mesh, so
-routing it needs neither numpy nor an n x n matrix; numpy is imported only
-for explicit traffic matrices, the dense ``rates`` of generated traffic
-(built on first access), and a seeded hotspot pick. Routing reads only the
-mesh shape and the express span, so :func:`case_activities` routes
-each distinct geometry once and cases that differ only in link technology
-share the result. Totals over links use :func:`math.fsum`, so they do not
-depend on the order in which links are visited.
+routing it needs no n x n matrix; an explicit matrix is summed in pure
+Python too. numpy is imported only to build the dense ``rates`` of generated
+traffic, on first access. Routing reads only the mesh shape and the express
+span, so :func:`case_activities` routes each distinct geometry once and
+cases that differ only in link technology share the result. Totals over
+links use :func:`math.fsum`, so they do not depend on the order in which
+links are visited.
 
 Physical links are undirected full-duplex channels: activity and utilization
 are tracked per direction, while area, cost, and the aggregate-capacity
@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, partial
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -263,54 +263,51 @@ Demands = tuple[list[list[list[float]]], list[list[list[float]]], float]
 class TrafficMatrix:
     """Offered load in bit/s per ordered (source, destination) pair.
 
-    ``TrafficMatrix(rates=...)`` wraps an explicit n x n array. A matrix from
-    :func:`generate_traffic` instead carries the closed form of its
-    :meth:`demands` and builds the dense ``rates`` only when that is first
-    read, so routing generated traffic allocates no n x n array.
+    ``TrafficMatrix(rates=...)`` wraps an explicit n x n matrix, given as any
+    nested sequence of numbers (a numpy array included), and ``rates``
+    returns it as given. A matrix from :func:`generate_traffic` instead
+    carries the closed form of its :meth:`demands` and builds its dense
+    ``rates``, a numpy array, only when that is first read, so routing
+    generated traffic allocates no n x n matrix.
     """
 
-    def __init__(self, rates: np.ndarray):
-        import numpy as np
-
-        rates = np.asarray(rates, dtype=float)
-        if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
+    def __init__(self, rates: Sequence[Sequence[float]]):
+        try:
+            matrix = [[float(rate) for rate in row] for row in rates]
+        except TypeError:
+            raise DomainError("traffic matrix must be square") from None
+        if any(len(row) != len(matrix) for row in matrix):
             raise DomainError("traffic matrix must be square")
-        if not np.all(np.isfinite(rates)) or np.any(rates < 0):
+        if not all(0.0 <= rate < math.inf for row in matrix for rate in row):
             raise DomainError("traffic rates must be finite and non-negative")
-        if np.any(np.diagonal(rates) != 0):
+        if any(row[src] != 0.0 for src, row in enumerate(matrix)):
             raise DomainError("self-traffic is not allowed")
-        self._rates = rates
-        self._node_count = rates.shape[0]
+        self.rates, self._matrix, self._node_count = rates, matrix, len(matrix)
         self._closed_form: tuple[tuple[int, int], Callable[[], Demands]] | None = None
-        self._materialise: Callable[[], np.ndarray] | None = None
         self._demands: dict[tuple[int, int], Demands] = {}
 
     @classmethod
     def _generated(cls, topology: MeshTopology, demands: Callable[[], Demands],
                    materialise: Callable[[], np.ndarray]) -> TrafficMatrix:
         traffic = cls.__new__(cls)
-        traffic._rates = None
         traffic._node_count = topology.node_count
         traffic._closed_form = ((topology.rows, topology.cols), demands)
         traffic._materialise = materialise
         traffic._demands = {}
         return traffic
 
-    @property
-    def rates(self) -> np.ndarray:
-        if self._rates is None:
-            self._rates = self._materialise()
-        return self._rates
+    @cached_property
+    def rates(self) -> Sequence[Sequence[float]]:
+        return self._materialise()
 
-    @property
-    def node_count(self) -> int:
-        return self._node_count
+    @cached_property
+    def _matrix(self) -> list[list[float]]:
+        return self.rates.tolist()
 
     @property
     def total_bps(self) -> float:
-        if self._closed_form is None:
-            return float(self._rates.sum())
-        return self.demands(*self._closed_form[0])[2]
+        shape = self._closed_form[0] if self._closed_form else (1, self._node_count)
+        return self.demands(*shape)[2]
 
     def demands(self, rows: int, cols: int) -> Demands:
         """Demand sums of this traffic laid out on a ``rows`` x ``cols`` mesh.
@@ -319,8 +316,8 @@ class TrafficMatrix:
         to (r2, c2); ``col[c][r1][r2]``, the sum over c1 of the rate from
         (r1, c1) to (r2, c); and the injected total, all as Python floats.
         Generated traffic answers from its closed form in O(k^3) on its own
-        mesh shape; an explicit matrix, or another shape, is summed with
-        numpy. The result is cached and shared: do not modify it.
+        mesh shape; an explicit matrix, or another shape, is summed from the
+        matrix. The result is cached and shared: do not modify it.
         """
         if rows * cols != self._node_count:
             raise DomainError("traffic matrix size does not match the topology")
@@ -329,19 +326,30 @@ class TrafficMatrix:
             if self._closed_form is not None and self._closed_form[0] == shape:
                 self._demands[shape] = self._closed_form[1]()
             else:
-                grid = self.rates.reshape(rows, cols, rows, cols)  # [r1, c1, r2, c2]
-                self._demands[shape] = (grid.sum(axis=2).tolist(),
-                                        grid.sum(axis=1).transpose(2, 0, 1).tolist(),
-                                        math.fsum(self.rates.sum(axis=1).tolist()))
+                self._demands[shape] = _matrix_demands(self._matrix, rows, cols)
         return self._demands[shape]
+
+
+def _matrix_demands(matrix: list[list[float]], rows: int, cols: int) -> Demands:
+    """:meth:`TrafficMatrix.demands` of an n x n matrix; each demand is one fsum."""
+    row_demand = [[[math.fsum(source[c2::cols]) for c2 in range(cols)]
+                   for source in matrix[r * cols:(r + 1) * cols]] for r in range(rows)]
+    # by_row[r1][dst]: the sum over c1 of the rate from (r1, c1) to dst.
+    by_row = [[math.fsum(sources) for sources in zip(*matrix[r * cols:(r + 1) * cols])]
+              for r in range(rows)]
+    col_demand = [[line[c::cols] for line in by_row] for c in range(cols)]
+    return row_demand, col_demand, math.fsum(chain.from_iterable(matrix))
 
 
 def generate_traffic(pattern: TrafficPattern | str, params: TrafficParams,
                      topology: MeshTopology, seed: int) -> TrafficMatrix:
     """Synthetic offered-load matrix; identical seeds give identical matrices.
 
-    Only a seeded hotspot pick (no ``hotspot_nodes``) imports numpy here; the
-    dense ``rates`` of the result are built on first access.
+    Uniform traffic is exponential locality at an infinite scale: every
+    weight is exp(-d / inf) = 1. A seeded hotspot pick (no ``hotspot_nodes``)
+    takes the ``hotspot_count`` nodes with the smallest SHA-256 of
+    ``f"{seed}:{node}"``. The dense ``rates`` of the result are built on
+    first access.
     """
     pattern = TrafficPattern(pattern)
     n = topology.node_count
@@ -352,10 +360,7 @@ def generate_traffic(pattern: TrafficPattern | str, params: TrafficParams,
         raise DomainError("traffic rates must be finite and non-negative")
     rows, cols = topology.rows, topology.cols
 
-    if pattern is TrafficPattern.UNIFORM:
-        demands = partial(_uniform_demands, rows, cols, inj)
-        materialise = partial(_uniform_rates, n, inj)
-    elif pattern is TrafficPattern.HOTSPOT:
+    if pattern is TrafficPattern.HOTSPOT:
         if params.hotspot_nodes is not None:
             hotspots = sorted(set(params.hotspot_nodes))
             if not all(0 <= h < n for h in hotspots):
@@ -363,16 +368,17 @@ def generate_traffic(pattern: TrafficPattern | str, params: TrafficParams,
             if not hotspots:
                 raise DomainError("hotspot_nodes must not be empty")
         else:
-            import numpy as np
+            import hashlib  # only a seeded pick pays for the import
 
-            rng = np.random.default_rng(seed)
-            hotspots = sorted(rng.choice(n, size=min(params.hotspot_count, n),
-                                         replace=False).tolist())
+            ranked = sorted(range(n), key=lambda node: hashlib.sha256(
+                f"{seed}:{node}".encode()).digest())
+            hotspots = sorted(ranked[:params.hotspot_count])
         demands = partial(_hotspot_demands, rows, cols, hotspots, inj,
                           params.hotspot_fraction)
         materialise = partial(_hotspot_rates, n, hotspots, inj, params.hotspot_fraction)
     else:
-        scale = params.locality_scale_hops
+        scale = (math.inf if pattern is TrafficPattern.UNIFORM
+                 else params.locality_scale_hops)
         row_weight, col_weight = _locality_weights(rows, scale), _locality_weights(cols, scale)
         row_off = _off_diagonal_sums(row_weight)
         col_off = _off_diagonal_sums(col_weight)
@@ -389,19 +395,6 @@ def generate_traffic(pattern: TrafficPattern | str, params: TrafficParams,
         demands = partial(_locality_demands, row_weight, col_weight, row_off, per_source)
         materialise = partial(_locality_rates, rows, cols, inj, scale)
     return TrafficMatrix._generated(topology, demands, materialise)
-
-
-def _uniform_demands(rows: int, cols: int, inj: float) -> Demands:
-    n = rows * cols
-    q = inj / (n - 1)
-
-    def block(size: int, count: int) -> list[list[float]]:
-        # ``count`` destinations per pair, one fewer where a node sends to itself.
-        off, own = count * q, (count - 1) * q
-        return [[own if a == b else off for b in range(size)] for a in range(size)]
-
-    # Every row (column) has the same demands, so they share one block.
-    return [block(cols, rows)] * rows, [block(rows, cols)] * cols, n * (n - 1) * q
 
 
 def _hotspot_demands(rows: int, cols: int, hotspots: Sequence[int], inj: float,
@@ -486,14 +479,6 @@ def _locality_demands(row_weight: list[list[float]], col_weight: list[list[float
 
 def _injected(row_demand: list[list[list[float]]]) -> float:
     return math.fsum(value for plane in row_demand for line in plane for value in line)
-
-
-def _uniform_rates(n: int, inj: float) -> np.ndarray:
-    import numpy as np
-
-    rates = np.full((n, n), inj / (n - 1))
-    np.fill_diagonal(rates, 0.0)
-    return rates
 
 
 def _hotspot_rates(n: int, hotspots: Sequence[int], inj: float,

@@ -84,19 +84,18 @@ def system_clear(record: SystemRecord) -> ClearValue:
 class GrowthFit:
     """Log-linear growth of CLEAR over calendar years."""
 
-    annual_factor: float
-    doubling_months: float
+    slope_log2_per_year: float
     r_squared: float | None
     intercept: float  # predicted log2(CLEAR) at year 0
 
-    def __post_init__(self):
-        expected = 2.0 ** (12.0 / self.doubling_months)
-        if abs(self.annual_factor - expected) > 1e-9 * abs(expected):
-            raise DomainError("annual_factor must equal 2^(12/doubling_months)")
+    @property
+    def annual_factor(self) -> float:
+        return 2.0 ** self.slope_log2_per_year
 
     @property
-    def slope_log2_per_year(self) -> float:
-        return 12.0 / self.doubling_months
+    def doubling_months(self) -> float:
+        slope = self.slope_log2_per_year
+        return 12.0 / slope if slope != 0.0 else math.inf
 
 
 def fit_growth(observations: Sequence[tuple[float, float]]) -> GrowthFit:
@@ -105,13 +104,8 @@ def fit_growth(observations: Sequence[tuple[float, float]]) -> GrowthFit:
         raise InsufficientDataError("need at least two records")
     year_mean, log_mean, slope, r_squared = ols_log2(
         [year for year, _ in observations], [math.log2(clear) for _, clear in observations])
-    doubling_months = 12.0 / slope if slope != 0.0 else math.inf
-    return GrowthFit(
-        annual_factor=2.0 ** slope,
-        doubling_months=doubling_months,
-        r_squared=r_squared,
-        intercept=log_mean - slope * year_mean,
-    )
+    return GrowthFit(slope_log2_per_year=slope, r_squared=r_squared,
+                     intercept=log_mean - slope * year_mean)
 
 
 def predict_log2_clear(fit: GrowthFit, year: float) -> float:

@@ -3,8 +3,9 @@
 The package re-exports its names lazily, and ``import clearfom.cli`` loads no
 model module: each subcommand imports only the modules it runs, so each run
 loads exactly the ``clearfom`` modules listed in ``ADDED``. Only the network
-subcommand imports :mod:`clearfom.network`, and numpy only for a seeded
-hotspot pick: generated traffic is routed from closed-form demands.
+subcommand imports :mod:`clearfom.network`, and no subcommand imports numpy:
+generated traffic is routed from closed-form demands, and every command runs
+in an interpreter that cannot import numpy.
 """
 
 import importlib
@@ -75,16 +76,27 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "imported": imp
 """
 
 
-def _probe(argv, tmp_path):
+# Blocks numpy, then runs ``main`` on each argv of a JSON list and reports the exit codes.
+_BLOCKED = """
+import json, sys
+sys.modules["numpy"] = None
+from clearfom.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def _run(script, args):
     src = str(Path(clearfom.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv, "--out", str(tmp_path / "out"),
-         "--format", "csv,json"],
-        capture_output=True, text=True, env=env, timeout=120, check=False)
+    done = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, timeout=120, check=False)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def _probe(argv, tmp_path):
+    return _run(_PROBE, [*argv, "--out", str(tmp_path / "out"), "--format", "csv,json"])
 
 
 def _trend_config(tmp_path):
@@ -96,43 +108,67 @@ def _trend_config(tmp_path):
     return str(path)
 
 
+def _command_args(command, tmp_path):
+    return {
+        "limits": [],
+        "device": ["--config", str(example_path("devices/four_technologies.json"))],
+        "link": ["--config", str(example_path("links/four_technologies.json"))],
+        "trend": ["--config", _trend_config(tmp_path)],
+    }[command]
+
+
+# Traffic beyond the shipped uniform config; locality runs on a 24x24 mesh.
+TRAFFIC = {
+    "locality_24x24": {"pattern": "exponential_locality", "locality_scale_hops": 2.0},
+    "explicit_hotspots": {"pattern": "hotspot", "hotspot_fraction": 0.7,
+                          "hotspot_nodes": [5, 17]},
+    "seeded_hotspots": {"pattern": "hotspot", "hotspot_fraction": 0.7, "hotspot_count": 3},
+}
+
+
+def _network_config(tmp_path, shipped_doc, name):
+    doc = dict(shipped_doc)
+    doc["traffic"] = {**TRAFFIC[name], "injection_bps_per_node":
+                      shipped_doc["traffic"]["injection_bps_per_node"]}
+    if TRAFFIC[name]["pattern"] == "exponential_locality":
+        doc["mesh"] = {**doc["mesh"], "rows": 24, "cols": 24}
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    return str(config)
+
+
 class TestImportBoundary:
     @pytest.mark.parametrize("command", ["limits", "device", "link", "trend"])
     def test_non_network_commands_skip_numpy(self, command, tmp_path):
-        configs = {
-            "limits": [],
-            "device": ["--config", str(example_path("devices/four_technologies.json"))],
-            "link": ["--config", str(example_path("links/four_technologies.json"))],
-            "trend": ["--config", _trend_config(tmp_path)],
-        }
-        result = _probe([command, *configs[command]], tmp_path)
+        result = _probe([command, *_command_args(command, tmp_path)], tmp_path)
         assert result == {"code": 0, "numpy": False, "imported": CLI_MODULES,
                           "added": ADDED[command]}
 
     def test_network_command_loads_numpy(self, tmp_path):
-        # Kept under its old name: the shipped uniform config no longer needs numpy.
+        # Kept under its old name: no network command loads numpy.
         config = str(example_path("networks/mesh16_comparison.json"))
         result = _probe(["network", "--config", config, "--seed", "7"], tmp_path)
         assert result == {"code": 0, "numpy": False, "imported": CLI_MODULES,
                           "added": ADDED["network"]}
 
-    @pytest.mark.parametrize("traffic,numpy", [
-        ({"pattern": "exponential_locality", "locality_scale_hops": 2.0}, False),
-        ({"pattern": "hotspot", "hotspot_fraction": 0.7, "hotspot_nodes": [5, 17]}, False),
-        ({"pattern": "hotspot", "hotspot_fraction": 0.7, "hotspot_count": 3}, True),
-    ], ids=["locality_24x24", "explicit_hotspots", "seeded_hotspots"])
+    @pytest.mark.parametrize("traffic", list(TRAFFIC))
     def test_only_a_seeded_hotspot_pick_loads_numpy(self, tmp_path, network_config_doc,
-                                                     traffic, numpy):
-        doc = dict(network_config_doc)
-        doc["traffic"] = {**traffic, "injection_bps_per_node":
-                          network_config_doc["traffic"]["injection_bps_per_node"]}
-        if traffic["pattern"] == "exponential_locality":
-            doc["mesh"] = {**doc["mesh"], "rows": 24, "cols": 24}
-        config = tmp_path / "network.json"
-        config.write_text(json.dumps(doc), encoding="utf-8")
-        result = _probe(["network", "--config", str(config), "--seed", "7"], tmp_path)
-        assert result == {"code": 0, "numpy": numpy, "imported": CLI_MODULES,
+                                                     traffic):
+        # Kept under its old name: a seeded pick hashes with hashlib, not numpy.
+        config = _network_config(tmp_path, network_config_doc, traffic)
+        result = _probe(["network", "--config", config, "--seed", "7"], tmp_path)
+        assert result == {"code": 0, "numpy": False, "imported": CLI_MODULES,
                           "added": ADDED["network"]}
+
+    def test_every_command_runs_without_numpy(self, tmp_path, network_config_doc):
+        configs = [str(example_path("networks/mesh16_comparison.json")),
+                   *(_network_config(tmp_path, network_config_doc, name) for name in TRAFFIC)]
+        runs = [*([command, *_command_args(command, tmp_path)]
+                  for command in ("limits", "device", "link", "trend")),
+                *(["network", "--config", config, "--seed", "7"] for config in configs)]
+        runs = [[*argv, "--out", str(tmp_path / f"out{index}"), "--format", "csv,json"]
+                for index, argv in enumerate(runs)]
+        assert _run(_BLOCKED, [json.dumps(runs)]) == [0] * len(runs)
 
 
 class TestLazyExports:

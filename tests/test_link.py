@@ -117,7 +117,8 @@ class TestCapacity:
 
     def test_rc_rate_that_underflows_is_infeasible(self):
         link = _electrical(length=1.0, c_per_m=1e200, r_per_m=1e200)  # rc_bw = 1/inf
-        with pytest.raises(InfeasibleLinkError) as excinfo:
+        with pytest.raises(InfeasibleLinkError,
+                           match="RC-limited lane rate underflows to zero") as excinfo:
             link_capacity(link)
         assert excinfo.value.failing_span is None
 

@@ -281,6 +281,25 @@ class TestGenerateTraffic:
             TrafficMatrix(rates=np.eye(4))
 
 
+class TestExplicitTrafficMatrix:
+    def test_nested_lists_are_routed(self):
+        traffic = TrafficMatrix([[0.0, 2.0], [3.0, 0.0]])
+        activity = link_activity(build_mesh(1, 2, 1e-3, "electronic"), traffic)
+        assert activity.loads == {(0, 1): 2.0, (1, 0): 3.0}
+        assert traffic.total_bps == 5.0
+
+    @pytest.mark.parametrize("rates,message", [
+        ([[0.0, 1.0], [1.0]], "must be square"),
+        ([0.0, 1.0], "must be square"),
+        ([[0.0, math.nan], [1.0, 0.0]], "finite and non-negative"),
+        ([[0.0, -1.0], [1.0, 0.0]], "finite and non-negative"),
+        ([[0.0, 1.0], [1.0, 2.0]], "self-traffic"),
+    ], ids=["ragged", "flat", "nan", "negative", "diagonal"])
+    def test_malformed_matrix_rejected(self, rates, message):
+        with pytest.raises(DomainError, match=message):
+            TrafficMatrix(rates)
+
+
 class TestLinkActivity:
     def test_single_flow_loads_every_hop(self):
         mesh = build_mesh(1, 4, 1e-3, "electronic")

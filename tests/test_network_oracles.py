@@ -7,6 +7,7 @@ must agree with. Generated traffic is routed from closed-form row and column
 demands, which are checked against sums of its materialised ``rates``.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -96,6 +97,13 @@ def reference_locality_rates(topology, injection_bps, scale):
             for dst in range(n)])
         rates[src] = injection_bps * weights / weights.sum()
     return rates
+
+
+def reference_seeded_pick(seed, n, count):
+    """The ``count`` nodes with the smallest SHA-256 of ``f"{seed}:{node}"``, sorted."""
+    def digest(node):
+        return hashlib.sha256(f"{seed}:{node}".encode("ascii")).hexdigest()
+    return sorted(sorted(range(n), key=digest)[:count])
 
 
 def reference_hotspot_rates(n, hotspots, injection_bps, fraction):
@@ -349,9 +357,27 @@ class TestVectorisedHotspot:
         params = TrafficParams(injection_bps_per_node=1e9, hotspot_fraction=fraction,
                                hotspot_count=count)
         got = generate_traffic("hotspot", params, mesh, seed=seed).rates
-        picks = np.random.default_rng(seed).choice(n, size=min(count, n), replace=False)
-        want = reference_hotspot_rates(n, sorted(picks.tolist()), 1e9, fraction)
+        want = reference_hotspot_rates(n, reference_seeded_pick(seed, n, count), 1e9, fraction)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("count", [16, 17])
+    def test_a_count_of_n_or_more_picks_every_node(self, count):
+        mesh = build_mesh(4, 4, 1e-3, "electronic")
+        params = TrafficParams(injection_bps_per_node=1e9, hotspot_fraction=0.7,
+                               hotspot_count=count)
+        got = generate_traffic("hotspot", params, mesh, seed=9).rates
+        assert np.array_equal(got, reference_hotspot_rates(16, list(range(16)), 1e9, 0.7))
+
+    def test_seeds_do_not_all_pick_the_same_nodes(self):
+        mesh = build_mesh(4, 4, 1e-3, "electronic")
+        params = TrafficParams(injection_bps_per_node=1e9, hotspot_fraction=1.0,
+                               hotspot_count=3)
+        # With the whole fraction on the hotspots, only they receive traffic.
+        picks = {tuple(np.flatnonzero(generate_traffic("hotspot", params, mesh, seed=seed)
+                                      .rates.sum(axis=0)).tolist())
+                 for seed in range(21)}
+        assert all(len(pick) == 3 for pick in picks)
+        assert len(picks) > 1
 
     def test_hot_source_spreads_over_the_other_hotspots(self):
         mesh = build_mesh(3, 3, 1e-3, "electronic")

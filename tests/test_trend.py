@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from clearfom.errors import DomainError, InsufficientDataError
 from clearfom.limits import landauer_energy
 from clearfom.trend import (
-    GrowthFit,
     SystemRecord,
     TrendPosition,
     classify_vs_trend,
@@ -100,10 +99,6 @@ class TestFitGrowth:
         fit_b = fit_growth(_observations(scaled))
         assert fit_b.doubling_months == pytest.approx(fit_a.doubling_months, rel=1e-12)
         assert fit_b.intercept - fit_a.intercept == pytest.approx(6.0, abs=1e-6)
-
-    def test_annual_factor_invariant_enforced(self):
-        with pytest.raises(DomainError):
-            GrowthFit(annual_factor=3.0, doubling_months=12.0, r_squared=1.0, intercept=0.0)
 
 
 class TestEfficiencyPoint:
