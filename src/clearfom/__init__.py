@@ -35,7 +35,7 @@ _EXPORTS = {
     **dict.fromkeys(("MeshTopology", "NocConfig", "TrafficMatrix", "add_express_links",
                      "avg_latency_clks", "build_mesh", "flit_sweep", "generate_traffic",
                      "link_activity", "network_area_and_cost", "network_clear",
-                     "network_energy_per_bit", "route"), "network"),
+                     "network_energy_per_bit"), "network"),
     **dict.fromkeys(("GrowthFit", "SystemRecord", "classify_vs_trend", "efficiency_point",
                      "fit_growth", "system_clear"), "trend"),
 }

@@ -52,6 +52,10 @@ _FACTOR_KEYS = {
                     "cost_usd"),
 }
 
+# Columns of network_summary.csv and of the network command's table.
+_NETWORK_SUMMARY_COLUMNS = ("case", "technology", "clear", "capacity_gbps", "latency_clks",
+                            "energy_pj_per_bit", "area_mm2", "cost_usd")
+
 # One limits-report row per ceiling: (JSON key, LimitSet field, CSV quantity, unit).
 _LIMIT_ROWS = (
     ("min_energy_j_per_bit", "min_energy_j_per_bit", "min_energy", "J/bit"),
@@ -224,7 +228,8 @@ def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
             artifacts.csv_files.append(
                 (f"radar_{_slug(spec.name)}_{fmt(length)}m.csv",
                  ("axis", "score", "x", "y"), radar_vertices(scores)))
-    for spec in sorted(config.links, key=lambda s: s.name):
+    by_name = sorted(config.links, key=lambda s: s.name)
+    for spec in by_name:
         artifacts.csv_files.append(
             (f"link_sweep_{_slug(spec.name)}.csv",
              ("length_m", "capacity_bps", "latency_s", "energy_j", "area_m2",
@@ -238,7 +243,7 @@ def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
         "lengths_m": list(config.lengths_m),
         "links": [{"name": spec.name, "technology": spec.technology.value,
                    "sweep": report_links[spec.name]}
-                  for spec in sorted(config.links, key=lambda s: s.name)],
+                  for spec in by_name],
     }))
     if "table" in args.format:
         _print_table(("link", "length_m", "capacity_bps", "clear"), table_rows)
@@ -280,10 +285,7 @@ def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
             "clear": clear.value,
             **dict(zip(_FACTOR_KEYS[Level.NETWORK], factors)),
         })
-    artifacts.csv_files.append(
-        ("network_summary.csv",
-         ("case", "technology", "clear", "capacity_gbps", "latency_clks",
-          "energy_pj_per_bit", "area_mm2", "cost_usd"), summary_rows))
+    artifacts.csv_files.append(("network_summary.csv", _NETWORK_SUMMARY_COLUMNS, summary_rows))
 
     sweep_report = None
     if config.flit_sizes:
@@ -307,9 +309,7 @@ def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
         "flit_sweep": sweep_report,
     }))
     if "table" in args.format:
-        _print_table(
-            ("case", "technology", "clear", "capacity_gbps", "latency_clks",
-             "energy_pj_per_bit", "area_mm2", "cost_usd"), summary_rows)
+        _print_table(_NETWORK_SUMMARY_COLUMNS, summary_rows)
 
 
 def _run_trend(args: argparse.Namespace, artifacts: _Artifacts):

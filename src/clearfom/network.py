@@ -10,8 +10,11 @@ Dally's express cube along rows: horizontal links of ``hop_span`` columns
 start at every ``hop_span``-th column of each row. An express link is taken
 greedily whenever its far end does not overshoot the destination column;
 this rule is the normative one for all shipped results. Links are derived
-from the mesh shape and the layout, never stored: a hop's technology is a
-set lookup, and area, cost and capacity use closed-form link counts.
+from the mesh shape and the layout, never stored: a hop is express exactly
+when it spans ``express_span`` node ids (base hops span 1 or ``cols``, and
+``2 <= express_span < cols``), and area, cost and capacity use closed-form
+link counts. :func:`link_activity` is the one public path to the routing
+rule: route a one-flow :class:`TrafficMatrix` to see a single path.
 
 Link loads are aggregated, not walked flow by flow. A flow's X phase stays
 in its source row and its Y phase in its destination column, so the loads
@@ -73,7 +76,6 @@ __all__ = [
     "FlitSweepResult",
     "build_mesh",
     "add_express_links",
-    "route",
     "generate_traffic",
     "link_activity",
     "case_activities",
@@ -95,12 +97,6 @@ class MeshLink:
 
     a: int
     b: int
-    technology: Technology
-    hop_span: int = 1
-
-    @property
-    def express(self) -> bool:
-        return self.hop_span > 1
 
 
 @dataclass(frozen=True)
@@ -143,32 +139,11 @@ class MeshTopology:
         return range(0, self.cols - span, span) if span else range(0)
 
     @cached_property
-    def base_links(self) -> tuple[MeshLink, ...]:
-        """Neighbour links node by node, each rightward link before the downward one."""
-        cols, n = self.cols, self.node_count
-        return tuple(MeshLink(node, far, self.technology) for node in range(n)
-                     for far, exists in ((node + 1, node % cols + 1 < cols),
-                                         (node + cols, node + cols < n)) if exists)
-
-    @cached_property
     def express_links(self) -> tuple[MeshLink, ...]:
         """Express links row by row, left to right."""
         span = self.express_span
-        return tuple(MeshLink(row * self.cols + col, row * self.cols + col + span,
-                              self.express_technology, span)
+        return tuple(MeshLink(row * self.cols + col, row * self.cols + col + span)
                      for row in range(self.rows) for col in self.express_columns)
-
-    @cached_property
-    def express_hops(self) -> frozenset[tuple[int, int]]:
-        """Both directions of every express link, as (from, to) node pairs."""
-        return frozenset(hop for link in self.express_links
-                         for hop in ((link.a, link.b), (link.b, link.a)))
-
-    def hop_class(self, hop: tuple[int, int]) -> tuple[Technology, int]:
-        """(technology, hop_span) of the link that a (from, to) hop crosses."""
-        if hop in self.express_hops:
-            return self.express_technology, self.express_span
-        return self.technology, 1
 
     def link_counts(self) -> dict[tuple[Technology, int], int]:
         """Physical links per (technology, hop_span) class that has any."""
@@ -213,20 +188,6 @@ def _x_hops(topology: MeshTopology, c1: int, c2: int):
             step = -span if col % span == 0 and c2 <= col - span and col <= reach else -1
         yield col, col + step
         col += step
-
-
-def route(topology: MeshTopology, src: int, dst: int) -> list[tuple[int, int, MeshLink]]:
-    """Deterministic X-then-Y path as (from, to, link) hops; empty if src == dst."""
-    n = topology.node_count
-    if not (0 <= src < n and 0 <= dst < n):
-        raise DomainError("src and dst must be valid node ids")
-    cols = topology.cols
-    (r1, c1), (r2, c2) = divmod(src, cols), divmod(dst, cols)
-    hops = [(r1 * cols + u, r1 * cols + v) for u, v in _x_hops(topology, c1, c2)]
-    step = cols if r2 > r1 else -cols
-    hops += [(node, node + step) for node in range(r1 * cols + c2, dst, step)]
-    return [(u, v, MeshLink(min(u, v), max(u, v), *topology.hop_class((u, v))))
-            for u, v in hops]
 
 
 class TrafficPattern(str, Enum):
@@ -303,11 +264,6 @@ class TrafficMatrix:
     @cached_property
     def _matrix(self) -> list[list[float]]:
         return self.rates.tolist()
-
-    @property
-    def total_bps(self) -> float:
-        shape = self._closed_form[0] if self._closed_form else (1, self._node_count)
-        return self.demands(*shape)[2]
 
     def demands(self, rows: int, cols: int) -> Demands:
         """Demand sums of this traffic laid out on a ``rows`` x ``cols`` mesh.
@@ -530,12 +486,14 @@ class LinkActivity:
 
     def utilization(self, topology: MeshTopology,
                     rated_bps: Mapping[Technology, float]) -> dict[tuple[int, int], float]:
+        span = topology.express_span  # a hop is express iff it spans span node ids
         out = {}
-        for key, load in self.loads.items():
-            technology, _ = topology.hop_class(key)
+        for (u, v), load in self.loads.items():
+            technology = (topology.express_technology if abs(v - u) == span
+                          else topology.technology)
             if technology not in rated_bps:
                 raise ConfigurationError(f"no rated capacity for {technology.value}")
-            out[key] = load / rated_bps[technology]
+            out[(u, v)] = load / rated_bps[technology]
         return out
 
 
@@ -691,11 +649,11 @@ class NocConfig:
 def _loads_by_class(topology: MeshTopology,
                     activity: LinkActivity) -> dict[tuple[Technology, int], list[float]]:
     """Carried loads by the (technology, hop_span) of the links that carry them."""
-    express_hops = topology.express_hops
+    span = topology.express_span  # a hop is express iff it spans span node ids
     base, express = [], []
-    for key, load in activity.loads.items():
-        (express if key in express_hops else base).append(load)
-    return {hop_class: loads for hop_class, loads in (
+    for (u, v), load in activity.loads.items():
+        (express if abs(v - u) == span else base).append(load)
+    return {key: loads for key, loads in (
         ((topology.technology, 1), base),
         ((topology.express_technology, topology.express_span), express)) if loads}
 

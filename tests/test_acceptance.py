@@ -95,8 +95,10 @@ def test_criterion_3_time_of_flight():
 @criterion(4, "NoC structure: 480 base links, 5 express per row, 80 total")
 def test_criterion_4_mesh_structure():
     mesh = build_mesh(16, 16, 1e-3, "electronic")
-    assert len(mesh.base_links) == 480
+    assert mesh.link_counts() == {(Technology.ELECTRONIC, 1): 480}
     express = add_express_links(mesh, 3, "hybrid")
+    assert express.link_counts() == {(Technology.ELECTRONIC, 1): 480,
+                                     (Technology.HYBRID, 3): 80}
     assert len(express.express_links) == 80
     for row in range(16):
         in_row = [l for l in express.express_links if l.a // 16 == row]
@@ -121,17 +123,17 @@ def test_criterion_5_latency(network_config_path):
                                mesh, seed=0)
 
     # Independent oracle: breadth-first hop counts times the per-hop cost.
-    adjacency = {}
-    for link in mesh.base_links:
-        adjacency.setdefault(link.a, []).append(link.b)
-        adjacency.setdefault(link.b, []).append(link.a)
+    def neighbours(node):
+        row, col = divmod(node, 4)
+        return [r * 4 + c for r, c in ((row - 1, col), (row + 1, col), (row, col - 1),
+                                       (row, col + 1)) if 0 <= r < 4 and 0 <= c < 4]
 
     def bfs(src, dst):
         seen = {src: 0}
         queue = deque([src])
         while queue:
             node = queue.popleft()
-            for nxt in adjacency[node]:
+            for nxt in neighbours(node):
                 if nxt not in seen:
                     seen[nxt] = seen[node] + 1
                     queue.append(nxt)

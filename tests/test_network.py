@@ -32,23 +32,57 @@ from clearfom.network import (
     network_area_and_cost,
     network_clear,
     network_energy_per_bit,
-    route,
 )
+
+# Distinct rated capacities, so a link's utilization shows its technology.
+RATED = {Technology.ELECTRONIC: 1.0, Technology.HYBRID: 4.0}
+
+
+def _neighbours(topology, node):
+    """Nodes one link from ``node`` by the mesh rule, express links included.
+
+    Express links of ``express_span`` columns start at columns 0, span,
+    2 span, ... of every row and must end inside the row.
+    """
+    rows, cols, span = topology.rows, topology.cols, topology.express_span
+    row, col = divmod(node, cols)
+    steps = [(-1, 0), (1, 0), (0, -1), (0, 1)]
+    if span and col % span == 0:
+        if col + span < cols:
+            steps.append((0, span))
+        if col >= span:
+            steps.append((0, -span))
+    return {r * cols + c for r, c in ((row + dr, col + dc) for dr, dc in steps)
+            if 0 <= r < rows and 0 <= c < cols}
+
+
+def _path(topology, src, dst):
+    """The (from, to) hops of a lone flow from ``src`` to ``dst``, as ``link_activity`` routes it.
+
+    Every loaded link carries the flow once, and chaining the links from
+    ``src`` reaches ``dst`` through all of them.
+    """
+    traffic = _single_flow(topology.node_count, src, dst, rate=float(src != dst))
+    loads = link_activity(topology, traffic).loads
+    assert set(loads.values()) <= {1.0}
+    following = dict(loads.keys())
+    path, node = [], src
+    while node != dst:
+        path.append((node, following[node]))
+        node = following[node]
+    assert len(path) == len(loads)
+    return path
 
 
 def _bfs_hops(topology, src, dst):
     """Independent breadth-first oracle over base plus express links."""
     if src == dst:
         return 0
-    adjacency = {}
-    for link in topology.base_links + topology.express_links:
-        adjacency.setdefault(link.a, set()).add(link.b)
-        adjacency.setdefault(link.b, set()).add(link.a)
     seen = {src}
     frontier = deque([(src, 0)])
     while frontier:
         node, dist = frontier.popleft()
-        for nxt in adjacency[node]:
+        for nxt in _neighbours(topology, node):
             if nxt == dst:
                 return dist + 1
             if nxt not in seen:
@@ -102,8 +136,8 @@ def _config(e_link=1e-13, e_router=6e-13, a_router=1.5e-8, a_link=5e-10,
 
 
 def _single_flow(n, src, dst, rate=1e9):
-    rates = np.zeros((n, n))
-    rates[src, dst] = rate
+    rates = [[0.0] * n for _ in range(n)]
+    rates[src][dst] = rate
     return TrafficMatrix(rates=rates)
 
 
@@ -111,17 +145,19 @@ class TestBuildMesh:
     def test_16x16_link_count(self):
         mesh = build_mesh(16, 16, 1e-3, "electronic")
         assert mesh.node_count == 256
-        assert len(mesh.base_links) == 480
+        assert mesh.link_counts() == {(Technology.ELECTRONIC, 1): 480}
 
     def test_1x1_has_no_links(self):
-        assert len(build_mesh(1, 1, 1e-3, "electronic").base_links) == 0
+        assert build_mesh(1, 1, 1e-3, "electronic").link_counts() == {}
 
     def test_2x2_has_four_links(self):
-        assert len(build_mesh(2, 2, 1e-3, "electronic").base_links) == 4
+        assert build_mesh(2, 2, 1e-3, "electronic").link_counts() == {(Technology.ELECTRONIC, 1): 4}
 
     def test_rectangular_count_formula(self):
         mesh = build_mesh(3, 5, 1e-3, "electronic")
-        assert len(mesh.base_links) == 3 * 4 + 5 * 2
+        assert mesh.link_counts() == {(Technology.ELECTRONIC, 1): 3 * 4 + 5 * 2}
+        degrees = sum(len(_neighbours(mesh, node)) for node in range(mesh.node_count))
+        assert degrees == 2 * (3 * 4 + 5 * 2)
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(DomainError):
@@ -147,10 +183,14 @@ class TestExpressLinks:
 
     def test_express_links_are_horizontal_and_tagged(self):
         mesh = add_express_links(build_mesh(4, 8, 1e-3, "electronic"), 3, "hybrid")
+        assert mesh.link_counts() == {(Technology.ELECTRONIC, 1): 4 * 7 + 8 * 3,
+                                      (Technology.HYBRID, 3): 8}
         for link in mesh.express_links:
             assert link.b - link.a == 3  # same row, three columns apart
-            assert link.technology is Technology.HYBRID
-            assert link.hop_span == 3
+            for src, dst in ((link.a, link.b), (link.b, link.a)):
+                # One hop either way, rated at the hybrid capacity.
+                activity = link_activity(mesh, _single_flow(32, src, dst, rate=2.0))
+                assert activity.utilization(mesh, RATED) == {(src, dst): 0.5}
 
     def test_span_below_two_rejected(self):
         with pytest.raises(DomainError):
@@ -168,28 +208,27 @@ class TestExpressLinks:
         for src in range(mesh.node_count):
             for dst in range(mesh.node_count):
                 if dst % cols < src % cols:
-                    assert len(route(mesh, src, dst)) == _bfs_hops(mesh, src, dst)
+                    assert len(_path(mesh, src, dst)) == _bfs_hops(mesh, src, dst)
 
 
 class TestRoute:
     def test_same_node_empty_path(self):
         mesh = build_mesh(4, 4, 1e-3, "electronic")
-        assert route(mesh, 5, 5) == []
+        assert _path(mesh, 5, 5) == []
 
     def test_three_hops_across_base_row(self):
         mesh = build_mesh(4, 4, 1e-3, "electronic")
-        assert len(route(mesh, 0, 3)) == 3
+        assert _path(mesh, 0, 3) == [(0, 1), (1, 2), (2, 3)]
 
     def test_express_shortcut_single_hop(self):
         mesh = add_express_links(build_mesh(4, 4, 1e-3, "electronic"), 3, "hybrid")
-        path = route(mesh, 0, 3)
-        assert len(path) == 1
-        assert path[0][2].express
+        assert _path(mesh, 0, 3) == [(0, 3)]
+        activity = link_activity(mesh, _single_flow(16, 0, 3, rate=2.0))
+        assert activity.utilization(mesh, RATED) == {(0, 3): 0.5}  # the express rating
 
     def test_x_phase_before_y_phase(self):
         mesh = build_mesh(4, 4, 1e-3, "electronic")
-        path = route(mesh, 0, 15)
-        cols = [divmod(v, 4)[1] for _, v, _ in path]
+        cols = [v % 4 for _, v in _path(mesh, 0, 15)]
         assert cols == [1, 2, 3, 3, 3, 3]
 
     def test_routes_bounded_by_bfs_and_manhattan(self):
@@ -197,11 +236,10 @@ class TestRoute:
         base = build_mesh(5, 7, 1e-3, "electronic")
         express = add_express_links(base, 3, "hybrid")
         for mesh in (base, express):
-            links = set(mesh.base_links + mesh.express_links)
             for _ in range(200):
                 src, dst = rng.integers(0, mesh.node_count, size=2)
-                path = route(mesh, int(src), int(dst))
-                assert all(link in links for _, _, link in path)
+                path = _path(mesh, int(src), int(dst))
+                assert all(v in _neighbours(mesh, u) for u, v in path)
                 assert len(path) >= _bfs_hops(mesh, int(src), int(dst))
                 assert len(path) <= _manhattan(mesh, int(src), int(dst))
 
@@ -209,19 +247,14 @@ class TestRoute:
         mesh = build_mesh(5, 7, 1e-3, "electronic")
         for src in range(mesh.node_count):
             for dst in range(mesh.node_count):
-                assert len(route(mesh, src, dst)) == _manhattan(mesh, src, dst)
+                assert len(_path(mesh, src, dst)) == _manhattan(mesh, src, dst)
 
     def test_express_never_lengthens_any_pair(self):
         base = build_mesh(4, 8, 1e-3, "electronic")
         express = add_express_links(base, 3, "hybrid")
         for src in range(base.node_count):
             for dst in range(base.node_count):
-                assert len(route(express, src, dst)) <= len(route(base, src, dst))
-
-    def test_invalid_node_rejected(self):
-        mesh = build_mesh(2, 2, 1e-3, "electronic")
-        with pytest.raises(DomainError):
-            route(mesh, 0, 9)
+                assert len(_path(express, src, dst)) <= len(_path(base, src, dst))
 
 
 class TestGenerateTraffic:
@@ -231,7 +264,7 @@ class TestGenerateTraffic:
                                    mesh, seed=1)
         off_diag = traffic.rates[~np.eye(4, dtype=bool)]
         assert np.all(off_diag == 1e6)
-        assert traffic.total_bps == pytest.approx(12e6)
+        assert link_activity(mesh, traffic).injected_bps == pytest.approx(12e6)
 
     def test_degenerate_hotspot_takes_everything(self):
         mesh = build_mesh(2, 2, 1e-3, "electronic")
@@ -286,7 +319,7 @@ class TestExplicitTrafficMatrix:
         traffic = TrafficMatrix([[0.0, 2.0], [3.0, 0.0]])
         activity = link_activity(build_mesh(1, 2, 1e-3, "electronic"), traffic)
         assert activity.loads == {(0, 1): 2.0, (1, 0): 3.0}
-        assert traffic.total_bps == 5.0
+        assert activity.injected_bps == 5.0
 
     @pytest.mark.parametrize("rates,message", [
         ([[0.0, 1.0], [1.0]], "must be square"),

@@ -222,7 +222,7 @@ class TestClosedFormDemands:
             assert np.array_equal(got == 0.0, want == 0.0)
             assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         assert_close(injected, math.fsum(traffic.rates.flat))
-        assert_close(traffic.total_bps, float(traffic.rates.sum()))
+        assert link_activity(mesh, traffic).injected_bps == injected
 
     @settings(max_examples=150, deadline=None)
     @given(generated_cases())

@@ -121,6 +121,14 @@ class TestRejections:
         diags = validate_config(doc)
         assert any("mutually exclusive" in d.message for d in diags)
 
+    @pytest.mark.parametrize("doc_name,key", [("device_config_doc", "devices"),
+                                              ("link_config_doc", "lengths_m")])
+    def test_empty_list_is_below_min_items(self, request, doc_name, key):
+        doc = copy.deepcopy(request.getfixturevalue(doc_name))
+        doc[key] = []
+        assert [str(d) for d in validate_config(doc)] == [
+            f"$.{key}: must have at least 1 item(s)"]
+
 
 class TestLoaders:
     def test_device_loader(self, device_config_path):
