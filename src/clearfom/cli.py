@@ -4,7 +4,8 @@ Subcommands: limits | device | link | network | trend. Each subcommand but
 ``limits`` gets its typed config from one ``load_*_config`` call on its
 ``--config`` path (see :mod:`clearfom.validation`), which reads, validates
 and assembles the config and the CSV inputs it names. Tabular artifacts are
-CSV, reports are JSON, and radar exports are coordinate files. Each
+CSV, reports are JSON, and radar exports are coordinate files: one
+``radar.csv`` per run, with the item as a column. Each
 subcommand imports only the model and loader it runs; this module loads none.
 Every artifact is written atomically after the whole evaluation succeeds, so
 a failing run leaves no partial output.
@@ -28,13 +29,14 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ClearError, ConfigurationError, InfeasibleLinkError
-from .ioutil import IoError, fmt, write_csv, write_json
+from .ioutil import IoError, write_csv, write_json
 from .metric import Level, clear_value, default_floors, radar_area, radar_scores, radar_vertices
 
 __all__ = ["main"]
 
 OUT_DIR_ENV = "CLEARFOM_OUT"
 ALL_FORMATS = ("table", "csv", "json", "radar_csv")
+RADAR_CSV = "radar.csv"  # the one artifact that --format radar_csv selects
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -111,7 +113,7 @@ class _Artifacts:
             write_json(out_dir / relpath, document)
         written = []
         for relpath, header, rows in self.csv_files:
-            if ("radar_csv" if relpath.startswith("radar_") else "csv") in formats:
+            if ("radar_csv" if relpath == RADAR_CSV else "csv") in formats:
                 write_csv(out_dir / relpath, header, rows)
                 written.append(relpath)
         return written + [relpath for relpath, _ in reports]
@@ -163,6 +165,7 @@ def _run_device(args: argparse.Namespace, artifacts: _Artifacts):
 
     table_rows = []
     report_devices = []
+    radar_rows = []
     for spec in sorted(config.devices, key=lambda s: s.name):
         value = device_clear(spec)
         scores = radar_normalize(spec, limits, floors)
@@ -178,9 +181,8 @@ def _run_device(args: argparse.Namespace, artifacts: _Artifacts):
             "radar_area": area,
             "limit_violations": violations,
         })
-        artifacts.csv_files.append(
-            (f"radar_{_slug(spec.name)}.csv", ("axis", "score", "x", "y"),
-             radar_vertices(scores)))
+        radar_rows.extend((spec.name, *vertex) for vertex in radar_vertices(scores))
+    artifacts.csv_files.append((RADAR_CSV, ("name", "axis", "score", "x", "y"), radar_rows))
     artifacts.csv_files.append(
         ("device_clear.csv",
          ("name", "technology", "clear", *_FACTOR_KEYS[Level.DEVICE], "radar_area"),
@@ -204,6 +206,7 @@ def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
     eval_year = args.eval_year if args.eval_year is not None else config.eval_year
 
     report_links = {spec.name: [] for spec in config.links}
+    radar_rows = {spec.name: [] for spec in config.links}
     table_rows = []
     for length in config.lengths_m:
         limits = make_limit_set(
@@ -225,17 +228,18 @@ def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
                 "radar": scores._asdict(),
             })
             table_rows.append((spec.name, length, factors.capability, value.value))
-            artifacts.csv_files.append(
-                (f"radar_{_slug(spec.name)}_{fmt(length)}m.csv",
-                 ("axis", "score", "x", "y"), radar_vertices(scores)))
+            radar_rows[spec.name].extend(
+                (spec.name, length, *vertex) for vertex in radar_vertices(scores))
     by_name = sorted(config.links, key=lambda s: s.name)
-    for spec in by_name:
-        artifacts.csv_files.append(
-            (f"link_sweep_{_slug(spec.name)}.csv",
-             ("length_m", "capacity_bps", "latency_s", "energy_j", "area_m2",
-              "cost_usd", "clear"),
-             [(e["length_m"], *(e[key] for key in _FACTOR_KEYS[Level.LINK]), e["clear"])
-              for e in report_links[spec.name]]))
+    artifacts.csv_files.append(
+        (RADAR_CSV, ("name", "length_m", "axis", "score", "x", "y"),
+         [row for spec in by_name for row in radar_rows[spec.name]]))
+    artifacts.csv_files.append(
+        ("link_sweep.csv",
+         ("link", "length_m", "capacity_bps", "latency_s", "energy_j", "area_m2",
+          "cost_usd", "clear"),
+         [(spec.name, e["length_m"], *(e[key] for key in _FACTOR_KEYS[Level.LINK]), e["clear"])
+          for spec in by_name for e in report_links[spec.name]]))
     artifacts.json_files.append(("link_report.json", {
         "kind": "link_report",
         "temperature_k": config.temperature_k,

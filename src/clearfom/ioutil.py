@@ -107,7 +107,8 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
 
 def write_json(path: str | Path, document):
     try:
-        text = json.dumps(document, sort_keys=True, indent=2, allow_nan=False)
+        # No indent: indentation would make json use its pure-Python encoder.
+        text = json.dumps(document, sort_keys=True, allow_nan=False)
     except ValueError as exc:  # NaN or Infinity, which strict JSON cannot hold
         raise DomainError(f"cannot write {path}: {exc}") from exc
     atomic_write_text(path, text + "\n")

@@ -261,10 +261,15 @@ def link_energy_per_bit(link: LinkSpec) -> float:
     Optical transport amortizes the continuous launch power over the link
     capacity; repeater re-launch energy belongs to the repeater component.
     """
+    return _energy_per_bit(link, link_capacity(link) if link.is_optical else None)
+
+
+def _energy_per_bit(link: LinkSpec, capacity: float | None) -> float:
+    """:func:`link_energy_per_bit` given the ``link_capacity`` of an optical link."""
     energy = sum(c.energy_j_per_bit * _component_multiplicity(link, c)
                  for c in link.components)
     if link.is_optical:
-        return energy + link.transport.launch_power_w / link_capacity(link)
+        return energy + link.transport.launch_power_w / capacity
     t = link.transport
     return energy + 0.5 * t.capacitance_f_per_m * link.length_m * t.voltage_swing_v ** 2
 
@@ -287,10 +292,11 @@ def link_cost(link: LinkSpec, eval_year: float | None = None) -> float:
 
 
 def link_factors(link: LinkSpec, eval_year: float | None = None) -> Axes:
+    capacity = link_capacity(link)
     return Axes(
-        capability=link_capacity(link),
+        capability=capacity,
         latency=p2p_latency(link),
-        energy=link_energy_per_bit(link),
+        energy=_energy_per_bit(link, capacity),
         amount=link_area(link),
         resistance=link_cost(link, eval_year),
     )

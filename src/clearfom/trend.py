@@ -40,6 +40,9 @@ DEFAULT_TREND_BAND_DB = 5.0
 
 _DB_PER_LOG2 = 10.0 * math.log10(2.0)
 
+# Bits per joule at the room-temperature Landauer erase energy.
+_LANDAUER_CEILING = 1.0 / landauer_energy(300.0)
+
 
 class SystemClass(str, Enum):
     MAINFRAME = "mainframe"
@@ -130,11 +133,10 @@ class EfficiencyPoint:
 def efficiency_point(record: SystemRecord) -> EfficiencyPoint:
     energy_efficiency = 1.0 / record.energy_j_per_bit
     computational = 1.0 / (record.clock_period_s * record.volume_m3 * record.cost_usd)
-    ceiling = 1.0 / landauer_energy(300.0)
     return EfficiencyPoint(
         computational_efficiency=computational,
         energy_efficiency=energy_efficiency,
-        landauer_fraction=energy_efficiency / ceiling,
+        landauer_fraction=energy_efficiency / _LANDAUER_CEILING,
     )
 
 
@@ -165,7 +167,8 @@ _CSV_FIELDS = ("name", "year", "mips", "clock_period_s", "energy_j_per_bit",
 
 def _record(cells: list[str]) -> SystemRecord:
     name, *quantities, system_class = cells
-    return SystemRecord(name, *map(finite_float, quantities), SystemClass(system_class))
+    # SystemRecord converts the class name, refusing an unknown one with a ValueError.
+    return SystemRecord(name, *map(finite_float, quantities), system_class)
 
 
 def load_system_records(path: str | Path) -> list[SystemRecord]:

@@ -207,6 +207,13 @@ def _cross_field_errors(doc: Mapping) -> list[Diagnostic]:
     schema pass reports everything else.
     """
     out = []
+    # A device or link name keys its rows in the shared radar and sweep tables.
+    items = {"device_comparison": "devices", "link_comparison": "links"}.get(doc["kind"])
+    if items is not None:
+        names = [item["name"] for item in _as_list(doc.get(items))
+                 if isinstance(item, Mapping) and isinstance(item.get("name"), str)]
+        if len(set(names)) != len(names):
+            out.append(Diagnostic(f"$.{items}", f"{items[:-1]} names must be unique"))
     if doc["kind"] == "link_comparison":
         for i, link in enumerate(_as_list(doc.get("links"))):
             out += _repeater_errors(link, f"$.links[{i}]")

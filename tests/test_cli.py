@@ -11,7 +11,8 @@ from referencing import Registry, Resource
 from clearfom.cli import EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from clearfom.data import example_path
 from clearfom.errors import DomainError
-from clearfom.ioutil import write_json
+from clearfom.ioutil import fmt, write_json
+from clearfom.metric import AXIS_NAMES, Axes, radar_vertices
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -38,6 +39,24 @@ def _assert_valid(document, schema_name, registry_and_schemas):
 def _hash_tree(root: Path) -> dict:
     return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _csv_rows(path: Path) -> list[list[str]]:
+    return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def _vertex_cells(radar: dict) -> list[list[str]]:
+    """The radar.csv cells a report entry's radar scores render to."""
+    return [[fmt(cell) for cell in vertex] for vertex in radar_vertices(Axes(**radar))]
+
+
+def _config_copy(tmp_path, example, edit) -> Path:
+    with open(example_path(example), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
 
 
 def _small_network_config(tmp_path, cases=None, sweep=(16, 32)):
@@ -77,11 +96,14 @@ class TestDeviceCommand:
         assert main(["device", "--config", str(config), "--out", str(tmp_path)]) == EXIT_OK
         report = json.loads((tmp_path / "device_report.json").read_text(encoding="utf-8"))
         _assert_valid(report, "device_report.schema.json", schema_registry)
-        radar = (tmp_path / "radar_cmos_transistor_14nm.csv").read_text(encoding="utf-8")
-        lines = radar.strip().split("\n")
-        assert lines[0] == "axis,score,x,y"
-        assert len(lines) == 6
-        assert lines[1].startswith("capability,")
+        header, *rows = _csv_rows(tmp_path / "radar.csv")
+        assert header == ["name", "axis", "score", "x", "y"]
+        devices = report["devices"]
+        assert len(rows) == len(devices) * len(AXIS_NAMES)
+        assert [d["name"] for d in devices] == sorted(d["name"] for d in devices)
+        assert rows == [[d["name"], *cells] for d in devices
+                        for cells in _vertex_cells(d["radar"])]
+        assert [row[1] for row in rows[:len(AXIS_NAMES)]] == list(AXIS_NAMES)
 
     def test_unknown_field_names_path_on_stderr(self, tmp_path, capsys):
         with open(example_path("devices/four_technologies.json"), encoding="utf-8") as fh:
@@ -102,19 +124,45 @@ class TestDeviceCommand:
         assert main(["device", "--config", str(bad), "--out", str(out)]) == EXIT_VALIDATION
         assert not out.exists() or list(out.iterdir()) == []
 
-    def test_names_that_share_a_file_name_are_refused(self, tmp_path, capsys):
-        with open(example_path("devices/four_technologies.json"), encoding="utf-8") as fh:
-            doc = json.load(fh)
-        twin = dict(doc["devices"][0], name=doc["devices"][0]["name"] + "!")
-        doc["devices"].append(twin)
-        config = tmp_path / "twins.json"
-        config.write_text(json.dumps(doc), encoding="utf-8")
+    def test_names_that_slug_alike_get_rows_each(self, tmp_path):
+        config = _config_copy(tmp_path, "devices/four_technologies.json", lambda doc: (
+            doc["devices"].append(dict(doc["devices"][0], name=doc["devices"][0]["name"] + "!"))))
         out = tmp_path / "out"
-        assert main(["device", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+        assert main(["device", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        names = [row[0] for row in _csv_rows(out / "radar.csv")[1:]]
+        assert names.count("cmos-transistor-14nm") == names.count("cmos-transistor-14nm!") \
+            == len(AXIS_NAMES)
+
+
+class TestItemTables:
+    """The device and link tables that hold every item of a run."""
+
+    @pytest.mark.parametrize("command,example,items", [
+        ("device", "devices/four_technologies.json", "devices"),
+        ("link", "links/four_technologies.json", "links"),
+    ])
+    def test_repeated_names_are_refused(self, tmp_path, capsys, command, example, items):
+        config = _config_copy(tmp_path, example, lambda doc: doc[items].append(doc[items][0]))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("clearfom: error code=1 kind=validation")
-        assert "radar_cmos_transistor_14nm.csv" in err
+        assert f"$.{items}: {items[:-1]} names must be unique" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,example", [
+        ("device", "devices/four_technologies.json"),
+        ("link", "links/four_technologies.json"),
+    ])
+    def test_radar_csv_format_selects_only_the_radar_table(self, tmp_path, command, example):
+        written = {}
+        for fmt_name in ("radar_csv", "csv"):
+            out = tmp_path / fmt_name
+            assert main([command, "--config", str(example_path(example)), "--out", str(out),
+                         "--format", fmt_name]) == EXIT_OK
+            written[fmt_name] = sorted(p.name for p in out.iterdir())
+        assert written["radar_csv"] == ["radar.csv"]
+        assert written["csv"] and "radar.csv" not in written["csv"]
 
 
 class TestLinkCommand:
@@ -123,10 +171,20 @@ class TestLinkCommand:
         assert main(["link", "--config", str(config), "--out", str(tmp_path)]) == EXIT_OK
         report = json.loads((tmp_path / "link_report.json").read_text(encoding="utf-8"))
         _assert_valid(report, "link_report.schema.json", schema_registry)
-        sweep = (tmp_path / "link_sweep_photonic.csv").read_text(encoding="utf-8")
-        lines = sweep.strip().split("\n")
-        assert lines[0] == "length_m,capacity_bps,latency_s,energy_j,area_m2,cost_usd,clear"
-        assert len(lines) == 4  # three lengths
+        header, *rows = _csv_rows(tmp_path / "link_sweep.csv")
+        assert header == ["link", "length_m", "capacity_bps", "latency_s", "energy_j",
+                          "area_m2", "cost_usd", "clear"]
+        keys = ("length_m", "capacity_bps", "latency_s", "energy_j_per_bit", "area_m2",
+                "cost_usd", "clear")
+        assert rows == [[link["name"], *(fmt(e[key]) for key in keys)]
+                        for link in report["links"] for e in link["sweep"]]
+        assert len(rows) == 4 * 3  # four links at three lengths
+        header, *rows = _csv_rows(tmp_path / "radar.csv")
+        assert header == ["name", "length_m", "axis", "score", "x", "y"]
+        assert len(rows) == 4 * 3 * len(AXIS_NAMES)
+        assert rows == [[link["name"], fmt(e["length_m"]), *cells]
+                        for link in report["links"] for e in link["sweep"]
+                        for cells in _vertex_cells(e["radar"])]
 
     def test_infeasible_budget_exits_two(self, tmp_path, capsys):
         with open(example_path("links/four_technologies.json"), encoding="utf-8") as fh:
@@ -159,17 +217,18 @@ class TestLinkCommand:
         assert ".role: must be a string" in err
         assert "Traceback" not in err
 
-    def test_close_lengths_get_a_radar_file_each(self, tmp_path):
-        with open(example_path("links/four_technologies.json"), encoding="utf-8") as fh:
-            doc = json.load(fh)
-        doc["lengths_m"] = [0.001, 0.0010000001, 0.01]
-        config = tmp_path / "close.json"
-        config.write_text(json.dumps(doc), encoding="utf-8")
+    def test_close_lengths_get_rows_each(self, tmp_path):
+        lengths = [0.001, 0.0010000001, 0.01]
+        config = _config_copy(tmp_path, "links/four_technologies.json",
+                              lambda doc: doc.update(lengths_m=lengths))
         out = tmp_path / "out"
         assert main(["link", "--config", str(config), "--out", str(out)]) == EXIT_OK
-        radar = sorted(p.name for p in out.glob("radar_*.csv"))
-        assert len(radar) == 3 * len(doc["links"])
-        assert "radar_photonic_0.0010000001m.csv" in radar
+        sweep = [row[:2] for row in _csv_rows(out / "link_sweep.csv")[1:]]
+        assert sweep == [[name, repr(length)]
+                         for name in ("electronic", "hyppi", "photonic", "plasmonic")
+                         for length in lengths]
+        radar = [row[:2] for row in _csv_rows(out / "radar.csv")[1:]]
+        assert radar == [row for row in sweep for _ in AXIS_NAMES]
 
     def test_missing_config_exits_three(self, tmp_path, capsys):
         assert main(["link", "--config", str(tmp_path / "nope.json"),
@@ -205,6 +264,20 @@ class TestNetworkCommand:
         assert err.count("\n") == 1
         assert err.startswith("clearfom: error code=1 kind=validation")
         assert "got span 16 on 16 cols" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_labels_that_share_a_file_name_are_refused(self, tmp_path, capsys):
+        config = _small_network_config(tmp_path, cases=("electronic", "hyppi"))
+        doc = json.loads(config.read_text(encoding="utf-8"))
+        doc["cases"][0]["label"], doc["cases"][1]["label"] = "a b", "a-b"
+        doc["flit_sweep"]["baseline"] = "a b"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["network", "--config", str(config), "--seed", "1",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("clearfom: error code=1 kind=validation")
+        assert "link_activity_a_b.csv" in err
         assert not out.exists()
 
     def test_deterministic_artifacts_byte_identical(self, tmp_path):

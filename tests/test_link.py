@@ -287,6 +287,18 @@ class TestShippedLinks:
         assert values["photonic"] > values["plasmonic"]
         assert values["hyppi"] > values["plasmonic"]
 
+    def test_factors_evaluate_capacity_once(self, link_config_path, monkeypatch):
+        import clearfom.link as link_module
+
+        links = load_link_config(link_config_path).links
+        expected = [(link_capacity(spec), link_energy_per_bit(spec)) for spec in links]
+        calls = []
+        monkeypatch.setattr(link_module, "link_capacity",
+                            lambda link: calls.append(link.name) or link_capacity(link))
+        factors = [link_factors(spec) for spec in links]
+        assert calls == [spec.name for spec in links]
+        assert [(f.capability, f.energy) for f in factors] == expected
+
     def test_photonic_energy_nearly_length_independent(self, link_config_path):
         config = load_link_config(link_config_path)
         photonic = next(s for s in config.links if s.name == "photonic")
