@@ -33,9 +33,8 @@ _EXPORTS = {
                      "p2p_latency", "repeater_count"), "link"),
     **dict.fromkeys(("Axes", "ClearValue", "Level", "Technology", "radar_area"), "metric"),
     **dict.fromkeys(("MeshTopology", "NocConfig", "TrafficMatrix", "add_express_links",
-                     "avg_latency_clks", "build_mesh", "flit_sweep", "generate_traffic",
-                     "link_activity", "network_area_and_cost", "network_clear",
-                     "network_energy_per_bit"), "network"),
+                     "build_mesh", "flit_sweep", "generate_traffic", "link_activity",
+                     "network_clear"), "network"),
     **dict.fromkeys(("GrowthFit", "SystemRecord", "classify_vs_trend", "efficiency_point",
                      "fit_growth", "system_clear"), "trend"),
 }

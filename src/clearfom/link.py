@@ -188,10 +188,11 @@ def span_lengths(link: LinkSpec) -> list[float]:
     return [spacing] * (n - 1) + [tail]
 
 
-def _component_multiplicity(link: LinkSpec, component: LinkComponent) -> int:
-    if component.role is ComponentRole.REPEATER:
-        return repeater_count(link)
-    return 1
+def _component_total(link: LinkSpec, field: str) -> float:
+    """fsum of ``field`` over the components, a repeater once per repeater site."""
+    repeaters = repeater_count(link)
+    return math.fsum(getattr(c, field) * (repeaters if c.role is ComponentRole.REPEATER else 1)
+                     for c in link.components)
 
 
 def _min_positive_bandwidth(link: LinkSpec) -> float:
@@ -247,11 +248,11 @@ def link_capacity(link: LinkSpec) -> float:
 
 def p2p_latency(link: LinkSpec) -> float:
     """Source-to-detector time of flight for one bit, in seconds."""
-    delay = sum(c.delay_s * _component_multiplicity(link, c) for c in link.components)
+    delay = _component_total(link, "delay_s")
     if link.is_optical:
         return delay + link.transport.group_index * link.length_m / LIGHT_SPEED_VACUUM
     rc = link.transport.resistance_ohm_per_m * link.transport.capacitance_f_per_m
-    return delay + sum(RC_DELAY_COEFF * rc * span ** 2 for span in span_lengths(link))
+    return delay + math.fsum(RC_DELAY_COEFF * rc * span ** 2 for span in span_lengths(link))
 
 
 def link_energy_per_bit(link: LinkSpec) -> float:
@@ -266,8 +267,7 @@ def link_energy_per_bit(link: LinkSpec) -> float:
 
 def _energy_per_bit(link: LinkSpec, capacity: float | None) -> float:
     """:func:`link_energy_per_bit` given the ``link_capacity`` of an optical link."""
-    energy = sum(c.energy_j_per_bit * _component_multiplicity(link, c)
-                 for c in link.components)
+    energy = _component_total(link, "energy_j_per_bit")
     if link.is_optical:
         return energy + link.transport.launch_power_w / capacity
     t = link.transport
@@ -276,14 +276,14 @@ def _energy_per_bit(link: LinkSpec, capacity: float | None) -> float:
 
 def link_area(link: LinkSpec) -> float:
     """Device footprints plus the transport strip (per-lane for wires)."""
-    area = sum(c.area_m2 * _component_multiplicity(link, c) for c in link.components)
+    area = _component_total(link, "area_m2")
     lanes = 1 if link.is_optical else link.transport.lanes
     return area + link.cross_section_width_m * link.length_m * lanes
 
 
 def link_cost(link: LinkSpec, eval_year: float | None = None) -> float:
     """Total component cost in USD, optionally scaled to the evaluation year."""
-    cost = sum(c.cost_usd * _component_multiplicity(link, c) for c in link.components)
+    cost = _component_total(link, "cost_usd")
     if cost <= 0:
         raise DomainError(f"link '{link.name}' has no positive component cost")
     if eval_year is not None and link.cost_curve is not None:

@@ -144,7 +144,7 @@ def radar_area(scores: Axes) -> float:
     """
     s = _checked_scores(scores)
     step = 2.0 * math.pi / len(s)
-    return 0.5 * math.sin(step) * sum(s[i] * s[(i + 1) % len(s)] for i in range(len(s)))
+    return 0.5 * math.sin(step) * math.fsum(a * b for a, b in zip(s, s[1:] + s[:1]))
 
 
 def radar_vertices(scores: Axes) -> list[tuple[str, float, float, float]]:

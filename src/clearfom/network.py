@@ -12,9 +12,11 @@ greedily whenever its far end does not overshoot the destination column;
 this rule is the normative one for all shipped results. Links are derived
 from the mesh shape and the layout, never stored: a hop is express exactly
 when it spans ``express_span`` node ids (base hops span 1 or ``cols``, and
-``2 <= express_span < cols``), and area, cost and capacity use closed-form
-link counts. :func:`link_activity` is the one public path to the routing
-rule: route a one-flow :class:`TrafficMatrix` to see a single path.
+``2 <= express_span < cols``), and links are counted in closed form per
+(technology, hop_span) class. :func:`link_activity` is the one public path
+to the routing rule: route a one-flow :class:`TrafficMatrix` to see a single
+path, and :func:`network_clear` the one path to a case's five factors,
+computed in one pass over its link classes.
 
 Link loads are aggregated, not walked flow by flow. A flow's X phase stays
 in its source row and its Y phase in its destination column, so the loads
@@ -70,7 +72,6 @@ __all__ = [
     "TrafficParams",
     "TrafficMatrix",
     "LinkActivity",
-    "NetworkAreaCost",
     "NetworkCase",
     "FlitSweepRow",
     "FlitSweepResult",
@@ -79,9 +80,6 @@ __all__ = [
     "generate_traffic",
     "link_activity",
     "case_activities",
-    "avg_latency_clks",
-    "network_energy_per_bit",
-    "network_area_and_cost",
     "network_clear",
     "flit_sweep",
     "find_crossover",
@@ -224,17 +222,19 @@ Demands = tuple[list[list[list[float]]], list[list[list[float]]], float]
 class TrafficMatrix:
     """Offered load in bit/s per ordered (source, destination) pair.
 
-    ``TrafficMatrix(rates=...)`` wraps an explicit n x n matrix, given as any
-    nested sequence of numbers (a numpy array included), and ``rates``
-    returns it as given. A matrix from :func:`generate_traffic` instead
-    carries the closed form of its :meth:`demands` and builds its dense
-    ``rates``, a numpy array, only when that is first read, so routing
-    generated traffic allocates no n x n matrix.
+    ``TrafficMatrix(rates=...)`` takes an explicit n x n matrix, given as any
+    nested sequence of numbers (a numpy array included). Its ``rates`` are
+    the validated copy that routing sums, a tuple of tuples of floats, so a
+    later edit to the caller's matrix changes neither. A matrix from
+    :func:`generate_traffic` instead carries the closed form of its
+    :meth:`demands` and builds its dense ``rates``, a numpy array, only when
+    that is first read, so routing generated traffic allocates no n x n
+    matrix.
     """
 
     def __init__(self, rates: Sequence[Sequence[float]]):
         try:
-            matrix = [[float(rate) for rate in row] for row in rates]
+            matrix = tuple(tuple(float(rate) for rate in row) for row in rates)
         except TypeError:
             raise DomainError("traffic matrix must be square") from None
         if any(len(row) != len(matrix) for row in matrix):
@@ -243,7 +243,8 @@ class TrafficMatrix:
             raise DomainError("traffic rates must be finite and non-negative")
         if any(row[src] != 0.0 for src, row in enumerate(matrix)):
             raise DomainError("self-traffic is not allowed")
-        self.rates, self._matrix, self._node_count = rates, matrix, len(matrix)
+        self.rates = self._matrix = matrix
+        self._node_count = len(matrix)
         self._closed_form: tuple[tuple[int, int], Callable[[], Demands]] | None = None
         self._demands: dict[tuple[int, int], Demands] = {}
 
@@ -262,7 +263,7 @@ class TrafficMatrix:
         return self._materialise()
 
     @cached_property
-    def _matrix(self) -> list[list[float]]:
+    def _matrix(self) -> Sequence[Sequence[float]]:
         return self.rates.tolist()
 
     def demands(self, rows: int, cols: int) -> Demands:
@@ -286,7 +287,7 @@ class TrafficMatrix:
         return self._demands[shape]
 
 
-def _matrix_demands(matrix: list[list[float]], rows: int, cols: int) -> Demands:
+def _matrix_demands(matrix: Sequence[Sequence[float]], rows: int, cols: int) -> Demands:
     """:meth:`TrafficMatrix.demands` of an n x n matrix; each demand is one fsum."""
     row_demand = [[[math.fsum(source[c2::cols]) for c2 in range(cols)]
                    for source in matrix[r * cols:(r + 1) * cols]] for r in range(rows)]
@@ -610,14 +611,6 @@ class NocConfig:
             if rate <= 0:
                 raise DomainError(f"rated capacity for {Technology(tech).value} must be > 0")
 
-    def require_technology(self, technology: Technology):
-        for table, label in ((self.link_latency_clks, "link_latency_clks"),
-                             (self.link_rate_bps, "link_rate_bps"),
-                             (self.link_templates, "link_templates")):
-            if technology not in table:
-                raise ConfigurationError(
-                    f"{label} has no entry for technology '{technology.value}'")
-
     def with_flit_bits(self, flit_bits: int) -> "NocConfig":
         """Re-derive width-dependent parameters for a new flit size."""
         if flit_bits < 1:
@@ -646,65 +639,6 @@ class NocConfig:
         return replace(self, flit_bits=flit_bits, router=router, link_templates=templates)
 
 
-def _loads_by_class(topology: MeshTopology,
-                    activity: LinkActivity) -> dict[tuple[Technology, int], list[float]]:
-    """Carried loads by the (technology, hop_span) of the links that carry them."""
-    span = topology.express_span  # a hop is express iff it spans span node ids
-    base, express = [], []
-    for (u, v), load in activity.loads.items():
-        (express if abs(v - u) == span else base).append(load)
-    return {key: loads for key, loads in (
-        ((topology.technology, 1), base),
-        ((topology.express_technology, topology.express_span), express)) if loads}
-
-
-def avg_latency_clks(topology: MeshTopology, activity: LinkActivity,
-                     config: NocConfig) -> float:
-    """Traffic-weighted mean clock cost over all loaded flows.
-
-    Each hop charges one router pipeline plus the link's technology latency;
-    ejection at the destination adds nothing, so a 1-hop electronic flow
-    costs pipeline + 1. Summed over flows that is pipeline * (rate-weighted
-    hops) plus each link's carried load times its technology latency.
-    """
-    if activity.injected_bps <= 0:
-        raise DomainError("average latency is undefined for zero traffic")
-    latency_clks = config.link_latency_clks
-    terms = [config.router_pipeline_clks * activity.flow_hop_bps]
-    for (technology, _), loads in _loads_by_class(topology, activity).items():
-        if technology not in latency_clks:
-            config.require_technology(technology)
-        clks = latency_clks[technology]
-        terms += [load * clks for load in loads]
-    return math.fsum(terms) / activity.injected_bps
-
-
-def network_energy_per_bit(topology: MeshTopology, activity: LinkActivity,
-                           config: NocConfig) -> float:
-    """Total dynamic energy rate divided by the injected bit rate.
-
-    Optical link energies include the throttled laser: the launch power is
-    amortized over the link capacity, so lasers burn energy only for
-    transmitted bits.
-    """
-    if activity.injected_bps <= 0:
-        raise DomainError("energy per bit is undefined for zero traffic")
-    terms = [activity.router_traversal_bps * config.router.dynamic_j_per_bit]
-    for (technology, hop_span), loads in _loads_by_class(topology, activity).items():
-        config.require_technology(technology)
-        spec = config.link_templates[technology].at_length(hop_span * topology.spacing_m)
-        energy = link_energy_per_bit(spec)
-        terms += [load * energy for load in loads]
-    return math.fsum(terms) / activity.injected_bps
-
-
-@dataclass(frozen=True)
-class NetworkAreaCost:
-    area_m2: float
-    cost_usd: float
-    area_by_die: Mapping[str, float]
-
-
 def _link_area_by_die(spec: LinkSpec, native_die: str) -> dict[str, float]:
     """Split a link's footprint across dies by component role.
 
@@ -715,46 +649,9 @@ def _link_area_by_die(spec: LinkSpec, native_die: str) -> dict[str, float]:
     total = link_area(spec)
     if native_die == ELECTRONIC_DIE:
         return {ELECTRONIC_DIE: total}
-    electronic = sum(c.area_m2 for c in spec.components
-                     if c.role in (ComponentRole.SERDES, ComponentRole.DRIVER))
+    electronic = math.fsum(c.area_m2 for c in spec.components
+                           if c.role in (ComponentRole.SERDES, ComponentRole.DRIVER))
     return {ELECTRONIC_DIE: electronic, native_die: total - electronic}
-
-
-def network_area_and_cost(topology: MeshTopology, config: NocConfig,
-                          eval_year: float | None = None) -> NetworkAreaCost:
-    """Sum component areas per die and price them at the wafer rates.
-
-    Links of one technology and span are identical, so each such class is
-    instantiated once and its footprint multiplied by its link count.
-    """
-    terms_by_die: dict[str, list[float]] = {
-        config.router.die: [config.router.area_m2 * topology.node_count]}
-    for (technology, hop_span), count in topology.link_counts().items():
-        config.require_technology(technology)
-        spec = config.link_templates[technology].at_length(hop_span * topology.spacing_m)
-        native_die = ELECTRONIC_DIE if technology is Technology.ELECTRONIC else PHOTONIC_DIE
-        for die, area in _link_area_by_die(spec, native_die).items():
-            terms_by_die.setdefault(die, []).append(count * area)
-    area_by_die = {die: math.fsum(terms) for die, terms in terms_by_die.items()}
-
-    cost_terms = []
-    for die, area in sorted(area_by_die.items()):
-        if die not in config.wafer_cost:
-            raise ConfigurationError(f"wafer_cost has no entry for die '{die}'")
-        curve = config.wafer_cost[die]
-        rate = curve.initial_unit_cost if eval_year is None else unit_cost(curve, eval_year)
-        cost_terms.append(area * rate)
-    return NetworkAreaCost(area_m2=math.fsum(area_by_die.values()),
-                           cost_usd=math.fsum(cost_terms), area_by_die=area_by_die)
-
-
-def _aggregate_capacity_per_node(topology: MeshTopology, config: NocConfig) -> float:
-    counts: Counter[Technology] = Counter()
-    for (technology, _), count in topology.link_counts().items():
-        config.require_technology(technology)
-        counts[technology] += count
-    return math.fsum(count * config.link_rate_bps[technology]
-                     for technology, count in counts.items()) / topology.node_count
 
 
 def network_clear(topology: MeshTopology, activity: LinkActivity, config: NocConfig,
@@ -763,14 +660,66 @@ def network_clear(topology: MeshTopology, activity: LinkActivity, config: NocCon
 
     ``activity`` is the routed traffic on ``topology`` (see
     :func:`link_activity`). The factors are capacity in bit/s per node,
-    latency in clocks, energy in J/bit, area in m^2 and cost in USD.
+    latency in clocks, energy in J/bit, area in m^2 and cost in USD, all
+    from one pass over the mesh's (technology, hop_span) link classes. Links
+    of a class are identical, so each class is instantiated once:
+
+    - capability is the rated capacity of every link, summed per technology,
+      over the node count;
+    - latency is the traffic-weighted mean clock cost of a flow. Each hop
+      charges one router pipeline plus its link's technology latency and
+      ejection adds nothing, so a 1-hop electronic flow costs pipeline + 1;
+    - energy is the dynamic energy rate over the injected bit rate: a flow
+      crosses one router more than it has hops, and pays each hop's link
+      energy per bit. An optical link amortizes its laser over its capacity,
+      so lasers burn energy only for transmitted bits;
+    - area sums component footprints per die, and cost prices each die's
+      area at its wafer rate.
     """
-    latency = avg_latency_clks(topology, activity, config)
-    energy = network_energy_per_bit(topology, activity, config)
-    area_cost = network_area_and_cost(topology, config, eval_year)
-    capability = _aggregate_capacity_per_node(topology, config)
-    factors = Axes(capability=capability, latency=latency, energy=energy,
-                   amount=area_cost.area_m2, resistance=area_cost.cost_usd)
+    if activity.injected_bps <= 0:
+        raise DomainError("latency and energy per bit are undefined for zero traffic")
+    span = topology.express_span  # a hop is express iff it spans span node ids
+    loads_by_span: dict[int | None, list[float]] = {1: [], span: []}
+    for (u, v), load in activity.loads.items():
+        loads_by_span[span if abs(v - u) == span else 1].append(load)
+
+    latency_terms = [config.router_pipeline_clks * activity.flow_hop_bps]
+    energy_terms = [activity.router_traversal_bps * config.router.dynamic_j_per_bit]
+    area_terms = {config.router.die: [config.router.area_m2 * topology.node_count]}
+    counts: Counter[Technology] = Counter()
+    for (technology, hop_span), count in topology.link_counts().items():
+        for table, label in ((config.link_latency_clks, "link_latency_clks"),
+                             (config.link_rate_bps, "link_rate_bps"),
+                             (config.link_templates, "link_templates")):
+            if technology not in table:
+                raise ConfigurationError(
+                    f"{label} has no entry for technology '{technology.value}'")
+        spec = config.link_templates[technology].at_length(hop_span * topology.spacing_m)
+        loads = loads_by_span[hop_span]
+        clks = config.link_latency_clks[technology]
+        latency_terms += [load * clks for load in loads]
+        if loads:  # an idle class adds no energy, so its link capacity is not evaluated
+            energy = link_energy_per_bit(spec)
+            energy_terms += [load * energy for load in loads]
+        native_die = ELECTRONIC_DIE if technology is Technology.ELECTRONIC else PHOTONIC_DIE
+        for die, area in _link_area_by_die(spec, native_die).items():
+            area_terms.setdefault(die, []).append(count * area)
+        counts[technology] += count
+
+    area_by_die = {die: math.fsum(terms) for die, terms in area_terms.items()}
+    cost_terms = []
+    for die, area in sorted(area_by_die.items()):
+        if die not in config.wafer_cost:
+            raise ConfigurationError(f"wafer_cost has no entry for die '{die}'")
+        curve = config.wafer_cost[die]
+        rate = curve.initial_unit_cost if eval_year is None else unit_cost(curve, eval_year)
+        cost_terms.append(area * rate)
+    capability = math.fsum(count * config.link_rate_bps[technology]
+                           for technology, count in counts.items()) / topology.node_count
+    factors = Axes(capability=capability,
+                   latency=math.fsum(latency_terms) / activity.injected_bps,
+                   energy=math.fsum(energy_terms) / activity.injected_bps,
+                   amount=math.fsum(area_by_die.values()), resistance=math.fsum(cost_terms))
     return clear_value(factors, Level.NETWORK)
 
 

@@ -31,12 +31,12 @@ from clearfom.network import (
     TrafficMatrix,
     TrafficParams,
     add_express_links,
-    avg_latency_clks,
     build_mesh,
     case_activities,
     flit_sweep,
     generate_traffic,
     link_activity,
+    network_clear,
 )
 from clearfom.trend import SystemRecord, fit_growth, system_clear
 from clearfom.validation import load_network_config
@@ -113,10 +113,10 @@ def test_criterion_5_latency(network_config_path):
     rates = np.zeros((2, 2))
     rates[0, 1] = 1e9
     activity = link_activity(pair_elec, TrafficMatrix(rates=rates.copy()))
-    assert avg_latency_clks(pair_elec, activity, config) == 4.0
+    assert network_clear(pair_elec, activity, config).factors.latency == 4.0
     pair_opt = build_mesh(1, 2, 1e-3, "hybrid")
     activity = link_activity(pair_opt, TrafficMatrix(rates=rates.copy()))
-    assert avg_latency_clks(pair_opt, activity, config) == 5.0
+    assert network_clear(pair_opt, activity, config).factors.latency == 5.0
 
     mesh = build_mesh(4, 4, 1e-3, "electronic")
     traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
@@ -149,7 +149,7 @@ def test_criterion_5_latency(network_config_path):
                 weighted += rate * bfs(src, dst) * per_hop
                 total += rate
     oracle = weighted / total
-    latency = avg_latency_clks(mesh, link_activity(mesh, traffic), config)
+    latency = network_clear(mesh, link_activity(mesh, traffic), config).factors.latency
     assert latency == pytest.approx(oracle, rel=1e-12)
 
 

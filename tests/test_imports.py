@@ -37,9 +37,8 @@ EXPORTS = {
              "p2p_latency", "repeater_count"),
     "metric": ("Axes", "ClearValue", "Level", "Technology", "radar_area"),
     "network": ("MeshTopology", "NocConfig", "TrafficMatrix", "add_express_links",
-                "avg_latency_clks", "build_mesh", "flit_sweep", "generate_traffic",
-                "link_activity", "network_area_and_cost", "network_clear",
-                "network_energy_per_bit"),
+                "build_mesh", "flit_sweep", "generate_traffic", "link_activity",
+                "network_clear"),
     "trend": ("GrowthFit", "SystemRecord", "classify_vs_trend", "efficiency_point",
               "fit_growth", "system_clear"),
 }

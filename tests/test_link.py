@@ -1,6 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clearfom.errors import DomainError, InfeasibleLinkError
 from clearfom.limits import axis_limits, make_limit_set, time_of_flight_rate_limit
@@ -51,6 +54,22 @@ def _repeater(energy=6e-14, area=3e-10, cost=0.5, delay=2e-12):
     return LinkComponent(name="rep", role=ComponentRole.REPEATER, bandwidth_hz=1e11,
                          energy_j_per_bit=energy, area_m2=area, cost_usd=cost,
                          delay_s=delay)
+
+
+def _drawn_component(role):
+    # Magnitudes far apart, so a plain left-to-right sum depends on the order.
+    amount = st.floats(min_value=1e-18, max_value=1e3)
+    return st.builds(LinkComponent, name=st.just("c"), role=role,
+                     bandwidth_hz=st.floats(min_value=1e9, max_value=1e11),
+                     energy_j_per_bit=amount, area_m2=amount, cost_usd=amount, delay_s=amount)
+
+
+# A repeater among one to five other components, then the same list permuted.
+_component_orders = st.tuples(
+    _drawn_component(st.just(ComponentRole.REPEATER)),
+    st.lists(_drawn_component(st.sampled_from(ComponentRole)), min_size=1, max_size=5),
+).map(lambda drawn: [drawn[0], *drawn[1]]).flatmap(
+    lambda parts: st.tuples(st.just(parts), st.permutations(parts)))
 
 
 class TestRepeaterCount:
@@ -325,9 +344,21 @@ class TestShippedLinks:
     def test_cost_scales_with_eval_year_curve(self, link_config_path):
         config = load_link_config(link_config_path)
         spec = config.links[0]
-        from dataclasses import replace
         from clearfom.economics import ExperienceCurve
         curved = replace(spec, cost_curve=ExperienceCurve(
             initial_unit_cost=1.0, halving_period=2.0, reference_time=2016.0))
         assert link_cost(curved, eval_year=2018.0) == \
             pytest.approx(link_cost(curved) / 2.0, rel=1e-12)
+
+
+class TestComponentOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(_component_orders, st.booleans())
+    def test_factors_are_bitwise_invariant_under_permutation(self, orders, optical):
+        def build(parts):
+            # Repeated every 0.25 mm, so each repeater counts three times.
+            link = (_optical if optical else _electrical)(components=parts)
+            return replace(link, repeater_spacing_m=2.5e-4)
+
+        listed, permuted = orders
+        assert link_factors(build(permuted)) == link_factors(build(listed))

@@ -22,16 +22,13 @@ from clearfom.network import (
     TrafficMatrix,
     TrafficParams,
     add_express_links,
-    avg_latency_clks,
     build_mesh,
     case_activities,
     find_crossover,
     flit_sweep,
     generate_traffic,
     link_activity,
-    network_area_and_cost,
     network_clear,
-    network_energy_per_bit,
 )
 
 # Distinct rated capacities, so a link's utilization shows its technology.
@@ -321,6 +318,15 @@ class TestExplicitTrafficMatrix:
         assert activity.loads == {(0, 1): 2.0, (1, 0): 3.0}
         assert activity.injected_bps == 5.0
 
+    def test_rates_are_the_routed_copy(self):
+        given = np.zeros((2, 2))
+        given[0, 1] = 1.0
+        traffic = TrafficMatrix(rates=given)
+        given[0, 1] = 5.0  # the caller's array is not the matrix
+        assert traffic.rates == ((0.0, 1.0), (0.0, 0.0))
+        activity = link_activity(build_mesh(1, 2, 1e-3, "electronic"), traffic)
+        assert activity.loads == {(0, 1): 1.0}
+
     @pytest.mark.parametrize("rates,message", [
         ([[0.0, 1.0], [1.0]], "must be square"),
         ([0.0, 1.0], "must be square"),
@@ -387,16 +393,25 @@ class TestLinkActivity:
         assert utilization[(0, 1)] == pytest.approx(0.5, rel=1e-12)
 
 
+def _factors(mesh, activity, config, eval_year=None):
+    return network_clear(mesh, activity, config, eval_year).factors
+
+
+def _one_flow(mesh):
+    """Activity of one flow from node 0 to node 1, for the load-free factors."""
+    return link_activity(mesh, _single_flow(mesh.node_count, 0, 1))
+
+
 class TestLatency:
     def test_single_hop_electronic_is_four_clks(self):
         mesh = build_mesh(1, 2, 1e-3, "electronic")
         activity = link_activity(mesh, _single_flow(2, 0, 1))
-        assert avg_latency_clks(mesh, activity, _config()) == 4.0
+        assert _factors(mesh, activity, _config()).latency == 4.0
 
     def test_single_hop_optical_is_five_clks(self):
         mesh = build_mesh(1, 2, 1e-3, "hybrid")
         activity = link_activity(mesh, _single_flow(2, 0, 1))
-        assert avg_latency_clks(mesh, activity, _config()) == 5.0
+        assert _factors(mesh, activity, _config()).latency == 5.0
 
     def test_2x2_uniform_matches_enumeration(self):
         mesh = build_mesh(2, 2, 1e-3, "electronic")
@@ -404,20 +419,20 @@ class TestLatency:
                                    mesh, seed=1)
         # Manhattan hops over the 12 ordered pairs: eight 1-hop, four 2-hop.
         expected = (8 * 1 + 4 * 2) / 12 * 4.0
-        latency = avg_latency_clks(mesh, link_activity(mesh, traffic), _config())
+        latency = _factors(mesh, link_activity(mesh, traffic), _config()).latency
         assert latency == pytest.approx(expected, rel=1e-12)
 
     def test_mixed_technology_path(self):
         mesh = add_express_links(build_mesh(1, 4, 1e-3, "electronic"), 3, "hybrid")
         activity = link_activity(mesh, _single_flow(4, 0, 3))
-        latency = avg_latency_clks(mesh, activity, _config())
+        latency = _factors(mesh, activity, _config()).latency
         assert latency == 5.0  # one express hop replaces three electronic hops
 
     def test_zero_traffic_is_undefined(self):
         mesh = build_mesh(2, 2, 1e-3, "electronic")
         with pytest.raises(DomainError):
-            avg_latency_clks(mesh, link_activity(mesh, TrafficMatrix(rates=np.zeros((4, 4)))),
-                             _config())
+            network_clear(mesh, link_activity(mesh, TrafficMatrix(rates=np.zeros((4, 4)))),
+                          _config())
 
 
 class TestEnergy:
@@ -425,7 +440,7 @@ class TestEnergy:
         mesh = build_mesh(1, 2, 1e-3, "electronic")
         activity = link_activity(mesh, _single_flow(2, 0, 1))
         config = _config(e_link=1e-13, e_router=6e-13)
-        energy = network_energy_per_bit(mesh, activity, config)
+        energy = _factors(mesh, activity, config).energy
         assert energy == pytest.approx(1e-13 + 2 * 6e-13, rel=1e-12)
 
     def test_injection_scale_invariance(self):
@@ -435,8 +450,8 @@ class TestEnergy:
                                mesh, seed=2)
         high = generate_traffic("uniform", TrafficParams(injection_bps_per_node=2e6),
                                 mesh, seed=2)
-        e_low = network_energy_per_bit(mesh, link_activity(mesh, low), config)
-        e_high = network_energy_per_bit(mesh, link_activity(mesh, high), config)
+        e_low = _factors(mesh, link_activity(mesh, low), config).energy
+        e_high = _factors(mesh, link_activity(mesh, high), config).energy
         assert e_high == pytest.approx(e_low, rel=1e-12)
 
     def test_2x2_uniform_weighted_sum(self):
@@ -446,14 +461,14 @@ class TestEnergy:
         config = _config(e_link=1e-13, e_router=6e-13)
         # 16 rate-weighted hops and 28 router traversals over 12 unit flows.
         expected = (16 * 1e-13 + 28 * 6e-13) / 12
-        energy = network_energy_per_bit(mesh, link_activity(mesh, traffic), config)
+        energy = _factors(mesh, link_activity(mesh, traffic), config).energy
         assert energy == pytest.approx(expected, rel=1e-12)
 
     def test_optical_links_amortize_laser_power(self):
         mesh = build_mesh(1, 2, 1e-3, "hybrid")
         activity = link_activity(mesh, _single_flow(2, 0, 1))
         config = _config(e_link=0.0, e_router=0.0)
-        energy = network_energy_per_bit(mesh, activity, config)
+        energy = _factors(mesh, activity, config).energy
         assert energy == pytest.approx(1e-3 / 5e10, rel=1e-12)
 
 
@@ -461,35 +476,35 @@ class TestAreaAndCost:
     def test_single_link_plus_routers(self):
         mesh = build_mesh(1, 2, 1e-3, "electronic")
         config = _config(a_router=1.5e-8, a_link=5e-10)
-        result = network_area_and_cost(mesh, config)
-        assert result.area_m2 == pytest.approx(2 * 1.5e-8 + 5e-10, rel=1e-12)
-        assert result.cost_usd == pytest.approx(result.area_m2 * 2e5, rel=1e-12)
+        result = _factors(mesh, _one_flow(mesh), config)
+        assert result.amount == pytest.approx(2 * 1.5e-8 + 5e-10, rel=1e-12)
+        assert result.resistance == pytest.approx(result.amount * 2e5, rel=1e-12)
 
     def test_cost_additive_per_added_segment(self):
         config = _config()
-        costs = [network_area_and_cost(build_mesh(1, n, 1e-3, "electronic"), config).cost_usd
-                 for n in (2, 3, 4)]
+        meshes = [build_mesh(1, n, 1e-3, "electronic") for n in (2, 3, 4)]
+        costs = [_factors(mesh, _one_flow(mesh), config).resistance for mesh in meshes]
         assert costs[1] - costs[0] == pytest.approx(costs[2] - costs[1], rel=1e-9)
 
     def test_16x16_closed_form(self):
         mesh = build_mesh(16, 16, 1e-3, "electronic")
         config = _config(a_router=1.5e-8, a_link=5e-10)
-        result = network_area_and_cost(mesh, config)
-        assert result.area_m2 == pytest.approx(256 * 1.5e-8 + 480 * 5e-10, rel=1e-9)
+        result = _factors(mesh, _one_flow(mesh), config)
+        assert result.amount == pytest.approx(256 * 1.5e-8 + 480 * 5e-10, rel=1e-9)
 
     def test_optical_devices_land_on_photonic_die(self):
         mesh = build_mesh(1, 2, 1e-3, "hybrid")
         config = _config(a_router=0.0, a_link=5e-10)
-        result = network_area_and_cost(mesh, config)
-        assert result.area_by_die["photonic"] == pytest.approx(5e-10, rel=1e-12)
-        assert result.cost_usd == pytest.approx(5e-10 * 2.5e6, rel=1e-12)
+        # Only the photonic die's wafer rate, 2.5e6 USD/m^2, gives this cost.
+        result = _factors(mesh, _one_flow(mesh), config)
+        assert result.resistance == pytest.approx(5e-10 * 2.5e6, rel=1e-12)
 
     def test_missing_wafer_entry_is_configuration_error(self):
         mesh = build_mesh(1, 2, 1e-3, "hybrid")
         config = _config()
         broken = replace(config, wafer_cost={"electronic": ExperienceCurve(2e5, math.inf, 0.0)})
         with pytest.raises(ConfigurationError):
-            network_area_and_cost(mesh, broken)
+            network_clear(mesh, _one_flow(mesh), broken)
 
     def test_wafer_curve_discounts_future_years(self):
         mesh = build_mesh(1, 2, 1e-3, "electronic")
@@ -497,8 +512,8 @@ class TestAreaAndCost:
         curved = replace(config, wafer_cost={
             "electronic": ExperienceCurve(2e5, halving_period=4.0, reference_time=2016.0),
             "photonic": ExperienceCurve(2.5e6, math.inf, 0.0)})
-        now = network_area_and_cost(mesh, curved, eval_year=2016.0).cost_usd
-        later = network_area_and_cost(mesh, curved, eval_year=2020.0).cost_usd
+        now = _factors(mesh, _one_flow(mesh), curved, eval_year=2016.0).resistance
+        later = _factors(mesh, _one_flow(mesh), curved, eval_year=2020.0).resistance
         assert later == pytest.approx(now / 2.0, rel=1e-12)
 
 

@@ -15,11 +15,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clearfom.economics import ExperienceCurve
 from clearfom.errors import DomainError
+from clearfom.link import (
+    ComponentRole,
+    ElectricalTransport,
+    LinkComponent,
+    LinkSpec,
+    OpticalTransport,
+    link_energy_per_bit,
+)
 from clearfom.metric import Technology
 from clearfom.network import (
     LinkActivity,
     NetworkCase,
+    NocConfig,
+    RouterModel,
     TrafficMatrix,
     TrafficParams,
     TrafficPattern,
@@ -285,6 +296,78 @@ class TestRouteOncePerGeometry:
         assert activities[0] is activities[1]
         assert activities[2] is not activities[0]
         assert activities[2].loads == link_activity(express, traffic).loads
+
+
+class TestTwoLinkClasses:
+    """Every factor of a mesh whose base and express links differ in every table.
+
+    A 3 x 5 electronic mesh with a span-2 hybrid express layout has 22 base
+    and 6 express links. A hybrid link's serdes sits on the electronic die and
+    its modulator on the photonic die.
+    """
+
+    E, H = Technology.ELECTRONIC, Technology.HYBRID
+    RATE = {E: 4e10, H: 1e11}
+    CLKS = {E: 1, H: 2}
+    WAFER = {"electronic": 2e5, "photonic": 2.5e6}
+    A_ROUTER, E_ROUTER = 1.5e-8, 6e-13
+    A_DRIVER, A_MODULATOR, A_SERDES = 4e-10, 7e-10, 1.6e-9
+
+    def _config(self):
+        electronic = LinkSpec(
+            name="electronic-noc-link", technology=self.E, length_m=1e-3,
+            components=(LinkComponent(name="drv", role=ComponentRole.DRIVER,
+                                      bandwidth_hz=1.25e9, energy_j_per_bit=1e-13,
+                                      area_m2=self.A_DRIVER),),
+            transport=ElectricalTransport(capacitance_f_per_m=0.0, resistance_ohm_per_m=0.0,
+                                          voltage_swing_v=1.0, lanes=32),
+            cross_section_width_m=0.0)
+        hybrid = LinkSpec(
+            name="hybrid-noc-link", technology=self.H, length_m=1e-3,
+            components=(LinkComponent(name="mod", role=ComponentRole.MODULATOR,
+                                      bandwidth_hz=5e10, energy_j_per_bit=3e-14,
+                                      area_m2=self.A_MODULATOR),
+                        LinkComponent(name="serdes", role=ComponentRole.SERDES,
+                                      energy_j_per_bit=2e-14, area_m2=self.A_SERDES)),
+            transport=OpticalTransport(loss_db_per_m=50.0, group_index=4.0,
+                                       launch_power_w=1e-3, detector_sensitivity_w=1e-5,
+                                       wdm_channels=1, per_channel_rate_cap_bps=1e11),
+            cross_section_width_m=0.0)
+        return NocConfig(
+            flit_bits=32, router_pipeline_clks=3, link_latency_clks=self.CLKS,
+            link_rate_bps=self.RATE,
+            router=RouterModel(dynamic_j_per_bit=self.E_ROUTER, area_m2=self.A_ROUTER),
+            link_templates={self.E: electronic, self.H: hybrid},
+            wafer_cost={die: ExperienceCurve(rate, math.inf, 0.0)
+                        for die, rate in self.WAFER.items()})
+
+    def test_factors_match_link_counts_and_the_walker(self):
+        mesh = add_express_links(build_mesh(3, 5, 1e-3, "electronic"), 2, "hybrid")
+        assert mesh.link_counts() == {(self.E, 1): 22, (self.H, 2): 6}
+        config = self._config()
+        params = TrafficParams(injection_bps_per_node=1e9, locality_scale_hops=2.0)
+        traffic = generate_traffic("exponential_locality", params, mesh, seed=0)
+        factors = network_clear(mesh, link_activity(mesh, traffic), config).factors
+
+        assert_close(factors.capability, (22 * self.RATE[self.E] + 6 * self.RATE[self.H]) / 15)
+        electronic_die = 15 * self.A_ROUTER + 22 * self.A_DRIVER + 6 * self.A_SERDES
+        photonic_die = 6 * self.A_MODULATOR
+        assert_close(factors.amount, electronic_die + photonic_die)
+        assert_close(factors.resistance, electronic_die * self.WAFER["electronic"]
+                     + photonic_die * self.WAFER["photonic"])
+
+        # Per-link terms over the walker's loads; a hop spanning 2 ids is express.
+        walked = reference_link_activity(mesh, traffic)
+        energy = {tech: link_energy_per_bit(config.link_templates[tech].at_length(span * 1e-3))
+                  for tech, span in ((self.E, 1), (self.H, 2))}
+        by_link = [(load, self.H if abs(v - u) == 2 else self.E)
+                   for (u, v), load in walked.loads.items()]
+        assert {tech for _, tech in by_link} == {self.E, self.H}
+        latency = 3 * walked.flow_hop_bps + sum(load * self.CLKS[tech] for load, tech in by_link)
+        assert_close(factors.latency, latency / walked.injected_bps)
+        dynamic = (self.E_ROUTER * walked.router_traversal_bps
+                   + sum(load * energy[tech] for load, tech in by_link))
+        assert_close(factors.energy, dynamic / walked.injected_bps)
 
 
 class TestShippedNetwork:
