@@ -254,7 +254,8 @@ def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
 
 
 def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
-    from .network import case_activities, flit_sweep, generate_traffic, network_clear
+    from .network import (case_activities, find_crossover, flit_sweep, generate_traffic,
+                          network_clear)
     from .validation import load_network_config
 
     config = load_network_config(args.config)
@@ -293,16 +294,17 @@ def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
 
     sweep_report = None
     if config.flit_sizes:
-        sweep = flit_sweep(cases, activities, config.noc, config.flit_sizes, eval_year,
-                           baseline=config.sweep_baseline)
-        artifacts.csv_files.append(
-            ("flit_sweep.csv", ("flit_bits", "case", "clear"),
-             [(row.flit_bits, row.label, row.clear) for row in sweep.rows]))
+        sizes, baseline = config.flit_sizes, config.sweep_baseline
+        table = flit_sweep(cases, activities, config.noc, sizes, eval_year)
+        rows = [(flit, label, table[label][i]) for i, flit in enumerate(sizes) for label in table]
+        artifacts.csv_files.append(("flit_sweep.csv", ("flit_bits", "case", "clear"), rows))
         sweep_report = {
-            "baseline": sweep.baseline,
-            "rows": [{"flit_bits": row.flit_bits, "case": row.label, "clear": row.clear}
-                     for row in sweep.rows],
-            "crossover_flit_bits": dict(sweep.crossover_flit_bits),
+            "baseline": baseline,
+            "rows": [{"flit_bits": flit, "case": label, "clear": clear}
+                     for flit, label, clear in rows],
+            "crossover_flit_bits": {
+                label: find_crossover(sizes, series, table[baseline])
+                for label, series in table.items() if label != baseline},
         }
     artifacts.json_files.append(("network_report.json", {
         "kind": "network_report",

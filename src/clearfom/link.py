@@ -214,7 +214,7 @@ def link_capacity(link: LinkSpec) -> float:
     device_bw = _min_positive_bandwidth(link)
     if link.is_optical:
         t = link.transport
-        budget_db = 10.0 * math.log10(t.launch_power_w / t.detector_sensitivity_w)
+        budget_db = 10.0 * (math.log10(t.launch_power_w) - math.log10(t.detector_sensitivity_w))
         for index, span in enumerate(span_lengths(link)):
             loss_db = t.loss_db_per_m * span
             if loss_db > budget_db:

@@ -25,13 +25,14 @@ row has the same layout, so the column pairs are routed once for all rows,
 each horizontal load is the fsum of its pairs' demands, and vertical loads
 are running sums of the column demands. Generated traffic supplies those
 demand sums in closed form, in O(k^3) pure Python for a k x k mesh, so
-routing it needs no n x n matrix; an explicit matrix is summed in pure
-Python too. numpy is imported only to build the dense ``rates`` of generated
-traffic, on first access. Routing reads only the mesh shape and the express
-span, so :func:`case_activities` routes each distinct geometry once and
-cases that differ only in link technology share the result. Totals over
-links use :func:`math.fsum`, so they do not depend on the order in which
-links are visited.
+routing it needs no n x n matrix; it is routed only on the mesh shape it
+was generated on. An explicit matrix is summed in pure Python too. numpy is
+imported only to build the dense ``rates`` of generated traffic, on first
+access. Routing reads only the mesh shape and the express span, so
+:func:`case_activities` routes each distinct geometry once and cases that
+differ only in link technology share the result. Totals over links use
+:func:`math.fsum`, so they do not depend on the order in which links are
+visited.
 
 Physical links are undirected full-duplex channels: activity and utilization
 are tracked per direction, while area, cost, and the aggregate-capacity
@@ -73,8 +74,6 @@ __all__ = [
     "TrafficMatrix",
     "LinkActivity",
     "NetworkCase",
-    "FlitSweepRow",
-    "FlitSweepResult",
     "build_mesh",
     "add_express_links",
     "generate_traffic",
@@ -227,9 +226,9 @@ class TrafficMatrix:
     the validated copy that routing sums, a tuple of tuples of floats, so a
     later edit to the caller's matrix changes neither. A matrix from
     :func:`generate_traffic` instead carries the closed form of its
-    :meth:`demands` and builds its dense ``rates``, a numpy array, only when
-    that is first read, so routing generated traffic allocates no n x n
-    matrix.
+    :meth:`demands` on the mesh shape it was generated on, and builds its
+    dense ``rates``, a numpy array, only when that is first read, so routing
+    generated traffic allocates no n x n matrix.
     """
 
     def __init__(self, rates: Sequence[Sequence[float]]):
@@ -243,7 +242,7 @@ class TrafficMatrix:
             raise DomainError("traffic rates must be finite and non-negative")
         if any(row[src] != 0.0 for src, row in enumerate(matrix)):
             raise DomainError("self-traffic is not allowed")
-        self.rates = self._matrix = matrix
+        self.rates = matrix
         self._node_count = len(matrix)
         self._closed_form: tuple[tuple[int, int], Callable[[], Demands]] | None = None
         self._demands: dict[tuple[int, int], Demands] = {}
@@ -262,28 +261,27 @@ class TrafficMatrix:
     def rates(self) -> Sequence[Sequence[float]]:
         return self._materialise()
 
-    @cached_property
-    def _matrix(self) -> Sequence[Sequence[float]]:
-        return self.rates.tolist()
-
     def demands(self, rows: int, cols: int) -> Demands:
         """Demand sums of this traffic laid out on a ``rows`` x ``cols`` mesh.
 
         Returns ``row[r][c1][c2]``, the sum over r2 of the rate from (r, c1)
         to (r2, c2); ``col[c][r1][r2]``, the sum over c1 of the rate from
         (r1, c1) to (r2, c); and the injected total, all as Python floats.
-        Generated traffic answers from its closed form in O(k^3) on its own
-        mesh shape; an explicit matrix, or another shape, is summed from the
-        matrix. The result is cached and shared: do not modify it.
+        Generated traffic answers from its closed form in O(k^3), and only on
+        the mesh shape it was generated on; an explicit matrix is summed from
+        its ``rates``. The result is cached and shared: do not modify it.
         """
         if rows * cols != self._node_count:
             raise DomainError("traffic matrix size does not match the topology")
         shape = (rows, cols)
         if shape not in self._demands:
-            if self._closed_form is not None and self._closed_form[0] == shape:
+            if self._closed_form is None:
+                self._demands[shape] = _matrix_demands(self.rates, rows, cols)
+            elif self._closed_form[0] == shape:
                 self._demands[shape] = self._closed_form[1]()
             else:
-                self._demands[shape] = _matrix_demands(self._matrix, rows, cols)
+                raise DomainError(f"traffic generated on a {self._closed_form[0]} mesh "
+                                  f"cannot be routed on a {shape} mesh")
         return self._demands[shape]
 
 
@@ -731,20 +729,6 @@ class NetworkCase:
     topology: MeshTopology
 
 
-@dataclass(frozen=True)
-class FlitSweepRow:
-    flit_bits: int
-    label: str
-    clear: float
-
-
-@dataclass(frozen=True)
-class FlitSweepResult:
-    rows: tuple[FlitSweepRow, ...]
-    baseline: str
-    crossover_flit_bits: Mapping[str, int | None]
-
-
 def find_crossover(flit_sizes: Sequence[int], series: Sequence[float],
                    baseline: Sequence[float]) -> int | None:
     """First flit size at which sign(series - baseline) flips (or hits zero)."""
@@ -762,38 +746,22 @@ def find_crossover(flit_sizes: Sequence[int], series: Sequence[float],
 
 
 def flit_sweep(cases: Sequence[NetworkCase], activities: Sequence[LinkActivity],
-               config: NocConfig, flit_sizes: Sequence[int], eval_year: float | None = None,
-               baseline: str | None = None) -> FlitSweepResult:
-    """Re-evaluate every case under ``config`` at each flit size and report crossovers.
+               config: NocConfig, flit_sizes: Sequence[int],
+               eval_year: float | None = None) -> dict[str, list[float]]:
+    """Each case's CLEAR under ``config`` at each of ``flit_sizes``, by label in case order.
 
     Routing, latency, and link activity do not depend on flit size, so the
     routed ``activities``, one per case (see :func:`case_activities`), serve
     the whole sweep.
     """
-    if not flit_sizes:
-        raise DomainError("flit_sweep needs at least one flit size")
-    labels = [case.label for case in cases]
-    if len(set(labels)) != len(labels):
+    table: dict[str, list[float]] = {case.label: [] for case in cases}
+    if len(table) != len(cases):
         raise DomainError("case labels must be unique")
-    if baseline is None:
-        baseline = labels[0]
-    if baseline not in labels:
-        raise ConfigurationError(f"baseline '{baseline}' is not among the cases")
-
     if len(activities) != len(cases):
         raise DomainError("flit_sweep needs one link activity per case")
-
-    rows: list[FlitSweepRow] = []
-    by_label: dict[str, list[float]] = {label: [] for label in labels}
     for flit in flit_sizes:
         at_flit = config.with_flit_bits(flit)
         for case, activity in zip(cases, activities):
-            value = network_clear(case.topology, activity, at_flit, eval_year).value
-            rows.append(FlitSweepRow(flit_bits=flit, label=case.label, clear=value))
-            by_label[case.label].append(value)
-
-    crossovers = {
-        label: find_crossover(list(flit_sizes), by_label[label], by_label[baseline])
-        for label in labels if label != baseline}
-    return FlitSweepResult(rows=tuple(rows), baseline=baseline,
-                           crossover_flit_bits=crossovers)
+            table[case.label].append(
+                network_clear(case.topology, activity, at_flit, eval_year).value)
+    return table

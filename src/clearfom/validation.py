@@ -431,7 +431,7 @@ def load_network_config(path: str | Path) -> NetworkConfig:
         traffic_params=_build(TrafficParams, traffic, **hotspots),
         noc=noc,
         flit_sizes=tuple(int(v) for v in sweep["flit_bits"]) if sweep else None,
-        sweep_baseline=sweep.get("baseline") if sweep else None,
+        sweep_baseline=sweep.get("baseline", doc["cases"][0]["label"]) if sweep else None,
     )
 
 

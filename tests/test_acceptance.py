@@ -33,6 +33,7 @@ from clearfom.network import (
     add_express_links,
     build_mesh,
     case_activities,
+    find_crossover,
     flit_sweep,
     generate_traffic,
     link_activity,
@@ -222,18 +223,17 @@ def test_criterion_10_shipped_orderings(network_config_path):
     cases = [case for case in config.cases if case.label in wanted]
     traffic = generate_traffic(config.traffic_pattern, config.traffic_params,
                                cases[0].topology, seed=7)
-    sweep = flit_sweep(cases, case_activities(cases, traffic), config.noc,
-                       [32, 64, 128, 256], baseline="electronic")
-    values = {(row.label, row.flit_bits): row.clear for row in sweep.rows}
+    flits = [32, 64, 128, 256]
+    table = flit_sweep(cases, case_activities(cases, traffic), config.noc, flits)
 
-    assert values[("electronic+hyppi-express", 32)] > values[("electronic", 32)]
+    assert table["electronic+hyppi-express"][0] > table["electronic"][0]
 
-    differences = [values[("hyppi", f)] - values[("electronic", f)]
-                   for f in (32, 64, 128, 256)]
+    differences = [h - e for h, e in zip(table["hyppi"], table["electronic"])]
     assert differences[0] < 0  # electronics wins at the shipped 32-bit flit
     assert any(d > 0 for d in differences)  # and is overtaken at a larger flit
-    assert sweep.crossover_flit_bits["hyppi"] is not None
-    assert sweep.crossover_flit_bits["hyppi"] >= 64
+    crossover = find_crossover(flits, table["hyppi"], table["electronic"])
+    assert crossover is not None
+    assert crossover >= 64
 
 
 @criterion(11, "determinism: identical seeds give byte-identical artifacts")

@@ -13,6 +13,7 @@ from clearfom.data import example_path
 from clearfom.errors import DomainError
 from clearfom.ioutil import fmt, write_json
 from clearfom.metric import AXIS_NAMES, Axes, radar_vertices
+from clearfom.network import find_crossover
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -200,6 +201,20 @@ class TestLinkCommand:
         assert "kind=infeasible" in err
         assert "span" in err
 
+    def test_power_ratio_that_underflows_exits_two(self, tmp_path, capsys):
+        def edit(doc):
+            photonic = next(l for l in doc["links"] if l["name"] == "photonic")
+            photonic["transport"].update(launch_power_w=1e-300, detector_sensitivity_w=1e300)
+
+        config = _config_copy(tmp_path, "links/four_technologies.json", edit)
+        out = tmp_path / "o"
+        assert main(["link", "--config", str(config), "--out", str(out)]) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("clearfom: error code=2 kind=infeasible")
+        assert "budget -6000 dB" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("role", [["repeater"], {"kind": "repeater"}])
     def test_non_string_role_is_a_validation_error(self, tmp_path, capsys, role):
         with open(example_path("links/four_technologies.json"), encoding="utf-8") as fh:
@@ -279,6 +294,24 @@ class TestNetworkCommand:
         assert err.startswith("clearfom: error code=1 kind=validation")
         assert "link_activity_a_b.csv" in err
         assert not out.exists()
+
+    def test_sweep_baseline_defaults_to_the_first_case(self, tmp_path):
+        config = _small_network_config(tmp_path, sweep=(16, 32, 64, 128, 256))
+        doc = json.loads(config.read_text(encoding="utf-8"))
+        del doc["flit_sweep"]["baseline"]
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["network", "--config", str(config), "--seed", "3",
+                     "--out", str(out), "--format", "json"]) == EXIT_OK
+        sweep = json.loads((out / "network_report.json").read_text(encoding="utf-8"))["flit_sweep"]
+        first = doc["cases"][0]["label"]
+        assert sweep["baseline"] == first
+        flits = doc["flit_sweep"]["flit_bits"]
+        table = {case["label"]: [row["clear"] for row in sweep["rows"]
+                                 if row["case"] == case["label"]] for case in doc["cases"]}
+        assert sweep["crossover_flit_bits"] == {
+            label: find_crossover(flits, series, table[first])
+            for label, series in table.items() if label != first}
 
     def test_deterministic_artifacts_byte_identical(self, tmp_path):
         config = _small_network_config(tmp_path, cases=("electronic", "hyppi"))

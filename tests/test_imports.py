@@ -84,6 +84,33 @@ print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
 """
 
 
+# Blocks numpy, then runs the NoC library on the shipped cases under each traffic
+# pattern, and routes traffic generated on 4x6 over a 6x4 mesh.
+_BLOCKED_LIBRARY = """
+import json, sys
+sys.modules["numpy"] = None
+from clearfom.network import (TrafficParams, build_mesh, case_activities, flit_sweep,
+                              generate_traffic, link_activity, network_clear)
+from clearfom.validation import load_network_config
+config = load_network_config(sys.argv[1])
+cases, mesh = config.cases, config.cases[0].topology
+params = TrafficParams(injection_bps_per_node=1e9)
+report = {}
+for pattern in ("uniform", "hotspot", "exponential_locality"):
+    traffic = generate_traffic(pattern, params, mesh, seed=7)
+    clear = network_clear(mesh, link_activity(mesh, traffic), config.noc).value
+    table = flit_sweep(cases, case_activities(cases, traffic), config.noc, [32, 64])
+    report[pattern] = [clear > 0, {label: len(series) for label, series in table.items()}]
+wide = generate_traffic("uniform", params, build_mesh(4, 6, 1e-3, "electronic"), seed=7)
+try:
+    link_activity(build_mesh(6, 4, 1e-3, "electronic"), wide)
+    report["other_shape"] = "routed"
+except Exception as exc:
+    report["other_shape"] = type(exc).__name__
+print(json.dumps(report))
+"""
+
+
 def _run(script, args):
     src = str(Path(clearfom.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -143,17 +170,14 @@ class TestImportBoundary:
         assert result == {"code": 0, "numpy": False, "imported": CLI_MODULES,
                           "added": ADDED[command]}
 
-    def test_network_command_loads_numpy(self, tmp_path):
-        # Kept under its old name: no network command loads numpy.
+    def test_network_command_skips_numpy(self, tmp_path):
         config = str(example_path("networks/mesh16_comparison.json"))
         result = _probe(["network", "--config", config, "--seed", "7"], tmp_path)
         assert result == {"code": 0, "numpy": False, "imported": CLI_MODULES,
                           "added": ADDED["network"]}
 
     @pytest.mark.parametrize("traffic", list(TRAFFIC))
-    def test_only_a_seeded_hotspot_pick_loads_numpy(self, tmp_path, network_config_doc,
-                                                     traffic):
-        # Kept under its old name: a seeded pick hashes with hashlib, not numpy.
+    def test_no_traffic_pattern_loads_numpy(self, tmp_path, network_config_doc, traffic):
         config = _network_config(tmp_path, network_config_doc, traffic)
         result = _probe(["network", "--config", config, "--seed", "7"], tmp_path)
         assert result == {"code": 0, "numpy": False, "imported": CLI_MODULES,
@@ -168,6 +192,12 @@ class TestImportBoundary:
         runs = [[*argv, "--out", str(tmp_path / f"out{index}"), "--format", "csv,json"]
                 for index, argv in enumerate(runs)]
         assert _run(_BLOCKED, [json.dumps(runs)]) == [0] * len(runs)
+
+    def test_noc_library_runs_without_numpy(self, network_config_path, network_config_doc):
+        sweep = {case["label"]: 2 for case in network_config_doc["cases"]}
+        assert _run(_BLOCKED_LIBRARY, [str(network_config_path)]) == {
+            "uniform": [True, sweep], "hotspot": [True, sweep],
+            "exponential_locality": [True, sweep], "other_shape": "DomainError"}
 
 
 class TestLazyExports:

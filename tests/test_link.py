@@ -121,6 +121,12 @@ class TestCapacity:
         assert span is not None
         assert span.loss_db > span.budget_db
 
+    def test_budget_of_powers_whose_ratio_underflows_is_finite(self):
+        link = _optical(launch=1e-300, sens=1e300)  # launch / sens underflows to 0.0
+        with pytest.raises(InfeasibleLinkError) as excinfo:
+            link_capacity(link)
+        assert excinfo.value.failing_span.budget_db == -6000.0
+
     def test_repeaters_restore_feasibility(self):
         link = _optical(length=1e-3, loss=1.5e5, components=[_repeater()], spacing=1e-4)
         assert link_capacity(link) > 0

@@ -581,10 +581,10 @@ class TestFlitSweep:
                                    mesh, seed=4)
         config = _config()
         case = NetworkCase(label="electronic", topology=mesh)
-        sweep = flit_sweep([case], case_activities([case], traffic), config, [32])
-        assert len(sweep.rows) == 1
+        table = flit_sweep([case], case_activities([case], traffic), config, [32])
         direct = network_clear(mesh, link_activity(mesh, traffic), config).value
-        assert sweep.rows[0].clear == pytest.approx(direct, rel=1e-12)
+        assert list(table) == ["electronic"]
+        assert table["electronic"] == [pytest.approx(direct, rel=1e-12)]
 
     def test_electronic_lane_count_tracks_flit_bits(self):
         config = _config()
@@ -616,11 +616,3 @@ class TestFlitSweep:
         case = NetworkCase(label="x", topology=mesh)
         with pytest.raises(DomainError):
             flit_sweep([case, case], case_activities([case, case], traffic), _config(), [32])
-
-    def test_unknown_baseline_rejected(self):
-        mesh = build_mesh(2, 2, 1e-3, "electronic")
-        traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
-                                   mesh, seed=4)
-        case = NetworkCase(label="x", topology=mesh)
-        with pytest.raises(ConfigurationError):
-            flit_sweep([case], case_activities([case], traffic), _config(), [32], baseline="y")

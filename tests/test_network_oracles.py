@@ -248,17 +248,13 @@ class TestClosedFormDemands:
         assert_close(fast.flow_hop_bps, slow.flow_hop_bps)
         assert_close(fast.router_traversal_bps, slow.router_traversal_bps)
 
-    def test_other_mesh_shape_sums_the_rates(self):
-        # Generated on 4x6 but routed on 6x4: the closed form does not apply.
+    def test_other_mesh_shape_is_refused(self):
+        # Generated on 4x6, routed on 6x4: same node count, but the closed form does not apply.
         params = TrafficParams(injection_bps_per_node=1e9, locality_scale_hops=2.0)
         traffic = generate_traffic("exponential_locality", params,
                                    build_mesh(4, 6, 1e-3, "electronic"), seed=0)
-        tall = build_mesh(6, 4, 1e-3, "electronic")
-        got = link_activity(tall, traffic)
-        want = reference_link_activity(tall, traffic)
-        assert list(got.loads) == list(want.loads)
-        for key, load in want.loads.items():
-            assert_close(got.loads[key], load)
+        with pytest.raises(DomainError, match=r"generated on a \(4, 6\) mesh .* \(6, 4\) mesh"):
+            link_activity(build_mesh(6, 4, 1e-3, "electronic"), traffic)
 
     def test_demands_reject_a_mesh_of_another_size(self):
         traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
