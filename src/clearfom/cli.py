@@ -271,7 +271,7 @@ def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
         clear = network_clear(case.topology, activity, config.noc, eval_year)
         factors = clear.factors
         technology = case.topology.technology.value
-        utilization = activity.utilization(case.topology, config.noc.link_rate_bps)
+        utilization = activity.utilization(case.topology, config.noc)
         activity_rows = [
             (f"{a}->{b}", load, utilization[(a, b)])
             for (a, b), load in sorted(activity.loads.items())]

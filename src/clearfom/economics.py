@@ -63,7 +63,14 @@ def unit_cost(curve: ExperienceCurve, time: float) -> float:
     """Unit cost in USD at fractional calendar year ``time``."""
     if math.isinf(curve.halving_period):
         return curve.initial_unit_cost
-    return curve.initial_unit_cost * 2.0 ** (-(time - curve.reference_time) / curve.halving_period)
+    exponent = -(time - curve.reference_time) / curve.halving_period
+    try:
+        cost = curve.initial_unit_cost * 2.0 ** exponent
+    except OverflowError:
+        cost = math.inf
+    if not 0.0 < cost < math.inf:
+        raise DomainError(f"the unit cost in year {time:g} is outside the floating-point range")
+    return cost
 
 
 def relative_cost(curve: ExperienceCurve, time: float) -> float:

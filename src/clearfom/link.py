@@ -31,7 +31,7 @@ __all__ = [
     "LinkSpec",
     "SpanBudget",
     "repeater_count",
-    "span_lengths",
+    "span_layout",
     "link_capacity",
     "p2p_latency",
     "link_energy_per_bit",
@@ -178,14 +178,16 @@ def repeater_count(link: LinkSpec) -> int:
     return _span_count(link.length_m, link.repeater_spacing_m) - 1
 
 
-def span_lengths(link: LinkSpec) -> list[float]:
-    """Unrepeated span lengths, source to sink; the tail span may be shorter."""
-    if link.repeater_spacing_m is None:
-        return [link.length_m]
+def span_layout(link: LinkSpec) -> tuple[int, float, float]:
+    """Unrepeated spans, source to sink, as (count, full, tail).
+
+    The first count - 1 spans are ``full`` long and the last, the tail, may
+    be shorter. A link of one span is its whole length, both full and tail.
+    """
     spacing = link.repeater_spacing_m
-    n = _span_count(link.length_m, spacing)
-    tail = link.length_m - spacing * (n - 1)
-    return [spacing] * (n - 1) + [tail]
+    n = 1 if spacing is None else _span_count(link.length_m, spacing)
+    full = link.length_m if n == 1 else spacing
+    return n, full, link.length_m - full * (n - 1)
 
 
 def _component_total(link: LinkSpec, field: str) -> float:
@@ -215,7 +217,9 @@ def link_capacity(link: LinkSpec) -> float:
     if link.is_optical:
         t = link.transport
         budget_db = 10.0 * (math.log10(t.launch_power_w) - math.log10(t.detector_sensitivity_w))
-        for index, span in enumerate(span_lengths(link)):
+        n, full, tail = span_layout(link)
+        # Every span before the tail is full, so span 0 fails first if any of them does.
+        for index, span in ((0, full), (n - 1, tail)):
             loss_db = t.loss_db_per_m * span
             if loss_db > budget_db:
                 raise InfeasibleLinkError(
@@ -233,7 +237,7 @@ def link_capacity(link: LinkSpec) -> float:
     t = link.transport
     rc = t.resistance_ohm_per_m * t.capacitance_f_per_m
     if rc > 0:
-        longest = max(span_lengths(link))
+        longest = max(span_layout(link)[1:])
         rc_bw = 1.0 / (2.0 * math.pi * RC_BANDWIDTH_COEFF * rc * longest ** 2)
     else:
         rc_bw = math.inf
@@ -252,7 +256,11 @@ def p2p_latency(link: LinkSpec) -> float:
     if link.is_optical:
         return delay + link.transport.group_index * link.length_m / LIGHT_SPEED_VACUUM
     rc = link.transport.resistance_ohm_per_m * link.transport.capacitance_f_per_m
-    return delay + math.fsum(RC_DELAY_COEFF * rc * span ** 2 for span in span_lengths(link))
+    n, full, tail = span_layout(link)
+    # The n - 1 full spans as exact power-of-two multiples, so fsum rounds once.
+    full_delay = RC_DELAY_COEFF * rc * full ** 2
+    terms = [full_delay * 2.0 ** k for k in range((n - 1).bit_length()) if (n - 1) >> k & 1]
+    return delay + math.fsum(terms + [RC_DELAY_COEFF * rc * tail ** 2])
 
 
 def link_energy_per_bit(link: LinkSpec) -> float:

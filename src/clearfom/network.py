@@ -42,7 +42,6 @@ numerator count each channel pair once.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, partial
@@ -57,6 +56,7 @@ from .link import (
     ElectricalTransport,
     LinkSpec,
     link_area,
+    link_capacity,
     link_energy_per_bit,
 )
 from .metric import Axes, ClearValue, Level, Technology, clear_value
@@ -484,16 +484,13 @@ class LinkActivity:
     router_traversal_bps: float  # sum over flows of rate * (hops + 1)
 
     def utilization(self, topology: MeshTopology,
-                    rated_bps: Mapping[Technology, float]) -> dict[tuple[int, int], float]:
+                    config: NocConfig) -> dict[tuple[int, int], float]:
+        """Each load over the ``link_capacity`` of its link's class."""
         span = topology.express_span  # a hop is express iff it spans span node ids
-        out = {}
-        for (u, v), load in self.loads.items():
-            technology = (topology.express_technology if abs(v - u) == span
-                          else topology.technology)
-            if technology not in rated_bps:
-                raise ConfigurationError(f"no rated capacity for {technology.value}")
-            out[(u, v)] = load / rated_bps[technology]
-        return out
+        capacity = {hop_span: link_capacity(_class_link(topology, config, technology, hop_span))
+                    for technology, hop_span in topology.link_counts()}
+        return {(u, v): load / capacity[span if abs(v - u) == span else 1]
+                for (u, v), load in self.loads.items()}
 
 
 def link_activity(topology: MeshTopology, traffic: TrafficMatrix) -> LinkActivity:
@@ -584,15 +581,15 @@ class NocConfig:
     """DSENT-replacement parameter tables for one NoC evaluation.
 
     Flit resizing conventions (used by :func:`flit_sweep`): electronic links
-    are ``flit_bits`` lanes wide and each lane clocks at rate/lanes; router
-    energy-per-bit and area scale linearly with flit width, as do the area
-    and cost of serdes/driver components (their per-bit energy does not).
+    are ``flit_bits`` lanes wide and each lane clocks at the template's
+    ``link_capacity`` / lanes; router energy-per-bit and area scale linearly
+    with flit width, as do the area and cost of serdes/driver components
+    (their per-bit energy does not).
     """
 
     flit_bits: int
     router_pipeline_clks: int
     link_latency_clks: Mapping[Technology, int]
-    link_rate_bps: Mapping[Technology, float]
     router: RouterModel
     link_templates: Mapping[Technology, LinkSpec]  # "<tech>-noc-link" at the mesh spacing
     wafer_cost: Mapping[str, ExperienceCurve]  # USD per m^2 of each die
@@ -605,9 +602,6 @@ class NocConfig:
         for tech, clks in self.link_latency_clks.items():
             if clks < 1:
                 raise DomainError(f"link latency for {Technology(tech).value} must be >= 1 clk")
-        for tech, rate in self.link_rate_bps.items():
-            if rate <= 0:
-                raise DomainError(f"rated capacity for {Technology(tech).value} must be > 0")
 
     def with_flit_bits(self, flit_bits: int) -> "NocConfig":
         """Re-derive width-dependent parameters for a new flit size."""
@@ -628,13 +622,22 @@ class NocConfig:
             transport = template.transport
             if tech is Technology.ELECTRONIC and isinstance(transport, ElectricalTransport):
                 transport = replace(transport, lanes=flit_bits)
-                lane_rate = self.link_rate_bps[tech] / flit_bits
+                lane_rate = link_capacity(template) / flit_bits
                 components = [
                     replace(c, bandwidth_hz=lane_rate) if c.bandwidth_hz > 0 else c
                     for c in components]
             templates[tech] = replace(template, components=tuple(components),
                                       transport=transport)
         return replace(self, flit_bits=flit_bits, router=router, link_templates=templates)
+
+
+def _class_link(topology: MeshTopology, config: NocConfig, technology: Technology,
+                hop_span: int) -> LinkSpec:
+    """The link of a (technology, hop_span) class: its template at the hop's length."""
+    if technology not in config.link_templates:
+        raise ConfigurationError(
+            f"link_templates has no entry for technology '{technology.value}'")
+    return config.link_templates[technology].at_length(hop_span * topology.spacing_m)
 
 
 def _link_area_by_die(spec: LinkSpec, native_die: str) -> dict[str, float]:
@@ -662,8 +665,7 @@ def network_clear(topology: MeshTopology, activity: LinkActivity, config: NocCon
     from one pass over the mesh's (technology, hop_span) link classes. Links
     of a class are identical, so each class is instantiated once:
 
-    - capability is the rated capacity of every link, summed per technology,
-      over the node count;
+    - capability is the ``link_capacity`` of every link over the node count;
     - latency is the traffic-weighted mean clock cost of a flow. Each hop
       charges one router pipeline plus its link's technology latency and
       ejection adds nothing, so a 1-hop electronic flow costs pipeline + 1;
@@ -684,25 +686,21 @@ def network_clear(topology: MeshTopology, activity: LinkActivity, config: NocCon
     latency_terms = [config.router_pipeline_clks * activity.flow_hop_bps]
     energy_terms = [activity.router_traversal_bps * config.router.dynamic_j_per_bit]
     area_terms = {config.router.die: [config.router.area_m2 * topology.node_count]}
-    counts: Counter[Technology] = Counter()
+    capacity_terms = []
     for (technology, hop_span), count in topology.link_counts().items():
-        for table, label in ((config.link_latency_clks, "link_latency_clks"),
-                             (config.link_rate_bps, "link_rate_bps"),
-                             (config.link_templates, "link_templates")):
-            if technology not in table:
-                raise ConfigurationError(
-                    f"{label} has no entry for technology '{technology.value}'")
-        spec = config.link_templates[technology].at_length(hop_span * topology.spacing_m)
+        if technology not in config.link_latency_clks:
+            raise ConfigurationError(
+                f"link_latency_clks has no entry for technology '{technology.value}'")
+        spec = _class_link(topology, config, technology, hop_span)
+        capacity_terms.append(count * link_capacity(spec))
         loads = loads_by_span[hop_span]
         clks = config.link_latency_clks[technology]
         latency_terms += [load * clks for load in loads]
-        if loads:  # an idle class adds no energy, so its link capacity is not evaluated
-            energy = link_energy_per_bit(spec)
-            energy_terms += [load * energy for load in loads]
+        energy = link_energy_per_bit(spec)
+        energy_terms += [load * energy for load in loads]
         native_die = ELECTRONIC_DIE if technology is Technology.ELECTRONIC else PHOTONIC_DIE
         for die, area in _link_area_by_die(spec, native_die).items():
             area_terms.setdefault(die, []).append(count * area)
-        counts[technology] += count
 
     area_by_die = {die: math.fsum(terms) for die, terms in area_terms.items()}
     cost_terms = []
@@ -712,9 +710,7 @@ def network_clear(topology: MeshTopology, activity: LinkActivity, config: NocCon
         curve = config.wafer_cost[die]
         rate = curve.initial_unit_cost if eval_year is None else unit_cost(curve, eval_year)
         cost_terms.append(area * rate)
-    capability = math.fsum(count * config.link_rate_bps[technology]
-                           for technology, count in counts.items()) / topology.node_count
-    factors = Axes(capability=capability,
+    factors = Axes(capability=math.fsum(capacity_terms) / topology.node_count,
                    latency=math.fsum(latency_terms) / activity.injected_bps,
                    energy=math.fsum(energy_terms) / activity.injected_bps,
                    amount=math.fsum(area_by_die.values()), resistance=math.fsum(cost_terms))

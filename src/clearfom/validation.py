@@ -229,10 +229,10 @@ def _cross_field_errors(doc: Mapping) -> list[Diagnostic]:
     baseline = _as_dict(doc.get("flit_sweep")).get("baseline")
     if isinstance(baseline, str) and labels and baseline not in labels:
         out.append(Diagnostic("$.flit_sweep.baseline", "must match one of the case labels"))
-    # Every technology a case uses must be present in all three NoC tables.
+    # Every technology a case uses must be present in both NoC tables.
     used = [c.get("technology") for c in cases]
     used += [_as_dict(c.get("express")).get("technology") for c in cases]
-    for table_key in ("link_latency_clks", "link_rate_bps", "link_templates"):
+    for table_key in ("link_latency_clks", "link_templates"):
         table = noc.get(table_key)
         if not isinstance(table, Mapping):
             continue
@@ -409,8 +409,6 @@ def load_network_config(path: str | Path) -> NetworkConfig:
         NocConfig, noc_doc,
         link_latency_clks={Technology(t): int(v)
                            for t, v in noc_doc["link_latency_clks"].items()},
-        link_rate_bps={Technology(t): float(v)
-                       for t, v in noc_doc["link_rate_bps"].items()},
         router=_build(RouterModel, noc_doc["router"]),
         link_templates=templates,
         wafer_cost=wafer,

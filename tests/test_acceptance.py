@@ -156,7 +156,8 @@ def test_criterion_5_latency(network_config_path):
 
 @criterion(6, "rate consistency: 32 x 1.5625 GHz and 2 x 25 Gb/s both equal 50 Gb/s")
 def test_criterion_6_rate_consistency(network_config_path):
-    config = load_network_config(network_config_path).noc
+    network = load_network_config(network_config_path)
+    config = network.noc
     electronic = config.link_templates[Technology.ELECTRONIC].at_length(1e-3)
     assert electronic.transport.lanes == 32
     assert link_capacity(electronic) == 32 * 1.5625e9 == 5e10
@@ -164,6 +165,12 @@ def test_criterion_6_rate_consistency(network_config_path):
     assert photonic.transport.wdm_channels == 2
     assert photonic.transport.per_channel_rate_cap_bps == 2.5e10
     assert link_capacity(photonic) == 5e10
+    # Every template carries 50 Gb/s on base and span-3 express hops at each swept flit size.
+    for flit in network.flit_sizes:
+        for technology, template in config.with_flit_bits(flit).link_templates.items():
+            for hop_span in (1, 3):
+                assert link_capacity(template.at_length(hop_span * 1e-3)) == 5e10, \
+                    (technology, flit, hop_span)
 
 
 @criterion(7, "flow conservation: 1000 random matrices balance exactly")

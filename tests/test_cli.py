@@ -281,6 +281,18 @@ class TestNetworkCommand:
         assert "got span 16 on 16 cols" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_a_link_rate_table_is_an_unknown_key(self, tmp_path, capsys):
+        # A link's capacity comes from its template alone; a rate table would state it twice.
+        config = _config_copy(tmp_path, "networks/mesh16_comparison.json",
+                              lambda doc: doc["noc"].update(link_rate_bps={"photonic": 5e11}))
+        out = tmp_path / "o"
+        assert main(["network", "--config", str(config), "--seed", "1",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("clearfom: error code=1 kind=validation")
+        assert "$.noc.link_rate_bps: unknown key" in err
+        assert not out.exists()
+
     def test_labels_that_share_a_file_name_are_refused(self, tmp_path, capsys):
         config = _small_network_config(tmp_path, cases=("electronic", "hyppi"))
         doc = json.loads(config.read_text(encoding="utf-8"))
@@ -358,6 +370,22 @@ class TestTrendCommand:
         positions = {p["name"]: p["position"] for p in report["points"]}
         assert positions["vector-super-85"] == "below"
 
+    def test_declining_series_reports_negative_doubling_time(self, tmp_path):
+        # CLEAR halves every year: a doubling time of -12 months, not null.
+        records = tmp_path / "records.csv"
+        records.write_text(
+            "name,year,mips,clock_period_s,energy_j_per_bit,volume_m3,cost_usd,class\n"
+            + "".join(f"m{k},{2000 + k},{0.5 ** k},1,1,1,1,other\n" for k in range(5)),
+            encoding="utf-8")
+        config = tmp_path / "trend.json"
+        config.write_text(json.dumps({"kind": "trend", "records_csv": str(records)}),
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["trend", "--config", str(config), "--out", str(out),
+                     "--format", "json"]) == EXIT_OK
+        report = json.loads((out / "trend_report.json").read_text(encoding="utf-8"))
+        assert report["fit"]["doubling_months"] == -12.0
+
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
         config = self._config(tmp_path)
         out = tmp_path / "from_env"
@@ -433,6 +461,19 @@ class TestNumericRange:
         assert err.count("\n") == 1
         assert err.startswith("clearfom: error code=1 kind=validation")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("year,shown", [("-5000", "-5000"), ("1e5", "100000")],
+                             ids=["cost_overflows", "cost_underflows"])
+    def test_cost_year_outside_float_range_is_named(self, tmp_path, capsys, year, shown):
+        config = _small_network_config(tmp_path, cases=("electronic", "photonic"))
+        out = tmp_path / "out"
+        assert main(["network", "--config", str(config), "--seed", "1", "--out", str(out),
+                     f"--eval-year={year}"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("clearfom: error code=1 kind=validation")
+        assert f"unit cost in year {shown} is outside the floating-point range" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("mips,clock_period_s", [("1e-300", "1e300"), ("1e300", "1e-300")],

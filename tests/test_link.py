@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from clearfom.link import (
     link_factors,
     p2p_latency,
     repeater_count,
-    span_lengths,
+    span_layout,
 )
 from clearfom.metric import Level, clear_value, default_floors, radar_scores
 from clearfom.validation import load_link_config
@@ -40,14 +42,14 @@ def _optical(length=1e-3, loss=50.0, launch=1e-3, sens=1e-5, wdm=1, cap=5e10,
 
 
 def _electrical(length=1e-3, lanes=1, c_per_m=1.65e-10, r_per_m=1e5, swing=1.0,
-                components=(), width=5e-7, name="elec"):
+                components=(), width=5e-7, name="elec", spacing=None):
     return LinkSpec(
         name=name, technology="electronic", length_m=length,
         components=tuple(components),
         transport=ElectricalTransport(capacitance_f_per_m=c_per_m,
                                       resistance_ohm_per_m=r_per_m,
                                       voltage_swing_v=swing, lanes=lanes),
-        cross_section_width_m=width)
+        cross_section_width_m=width, repeater_spacing_m=spacing)
 
 
 def _repeater(energy=6e-14, area=3e-10, cost=0.5, delay=2e-12):
@@ -94,12 +96,18 @@ class TestRepeaterCount:
         with pytest.raises(DomainError):
             _optical(spacing=1e-4)
 
-    def test_span_lengths_cover_link(self):
+    def test_span_layout_covers_link(self):
         link = _optical(length=9.5e-4, spacing=1e-4, components=[_repeater()])
-        spans = span_lengths(link)
-        assert len(spans) == 10
-        assert math.fsum(spans) == pytest.approx(9.5e-4, rel=1e-12)
-        assert all(0 < s <= 1e-4 + 1e-18 for s in spans)
+        n, full, tail = span_layout(link)
+        assert (n, full) == (10, 1e-4)
+        assert math.fsum([full] * (n - 1) + [tail]) == pytest.approx(9.5e-4, rel=1e-12)
+        assert 0 < tail <= 1e-4 + 1e-18
+
+    @pytest.mark.parametrize("spacing", [None, 1e-4, 5e-4])
+    def test_one_span_is_the_whole_link(self, spacing):
+        components = [_repeater()] if spacing else []
+        link = _optical(length=1e-4, spacing=spacing, components=components)
+        assert span_layout(link) == (1, 1e-4, 1e-4)
 
 
 class TestCapacity:
@@ -121,6 +129,30 @@ class TestCapacity:
         assert span is not None
         assert span.loss_db > span.budget_db
 
+    def test_first_full_span_is_the_failing_one(self):
+        # 1.05 mm repeated every 1 mm: a 25 dB full span, then a 1.25 dB tail.
+        link = _optical(length=1.05e-3, loss=2.5e4, components=[_repeater()], spacing=1e-3)
+        with pytest.raises(InfeasibleLinkError) as excinfo:
+            link_capacity(link)
+        span = excinfo.value.failing_span
+        assert (span.index, span.length_m, span.loss_db) == (0, 1e-3, 25.0)
+
+    def test_tail_past_the_spacing_bounds_the_link(self):
+        # 3e-4 m plus a few ulps snaps to three spans, the tail a hair longer than 1e-4 m.
+        length = 0.0003000000000000001
+        n, full, tail = span_layout(_optical(length=length, spacing=1e-4,
+                                             components=[_repeater()]))
+        assert (n, full) == (3, 1e-4) and tail > full
+        # 2e5 dB/m closes the 20 dB budget over a full span but not over the tail.
+        optical = _optical(length=length, loss=2e5, components=[_repeater()], spacing=1e-4)
+        with pytest.raises(InfeasibleLinkError) as excinfo:
+            link_capacity(optical)
+        assert (excinfo.value.failing_span.index, excinfo.value.failing_span.length_m) == (2, tail)
+        rc = 1e7 * 1.65e-10  # RC-limited below the repeater's 1e11 Hz
+        electrical = _electrical(length=length, r_per_m=1e7, components=[_repeater()],
+                                 spacing=1e-4)
+        assert link_capacity(electrical) == 1.0 / (2.0 * math.pi * 0.35 * rc * tail ** 2)
+
     def test_budget_of_powers_whose_ratio_underflows_is_finite(self):
         link = _optical(launch=1e-300, sens=1e300)  # launch / sens underflows to 0.0
         with pytest.raises(InfeasibleLinkError) as excinfo:
@@ -139,6 +171,9 @@ class TestCapacity:
         rc = 1e5 * 1.65e-10
         expected = 8.0 / (2.0 * math.pi * 0.35 * rc * 1e-2 ** 2)
         assert link_capacity(long) == pytest.approx(expected, rel=1e-12)
+        # Repeated every 1 mm, 1.5 mm is limited by its full span, not its 0.5 mm tail.
+        repeated = _electrical(length=1.5e-3, components=[_repeater()], spacing=1e-3)
+        assert link_capacity(repeated) == 1.0 / (2.0 * math.pi * 0.35 * rc * 1e-3 ** 2)
 
     def test_rc_rate_that_underflows_is_infeasible(self):
         link = _electrical(length=1.0, c_per_m=1e200, r_per_m=1e200)  # rc_bw = 1/inf
@@ -168,6 +203,34 @@ class TestLatency:
         link = _optical(length=1e-3, group_index=3.0)
         assert p2p_latency(link) == pytest.approx(1.0e-11, rel=1e-3)
         assert p2p_latency(link) == pytest.approx(3.0 * 1e-3 / _C, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spans=st.integers(min_value=1, max_value=64),
+           spacing=st.floats(min_value=1e-6, max_value=1e-3),
+           tail_share=st.floats(min_value=0.05, max_value=1.0))
+    def test_rc_delay_is_the_fsum_over_every_span(self, spans, spacing, tail_share):
+        link = _electrical(length=spacing * (spans - 1 + tail_share), spacing=spacing,
+                           components=[_repeater(delay=0.0)])
+        n, full, tail = span_layout(link)
+        rc = 1e5 * 1.65e-10
+        assert p2p_latency(link) == math.fsum([0.38 * rc * full ** 2] * (n - 1)
+                                              + [0.38 * rc * tail ** 2])
+
+    def test_a_million_spans_in_bounded_memory(self):
+        # 1 mm repeated every 1 nm; a list of its spans would take megabytes.
+        link = _electrical(length=1e-3, spacing=1e-9, components=[_repeater(delay=0.0)])
+        tracemalloc.start()
+        try:
+            factors = link_factors(link)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        n, full, tail = span_layout(link)
+        assert n == 10 ** 6
+        rc = 1e5 * 1.65e-10
+        wire = Fraction(0.38 * rc * full ** 2) * (n - 1) + Fraction(0.38 * rc * tail ** 2)
+        assert factors.latency == float(wire)
 
     def test_component_delays_sum(self):
         comps = [LinkComponent(name="a", role=ComponentRole.MODULATOR, delay_s=1e-11),

@@ -13,6 +13,7 @@ from clearfom.link import (
     LinkComponent,
     LinkSpec,
     OpticalTransport,
+    link_capacity,
 )
 from clearfom.metric import Technology
 from clearfom.network import (
@@ -30,10 +31,6 @@ from clearfom.network import (
     link_activity,
     network_clear,
 )
-
-# Distinct rated capacities, so a link's utilization shows its technology.
-RATED = {Technology.ELECTRONIC: 1.0, Technology.HYBRID: 4.0}
-
 
 def _neighbours(topology, node):
     """Nodes one link from ``node`` by the mesh rule, express links included.
@@ -95,8 +92,9 @@ def _manhattan(topology, src, dst):
 
 
 def _config(e_link=1e-13, e_router=6e-13, a_router=1.5e-8, a_link=5e-10,
-            rate=5e10, technologies=("electronic", "hybrid")):
-    """Minimal tables: zero-RC electronic wires and a capped optical channel."""
+            hybrid_cap=5e10, technologies=("electronic", "hybrid")):
+    """Minimal tables: zero-RC electronic wires of 5e10 bit/s and an optical
+    channel of min(5e10, ``hybrid_cap``) bit/s."""
     templates = {}
     if "electronic" in technologies:
         templates[Technology.ELECTRONIC] = LinkSpec(
@@ -116,20 +114,23 @@ def _config(e_link=1e-13, e_router=6e-13, a_router=1.5e-8, a_link=5e-10,
                                       area_m2=a_link),),
             transport=OpticalTransport(loss_db_per_m=50.0, group_index=4.0,
                                        launch_power_w=1e-3, detector_sensitivity_w=1e-5,
-                                       wdm_channels=1, per_channel_rate_cap_bps=rate),
+                                       wdm_channels=1, per_channel_rate_cap_bps=hybrid_cap),
             cross_section_width_m=0.0)
     return NocConfig(
         flit_bits=32,
         router_pipeline_clks=3,
         link_latency_clks={Technology.ELECTRONIC: 1, Technology.PHOTONIC: 2,
                            Technology.PLASMONIC: 2, Technology.HYBRID: 2},
-        link_rate_bps={Technology.ELECTRONIC: rate, Technology.PHOTONIC: rate,
-                       Technology.PLASMONIC: rate, Technology.HYBRID: rate},
         router=RouterModel(dynamic_j_per_bit=e_router, area_m2=a_router),
         link_templates=templates,
         wafer_cost={"electronic": ExperienceCurve(2e5, math.inf, 0.0),
                     "photonic": ExperienceCurve(2.5e6, math.inf, 0.0)},
     )
+
+
+# Distinct link capacities, 5e10 bit/s electronic and 2e10 bit/s hybrid, so a
+# link's utilization shows its class.
+DISTINCT_CAPACITIES = _config(hybrid_cap=2e10)
 
 
 def _single_flow(n, src, dst, rate=1e9):
@@ -185,9 +186,9 @@ class TestExpressLinks:
         for link in mesh.express_links:
             assert link.b - link.a == 3  # same row, three columns apart
             for src, dst in ((link.a, link.b), (link.b, link.a)):
-                # One hop either way, rated at the hybrid capacity.
-                activity = link_activity(mesh, _single_flow(32, src, dst, rate=2.0))
-                assert activity.utilization(mesh, RATED) == {(src, dst): 0.5}
+                # One hop either way, over the hybrid capacity.
+                activity = link_activity(mesh, _single_flow(32, src, dst, rate=1e10))
+                assert activity.utilization(mesh, DISTINCT_CAPACITIES) == {(src, dst): 0.5}
 
     def test_span_below_two_rejected(self):
         with pytest.raises(DomainError):
@@ -220,8 +221,9 @@ class TestRoute:
     def test_express_shortcut_single_hop(self):
         mesh = add_express_links(build_mesh(4, 4, 1e-3, "electronic"), 3, "hybrid")
         assert _path(mesh, 0, 3) == [(0, 3)]
-        activity = link_activity(mesh, _single_flow(16, 0, 3, rate=2.0))
-        assert activity.utilization(mesh, RATED) == {(0, 3): 0.5}  # the express rating
+        activity = link_activity(mesh, _single_flow(16, 0, 3, rate=1e10))
+        # Over the express link's capacity.
+        assert activity.utilization(mesh, DISTINCT_CAPACITIES) == {(0, 3): 0.5}
 
     def test_x_phase_before_y_phase(self):
         mesh = build_mesh(4, 4, 1e-3, "electronic")
@@ -385,11 +387,10 @@ class TestLinkActivity:
                     r1 += step
         assert activity.loads == expected
 
-    def test_utilization_divides_by_rated_capacity(self):
+    def test_utilization_divides_by_link_capacity(self):
         mesh = build_mesh(1, 2, 1e-3, "electronic")
         activity = link_activity(mesh, _single_flow(2, 0, 1, rate=2.5e10))
-        config = _config(rate=5e10)
-        utilization = activity.utilization(mesh, config.link_rate_bps)
+        utilization = activity.utilization(mesh, _config())
         assert utilization[(0, 1)] == pytest.approx(0.5, rel=1e-12)
 
 
@@ -524,11 +525,15 @@ class TestNetworkClear:
                                    mesh, seed=4)
         return mesh, link_activity(mesh, traffic)
 
-    def test_doubling_rated_capacity_doubles_value(self):
+    def test_doubling_link_capacity_doubles_value(self):
         mesh, activity = self._setup()
-        base = network_clear(mesh, activity, _config(rate=5e10))
-        doubled_rates = {t: 2 * r for t, r in _config().link_rate_bps.items()}
-        doubled = replace(_config(rate=5e10), link_rate_bps=doubled_rates)
+        config = _config()
+        base = network_clear(mesh, activity, config)
+        # Twice the lanes of zero-RC, zero-width wire: twice the capacity, same energy and area.
+        template = config.link_templates[Technology.ELECTRONIC]
+        wider = replace(template, transport=replace(template.transport, lanes=64))
+        doubled = replace(config, link_templates={**config.link_templates,
+                                                  Technology.ELECTRONIC: wider})
         faster = network_clear(mesh, activity, doubled)
         assert faster.value == pytest.approx(2 * base.value, rel=1e-9)
 
@@ -541,7 +546,7 @@ class TestNetworkClear:
 
     def test_capability_is_rated_sum_per_node(self):
         mesh, activity = self._setup()
-        result = network_clear(mesh, activity, _config(rate=5e10))
+        result = network_clear(mesh, activity, _config())
         assert result.factors.capability == pytest.approx(12 * 5e10 / 9, rel=1e-12)
 
     def test_determinism_bit_identical(self):
@@ -553,7 +558,7 @@ class TestNetworkClear:
         assert a.factors.latency == b.factors.latency
         assert a.factors.energy == b.factors.energy
 
-    @pytest.mark.parametrize("table", ["link_latency_clks", "link_rate_bps"])
+    @pytest.mark.parametrize("table", ["link_latency_clks", "link_templates"])
     def test_missing_table_entry_names_the_table(self, table):
         mesh, activity = self._setup()
         config = _config()
@@ -593,6 +598,17 @@ class TestFlitSweep:
         assert template.transport.lanes == 128
         assert template.components[0].bandwidth_hz == pytest.approx(5e10 / 128, rel=1e-12)
         assert wide.router.area_m2 == pytest.approx(config.router.area_m2 * 4, rel=1e-12)
+
+    def test_electronic_lanes_share_the_template_capacity(self):
+        config = _config()
+        template = config.link_templates[Technology.ELECTRONIC]
+        driver = replace(template.components[0], bandwidth_hz=1.25e9)  # 32 x 1.25e9 = 4e10
+        config = replace(config, link_templates={
+            **config.link_templates, Technology.ELECTRONIC: replace(template, components=(driver,))})
+        for flit in (16, 128):
+            resized = config.with_flit_bits(flit).link_templates[Technology.ELECTRONIC]
+            assert resized.components[0].bandwidth_hz == 4e10 / flit
+            assert link_capacity(resized) == 4e10
 
     def test_serdes_area_scales_but_energy_does_not(self):
         serdes = LinkComponent(name="serdes", role=ComponentRole.SERDES,

@@ -23,6 +23,7 @@ from clearfom.link import (
     LinkComponent,
     LinkSpec,
     OpticalTransport,
+    link_capacity,
     link_energy_per_bit,
 )
 from clearfom.metric import Technology
@@ -303,7 +304,7 @@ class TestTwoLinkClasses:
     """
 
     E, H = Technology.ELECTRONIC, Technology.HYBRID
-    RATE = {E: 4e10, H: 1e11}
+    RATE = {E: 4e10, H: 1e11}  # the templates' link capacities: 32 x 1.25e9, min(2 x 5e10, 1e11)
     CLKS = {E: 1, H: 2}
     WAFER = {"electronic": 2e5, "photonic": 2.5e6}
     A_ROUTER, E_ROUTER = 1.5e-8, 6e-13
@@ -331,7 +332,6 @@ class TestTwoLinkClasses:
             cross_section_width_m=0.0)
         return NocConfig(
             flit_bits=32, router_pipeline_clks=3, link_latency_clks=self.CLKS,
-            link_rate_bps=self.RATE,
             router=RouterModel(dynamic_j_per_bit=self.E_ROUTER, area_m2=self.A_ROUTER),
             link_templates={self.E: electronic, self.H: hybrid},
             wafer_cost={die: ExperienceCurve(rate, math.inf, 0.0)
@@ -382,6 +382,29 @@ class TestShippedNetwork:
         traffic = generate_traffic(config.traffic_pattern, config.traffic_params, mesh, seed=1)
         latency = network_clear(mesh, link_activity(mesh, traffic), config.noc).factors.latency
         assert abs(latency - 128 / 3) <= math.ulp(128 / 3)
+
+    def test_express_capacity_follows_its_length(self, network_config_path):
+        # Shipped electronic wire is device-limited at 1 mm but RC-limited at 5 mm,
+        # so an electronic express class of span 5 carries less than a base link.
+        config = load_network_config(network_config_path)
+        mesh = add_express_links(config.cases[0].topology, 5, Technology.ELECTRONIC)
+        counts = mesh.link_counts()
+        assert counts == {(Technology.ELECTRONIC, 1): 480, (Technology.ELECTRONIC, 5): 48}
+        template = config.noc.link_templates[Technology.ELECTRONIC]
+        base, express = link_capacity(template), link_capacity(template.at_length(5e-3))
+        rc = 1e5 * 1.65e-10
+        assert base == 5e10
+        assert_close(express, 32 / (2 * math.pi * 0.35 * rc * 5e-3 ** 2))  # about 3.5276e10
+
+        traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
+                                   mesh, seed=1)
+        activity = link_activity(mesh, traffic)
+        factors = network_clear(mesh, activity, config.noc).factors
+        assert_close(factors.capability, (480 * base + 48 * express) / 256)
+        utilization = activity.utilization(mesh, config.noc)
+        assert {abs(v - u) for u, v in activity.loads} == {1, 5, 16}
+        for (u, v), load in activity.loads.items():
+            assert utilization[(u, v)] == load / (express if abs(v - u) == 5 else base)
 
     def test_flit_sweep_needs_one_activity_per_case(self, network_config_path):
         config = load_network_config(network_config_path)

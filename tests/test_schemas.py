@@ -225,9 +225,9 @@ class TestVerdicts:
 
     def test_unknown_technology_is_an_unknown_key(self):
         doc = copy.deepcopy(CONFIGS["network"])
-        doc["noc"]["link_rate_bps"]["quantum"] = 1e9
+        doc["noc"]["link_latency_clks"]["quantum"] = 2
         assert [str(d) for d in validate_config(doc)] == [
-            "$.noc.link_rate_bps.quantum: unknown key"]
+            "$.noc.link_latency_clks.quantum: unknown key"]
 
     def test_one_diagnostic_per_value(self):
         doc = copy.deepcopy(CONFIGS["link"])

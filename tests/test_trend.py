@@ -75,6 +75,10 @@ class TestFitGrowth:
         records = _doubling_series(range(2000, 2011), per_year=4.0)
         assert fit_growth(_observations(records)).doubling_months == pytest.approx(6.0, rel=1e-12)
 
+    def test_exact_halving_per_year_has_negative_doubling_time(self):
+        records = _doubling_series(range(2000, 2011), per_year=0.5)
+        assert fit_growth(_observations(records)).doubling_months == -12.0
+
     def test_noisy_series_recovers_doubling_time(self):
         rng = np.random.default_rng(9)
         records = _doubling_series(range(1980, 2010), noise=math.log2(1.10), rng=rng)
