@@ -25,9 +25,9 @@ _EXPORTS = {
                      "unit_cost"), "economics"),
     **dict.fromkeys(("ClearError", "ConfigurationError", "DomainError",
                      "InfeasibleLinkError", "InsufficientDataError"), "errors"),
-    **dict.fromkeys(("LimitSet", "bremermann_rate", "heisenberg_min_length",
-                     "landauer_energy", "make_limit_set", "margolus_levitin_rate",
-                     "time_of_flight_rate_limit"), "limits"),
+    **dict.fromkeys(("bremermann_rate", "heisenberg_min_length", "landauer_energy",
+                     "make_limit_set", "margolus_levitin_rate", "time_of_flight_rate_limit"),
+                    "limits"),
     **dict.fromkeys(("ElectricalTransport", "LinkComponent", "LinkSpec", "OpticalTransport",
                      "link_area", "link_capacity", "link_energy_per_bit",
                      "p2p_latency", "repeater_count"), "link"),

@@ -58,16 +58,13 @@ _FACTOR_KEYS = {
 _NETWORK_SUMMARY_COLUMNS = ("case", "technology", "clear", "capacity_gbps", "latency_clks",
                             "energy_pj_per_bit", "area_mm2", "cost_usd")
 
-# One limits-report row per ceiling: (JSON key, LimitSet field, CSV quantity, unit).
-_LIMIT_ROWS = (
-    ("min_energy_j_per_bit", "min_energy_j_per_bit", "min_energy", "J/bit"),
-    ("max_rate_hz", "max_rate_hz", "max_rate", "Hz"),
-    ("min_length_m", "min_length_m", "min_length", "m"),
-    ("min_area_m2", "min_area_m2", "min_area", "m^2"),
-    ("max_capacity_bps", "max_capacity_bps", "max_capacity", "bit/s"),
-    ("max_tof_rate_hz", "max_tof_rate_hz", "max_tof_rate", "Hz"),
-    ("cost_efficiency_axis_per_usd", "cost_efficiency_axis", "cost_efficiency_axis", "1/USD"),
-)
+# Report keys of the five physical limits at each level, in Axes order.
+_LIMIT_KEYS = {
+    Level.DEVICE: ("max_rate_hz", "min_length_m", "min_energy_j_per_bit", "min_area_m2",
+                   "min_unit_cost_usd"),
+    Level.LINK: ("max_capacity_bps", "min_latency_s", "min_energy_j_per_bit", "min_area_m2",
+                 "min_cost_usd"),
+}
 
 
 def _slug(name: str) -> str:
@@ -122,19 +119,13 @@ class _Artifacts:
 def _run_limits(args: argparse.Namespace, artifacts: _Artifacts):
     from .limits import make_limit_set
 
-    rows = []
     reports = {}
-    for level in ("device", "link"):
-        limits = make_limit_set(
-            temperature=args.temperature,
-            link_length=args.link_length,
-            group_index=args.group_index,
-            level=Level(level),
-        )
-        reports[level] = {}
-        for key, name, quantity, unit in _LIMIT_ROWS:
-            reports[level][key] = getattr(limits, name)
-            rows.append((level, quantity, reports[level][key], unit))
+    for level, keys in _LIMIT_KEYS.items():
+        limits = make_limit_set(args.temperature, link_length=args.link_length,
+                                group_index=args.group_index, level=level)
+        reports[level.value] = dict(zip(keys, limits))
+    rows = [(level, key, value) for level, report in reports.items()
+            for key, value in report.items()]
     document = {
         "kind": "limits_report",
         "temperature_k": args.temperature,
@@ -143,12 +134,12 @@ def _run_limits(args: argparse.Namespace, artifacts: _Artifacts):
         "levels": reports,
     }
     artifacts.json_files.append(("limits.json", document))
-    artifacts.csv_files.append(("limits.csv", ("level", "quantity", "value", "unit"), rows))
+    artifacts.csv_files.append(("limits.csv", ("level", "quantity", "value"), rows))
     if "table" in args.format:
         print(f"physical limits at {args.temperature:g} K "
               f"(time of flight over {args.link_length:g} m, "
               f"group index {args.group_index:g})")
-        _print_table(("level", "quantity", "value", "unit"), rows)
+        _print_table(("level", "quantity", "value"), rows)
 
 
 def _run_device(args: argparse.Namespace, artifacts: _Artifacts):
@@ -159,8 +150,7 @@ def _run_device(args: argparse.Namespace, artifacts: _Artifacts):
     config = load_device_config(args.config)
     limits = make_limit_set(
         temperature=config.temperature_k,
-        cost_efficiency_axis=config.cost_efficiency_axis or DEFAULT_COST_EFFICIENCY_AXIS,
-        level=Level.DEVICE)
+        cost_efficiency_axis=config.cost_efficiency_axis or DEFAULT_COST_EFFICIENCY_AXIS)
     floors = default_floors(map(device_factors, config.devices), margin=config.floor_margin)
 
     table_rows = []
@@ -198,7 +188,7 @@ def _run_device(args: argparse.Namespace, artifacts: _Artifacts):
 
 
 def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
-    from .limits import DEFAULT_COST_EFFICIENCY_AXIS, axis_limits, make_limit_set
+    from .limits import DEFAULT_COST_EFFICIENCY_AXIS, make_limit_set
     from .link import link_factors
     from .validation import load_link_config
 
@@ -220,7 +210,7 @@ def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
         floors = default_floors([factors for _, factors in at_length])
         for spec, factors in at_length:
             value = clear_value(factors, Level.LINK)
-            scores = radar_scores(factors, axis_limits(limits), floors)
+            scores = radar_scores(factors, limits, floors)
             report_links[spec.name].append({
                 "length_m": length,
                 **dict(zip(_FACTOR_KEYS[Level.LINK], factors)),

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .limits import LimitSet, axis_limits
 from .metric import Axes, ClearValue, Level, Technology, clear_value, radar_scores
 
 __all__ = ["DeviceSpec", "device_clear", "device_factors", "radar_normalize"]
@@ -36,16 +35,16 @@ class DeviceSpec:
             if getattr(self, field_name) <= 0:
                 raise DomainError(f"DeviceSpec.{field_name} must be strictly positive")
 
-    def limit_violations(self, limits: LimitSet) -> list[str]:
-        """Report factors that claim to beat a physical ceiling; never clamps."""
+    def limit_violations(self, limits: Axes) -> list[str]:
+        """Report factors that claim to beat a device-level limit; never clamps."""
         problems = []
-        if self.energy_j_per_bit < limits.min_energy_j_per_bit:
+        if self.energy_j_per_bit < limits.energy:
             problems.append("energy_j_per_bit below the minimum switching energy")
-        if self.critical_length_m < limits.min_length_m:
+        if self.critical_length_m < limits.latency:
             problems.append("critical_length_m below the minimum localization length")
-        if self.footprint_m2 < limits.min_area_m2:
+        if self.footprint_m2 < limits.amount:
             problems.append("footprint_m2 below the minimum device area")
-        if self.capability_hz > limits.max_rate_hz:
+        if self.capability_hz > limits.capability:
             problems.append("capability_hz above the maximum transition rate")
         return problems
 
@@ -65,8 +64,6 @@ def device_clear(spec: DeviceSpec) -> ClearValue:
     return clear_value(device_factors(spec), Level.DEVICE)
 
 
-def radar_normalize(spec: DeviceSpec, limits: LimitSet, floors: Axes) -> Axes:
-    """Limit-normalized radar scores for one device."""
-    if limits.level is not Level.DEVICE:
-        raise DomainError("device radar requires a device-level LimitSet")
-    return radar_scores(device_factors(spec), axis_limits(limits), floors)
+def radar_normalize(spec: DeviceSpec, limits: Axes, floors: Axes) -> Axes:
+    """Radar scores for one device against the device-level ``limits``."""
+    return radar_scores(device_factors(spec), limits, floors)

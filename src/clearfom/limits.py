@@ -21,7 +21,6 @@ expressed as 1/USD).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import (
     BOLTZMANN_K,
@@ -32,10 +31,9 @@ from .constants import (
     SILICON_DENSITY,
 )
 from .errors import DomainError
-from .metric import Axes, Level
+from .metric import AXIS_NAMES, Axes, Level
 
 __all__ = [
-    "LimitSet",
     "DEFAULT_COST_EFFICIENCY_AXIS",
     "landauer_energy",
     "margolus_levitin_rate",
@@ -44,40 +42,10 @@ __all__ = [
     "time_of_flight_rate_limit",
     "minimum_device_pair_mass",
     "make_limit_set",
-    "axis_limits",
 ]
 
 # Not a physical bound; fabrication keeps scaling, so this is configuration.
 DEFAULT_COST_EFFICIENCY_AXIS = 1e10
-
-
-@dataclass(frozen=True)
-class LimitSet:
-    """Per-factor ceilings used to normalize a radar plot at one level.
-
-    At link level the energy and area floors double relative to device level
-    (a transported bit is manipulated at both ends), the capacity ceiling is
-    the mass-energy bound for a sender/receiver pair of minimum-size silicon
-    devices, and the latency ceiling is the time-of-flight rate.
-    """
-
-    min_energy_j_per_bit: float
-    max_rate_hz: float
-    min_length_m: float
-    min_area_m2: float
-    max_capacity_bps: float
-    max_tof_rate_hz: float
-    cost_efficiency_axis: float
-    level: Level
-
-    def __post_init__(self):
-        for name in ("min_energy_j_per_bit", "max_rate_hz", "min_length_m",
-                     "min_area_m2", "max_capacity_bps", "max_tof_rate_hz",
-                     "cost_efficiency_axis"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise DomainError(f"LimitSet.{name} must be finite and strictly positive")
-        if self.level not in (Level.DEVICE, Level.LINK):
-            raise DomainError("LimitSet.level must be device or link")
 
 
 def landauer_energy(temperature: float) -> float:
@@ -148,56 +116,34 @@ def make_limit_set(temperature: float,
                    link_length: float = 1e-4,
                    group_index: float = 3.0,
                    level: Level = Level.DEVICE,
-                   cost_efficiency_axis: float = DEFAULT_COST_EFFICIENCY_AXIS) -> LimitSet:
-    """Assemble the full per-factor ceiling table for one hierarchy level.
+                   cost_efficiency_axis: float = DEFAULT_COST_EFFICIENCY_AXIS) -> Axes:
+    """The five radar limits of one hierarchy level, in that level's factor units.
 
-    The length bound is taken at the electron mass. ``link_length`` and
-    ``group_index`` parameterize the time-of-flight ceiling and only matter
-    at link level, where the limit set must be built for the same physical
-    length as the link it normalizes.
+    Device: the transition-rate ceiling, the minimum length at the electron
+    mass (the latency axis holds a critical length), the minimum switching
+    energy and area, and the reciprocal of the cost-efficiency axis. Link:
+    the capacity ceiling of a sender/receiver pair of minimum-size silicon
+    devices, the time of flight over ``link_length`` at ``group_index``
+    (which matter at this level only), twice the device energy and area
+    floors (a transported bit is manipulated at both ends), and the same
+    cost limit.
     """
     level = Level(level)
     energy = landauer_energy(temperature)
     length = heisenberg_min_length(temperature, ELECTRON_MASS)
-    capacity = bremermann_rate(minimum_device_pair_mass(temperature, ELECTRON_MASS))
-    if math.isinf(capacity):
-        raise DomainError(f"temperature {temperature} K puts the capacity ceiling "
-                          "outside the floating-point range")
-    area = length ** 2
-    if level is Level.LINK:
-        # One transported bit is manipulated at both endpoints.
-        energy *= 2.0
-        area *= 2.0
-    return LimitSet(
-        min_energy_j_per_bit=energy,
-        max_rate_hz=margolus_levitin_rate(landauer_energy(temperature)),
-        min_length_m=length,
-        min_area_m2=area,
-        max_capacity_bps=capacity,
-        max_tof_rate_hz=time_of_flight_rate_limit(link_length, group_index),
-        cost_efficiency_axis=cost_efficiency_axis,
-        level=level,
-    )
-
-
-def axis_limits(limit_set: LimitSet) -> Axes:
-    """Project a LimitSet onto the five radar axes in raw factor units.
-
-    Device level: capability is bounded by the transition-rate ceiling and
-    the latency axis holds the critical length. Link level: capability is
-    bounded by the capacity ceiling and the latency axis holds seconds
-    (the reciprocal of the time-of-flight rate).
-    """
-    if limit_set.level is Level.DEVICE:
-        capability = limit_set.max_rate_hz
-        latency = limit_set.min_length_m
+    if level is Level.DEVICE:
+        limits = Axes(margolus_levitin_rate(energy), length, energy, length ** 2,
+                      1.0 / cost_efficiency_axis)
+    elif level is Level.LINK:
+        limits = Axes(bremermann_rate(minimum_device_pair_mass(temperature, ELECTRON_MASS)),
+                      1.0 / time_of_flight_rate_limit(link_length, group_index),
+                      2.0 * energy, 2.0 * length ** 2, 1.0 / cost_efficiency_axis)
     else:
-        capability = limit_set.max_capacity_bps
-        latency = 1.0 / limit_set.max_tof_rate_hz
-    return Axes(
-        capability=capability,
-        latency=latency,
-        energy=limit_set.min_energy_j_per_bit,
-        amount=limit_set.min_area_m2,
-        resistance=1.0 / limit_set.cost_efficiency_axis,
-    )
+        raise DomainError(f"physical limits exist at device and link level, not {level.value}")
+    for name, value in zip(AXIS_NAMES, limits):
+        if not 0.0 < value < math.inf:
+            cause = (f"cost efficiency axis {cost_efficiency_axis}/USD" if name == "resistance"
+                     else f"temperature {temperature} K")
+            raise DomainError(f"{cause} puts the {level.value} {name} limit outside the "
+                              "floating-point range")
+    return limits

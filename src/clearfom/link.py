@@ -238,7 +238,12 @@ def link_capacity(link: LinkSpec) -> float:
     rc = t.resistance_ohm_per_m * t.capacitance_f_per_m
     if rc > 0:
         longest = max(span_layout(link)[1:])
-        rc_bw = 1.0 / (2.0 * math.pi * RC_BANDWIDTH_COEFF * rc * longest ** 2)
+        try:
+            rc_product = 2.0 * math.pi * RC_BANDWIDTH_COEFF * rc * longest ** 2
+        except OverflowError:  # float ** raises where * would give inf
+            rc_product = math.inf
+        # Past the float range the RC bandwidth is zero; below it, no limit.
+        rc_bw = 1.0 / rc_product if rc_product > 0 else math.inf
     else:
         rc_bw = math.inf
     lane_rate = min(device_bw, rc_bw)

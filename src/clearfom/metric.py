@@ -16,6 +16,7 @@ at zero; the log scale is the documented normalization for all radar output.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
@@ -83,20 +84,34 @@ class ClearValue:
     factors: Axes
 
     def __post_init__(self):
-        f = self.factors
-        recomputed = f.capability / (f.latency * f.energy * f.amount * f.resistance)
-        if abs(self.value - recomputed) > 1e-12 * abs(recomputed):
+        recomputed = _quotient(self.factors)
+        if math.isinf(recomputed) or abs(self.value - recomputed) > 1e-12 * abs(recomputed):
             raise DomainError("ClearValue.value does not match its factor breakdown")
+
+
+def _quotient(f: Axes) -> float:
+    """capability / (latency * energy * amount * resistance); inf past the float range.
+
+    Outside the cost product's normal range, the mantissas and exponents divide apart.
+    """
+    denominator = f.latency * f.energy * f.amount * f.resistance
+    if sys.float_info.min <= denominator < math.inf:
+        return f.capability / denominator
+    (mantissa, exponent), *costs = map(math.frexp, f)
+    for cost_mantissa, cost_exponent in costs:
+        mantissa /= cost_mantissa
+        exponent -= cost_exponent
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
 
 
 def clear_value(factors: Axes, level: Level) -> ClearValue:
     for name, value in zip(AXIS_NAMES, factors):
         if not math.isfinite(value) or value <= 0:
             raise DomainError(f"factor {name} must be finite and strictly positive")
-    f = factors
-    # A cost product that underflows to 0.0 is an overflow of the quotient.
-    denominator = f.latency * f.energy * f.amount * f.resistance
-    value = f.capability / denominator if denominator > 0 else math.inf
+    value = _quotient(factors)
     if not 0.0 < value < math.inf:
         named = ", ".join(f"{name}={factor:g}" for name, factor in zip(AXIS_NAMES, factors))
         raise DomainError(f"{level.value} CLEAR is outside the floating-point range "

@@ -86,6 +86,8 @@ __all__ = [
 
 ELECTRONIC_DIE = "electronic"
 PHOTONIC_DIE = "photonic"
+_LOAD_OVERFLOW = ("traffic load totals overflow the floating-point range: "
+                  "lower injection_bps_per_node")
 
 
 @dataclass(frozen=True)
@@ -499,10 +501,14 @@ def link_activity(topology: MeshTopology, traffic: TrafficMatrix) -> LinkActivit
     Loads come from the aggregated :meth:`TrafficMatrix.demands` rather than
     a per-flow walk: row r carries the X phase of every flow leaving it, and
     column c the Y phase of every flow entering it. Only links that carry
-    load appear in ``loads``, in (from, to) order, as Python floats.
+    load appear in ``loads``, in (from, to) order, as Python floats. Load
+    totals past the float range raise :class:`DomainError`.
     """
     rows, cols, n = topology.rows, topology.cols, topology.node_count
-    row_demand, col_demand, injected = traffic.demands(rows, cols)
+    try:
+        row_demand, col_demand, injected = traffic.demands(rows, cols)
+    except OverflowError:  # an fsum's partial sums passed the float range
+        raise DomainError(_LOAD_OVERFLOW) from None
     loads_by_key: dict[int, float] = {}
 
     # Every row has the same express layout, so the (c1, c2) column pairs are
@@ -543,7 +549,13 @@ def link_activity(topology: MeshTopology, traffic: TrafficMatrix) -> LinkActivit
                 loads_by_key[(upper + cols) * n + upper] = load_up
 
     loads = {(key // n, key % n): load for key, load in sorted(loads_by_key.items())}
-    flow_hops = math.fsum(loads.values())
+    try:
+        flow_hops = math.fsum(loads.values())
+    except OverflowError:
+        flow_hops = math.inf
+    # No load exceeds the injected total, so these two totals bound every sum.
+    if math.isinf(flow_hops + injected):
+        raise DomainError(_LOAD_OVERFLOW)
     return LinkActivity(loads=loads, injected_bps=injected, flow_hop_bps=flow_hops,
                         router_traversal_bps=flow_hops + injected)
 
@@ -710,9 +722,16 @@ def network_clear(topology: MeshTopology, activity: LinkActivity, config: NocCon
         curve = config.wafer_cost[die]
         rate = curve.initial_unit_cost if eval_year is None else unit_cost(curve, eval_year)
         cost_terms.append(area * rate)
+    # Both totals weight every load, so their range follows the load scale.
+    try:
+        latency = math.fsum(latency_terms) / activity.injected_bps
+        energy = math.fsum(energy_terms) / activity.injected_bps
+    except OverflowError:  # an fsum's partial sums passed the float range
+        raise DomainError(_LOAD_OVERFLOW) from None
+    if math.isinf(latency) or math.isinf(energy):
+        raise DomainError(_LOAD_OVERFLOW)
     factors = Axes(capability=math.fsum(capacity_terms) / topology.node_count,
-                   latency=math.fsum(latency_terms) / activity.injected_bps,
-                   energy=math.fsum(energy_terms) / activity.injected_bps,
+                   latency=latency, energy=energy,
                    amount=math.fsum(area_by_die.values()), resistance=math.fsum(cost_terms))
     return clear_value(factors, Level.NETWORK)
 

@@ -76,8 +76,8 @@ class TestLimitsCommand:
     def test_table_contains_headline_values(self, tmp_path, capsys):
         assert main(["limits", "--temperature", "300", "--out", str(tmp_path)]) == EXIT_OK
         table = capsys.readouterr().out
-        energy = float(re.search(r"device\s+min_energy\s+(\S+)", table).group(1))
-        length = float(re.search(r"device\s+min_length\s+(\S+)", table).group(1))
+        energy = float(re.search(r"device\s+min_energy_j_per_bit\s+(\S+)", table).group(1))
+        length = float(re.search(r"device\s+min_length_m\s+(\S+)", table).group(1))
         assert energy == pytest.approx(2.87e-21, rel=0.01)
         assert length == pytest.approx(1.5e-9, rel=0.05)
 
@@ -85,6 +85,17 @@ class TestLimitsCommand:
         main(["limits", "--out", str(tmp_path)])
         report = json.loads((tmp_path / "limits.json").read_text(encoding="utf-8"))
         _assert_valid(report, "limits_report.schema.json", schema_registry)
+        levels = report["levels"]
+        assert sorted(levels["device"]) == ["max_rate_hz", "min_area_m2", "min_energy_j_per_bit",
+                                            "min_length_m", "min_unit_cost_usd"]
+        assert sorted(levels["link"]) == ["max_capacity_bps", "min_area_m2", "min_cost_usd",
+                                          "min_energy_j_per_bit", "min_latency_s"]
+        header, *rows = _csv_rows(tmp_path / "limits.csv")
+        assert header == ["level", "quantity", "value"]
+        assert len(rows) == 10
+        assert {(level, key): float(value) for level, key, value in rows} == {
+            (level, key): value for level, limits in levels.items()
+            for key, value in limits.items()}
 
     def test_format_filter_skips_artifacts(self, tmp_path):
         main(["limits", "--out", str(tmp_path), "--format", "table"])
@@ -512,7 +523,7 @@ class TestNumericRange:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,quantity", [
-        ("--temperature=1e300", "temperature 1e+300 K"),     # pair mass underflows
+        ("--temperature=1e300", "temperature 1e+300 K"),     # transition rate overflows
         ("--temperature=1e-200", "temperature 1e-200 K"),    # capacity ceiling overflows
         ("--temperature=1e-250", "temperature 1e-250 K"),    # pair mass overflows
         ("--temperature=1e-300", "temperature 1e-300 K"),    # minimum length overflows
@@ -528,6 +539,64 @@ class TestNumericRange:
         assert err.startswith("clearfom: error code=1 kind=validation")
         assert quantity in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_device_limits_skip_link_only_ceilings(self, tmp_path, capsys):
+        # At 1e-200 K only the link capacity ceiling leaves the float range;
+        # the device radar then refuses its own limits, not the capacity.
+        config = _config_copy(tmp_path, "devices/four_technologies.json",
+                              lambda doc: doc.update(temperature_k=1e-200))
+        assert main(["device", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "floor must lie below the limit on a capability axis" in err
+        assert "capacity" not in err
+
+    @pytest.mark.parametrize("command,example,edit,code,message", [
+        ("link", "links/four_technologies.json",
+         lambda doc: doc.update(lengths_m=[1e300]), EXIT_INFEASIBLE,
+         "the RC-limited lane rate underflows to zero"),
+        ("link", "links/four_technologies.json",
+         lambda doc: doc.update(lengths_m=[1e-300]), EXIT_OK, None),
+        ("network", "networks/mesh16_comparison.json",
+         lambda doc: doc["mesh"].update(rows=4, cols=4, spacing_m=1e300), EXIT_INFEASIBLE,
+         "the RC-limited lane rate underflows to zero"),
+        ("network", "networks/mesh16_comparison.json",
+         lambda doc: doc["mesh"].update(rows=4, cols=4, spacing_m=1e-300), EXIT_OK, None),
+        ("network", "networks/mesh16_comparison.json",
+         lambda doc: doc["traffic"].update(injection_bps_per_node=1e308), EXIT_VALIDATION,
+         "lower injection_bps_per_node"),
+        ("network", "networks/mesh16_comparison.json",
+         lambda doc: doc["traffic"].update(injection_bps_per_node=1e305), EXIT_VALIDATION,
+         "lower injection_bps_per_node"),
+        ("network", "networks/mesh16_comparison.json",
+         lambda doc: doc["traffic"].update(injection_bps_per_node=2e304), EXIT_VALIDATION,
+         "lower injection_bps_per_node"),
+    ], ids=["link_length_overflows_rc", "link_length_underflows_rc",
+            "mesh_spacing_overflows_rc", "mesh_spacing_underflows_rc",
+            "injection_overflows_loads", "injection_overflows_hop_total",
+            "injection_overflows_latency_total"])
+    def test_no_input_reaches_the_arithmetic_catch_all(self, tmp_path, capsys, command,
+                                                        example, edit, code, message):
+        config = _config_copy(tmp_path, example, edit)
+        seed = ["--seed", "1"] if command == "network" else []
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--format", "json", *seed]) == code
+        err = capsys.readouterr().err
+        if message is None:
+            assert err == ""
+        else:
+            assert err.count("\n") == 1 and message in err
+            assert "numeric range" not in err
+
+    def test_unrepresentable_device_clear_still_exits_one(self, tmp_path, capsys):
+        # Its cost product underflows to 0.0 and its CLEAR is 1e400.
+        config = _config_copy(tmp_path, "devices/four_technologies.json", lambda doc: (
+            doc["devices"][0].update(capability_hz=1.0, critical_length_m=1e-200,
+                                     energy_j_per_bit=1e-200, footprint_m2=1.0,
+                                     unit_cost_usd=1.0)))
+        assert main(["device", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert "device CLEAR is outside the floating-point range" in capsys.readouterr().err
 
 
 _DEVICE_CONFIG = str(example_path("devices/four_technologies.json"))

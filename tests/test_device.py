@@ -72,11 +72,11 @@ class TestDeviceRadar:
 
     def test_factor_at_limit_scores_one(self):
         limits = self._limits()
-        spec = _spec(capability_hz=limits.max_rate_hz,
-                     critical_length_m=limits.min_length_m,
-                     energy_j_per_bit=limits.min_energy_j_per_bit,
-                     footprint_m2=limits.min_area_m2,
-                     unit_cost_usd=1.0 / limits.cost_efficiency_axis)
+        spec = _spec(capability_hz=limits.capability,
+                     critical_length_m=limits.latency,
+                     energy_j_per_bit=limits.energy,
+                     footprint_m2=limits.amount,
+                     unit_cost_usd=limits.resistance)
         floors = _floors([spec, _spec(capability_hz=0.5)])
         scores = radar_normalize(spec, limits, floors)
         assert scores == (1.0, 1.0, 1.0, 1.0, 1.0)
@@ -101,17 +101,12 @@ class TestDeviceRadar:
         assert radar_normalize(better, limits, floors).energy >= \
             radar_normalize(base, limits, floors).energy
 
-    def test_requires_device_level_limits(self):
-        link_limits = make_limit_set(300.0, level=Level.LINK)
-        with pytest.raises(DomainError):
-            radar_normalize(_spec(), link_limits, _floors([_spec()]))
-
     def test_limit_violations_reported_not_clamped(self):
         limits = self._limits()
-        spec = _spec(energy_j_per_bit=limits.min_energy_j_per_bit / 2.0)
+        spec = _spec(energy_j_per_bit=limits.energy / 2.0)
         problems = spec.limit_violations(limits)
         assert any("energy" in p for p in problems)
-        assert spec.energy_j_per_bit < limits.min_energy_j_per_bit
+        assert spec.energy_j_per_bit < limits.energy
 
 
 class TestShippedDevices:

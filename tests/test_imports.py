@@ -30,7 +30,7 @@ EXPORTS = {
                   "unit_cost"),
     "errors": ("ClearError", "ConfigurationError", "DomainError", "InfeasibleLinkError",
                "InsufficientDataError"),
-    "limits": ("LimitSet", "bremermann_rate", "heisenberg_min_length", "landauer_energy",
+    "limits": ("bremermann_rate", "heisenberg_min_length", "landauer_energy",
                "make_limit_set", "margolus_levitin_rate", "time_of_flight_rate_limit"),
     "link": ("ElectricalTransport", "LinkComponent", "LinkSpec", "OpticalTransport",
              "link_area", "link_capacity", "link_energy_per_bit",

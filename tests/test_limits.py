@@ -4,10 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clearfom.constants import ELECTRON_MASS, PLANCK_H, REDUCED_PLANCK
+from clearfom.constants import (
+    BOLTZMANN_K,
+    ELECTRON_MASS,
+    LIGHT_SPEED_VACUUM,
+    PLANCK_H,
+    REDUCED_PLANCK,
+    SILICON_DENSITY,
+)
 from clearfom.errors import DomainError
 from clearfom.limits import (
-    LimitSet,
     bremermann_rate,
     heisenberg_min_length,
     landauer_energy,
@@ -147,44 +153,80 @@ class TestTimeOfFlight:
 class TestMakeLimitSet:
     def test_device_level_values(self):
         limits = make_limit_set(300.0, level=Level.DEVICE)
-        assert limits.min_energy_j_per_bit == pytest.approx(2.87e-21, rel=0.01)
-        assert limits.min_length_m == pytest.approx(1.5e-9, rel=0.05)
-        assert limits.min_area_m2 == limits.min_length_m ** 2
-        assert limits.cost_efficiency_axis == 1e10
+        assert limits.energy == pytest.approx(2.87e-21, rel=0.01)
+        assert limits.latency == pytest.approx(1.5e-9, rel=0.05)
+        assert limits.amount == limits.latency ** 2
+        assert limits.resistance == 1.0 / 1e10
 
     def test_link_energy_doubles_exactly(self):
         device = make_limit_set(300.0, level=Level.DEVICE)
         link = make_limit_set(300.0, level=Level.LINK)
-        assert link.min_energy_j_per_bit == 2.0 * device.min_energy_j_per_bit
-        assert link.min_area_m2 == 2.0 * device.min_area_m2
+        assert link.energy == 2.0 * device.energy
+        assert link.amount == 2.0 * device.amount
 
     def test_link_area_matches_doubled_heisenberg_square(self):
         link = make_limit_set(300.0, level=Level.LINK)
         side = heisenberg_min_length(300.0, ELECTRON_MASS)
-        assert link.min_area_m2 == 2.0 * side ** 2
+        assert link.amount == 2.0 * side ** 2
         # The rounded nominal 1.5 nm side puts the figure near 4.5e-18 m^2.
-        assert link.min_area_m2 == pytest.approx(4.5e-18, rel=0.07)
+        assert link.amount == pytest.approx(4.5e-18, rel=0.07)
 
     def test_link_capacity_is_two_cube_bound(self):
         link = make_limit_set(300.0, level=Level.LINK)
         mass = minimum_device_pair_mass(300.0, ELECTRON_MASS)
-        assert link.max_capacity_bps == bremermann_rate(mass)
+        assert link.capability == bremermann_rate(mass)
 
-    def test_tof_ceiling_follows_link_length(self):
+    def test_tof_latency_follows_link_length(self):
         short = make_limit_set(300.0, link_length=1e-4, level=Level.LINK)
         long = make_limit_set(300.0, link_length=1e-2, level=Level.LINK)
-        assert short.max_tof_rate_hz / long.max_tof_rate_hz == pytest.approx(100.0, rel=1e-12)
+        assert long.latency / short.latency == pytest.approx(100.0, rel=1e-12)
 
     def test_margolus_levitin_window(self):
         limits = make_limit_set(300.0)
-        assert 1.6e13 <= limits.max_rate_hz <= 1.8e13
+        assert 1.6e13 <= limits.capability <= 1.8e13
 
     def test_rejects_zero_temperature(self):
         with pytest.raises(DomainError):
             make_limit_set(0.0)
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
-    def test_limit_set_requires_finite_positive_ceilings(self, value):
-        fields = dict(vars(make_limit_set(300.0)), max_rate_hz=value)
-        with pytest.raises(DomainError, match="max_rate_hz must be finite"):
-            LimitSet(**fields)
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 1e-320])
+    def test_cost_limit_outside_float_range_names_the_axis(self, value):
+        with pytest.raises(DomainError, match=f"cost efficiency axis {value}/USD puts the "
+                                              "device resistance limit outside"):
+            make_limit_set(300.0, cost_efficiency_axis=value)
+
+    @pytest.mark.parametrize("level", [Level.NETWORK, Level.SYSTEM])
+    def test_only_device_and_link_levels(self, level):
+        with pytest.raises(DomainError, match=f"not {level.value}"):
+            make_limit_set(300.0, level=level)
+
+    def test_device_level_skips_link_only_limits(self):
+        # At 1e-200 K only the link capacity ceiling leaves the float range.
+        assert all(0.0 < value < math.inf for value in make_limit_set(1e-200))
+        with pytest.raises(DomainError, match="temperature 1e-200 K puts the link capability"):
+            make_limit_set(1e-200, level=Level.LINK)
+
+
+# Independent oracle for the five limits of each level: the closed forms
+# from the constants table, not through limits.py's helpers.
+def _oracle(temperature, level, link_length, group_index, cost_axis):
+    energy = BOLTZMANN_K * temperature * math.log(2.0)           # k_B T ln 2
+    length = REDUCED_PLANCK / math.sqrt(2.0 * ELECTRON_MASS * energy)
+    if level is Level.DEVICE:
+        return (4.0 * energy / PLANCK_H,                         # 4E/h
+                length, energy, length * length, 1.0 / cost_axis)
+    pair_mass = 2.0 * SILICON_DENSITY * length ** 3              # two silicon cubes
+    return (pair_mass * LIGHT_SPEED_VACUUM ** 2 / PLANCK_H,      # m c^2 / h
+            group_index * link_length / LIGHT_SPEED_VACUUM,      # n L / c
+            2.0 * energy, 2.0 * length * length, 1.0 / cost_axis)
+
+
+class TestLimitOracle:
+    @pytest.mark.parametrize("level", [Level.DEVICE, Level.LINK])
+    @pytest.mark.parametrize("temperature", [4.0, 77.0, 300.0, 1e4])
+    def test_five_limits_match_closed_forms(self, level, temperature):
+        limits = make_limit_set(temperature, link_length=3e-3, group_index=4.2,
+                                level=level, cost_efficiency_axis=2e9)
+        expected = _oracle(temperature, level, link_length=3e-3, group_index=4.2,
+                           cost_axis=2e9)
+        assert limits == pytest.approx(expected, rel=1e-12, abs=0.0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clearfom.errors import DomainError, InfeasibleLinkError
-from clearfom.limits import axis_limits, make_limit_set, time_of_flight_rate_limit
+from clearfom.limits import make_limit_set, time_of_flight_rate_limit
 from clearfom.link import (
     ComponentRole,
     ElectricalTransport,
@@ -327,7 +327,7 @@ def _clear_and_radar(link, limits):
     """Link CLEAR, and radar scores against floors padded from this link alone."""
     factors = link_factors(link)
     return (clear_value(factors, Level.LINK),
-            radar_scores(factors, axis_limits(limits), default_floors([factors])))
+            radar_scores(factors, limits, default_floors([factors])))
 
 
 class TestLinkClear:
@@ -404,11 +404,11 @@ class TestShippedLinks:
                 factors = clear.factors
                 for score in radar:
                     assert 0.0 <= score <= 1.0
-                assert factors.capability <= limits.max_capacity_bps
-                assert 1.0 / factors.latency <= limits.max_tof_rate_hz * (1 + 1e-12)
-                assert factors.energy >= limits.min_energy_j_per_bit
-                assert factors.amount >= limits.min_area_m2
-                assert 1.0 / factors.resistance <= limits.cost_efficiency_axis
+                assert factors.capability <= limits.capability
+                assert factors.latency >= limits.latency * (1 - 1e-12)
+                assert factors.energy >= limits.energy
+                assert factors.amount >= limits.amount
+                assert factors.resistance >= limits.resistance
 
     def test_cost_scales_with_eval_year_curve(self, link_config_path):
         config = load_link_config(link_config_path)

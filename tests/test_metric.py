@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from clearfom.errors import ConfigurationError, DomainError
 from clearfom.metric import (
     Axes,
+    ClearValue,
     Level,
     clear_value,
     default_floors,
@@ -40,6 +41,19 @@ class TestClearValue:
     def test_rejects_value_outside_float_range(self, factors):
         with pytest.raises(DomainError, match="latency="):
             clear_value(factors, Level.SYSTEM)
+
+    @pytest.mark.parametrize("factors,expected", [
+        (Axes(1e300, 1e200, 1e200, 1e-100, 1e-100), 1e100),   # cost product overflows
+        (Axes(1e-300, 1e-200, 1e-200, 1e-10, 1.0), 1e110),    # cost product underflows
+    ], ids=["product_overflows", "product_underflows"])
+    def test_representable_value_survives_cost_product_range(self, factors, expected):
+        value = clear_value(factors, Level.DEVICE)
+        assert value.value == pytest.approx(expected, rel=1e-15)
+        assert ClearValue(value.value, Level.DEVICE, factors) == value
+
+    def test_breakdown_outside_float_range_is_refused(self):
+        with pytest.raises(DomainError, match="does not match"):
+            ClearValue(5.0, Level.SYSTEM, Axes(1.0, 1e-200, 1e-200, 1.0, 1.0))
 
     @given(_positive, _positive, _positive, _positive, _positive)
     def test_value_matches_recomputation(self, c, l, e, a, r):
