@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,10 +66,6 @@ _LIMIT_KEYS = {
 }
 
 
-def _slug(name: str) -> str:
-    return re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")
-
-
 def _print_table(headers, rows):
     def cell(value):
         return f"{value:.4g}" if isinstance(value, float) else str(value)
@@ -92,27 +87,21 @@ class _Artifacts:
     json_files: list = field(default_factory=list)  # (relpath, document)
 
     def flush(self, out_dir: Path, formats):
-        """Write the selected artifacts; return their paths, CSVs first.
-
-        Two staged artifacts with one path would replace each other, so they
-        refuse the whole run before anything is written.
-        """
-        seen = set()
-        for relpath, *_ in self.csv_files + self.json_files:
-            if relpath in seen:
-                raise ConfigurationError(f"two artifacts would both be written to {relpath}")
-            seen.add(relpath)
+        """Write the selected artifacts; return their paths, CSVs first."""
         # Only the JSON report can fail to render (strict JSON has no NaN or
         # inf); a CSV cell always renders. Each subcommand stages exactly one
         # report, so writing it first means a refused report leaves no file.
         reports = self.json_files if "json" in formats else []
         for relpath, document in reports:
             write_json(out_dir / relpath, document)
-        written = []
+        # A row list staged under several paths is rendered once, for all of them.
+        written, tables = [], {}  # (header, id of the row list) -> (rows, paths)
         for relpath, header, rows in self.csv_files:
             if ("radar_csv" if relpath == RADAR_CSV else "csv") in formats:
-                write_csv(out_dir / relpath, header, rows)
+                tables.setdefault((header, id(rows)), (rows, []))[1].append(out_dir / relpath)
                 written.append(relpath)
+        for (header, _), (rows, paths) in tables.items():
+            write_csv(paths, header, rows)
         return written + [relpath for relpath, _ in reports]
 
 
@@ -144,13 +133,12 @@ def _run_limits(args: argparse.Namespace, artifacts: _Artifacts):
 
 def _run_device(args: argparse.Namespace, artifacts: _Artifacts):
     from .device import device_clear, device_factors, radar_normalize
-    from .limits import DEFAULT_COST_EFFICIENCY_AXIS, make_limit_set
+    from .limits import make_limit_set
     from .validation import load_device_config
 
     config = load_device_config(args.config)
-    limits = make_limit_set(
-        temperature=config.temperature_k,
-        cost_efficiency_axis=config.cost_efficiency_axis or DEFAULT_COST_EFFICIENCY_AXIS)
+    limits = make_limit_set(temperature=config.temperature_k,
+                            cost_efficiency_axis=config.cost_efficiency_axis)
     floors = default_floors(map(device_factors, config.devices), margin=config.floor_margin)
 
     table_rows = []
@@ -188,7 +176,7 @@ def _run_device(args: argparse.Namespace, artifacts: _Artifacts):
 
 
 def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
-    from .limits import DEFAULT_COST_EFFICIENCY_AXIS, make_limit_set
+    from .limits import make_limit_set
     from .link import link_factors
     from .validation import load_link_config
 
@@ -204,7 +192,7 @@ def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
             link_length=length,
             group_index=config.limit_group_index,
             level=Level.LINK,
-            cost_efficiency_axis=config.cost_efficiency_axis or DEFAULT_COST_EFFICIENCY_AXIS)
+            cost_efficiency_axis=config.cost_efficiency_axis)
         at_length = [(spec, link_factors(spec.at_length(length), eval_year))
                      for spec in config.links]
         floors = default_floors([factors for _, factors in at_length])
@@ -246,36 +234,37 @@ def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
 def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
     from .network import (case_activities, find_crossover, flit_sweep, generate_traffic,
                           network_clear)
-    from .validation import load_network_config
+    from .validation import link_activity_csv, load_network_config
 
     config = load_network_config(args.config)
     eval_year = args.eval_year if args.eval_year is not None else config.eval_year
-    cases = config.cases
-    mesh = cases[0].topology
+    mesh = next(iter(config.cases.values()))
     traffic = generate_traffic(config.traffic_pattern, config.traffic_params, mesh, args.seed)
-    activities = case_activities(cases, traffic)
+    activities = case_activities(config.cases, traffic)
 
     summary_rows = []
     report_cases = []
-    for case, activity in zip(cases, activities):
-        clear = network_clear(case.topology, activity, config.noc, eval_year)
+    shared_rows = {}  # cases with one activity and equal utilizations share one row list
+    for label, topology in config.cases.items():
+        activity = activities[label]
+        clear = network_clear(topology, activity, config.noc, eval_year)
         factors = clear.factors
-        technology = case.topology.technology.value
-        utilization = activity.utilization(case.topology, config.noc)
-        activity_rows = [
-            (f"{a}->{b}", load, utilization[(a, b)])
-            for (a, b), load in sorted(activity.loads.items())]
-        artifacts.csv_files.append(
-            (f"link_activity_{_slug(case.label)}.csv",
-             ("link_id", "load_bps", "utilization"), activity_rows))
-        summary_rows.append((case.label, technology, clear.value,
+        technology = topology.technology.value
+        utilization = tuple(activity.utilization(topology, config.noc).values())
+        key = (id(activity), utilization)
+        if key not in shared_rows:  # link_activity gives loads in (from, to) order
+            shared_rows[key] = [(f"{a}->{b}", load, share) for ((a, b), load), share
+                                in zip(activity.loads.items(), utilization)]
+        artifacts.csv_files.append((link_activity_csv(label),
+                                    ("link_id", "load_bps", "utilization"), shared_rows[key]))
+        summary_rows.append((label, technology, clear.value,
                              factors.capability / 1e9,
                              factors.latency,
                              factors.energy / 1e-12,
                              factors.amount / 1e-6,
                              factors.resistance))
         report_cases.append({
-            "label": case.label,
+            "label": label,
             "technology": technology,
             "clear": clear.value,
             **dict(zip(_FACTOR_KEYS[Level.NETWORK], factors)),
@@ -285,7 +274,7 @@ def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
     sweep_report = None
     if config.flit_sizes:
         sizes, baseline = config.flit_sizes, config.sweep_baseline
-        table = flit_sweep(cases, activities, config.noc, sizes, eval_year)
+        table = flit_sweep(config.cases, activities, config.noc, sizes, eval_year)
         rows = [(flit, label, table[label][i]) for i, flit in enumerate(sizes) for label in table]
         artifacts.csv_files.append(("flit_sweep.csv", ("flit_bits", "case", "clear"), rows))
         sweep_report = {

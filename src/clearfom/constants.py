@@ -9,7 +9,7 @@ independently rounded literal.
 import math
 
 __all__ = ["BOLTZMANN_K", "PLANCK_H", "REDUCED_PLANCK", "LIGHT_SPEED_VACUUM",
-           "ELECTRON_MASS", "SILICON_DENSITY"]
+           "ELECTRON_MASS", "SILICON_DENSITY", "DEFAULT_COST_EFFICIENCY_AXIS"]
 
 BOLTZMANN_K = 1.380649e-23         # J/K
 PLANCK_H = 6.62607015e-34          # J*s
@@ -17,3 +17,5 @@ REDUCED_PLANCK = PLANCK_H / (2.0 * math.pi)
 LIGHT_SPEED_VACUUM = 299792458.0   # m/s
 ELECTRON_MASS = 9.1093837015e-31   # kg
 SILICON_DENSITY = 2330.0           # kg/m^3
+
+DEFAULT_COST_EFFICIENCY_AXIS = 1e10  # 1/USD; not physical: the cost axis has no limit

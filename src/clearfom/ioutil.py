@@ -99,10 +99,13 @@ def atomic_write_text(path: str | Path, text: str):
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]):
+def write_csv(paths: Iterable[str | Path], header: Sequence[str], rows: Iterable[Sequence]):
+    """Render one table once and write it to each of ``paths``."""
     lines = [",".join(header)]
     lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    for path in paths:
+        atomic_write_text(path, text)
 
 
 def write_json(path: str | Path, document):

@@ -24,6 +24,7 @@ import math
 
 from .constants import (
     BOLTZMANN_K,
+    DEFAULT_COST_EFFICIENCY_AXIS,
     ELECTRON_MASS,
     LIGHT_SPEED_VACUUM,
     PLANCK_H,
@@ -43,10 +44,6 @@ __all__ = [
     "minimum_device_pair_mass",
     "make_limit_set",
 ]
-
-# Not a physical bound; fabrication keeps scaling, so this is configuration.
-DEFAULT_COST_EFFICIENCY_AXIS = 1e10
-
 
 def landauer_energy(temperature: float) -> float:
     """Minimum energy to erase one bit at ``temperature``, in J/bit."""

@@ -139,9 +139,16 @@ def log_scale_score(value: float, floor: float, limit: float, *, bigger_is_bette
 
 
 def radar_scores(factors: Axes, limits: Axes, floors: Axes) -> Axes:
-    """Score all five factors against their limits and floors."""
-    return Axes(*(log_scale_score(value, floor, limit, bigger_is_better=(name == "capability"))
-                  for name, value, floor, limit in zip(AXIS_NAMES, factors, floors, limits)))
+    """Score all five factors against their limits and floors; a refusal names its axis."""
+    scores = []
+    for name, value, floor, limit in zip(AXIS_NAMES, factors, floors, limits):
+        try:
+            scores.append(log_scale_score(value, floor, limit,
+                                          bigger_is_better=(name == "capability")))
+        except ConfigurationError as exc:
+            raise ConfigurationError(
+                f"radar axis {name}: {exc} (floor {floor:g}, limit {limit:g})") from exc
+    return Axes(*scores)
 
 
 def _checked_scores(scores: Axes) -> Axes:

@@ -73,7 +73,6 @@ __all__ = [
     "TrafficParams",
     "TrafficMatrix",
     "LinkActivity",
-    "NetworkCase",
     "build_mesh",
     "add_express_links",
     "generate_traffic",
@@ -560,20 +559,20 @@ def link_activity(topology: MeshTopology, traffic: TrafficMatrix) -> LinkActivit
                         router_traversal_bps=flow_hops + injected)
 
 
-def case_activities(cases: Sequence[NetworkCase], traffic: TrafficMatrix) -> list[LinkActivity]:
-    """One :class:`LinkActivity` per case under ``traffic``, routing each geometry once.
+def case_activities(cases: Mapping[str, MeshTopology],
+                    traffic: TrafficMatrix) -> dict[str, LinkActivity]:
+    """Each case's :class:`LinkActivity` under ``traffic``, by label, routing each geometry once.
 
     Routing reads the mesh shape and the express span, not link technology,
     so cases that share those share one routing pass.
     """
     shared: dict[tuple, LinkActivity] = {}
-    activities = []
-    for case in cases:
-        topology = case.topology
+    activities = {}
+    for label, topology in cases.items():
         key = (topology.rows, topology.cols, topology.express_span)
         if key not in shared:
             shared[key] = link_activity(topology, traffic)
-        activities.append(shared[key])
+        activities[label] = shared[key]
     return activities
 
 
@@ -736,14 +735,6 @@ def network_clear(topology: MeshTopology, activity: LinkActivity, config: NocCon
     return clear_value(factors, Level.NETWORK)
 
 
-@dataclass(frozen=True)
-class NetworkCase:
-    """One named network under evaluation."""
-
-    label: str
-    topology: MeshTopology
-
-
 def find_crossover(flit_sizes: Sequence[int], series: Sequence[float],
                    baseline: Sequence[float]) -> int | None:
     """First flit size at which sign(series - baseline) flips (or hits zero)."""
@@ -760,23 +751,21 @@ def find_crossover(flit_sizes: Sequence[int], series: Sequence[float],
     return None
 
 
-def flit_sweep(cases: Sequence[NetworkCase], activities: Sequence[LinkActivity],
+def flit_sweep(cases: Mapping[str, MeshTopology], activities: Mapping[str, LinkActivity],
                config: NocConfig, flit_sizes: Sequence[int],
                eval_year: float | None = None) -> dict[str, list[float]]:
     """Each case's CLEAR under ``config`` at each of ``flit_sizes``, by label in case order.
 
     Routing, latency, and link activity do not depend on flit size, so the
-    routed ``activities``, one per case (see :func:`case_activities`), serve
-    the whole sweep.
+    routed ``activities``, by label (see :func:`case_activities`), serve the
+    whole sweep.
     """
-    table: dict[str, list[float]] = {case.label: [] for case in cases}
-    if len(table) != len(cases):
-        raise DomainError("case labels must be unique")
-    if len(activities) != len(cases):
-        raise DomainError("flit_sweep needs one link activity per case")
+    if activities.keys() != cases.keys():
+        raise DomainError("flit_sweep needs one link activity per case label")
+    table: dict[str, list[float]] = {label: [] for label in cases}
     for flit in flit_sizes:
         at_flit = config.with_flit_bits(flit)
-        for case, activity in zip(cases, activities):
-            table[case.label].append(
-                network_clear(case.topology, activity, at_flit, eval_year).value)
+        for label, topology in cases.items():
+            clear = network_clear(topology, activities[label], at_flit, eval_year)
+            table[label].append(clear.value)
     return table

@@ -37,6 +37,7 @@ from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from .constants import DEFAULT_COST_EFFICIENCY_AXIS
 from .errors import ConfigurationError, DomainError, InsufficientDataError
 from .ioutil import IoError
 from .metric import Technology
@@ -45,7 +46,7 @@ if TYPE_CHECKING:
     from .device import DeviceSpec
     from .economics import ExperienceCurve
     from .link import LinkSpec
-    from .network import NetworkCase, NocConfig, TrafficParams, TrafficPattern
+    from .network import MeshTopology, NocConfig, TrafficParams, TrafficPattern
     from .trend import SystemRecord
 
 __all__ = [
@@ -59,6 +60,7 @@ __all__ = [
     "load_link_config",
     "load_network_config",
     "load_trend_config",
+    "link_activity_csv",
     "CONFIG_KINDS",
 ]
 
@@ -200,6 +202,11 @@ def _repeater_errors(body, path: str) -> list[Diagnostic]:
     return []
 
 
+def link_activity_csv(label: str) -> str:
+    """The file of a network case's link loads; no two case labels may give one name."""
+    return f"link_activity_{re.sub(r'[^a-z0-9]+', '_', label.lower()).strip('_')}.csv"
+
+
 def _cross_field_errors(doc: Mapping) -> list[Diagnostic]:
     """Rules that relate fields to each other, which the schemas cannot state.
 
@@ -224,8 +231,14 @@ def _cross_field_errors(doc: Mapping) -> list[Diagnostic]:
         out += _repeater_errors(template, f"$.noc.link_templates.{tech}")
     cases = [c for c in _as_list(doc.get("cases")) if isinstance(c, Mapping)]
     labels = [c["label"] for c in cases if isinstance(c.get("label"), str)]
-    if len(set(labels)) != len(labels):
-        out.append(Diagnostic("$.cases", "case labels must be unique"))
+    files: dict[str, str] = {}  # file name -> the first label that writes it
+    for label in labels:
+        name = link_activity_csv(label)
+        if name in files:
+            out.append(Diagnostic("$.cases", f"case labels must be unique: "
+                                  f"{files[name]!r} and {label!r} both write {name}"))
+            break
+        files[name] = label
     baseline = _as_dict(doc.get("flit_sweep")).get("baseline")
     if isinstance(baseline, str) and labels and baseline not in labels:
         out.append(Diagnostic("$.flit_sweep.baseline", "must match one of the case labels"))
@@ -288,7 +301,7 @@ class DeviceConfig:
     temperature_k: float
     devices: tuple[DeviceSpec, ...]
     floor_margin: float = 10.0
-    cost_efficiency_axis: float | None = None
+    cost_efficiency_axis: float = DEFAULT_COST_EFFICIENCY_AXIS
 
 
 @dataclass(frozen=True)
@@ -297,13 +310,13 @@ class LinkConfig:
     lengths_m: tuple[float, ...]
     links: tuple[LinkSpec, ...]
     limit_group_index: float = 3.0
-    cost_efficiency_axis: float | None = None
+    cost_efficiency_axis: float = DEFAULT_COST_EFFICIENCY_AXIS
     eval_year: float | None = None
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    cases: tuple[NetworkCase, ...]  # all on one mesh shape
+    cases: Mapping[str, MeshTopology]  # label -> mesh in config order, all of one shape
     traffic_pattern: TrafficPattern
     traffic_params: TrafficParams
     noc: NocConfig
@@ -379,7 +392,6 @@ def load_link_config(path: str | Path) -> LinkConfig:
 def load_network_config(path: str | Path) -> NetworkConfig:
     from .economics import ExperienceCurve
     from .network import (
-        NetworkCase,
         NocConfig,
         RouterModel,
         TrafficParams,
@@ -413,18 +425,18 @@ def load_network_config(path: str | Path) -> NetworkConfig:
         link_templates=templates,
         wafer_cost=wafer,
     )
-    cases = []
+    cases = {}
     for entry in doc["cases"]:
         topology = build_mesh(rows, cols, spacing_m, entry["technology"])
         if "express" in entry:
             express = entry["express"]
             topology = add_express_links(topology, int(express["hop_span"]),
                                          express["technology"])
-        cases.append(NetworkCase(label=entry["label"], topology=topology))
+        cases[entry["label"]] = topology
     sweep = doc.get("flit_sweep")
     return _build(
         NetworkConfig, doc,
-        cases=tuple(cases),
+        cases=cases,
         traffic_pattern=TrafficPattern(traffic["pattern"]),
         traffic_params=_build(TrafficParams, traffic, **hotspots),
         noc=noc,

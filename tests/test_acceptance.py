@@ -227,9 +227,9 @@ def test_criterion_9_trend_fit():
 def test_criterion_10_shipped_orderings(network_config_path):
     config = load_network_config(network_config_path)
     wanted = {"electronic", "hyppi", "electronic+hyppi-express"}
-    cases = [case for case in config.cases if case.label in wanted]
+    cases = {label: mesh for label, mesh in config.cases.items() if label in wanted}
     traffic = generate_traffic(config.traffic_pattern, config.traffic_params,
-                               cases[0].topology, seed=7)
+                               cases["electronic"], seed=7)
     flits = [32, 64, 128, 256]
     table = flit_sweep(cases, case_activities(cases, traffic), config.noc, flits)
 

@@ -10,10 +10,13 @@ from referencing import Registry, Resource
 
 from clearfom.cli import EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from clearfom.data import example_path
+from clearfom.device import device_factors
 from clearfom.errors import DomainError
 from clearfom.ioutil import fmt, write_json
-from clearfom.metric import AXIS_NAMES, Axes, radar_vertices
+from clearfom.limits import make_limit_set
+from clearfom.metric import AXIS_NAMES, Axes, default_floors, radar_vertices
 from clearfom.network import find_crossover
+from clearfom.validation import load_device_config
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -315,7 +318,8 @@ class TestNetworkCommand:
                      "--out", str(out)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("clearfom: error code=1 kind=validation")
-        assert "link_activity_a_b.csv" in err
+        assert "$.cases: case labels must be unique: 'a b' and 'a-b' both write " \
+               "link_activity_a_b.csv" in err
         assert not out.exists()
 
     def test_sweep_baseline_defaults_to_the_first_case(self, tmp_path):
@@ -548,7 +552,13 @@ class TestNumericRange:
         assert main(["device", "--config", str(config),
                      "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert "floor must lie below the limit on a capability axis" in err
+        # The floors are shared by every device, so the refusal names the axis and values.
+        loaded = load_device_config(config)
+        floor = default_floors(map(device_factors, loaded.devices),
+                               margin=loaded.floor_margin).capability
+        limit = make_limit_set(1e-200).capability  # the transition-rate limit, ~5.8e-190 Hz
+        assert ("radar axis capability: floor must lie below the limit on a capability axis "
+                f"(floor {floor:g}, limit {limit:g})") in err
         assert "capacity" not in err
 
     @pytest.mark.parametrize("command,example,edit,code,message", [

@@ -93,7 +93,7 @@ from clearfom.network import (TrafficParams, build_mesh, case_activities, flit_s
                               generate_traffic, link_activity, network_clear)
 from clearfom.validation import load_network_config
 config = load_network_config(sys.argv[1])
-cases, mesh = config.cases, config.cases[0].topology
+cases, mesh = config.cases, config.cases["electronic"]
 params = TrafficParams(injection_bps_per_node=1e9)
 report = {}
 for pattern in ("uniform", "hotspot", "exponential_locality"):

@@ -17,7 +17,6 @@ from clearfom.link import (
 )
 from clearfom.metric import Technology
 from clearfom.network import (
-    NetworkCase,
     NocConfig,
     RouterModel,
     TrafficMatrix,
@@ -585,8 +584,8 @@ class TestFlitSweep:
         traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
                                    mesh, seed=4)
         config = _config()
-        case = NetworkCase(label="electronic", topology=mesh)
-        table = flit_sweep([case], case_activities([case], traffic), config, [32])
+        cases = {"electronic": mesh}
+        table = flit_sweep(cases, case_activities(cases, traffic), config, [32])
         direct = network_clear(mesh, link_activity(mesh, traffic), config).value
         assert list(table) == ["electronic"]
         assert table["electronic"] == [pytest.approx(direct, rel=1e-12)]
@@ -624,11 +623,3 @@ class TestFlitSweep:
         assert scaled.area_m2 == pytest.approx(3.2e-9, rel=1e-12)
         assert scaled.cost_usd == pytest.approx(1.0, rel=1e-12)
         assert scaled.energy_j_per_bit == 3e-14
-
-    def test_duplicate_labels_rejected(self):
-        mesh = build_mesh(2, 2, 1e-3, "electronic")
-        traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
-                                   mesh, seed=4)
-        case = NetworkCase(label="x", topology=mesh)
-        with pytest.raises(DomainError):
-            flit_sweep([case, case], case_activities([case, case], traffic), _config(), [32])

@@ -29,7 +29,6 @@ from clearfom.link import (
 from clearfom.metric import Technology
 from clearfom.network import (
     LinkActivity,
-    NetworkCase,
     NocConfig,
     RouterModel,
     TrafficMatrix,
@@ -287,12 +286,12 @@ class TestRouteOncePerGeometry:
         express = add_express_links(base, 3, "hybrid")
         traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
                                    base, seed=0)
-        cases = [NetworkCase(label, topology)
-                 for label, topology in (("e", base), ("p", photonic), ("x", express))]
+        cases = {"e": base, "p": photonic, "x": express}
         activities = case_activities(cases, traffic)
-        assert activities[0] is activities[1]
-        assert activities[2] is not activities[0]
-        assert activities[2].loads == link_activity(express, traffic).loads
+        assert list(activities) == ["e", "p", "x"]
+        assert activities["e"] is activities["p"]
+        assert activities["x"] is not activities["e"]
+        assert activities["x"].loads == link_activity(express, traffic).loads
 
 
 class TestTwoLinkClasses:
@@ -369,7 +368,7 @@ class TestTwoLinkClasses:
 class TestShippedNetwork:
     def test_electronic_uniform_latency_is_128_over_3(self, network_config_path):
         config = load_network_config(network_config_path)
-        mesh = config.cases[0].topology
+        mesh = config.cases["electronic"]
         assert (mesh.rows, mesh.cols, mesh.technology) == (16, 16, Technology.ELECTRONIC)
         traffic = generate_traffic(config.traffic_pattern, config.traffic_params, mesh, seed=1)
         latency = network_clear(mesh, link_activity(mesh, traffic), config.noc).factors.latency
@@ -378,7 +377,7 @@ class TestShippedNetwork:
     def test_electronic_uniform_latency_is_128_over_3_within_1_ulp(self, network_config_path):
         # Closed-form demands and one fsum per load leave at most one rounding.
         config = load_network_config(network_config_path)
-        mesh = config.cases[0].topology
+        mesh = config.cases["electronic"]
         traffic = generate_traffic(config.traffic_pattern, config.traffic_params, mesh, seed=1)
         latency = network_clear(mesh, link_activity(mesh, traffic), config.noc).factors.latency
         assert abs(latency - 128 / 3) <= math.ulp(128 / 3)
@@ -387,7 +386,7 @@ class TestShippedNetwork:
         # Shipped electronic wire is device-limited at 1 mm but RC-limited at 5 mm,
         # so an electronic express class of span 5 carries less than a base link.
         config = load_network_config(network_config_path)
-        mesh = add_express_links(config.cases[0].topology, 5, Technology.ELECTRONIC)
+        mesh = add_express_links(config.cases["electronic"], 5, Technology.ELECTRONIC)
         counts = mesh.link_counts()
         assert counts == {(Technology.ELECTRONIC, 1): 480, (Technology.ELECTRONIC, 5): 48}
         template = config.noc.link_templates[Technology.ELECTRONIC]
@@ -411,10 +410,14 @@ class TestShippedNetwork:
         base = build_mesh(4, 4, 1e-3, Technology.ELECTRONIC)
         traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
                                    base, seed=0)
-        cases = [NetworkCase("electronic", base),
-                 NetworkCase("hyppi", build_mesh(4, 4, 1e-3, Technology.HYBRID))]
+        cases = {"electronic": base, "hyppi": build_mesh(4, 4, 1e-3, Technology.HYBRID)}
+        activities = case_activities(cases, traffic)
+        for missing in cases:
+            partial = {label: a for label, a in activities.items() if label != missing}
+            with pytest.raises(DomainError, match="one link activity per case"):
+                flit_sweep(cases, partial, config.noc, [32])
         with pytest.raises(DomainError, match="one link activity per case"):
-            flit_sweep(cases, case_activities(cases, traffic)[:1], config.noc, [32])
+            flit_sweep(cases, {**activities, "other": activities["hyppi"]}, config.noc, [32])
 
 
 class TestFindCrossoverNumpy:

@@ -289,7 +289,7 @@ class TestIntegerFieldsAsFloats:
             assert config.traffic_params.hotspot_nodes == (3,)
             assert type(config.traffic_params.hotspot_nodes[0]) is int
             matrices.append(generate_traffic(config.traffic_pattern, config.traffic_params,
-                                             config.cases[0].topology, 7).rates)
+                                             config.cases["electronic"], 7).rates)
         assert np.array_equal(matrices[0], matrices[1])
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from clearfom.constants import DEFAULT_COST_EFFICIENCY_AXIS
 from clearfom.errors import ConfigurationError
 from clearfom.metric import Technology
 from clearfom.validation import (
@@ -94,6 +95,19 @@ class TestRejections:
         diags = validate_config(doc)
         assert any(d.path == "$.cases" for d in diags)
 
+    @pytest.mark.parametrize("labels,problems", [
+        (("a b", "a-b", "c"), ["$.cases: case labels must be unique: 'a b' and 'a-b' both "
+                               "write link_activity_a_b.csv"]),
+        (("A", "a", "_a_", "a.b"), ["$.cases: case labels must be unique: 'A' and 'a' both "
+                                    "write link_activity_a.csv"]),
+        (("a b", "a-c", "ab"), []),
+    ], ids=["space_and_dash", "case_and_trim", "distinct_file_names"])
+    def test_labels_are_unique_as_file_names(self, network_config_doc, labels, problems):
+        doc = copy.deepcopy(network_config_doc)
+        doc["cases"] = [{**doc["cases"][0], "label": label} for label in labels]
+        doc["flit_sweep"]["baseline"] = labels[0]
+        assert [str(d) for d in validate_config(doc)] == problems
+
     def test_sweep_baseline_must_be_a_case(self, network_config_doc):
         doc = copy.deepcopy(network_config_doc)
         doc["flit_sweep"]["baseline"] = "nope"
@@ -135,11 +149,13 @@ class TestLoaders:
         config = load_device_config(device_config_path)
         assert len(config.devices) == 4
         assert config.temperature_k == 300.0
+        assert config.cost_efficiency_axis == DEFAULT_COST_EFFICIENCY_AXIS  # the key is absent
 
     def test_link_loader_defaults(self, link_config_path):
         config = load_link_config(link_config_path)
         assert config.lengths_m == (1e-4, 1e-3, 1e-2)
         assert config.limit_group_index == 3.0
+        assert config.cost_efficiency_axis == DEFAULT_COST_EFFICIENCY_AXIS
         assert {l.name for l in config.links} == \
             {"electronic", "photonic", "plasmonic", "hyppi"}
 
@@ -155,12 +171,12 @@ class TestLoaders:
 
     def test_network_loader(self, network_config_path):
         config = load_network_config(network_config_path)
-        assert {(c.topology.rows, c.topology.cols) for c in config.cases} == {(16, 16)}
+        assert {(mesh.rows, mesh.cols) for mesh in config.cases.values()} == {(16, 16)}
         assert config.flit_sizes == (32, 64, 128, 256)
-        express_cases = [c for c in config.cases if c.topology.express_span is not None]
+        express_cases = [mesh for mesh in config.cases.values() if mesh.express_span is not None]
         assert len(express_cases) == 1
-        assert express_cases[0].topology.express_span == 3
-        assert express_cases[0].topology.express_technology is Technology.HYBRID
+        assert express_cases[0].express_span == 3
+        assert express_cases[0].express_technology is Technology.HYBRID
 
     def test_trend_loader_defaults(self, tmp_path, sample_records_path):
         shutil.copy(sample_records_path, tmp_path / "records.csv")
