@@ -23,11 +23,10 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .errors import ClearError, ConfigurationError, InfeasibleLinkError
+from .errors import ClearError, ConfigurationError, DomainError, InfeasibleLinkError
 from .ioutil import IoError, write_csv, write_json
 from .metric import Level, clear_value, default_floors, radar_area, radar_scores, radar_vertices
 
@@ -79,12 +78,11 @@ def _print_table(headers, rows):
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
-@dataclass
 class _Artifacts:
     """Artifacts staged in memory; written only after the run succeeds."""
 
-    csv_files: list = field(default_factory=list)   # (relpath, header, rows)
-    json_files: list = field(default_factory=list)  # (relpath, document)
+    def __init__(self):
+        self.csv_files, self.json_files = [], []  # (relpath, header, rows), (relpath, document)
 
     def flush(self, out_dir: Path, formats):
         """Write the selected artifacts; return their paths, CSVs first."""
@@ -304,7 +302,10 @@ def _run_trend(args: argparse.Namespace, artifacts: _Artifacts):
     config = load_trend_config(args.config)
     records = sorted(config.records, key=lambda r: (r.year, r.name))
     observations = [(record.year, system_clear(record).value) for record in records]
-    fit = fit_growth(observations)
+    try:  # years or a growth rate outside the fit's floating-point range
+        fit = fit_growth(observations)
+    except DomainError as exc:
+        raise DomainError(f"{config.records_csv}: {exc}") from exc
     point_rows = []
     report_points = []
     for record, (year, clear) in zip(records, observations):

@@ -8,18 +8,15 @@ delivers its function, footprint measures the silicon it occupies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import Checked, DomainError
 from .metric import Axes, ClearValue, Level, Technology, clear_value, radar_scores
 
 __all__ = ["DeviceSpec", "device_clear", "device_factors", "radar_normalize"]
 
 
-@dataclass(frozen=True)
-class DeviceSpec:
-    """Declarative parameter sheet for a single device."""
-
+class _DeviceSpecFields(NamedTuple):
     name: str
     technology: Technology
     capability_hz: float
@@ -28,12 +25,16 @@ class DeviceSpec:
     footprint_m2: float
     unit_cost_usd: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "technology", Technology(self.technology))
+
+class DeviceSpec(Checked, _DeviceSpecFields):
+    """Declarative parameter sheet for a single device."""
+
+    def _check(self):
         for field_name in ("capability_hz", "critical_length_m", "energy_j_per_bit",
                            "footprint_m2", "unit_cost_usd"):
             if getattr(self, field_name) <= 0:
                 raise DomainError(f"DeviceSpec.{field_name} must be strictly positive")
+        return {"technology": Technology(self.technology)}
 
     def limit_violations(self, limits: Axes) -> list[str]:
         """Report factors that claim to beat a device-level limit; never clamps."""

@@ -12,11 +12,10 @@ result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import DomainError, InsufficientDataError
+from .errors import Checked, DomainError, InsufficientDataError
 from .ioutil import finite_float, read_csv
 
 __all__ = [
@@ -30,23 +29,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExperienceCurve:
-    """Log-linear unit-cost decay anchored at a reference calendar year."""
-
+class _ExperienceCurveFields(NamedTuple):
     initial_unit_cost: float
     halving_period: float
     reference_time: float
 
-    def __post_init__(self):
+
+class ExperienceCurve(Checked, _ExperienceCurveFields):
+    """Log-linear unit-cost decay anchored at a reference calendar year."""
+
+    def _check(self):
         if self.initial_unit_cost <= 0:
             raise DomainError("initial_unit_cost must be strictly positive")
         if not self.halving_period > 0:
             raise DomainError("halving_period must be strictly positive (inf allowed)")
 
 
-@dataclass(frozen=True)
-class CurveFit:
+class CurveFit(NamedTuple):
     """An experience curve fitted from observations.
 
     ``r_squared`` is None when the goodness of fit is undefined (zero
@@ -88,9 +87,14 @@ def ols_log2(years: Sequence[float], log2_values: Sequence[float]
     if len(set(years)) < 2:
         raise InsufficientDataError("need at least two distinct years")
     n = len(years)
-    year_mean = math.fsum(years) / n
+    try:  # an fsum's partial sums, or a squared deviation, past the float range
+        year_mean = math.fsum(years) / n
+        sxx = math.fsum((t - year_mean) ** 2 for t in years)
+    except OverflowError:
+        sxx = math.inf
+    if not 0.0 < sxx < math.inf:  # too far apart to square, or too close to tell apart
+        raise DomainError(f"years {min(years):g} to {max(years):g} leave the fit's float range")
     log_mean = math.fsum(log2_values) / n
-    sxx = math.fsum((t - year_mean) ** 2 for t in years)
     sxy = math.fsum((t - year_mean) * (y - log_mean) for t, y in zip(years, log2_values))
     slope = sxy / sxx
 

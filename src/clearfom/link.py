@@ -15,12 +15,12 @@ config convention; the span budget check uses propagation loss only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .constants import LIGHT_SPEED_VACUUM
 from .economics import ExperienceCurve, relative_cost
-from .errors import DomainError, InfeasibleLinkError
+from .errors import Checked, DomainError, InfeasibleLinkError
 from .metric import Axes, Technology
 
 __all__ = [
@@ -55,10 +55,7 @@ class ComponentRole(str, Enum):
     REPEATER = "repeater"
 
 
-@dataclass(frozen=True)
-class LinkComponent:
-    """One device on the link; repeaters are templates multiplied by count."""
-
+class _LinkComponentFields(NamedTuple):
     name: str
     role: ComponentRole
     bandwidth_hz: float = 0.0  # 0 means "not rate-limiting"
@@ -67,23 +64,28 @@ class LinkComponent:
     cost_usd: float = 0.0
     delay_s: float = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "role", ComponentRole(self.role))
+
+class LinkComponent(Checked, _LinkComponentFields):
+    """One device on the link; repeaters are templates multiplied by count."""
+
+    def _check(self):
         for name in ("bandwidth_hz", "energy_j_per_bit", "area_m2", "cost_usd", "delay_s"):
             if getattr(self, name) < 0:
                 raise DomainError(f"LinkComponent.{name} must be non-negative")
+        return {"role": ComponentRole(self.role)}
 
 
-@dataclass(frozen=True)
-class ElectricalTransport:
-    """Distributed-RC wire bundle; ``lanes`` parallel wires carry one bit each."""
-
+class _ElectricalTransportFields(NamedTuple):
     capacitance_f_per_m: float
     resistance_ohm_per_m: float
     voltage_swing_v: float
     lanes: int = 1
 
-    def __post_init__(self):
+
+class ElectricalTransport(Checked, _ElectricalTransportFields):
+    """Distributed-RC wire bundle; ``lanes`` parallel wires carry one bit each."""
+
+    def _check(self):
         if self.capacitance_f_per_m < 0 or self.resistance_ohm_per_m < 0:
             raise DomainError("wire R' and C' must be non-negative")
         if self.voltage_swing_v <= 0:
@@ -92,10 +94,7 @@ class ElectricalTransport:
             raise DomainError("lanes must be at least 1")
 
 
-@dataclass(frozen=True)
-class OpticalTransport:
-    """Guided optical channel, possibly wavelength-multiplexed."""
-
+class _OpticalTransportFields(NamedTuple):
     loss_db_per_m: float
     group_index: float
     launch_power_w: float
@@ -103,7 +102,11 @@ class OpticalTransport:
     wdm_channels: int = 1
     per_channel_rate_cap_bps: float | None = None
 
-    def __post_init__(self):
+
+class OpticalTransport(Checked, _OpticalTransportFields):
+    """Guided optical channel, possibly wavelength-multiplexed."""
+
+    def _check(self):
         if self.loss_db_per_m < 0:
             raise DomainError("loss_db_per_m must be non-negative")
         if self.group_index < 1:
@@ -116,10 +119,7 @@ class OpticalTransport:
             raise DomainError("per_channel_rate_cap_bps must be strictly positive")
 
 
-@dataclass(frozen=True)
-class LinkSpec:
-    """Full parameter sheet for one point-to-point link."""
-
+class _LinkSpecFields(NamedTuple):
     name: str
     technology: Technology
     length_m: float
@@ -129,9 +129,12 @@ class LinkSpec:
     repeater_spacing_m: float | None = None
     cost_curve: ExperienceCurve | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "technology", Technology(self.technology))
-        object.__setattr__(self, "components", tuple(self.components))
+
+class LinkSpec(Checked, _LinkSpecFields):
+    """Full parameter sheet for one point-to-point link."""
+
+    def _check(self):
+        components = tuple(self.components)
         if self.length_m <= 0:
             raise DomainError("length_m must be strictly positive")
         if self.cross_section_width_m < 0:
@@ -139,20 +142,20 @@ class LinkSpec:
         if self.repeater_spacing_m is not None:
             if self.repeater_spacing_m <= 0:
                 raise DomainError("repeater_spacing_m must be strictly positive")
-            if not any(c.role is ComponentRole.REPEATER for c in self.components):
+            if not any(c.role is ComponentRole.REPEATER for c in components):
                 raise DomainError(
                     "repeater_spacing_m requires a repeater component template")
+        return {"technology": Technology(self.technology), "components": components}
 
     @property
     def is_optical(self) -> bool:
         return isinstance(self.transport, OpticalTransport)
 
     def at_length(self, length_m: float) -> "LinkSpec":
-        return replace(self, length_m=length_m)
+        return self._replace(length_m=length_m)
 
 
-@dataclass(frozen=True)
-class SpanBudget:
+class SpanBudget(NamedTuple):
     """Power accounting for one repeater-to-repeater span."""
 
     index: int

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .errors import ConfigurationError, DomainError
+from .errors import Checked, ConfigurationError, DomainError
 
 __all__ = [
     "Level",
@@ -75,15 +74,16 @@ class Axes(NamedTuple):
 AXIS_NAMES = Axes._fields
 
 
-@dataclass(frozen=True)
-class ClearValue:
-    """Composite CLEAR scalar plus the factor breakdown it came from."""
-
+class _ClearValueFields(NamedTuple):
     value: float
     level: Level
     factors: Axes
 
-    def __post_init__(self):
+
+class ClearValue(Checked, _ClearValueFields):
+    """Composite CLEAR scalar plus the factor breakdown it came from."""
+
+    def _check(self):
         recomputed = _quotient(self.factors)
         if math.isinf(recomputed) or abs(self.value - recomputed) > 1e-12 * abs(recomputed):
             raise DomainError("ClearValue.value does not match its factor breakdown")

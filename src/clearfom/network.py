@@ -42,15 +42,14 @@ numerator count each channel pair once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, partial
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .economics import ExperienceCurve, unit_cost
-from .errors import ConfigurationError, DomainError
+from .errors import Checked, ConfigurationError, DomainError
 from .link import (
     ComponentRole,
     ElectricalTransport,
@@ -89,23 +88,14 @@ _LOAD_OVERFLOW = ("traffic load totals overflow the floating-point range: "
                   "lower injection_bps_per_node")
 
 
-@dataclass(frozen=True)
-class MeshLink:
+class MeshLink(NamedTuple):
     """Undirected physical link between two node ids (a < b)."""
 
     a: int
     b: int
 
 
-@dataclass(frozen=True)
-class MeshTopology:
-    """A ``rows`` x ``cols`` mesh of ``technology`` links with at most one express layout.
-
-    The layout is Dally's express cube along rows: in every row, links of
-    ``express_technology`` span ``express_span`` columns from columns 0, span,
-    2 span, ... as far as the row reaches. Links are derived, never stored.
-    """
-
+class _MeshTopologyFields(NamedTuple):
     rows: int
     cols: int
     spacing_m: float
@@ -113,18 +103,27 @@ class MeshTopology:
     express_span: int | None = None
     express_technology: Technology | None = None
 
-    def __post_init__(self):
+
+class MeshTopology(Checked, _MeshTopologyFields):
+    """A ``rows`` x ``cols`` mesh of ``technology`` links with at most one express layout.
+
+    The layout is Dally's express cube along rows: in every row, links of
+    ``express_technology`` span ``express_span`` columns from columns 0, span,
+    2 span, ... as far as the row reaches. Links are derived, never stored.
+    """
+
+    def _check(self):
         if self.rows < 1 or self.cols < 1:
             raise DomainError("mesh dimensions must be at least 1x1")
         if self.spacing_m <= 0:
             raise DomainError("spacing_m must be strictly positive")
-        object.__setattr__(self, "technology", Technology(self.technology))
         if self.express_span is not None or self.express_technology is not None:
             if self.express_technology is None or not 2 <= (self.express_span or 0) < self.cols:
                 raise DomainError(
                     "an express layout needs a technology and 2 <= span < cols, got span "
                     f"{self.express_span} on {self.cols} cols")
-            object.__setattr__(self, "express_technology", Technology(self.express_technology))
+        return {"technology": Technology(self.technology), "express_technology":
+                None if self.express_technology is None else Technology(self.express_technology)}
 
     @property
     def node_count(self) -> int:
@@ -166,7 +165,7 @@ def add_express_links(topology: MeshTopology, hop_span: int,
     """
     if topology.express_span is not None:
         raise DomainError("the mesh already has an express layout")
-    return replace(topology, express_span=hop_span, express_technology=technology)
+    return topology._replace(express_span=hop_span, express_technology=technology)
 
 
 def _x_hops(topology: MeshTopology, c1: int, c2: int):
@@ -194,17 +193,18 @@ class TrafficPattern(str, Enum):
     EXPONENTIAL_LOCALITY = "exponential_locality"
 
 
-@dataclass(frozen=True)
-class TrafficParams:
-    """Knobs for the synthetic generators; only the relevant ones are read."""
-
+class _TrafficParamsFields(NamedTuple):
     injection_bps_per_node: float
     hotspot_fraction: float = 0.5
     hotspot_nodes: tuple[int, ...] | None = None
     hotspot_count: int = 1
     locality_scale_hops: float = 4.0
 
-    def __post_init__(self):
+
+class TrafficParams(Checked, _TrafficParamsFields):
+    """Knobs for the synthetic generators; only the relevant ones are read."""
+
+    def _check(self):
         if self.injection_bps_per_node < 0:
             raise DomainError("injection rate must be non-negative")
         if not 0.0 <= self.hotspot_fraction <= 1.0:
@@ -475,14 +475,23 @@ def _locality_rates(rows: int, cols: int, inj: float, scale: float) -> np.ndarra
     return rates
 
 
-@dataclass(frozen=True)
-class LinkActivity:
-    """Carried load per directed link plus flow aggregates for accounting."""
-
+class _LinkActivityFields(NamedTuple):
     loads: Mapping[tuple[int, int], float]
     injected_bps: float
     flow_hop_bps: float        # sum over flows of rate * hop count
     router_traversal_bps: float  # sum over flows of rate * (hops + 1)
+
+
+class LinkActivity(_LinkActivityFields):
+    """Carried load per directed link plus flow aggregates for accounting."""
+
+    @cached_property
+    def loads_by_node_span(self) -> dict[int, list[float]]:
+        """Loads by their hop's node-id span: 1 along a row, cols down a column, else express."""
+        split: dict[int, list[float]] = {}
+        for (u, v), load in self.loads.items():
+            split.setdefault(abs(v - u), []).append(load)
+        return split
 
     def utilization(self, topology: MeshTopology,
                     config: NocConfig) -> dict[tuple[int, int], float]:
@@ -576,19 +585,28 @@ def case_activities(cases: Mapping[str, MeshTopology],
     return activities
 
 
-@dataclass(frozen=True)
-class RouterModel:
+class _RouterModelFields(NamedTuple):
     dynamic_j_per_bit: float
     area_m2: float
     die: str = ELECTRONIC_DIE
 
-    def __post_init__(self):
+
+class RouterModel(Checked, _RouterModelFields):
+    def _check(self):
         if self.dynamic_j_per_bit < 0 or self.area_m2 < 0:
             raise DomainError("router energy and area must be non-negative")
 
 
-@dataclass(frozen=True)
-class NocConfig:
+class _NocConfigFields(NamedTuple):
+    flit_bits: int
+    router_pipeline_clks: int
+    link_latency_clks: Mapping[Technology, int]
+    router: RouterModel
+    link_templates: Mapping[Technology, LinkSpec]  # "<tech>-noc-link" at the mesh spacing
+    wafer_cost: Mapping[str, ExperienceCurve]  # USD per m^2 of each die
+
+
+class NocConfig(Checked, _NocConfigFields):
     """DSENT-replacement parameter tables for one NoC evaluation.
 
     Flit resizing conventions (used by :func:`flit_sweep`): electronic links
@@ -598,14 +616,7 @@ class NocConfig:
     (their per-bit energy does not).
     """
 
-    flit_bits: int
-    router_pipeline_clks: int
-    link_latency_clks: Mapping[Technology, int]
-    router: RouterModel
-    link_templates: Mapping[Technology, LinkSpec]  # "<tech>-noc-link" at the mesh spacing
-    wafer_cost: Mapping[str, ExperienceCurve]  # USD per m^2 of each die
-
-    def __post_init__(self):
+    def _check(self):
         if self.flit_bits < 1:
             raise DomainError("flit_bits must be at least 1")
         if self.router_pipeline_clks < 1:
@@ -619,27 +630,26 @@ class NocConfig:
         if flit_bits < 1:
             raise DomainError("flit_bits must be at least 1")
         scale = flit_bits / self.flit_bits
-        router = replace(self.router,
-                         dynamic_j_per_bit=self.router.dynamic_j_per_bit * scale,
-                         area_m2=self.router.area_m2 * scale)
+        router = self.router._replace(dynamic_j_per_bit=self.router.dynamic_j_per_bit * scale,
+                                      area_m2=self.router.area_m2 * scale)
         templates = {}
         for tech, template in self.link_templates.items():
             components = []
             for comp in template.components:
                 if comp.role in (ComponentRole.SERDES, ComponentRole.DRIVER):
-                    comp = replace(comp, area_m2=comp.area_m2 * scale,
-                                   cost_usd=comp.cost_usd * scale)
+                    comp = comp._replace(area_m2=comp.area_m2 * scale,
+                                         cost_usd=comp.cost_usd * scale)
                 components.append(comp)
             transport = template.transport
             if tech is Technology.ELECTRONIC and isinstance(transport, ElectricalTransport):
-                transport = replace(transport, lanes=flit_bits)
+                transport = transport._replace(lanes=flit_bits)
                 lane_rate = link_capacity(template) / flit_bits
                 components = [
-                    replace(c, bandwidth_hz=lane_rate) if c.bandwidth_hz > 0 else c
+                    c._replace(bandwidth_hz=lane_rate) if c.bandwidth_hz > 0 else c
                     for c in components]
-            templates[tech] = replace(template, components=tuple(components),
-                                      transport=transport)
-        return replace(self, flit_bits=flit_bits, router=router, link_templates=templates)
+            templates[tech] = template._replace(components=tuple(components),
+                                                transport=transport)
+        return self._replace(flit_bits=flit_bits, router=router, link_templates=templates)
 
 
 def _class_link(topology: MeshTopology, config: NocConfig, technology: Technology,
@@ -689,11 +699,6 @@ def network_clear(topology: MeshTopology, activity: LinkActivity, config: NocCon
     """
     if activity.injected_bps <= 0:
         raise DomainError("latency and energy per bit are undefined for zero traffic")
-    span = topology.express_span  # a hop is express iff it spans span node ids
-    loads_by_span: dict[int | None, list[float]] = {1: [], span: []}
-    for (u, v), load in activity.loads.items():
-        loads_by_span[span if abs(v - u) == span else 1].append(load)
-
     latency_terms = [config.router_pipeline_clks * activity.flow_hop_bps]
     energy_terms = [activity.router_traversal_bps * config.router.dynamic_j_per_bit]
     area_terms = {config.router.die: [config.router.area_m2 * topology.node_count]}
@@ -704,7 +709,9 @@ def network_clear(topology: MeshTopology, activity: LinkActivity, config: NocCon
                 f"link_latency_clks has no entry for technology '{technology.value}'")
         spec = _class_link(topology, config, technology, hop_span)
         capacity_terms.append(count * link_capacity(spec))
-        loads = loads_by_span[hop_span]
+        loads = [load for node_span, span_loads in activity.loads_by_node_span.items()
+                 if (node_span == topology.express_span) == (hop_span == topology.express_span)
+                 for load in span_loads]
         clks = config.link_latency_clks[technology]
         latency_terms += [load * clks for load in loads]
         energy = link_energy_per_bit(spec)

@@ -9,13 +9,12 @@ as a doubling time in months.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .economics import ols_log2
-from .errors import DomainError, InsufficientDataError
+from .errors import Checked, DomainError, InsufficientDataError
 from .ioutil import finite_float, read_csv
 from .limits import landauer_energy
 from .metric import Axes, ClearValue, Level, clear_value
@@ -52,8 +51,7 @@ class SystemClass(str, Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class SystemRecord:
+class _SystemRecordFields(NamedTuple):
     name: str
     year: float
     mips: float
@@ -63,12 +61,14 @@ class SystemRecord:
     cost_usd: float
     system_class: SystemClass = SystemClass.OTHER
 
-    def __post_init__(self):
-        object.__setattr__(self, "system_class", SystemClass(self.system_class))
+
+class SystemRecord(Checked, _SystemRecordFields):
+    def _check(self):
         for field_name in ("mips", "clock_period_s", "energy_j_per_bit",
                            "volume_m3", "cost_usd"):
             if getattr(self, field_name) <= 0:
                 raise DomainError(f"SystemRecord.{field_name} must be strictly positive")
+        return {"system_class": SystemClass(self.system_class)}
 
 
 def system_clear(record: SystemRecord) -> ClearValue:
@@ -83,8 +83,7 @@ def system_clear(record: SystemRecord) -> ClearValue:
     return clear_value(factors, Level.SYSTEM)
 
 
-@dataclass(frozen=True)
-class GrowthFit:
+class GrowthFit(NamedTuple):
     """Log-linear growth of CLEAR over calendar years."""
 
     slope_log2_per_year: float
@@ -107,6 +106,8 @@ def fit_growth(observations: Sequence[tuple[float, float]]) -> GrowthFit:
         raise InsufficientDataError("need at least two records")
     year_mean, log_mean, slope, r_squared = ols_log2(
         [year for year, _ in observations], [math.log2(clear) for _, clear in observations])
+    if slope >= 1024.0:  # exactly where 2 ** slope, the annual factor, overflows
+        raise DomainError(f"a growth of {slope:g} doublings a year leaves the float range")
     return GrowthFit(slope_log2_per_year=slope, r_squared=r_squared,
                      intercept=log_mean - slope * year_mean)
 
@@ -115,8 +116,7 @@ def predict_log2_clear(fit: GrowthFit, year: float) -> float:
     return fit.intercept + fit.slope_log2_per_year * year
 
 
-@dataclass(frozen=True)
-class EfficiencyPoint:
+class EfficiencyPoint(NamedTuple):
     """One machine on the efficiency plane.
 
     ``computational_efficiency`` is bits per second, cubic meter, and dollar

@@ -32,10 +32,9 @@ import math
 import operator
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
 from functools import cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .constants import DEFAULT_COST_EFFICIENCY_AXIS
 from .errors import ConfigurationError, DomainError, InsufficientDataError
@@ -89,8 +88,7 @@ _BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     path: str
     message: str
 
@@ -296,16 +294,14 @@ def _input_path(config_path: str | Path, name: str) -> Path:
 # ---------------------------------------------------------------------------
 # Loaders.
 
-@dataclass(frozen=True)
-class DeviceConfig:
+class DeviceConfig(NamedTuple):
     temperature_k: float
     devices: tuple[DeviceSpec, ...]
     floor_margin: float = 10.0
     cost_efficiency_axis: float = DEFAULT_COST_EFFICIENCY_AXIS
 
 
-@dataclass(frozen=True)
-class LinkConfig:
+class LinkConfig(NamedTuple):
     temperature_k: float
     lengths_m: tuple[float, ...]
     links: tuple[LinkSpec, ...]
@@ -314,8 +310,7 @@ class LinkConfig:
     eval_year: float | None = None
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
+class NetworkConfig(NamedTuple):
     cases: Mapping[str, MeshTopology]  # label -> mesh in config order, all of one shape
     traffic_pattern: TrafficPattern
     traffic_params: TrafficParams
@@ -325,9 +320,9 @@ class NetworkConfig:
     eval_year: float | None = None
 
 
-@dataclass(frozen=True)
-class TrendConfig:
+class TrendConfig(NamedTuple):
     records: tuple[SystemRecord, ...]
+    records_csv: Path  # the records' file, which a fit error names
     band_db: float = 5.0
 
 
@@ -339,14 +334,14 @@ _NUMBER_FIELDS = {float: float, "float": float, int: int, "int": int}
 def _build(cls, obj: Mapping, **given):
     """A ``cls`` from the keys of ``obj`` that name its fields; ``given`` adds or overrides.
 
-    A field that neither fills takes its default. A value for a field that is
-    not a plain number passes through as it is.
+    A field that neither fills takes its default. A value for a field that is not a plain number
+    passes through as it is. Annotations are ForwardRefs, on a checked record's NamedTuple base.
     """
-    for field in fields(cls):
-        if field.name in obj and field.name not in given:
-            convert = _NUMBER_FIELDS.get(field.type)
-            value = obj[field.name]
-            given[field.name] = convert(value) if convert else value
+    types = next(klass.__annotations__ for klass in cls.__mro__ if klass.__annotations__)
+    for name in cls._fields:
+        if name in obj and name not in given:
+            convert = _NUMBER_FIELDS.get(getattr(types[name], "__forward_arg__", types[name]))
+            given[name] = convert(obj[name]) if convert else obj[name]
     return cls(**given)
 
 
@@ -452,4 +447,4 @@ def load_trend_config(path: str | Path) -> TrendConfig:
     records = tuple(load_system_records(records_csv))
     if len({record.year for record in records}) < 2:  # the growth fit needs two years
         raise InsufficientDataError(f"{records_csv}: need at least two records of distinct years")
-    return _build(TrendConfig, doc, records=records)
+    return _build(TrendConfig, doc, records=records, records_csv=records_csv)

@@ -511,6 +511,51 @@ class TestNumericRange:
         assert f"capability={float(mips):g}" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["trend", "link"])
+    @pytest.mark.parametrize("years,shown", [
+        (("1e300", "-1e300"), "years -1e+300 to 1e+300"),           # a square overflows
+        (("1e-320", "2e-320"), "years 9.99989e-321 to 1.99998e-320"),  # the squares underflow
+    ], ids=["overflow", "underflow"])
+    def test_fit_years_outside_float_range_name_the_csv(self, tmp_path, capsys, command,
+                                                        years, shown):
+        if command == "trend":
+            csv = tmp_path / "records.csv"
+            csv.write_text(
+                "name,year,mips,clock_period_s,energy_j_per_bit,volume_m3,cost_usd,class\n"
+                f"a,{years[0]},1,1,1,1,1,other\nb,{years[1]},2,1,1,1,1,other\n",
+                encoding="utf-8")
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"kind": "trend", "records_csv": "records.csv"}),
+                              encoding="utf-8")
+        else:
+            csv = tmp_path / "costs.csv"
+            csv.write_text(f"year,cost_usd\n{years[0]},4.0\n{years[1]},1.0\n", encoding="utf-8")
+            config = _config_copy(tmp_path, "links/four_technologies.json",
+                                  lambda doc: doc["links"][0].update(cost_curve_csv="costs.csv"))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{csv}: {shown} leave the fit's float range" in err
+        assert "numeric range" not in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_trend_growth_outside_float_range_names_the_csv(self, tmp_path, capsys):
+        # 1024 doublings in a year: the annual factor 2 ** 1024 is past the float range.
+        csv = tmp_path / "records.csv"
+        csv.write_text(
+            "name,year,mips,clock_period_s,energy_j_per_bit,volume_m3,cost_usd,class\n"
+            f"a,2000,{2.0 ** -512!r},1,1,1,1,other\nb,2001,{2.0 ** 512!r},1,1,1,1,other\n",
+            encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": "trend", "records_csv": "records.csv"}),
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["trend", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{csv}: a growth of 1024 doublings a year leaves the float range" in err
+        assert "numeric range" not in err and not out.exists()
+
     def test_refused_report_leaves_no_csv(self, tmp_path, capsys):
         # Finite inputs whose energy efficiency (1 / 1e-320 J/bit) is infinite.
         records = tmp_path / "records.csv"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from clearfom.economics import (
     ExperienceCurve,
     fit_experience_curve,
     load_cost_observations,
+    ols_log2,
     relative_cost,
     unit_cost,
 )
@@ -89,6 +91,18 @@ class TestFit:
     def test_non_positive_cost_rejected(self):
         with pytest.raises(DomainError):
             fit_experience_curve([(2000.0, 1.0), (2001.0, 0.0)])
+
+    @pytest.mark.parametrize("years,shown", [
+        ((1e300, -1e300), "years -1e+300 to 1e+300"),         # a squared deviation overflows
+        ((1e200, 1.0000000001e200), "years 1e+200 to 1e+200"),
+        ((1e308, 1.5e308), "years 1e+308 to 1.5e+308"),       # the year sum overflows
+        ((1e-320, 2e-320), "years 9.99989e-321 to 1.99998e-320"),  # the squares underflow to 0
+    ], ids=["opposite_huge", "close_huge", "sum_overflows", "subnormal"])
+    def test_years_outside_the_float_range_are_a_domain_error(self, years, shown):
+        with pytest.raises(DomainError, match=re.escape(f"{shown} leave the fit's float range")):
+            ols_log2(years, [0.0, 1.0])
+        with pytest.raises(DomainError, match=re.escape(shown)):
+            fit_experience_curve([(years[0], 1.0), (years[1], 2.0)])
 
     def test_rising_series_clamps_to_flat_sentinel_with_raw_slope(self):
         fit = fit_experience_curve([(2000.0, 1.0), (2001.0, 2.0), (2002.0, 4.0)])

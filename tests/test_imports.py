@@ -5,7 +5,9 @@ model module: each subcommand imports only the modules it runs, so each run
 loads exactly the ``clearfom`` modules listed in ``ADDED``. Only the network
 subcommand imports :mod:`clearfom.network`, and no subcommand imports numpy:
 generated traffic is routed from closed-form demands, and every command runs
-in an interpreter that cannot import numpy.
+in an interpreter that cannot import numpy. Neither the import, any run nor
+the NoC library loads ``dataclasses`` or ``inspect``: the value types are
+NamedTuples, so start-up does not pay for that machinery.
 """
 
 import importlib
@@ -60,18 +62,27 @@ ADDED = {
     "network": ["constants", "economics", "link", "network", "validation"],
 }
 
+# Standard-library modules that no clearfom path may load.
+_MACHINERY = """
+def machinery():
+    return [name for name in ("dataclasses", "inspect") if name in sys.modules]
+"""
+
 # Imports ``clearfom.cli``, runs its ``main`` on argv and reports the clearfom
-# modules loaded by the import and added by the run, and whether numpy loaded.
+# modules loaded by the import and added by the run, whether numpy loaded, and
+# the machinery loaded after the import and after the run.
 _PROBE = """
 import json, sys
 def loaded():
     return [name for name in sorted(sys.modules) if name.partition(".")[0] == "clearfom"]
+""" + _MACHINERY + """
 from clearfom.cli import main
-imported = loaded()
+imported, at_import = loaded(), machinery()
 code = main(sys.argv[1:])
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "imported": imported,
                   "added": [name.removeprefix("clearfom.") for name in loaded()
-                            if name not in imported]}))
+                            if name not in imported],
+                  "machinery": [at_import, machinery()]}))
 """
 
 
@@ -85,10 +96,11 @@ print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
 
 
 # Blocks numpy, then runs the NoC library on the shipped cases under each traffic
-# pattern, and routes traffic generated on 4x6 over a 6x4 mesh.
+# pattern, routes traffic generated on 4x6 over a 6x4 mesh, and reports the machinery.
 _BLOCKED_LIBRARY = """
 import json, sys
 sys.modules["numpy"] = None
+""" + _MACHINERY + """
 from clearfom.network import (TrafficParams, build_mesh, case_activities, flit_sweep,
                               generate_traffic, link_activity, network_clear)
 from clearfom.validation import load_network_config
@@ -107,6 +119,7 @@ try:
     report["other_shape"] = "routed"
 except Exception as exc:
     report["other_shape"] = type(exc).__name__
+report["machinery"] = machinery()
 print(json.dumps(report))
 """
 
@@ -168,20 +181,20 @@ class TestImportBoundary:
     def test_non_network_commands_skip_numpy(self, command, tmp_path):
         result = _probe([command, *_command_args(command, tmp_path)], tmp_path)
         assert result == {"code": 0, "numpy": False, "imported": CLI_MODULES,
-                          "added": ADDED[command]}
+                          "added": ADDED[command], "machinery": [[], []]}
 
     def test_network_command_skips_numpy(self, tmp_path):
         config = str(example_path("networks/mesh16_comparison.json"))
         result = _probe(["network", "--config", config, "--seed", "7"], tmp_path)
         assert result == {"code": 0, "numpy": False, "imported": CLI_MODULES,
-                          "added": ADDED["network"]}
+                          "added": ADDED["network"], "machinery": [[], []]}
 
     @pytest.mark.parametrize("traffic", list(TRAFFIC))
     def test_no_traffic_pattern_loads_numpy(self, tmp_path, network_config_doc, traffic):
         config = _network_config(tmp_path, network_config_doc, traffic)
         result = _probe(["network", "--config", config, "--seed", "7"], tmp_path)
         assert result == {"code": 0, "numpy": False, "imported": CLI_MODULES,
-                          "added": ADDED["network"]}
+                          "added": ADDED["network"], "machinery": [[], []]}
 
     def test_every_command_runs_without_numpy(self, tmp_path, network_config_doc):
         configs = [str(example_path("networks/mesh16_comparison.json")),
@@ -197,7 +210,8 @@ class TestImportBoundary:
         sweep = {case["label"]: 2 for case in network_config_doc["cases"]}
         assert _run(_BLOCKED_LIBRARY, [str(network_config_path)]) == {
             "uniform": [True, sweep], "hotspot": [True, sweep],
-            "exponential_locality": [True, sweep], "other_shape": "DomainError"}
+            "exponential_locality": [True, sweep], "other_shape": "DomainError",
+            "machinery": []}
 
 
 class TestLazyExports:

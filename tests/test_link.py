@@ -1,6 +1,6 @@
+import copy
 import math
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,7 +24,7 @@ from clearfom.link import (
     repeater_count,
     span_layout,
 )
-from clearfom.metric import Level, clear_value, default_floors, radar_scores
+from clearfom.metric import Level, Technology, clear_value, default_floors, radar_scores
 from clearfom.validation import load_link_config
 
 _C = 299792458.0
@@ -414,10 +414,44 @@ class TestShippedLinks:
         config = load_link_config(link_config_path)
         spec = config.links[0]
         from clearfom.economics import ExperienceCurve
-        curved = replace(spec, cost_curve=ExperienceCurve(
+        curved = spec._replace(cost_curve=ExperienceCurve(
             initial_unit_cost=1.0, halving_period=2.0, reference_time=2016.0))
         assert link_cost(curved, eval_year=2018.0) == \
             pytest.approx(link_cost(curved) / 2.0, rel=1e-12)
+
+
+class TestDerivedCopiesAreChecked:
+    """A copy goes through the record's constructor, so it is checked and coerced too."""
+
+    @pytest.mark.parametrize("length", [0.0, -1e-3])
+    def test_at_length_refuses_a_non_positive_length(self, length):
+        for spec in (_electrical(), _optical()):
+            with pytest.raises(DomainError, match="length_m must be strictly positive"):
+                spec.at_length(length)
+
+    def test_replace_checks_every_link_record(self):
+        with pytest.raises(DomainError, match="length_m must be strictly positive"):
+            _optical()._replace(length_m=0.0)
+        with pytest.raises(DomainError, match="requires a repeater component template"):
+            _electrical()._replace(repeater_spacing_m=1e-4)
+        with pytest.raises(DomainError, match="LinkComponent.cost_usd must be non-negative"):
+            _repeater()._replace(cost_usd=-1.0)
+        with pytest.raises(DomainError, match="lanes must be at least 1"):
+            _electrical().transport._replace(lanes=0)
+        with pytest.raises(DomainError, match="group index must be at least 1"):
+            _optical().transport._replace(group_index=0.5)
+
+    def test_replace_coerces_like_the_constructor(self):
+        spec = _electrical()._replace(technology="hybrid", components=[_repeater()])
+        assert spec.technology is Technology.HYBRID
+        assert spec.components == (_repeater(),)
+        assert _repeater()._replace(role="serdes").role is ComponentRole.SERDES
+
+    @pytest.mark.skipif(not hasattr(copy, "replace"), reason="copy.replace is new in 3.13")
+    def test_copy_replace_is_checked_too(self):
+        with pytest.raises(DomainError, match="length_m must be strictly positive"):
+            copy.replace(_electrical(), length_m=0.0)
+        assert copy.replace(_repeater(), role="serdes").role is ComponentRole.SERDES
 
 
 class TestComponentOrder:
@@ -427,7 +461,7 @@ class TestComponentOrder:
         def build(parts):
             # Repeated every 0.25 mm, so each repeater counts three times.
             link = (_optical if optical else _electrical)(components=parts)
-            return replace(link, repeater_spacing_m=2.5e-4)
+            return link._replace(repeater_spacing_m=2.5e-4)
 
         listed, permuted = orders
         assert link_factors(build(permuted)) == link_factors(build(listed))

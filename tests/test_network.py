@@ -1,6 +1,5 @@
 import math
 from collections import deque
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,6 +205,39 @@ class TestExpressLinks:
             for dst in range(mesh.node_count):
                 if dst % cols < src % cols:
                     assert len(_path(mesh, src, dst)) == _bfs_hops(mesh, src, dst)
+
+
+class TestDerivedCopiesAreChecked:
+    """A copy goes through the record's constructor, so it is checked and coerced too."""
+
+    def test_with_flit_bits_refuses_zero(self):
+        with pytest.raises(DomainError, match="flit_bits must be at least 1"):
+            _config().with_flit_bits(0)
+
+    def test_replace_checks_every_noc_record(self):
+        mesh = build_mesh(4, 4, 1e-3, "electronic")
+        with pytest.raises(DomainError, match="flit_bits must be at least 1"):
+            _config()._replace(flit_bits=0)
+        with pytest.raises(DomainError, match="router energy and area must be non-negative"):
+            _config().router._replace(area_m2=-1.0)
+        with pytest.raises(DomainError, match="mesh dimensions must be at least 1x1"):
+            mesh._replace(rows=0)
+        with pytest.raises(DomainError, match="mesh dimensions must be at least 1x1"):
+            type(mesh)._make((0, 4, 1e-3, "electronic", None, None))
+        assert type(mesh)._make(mesh) == mesh
+        assert type(mesh)._make((4, 4, 1e-3, "electronic")).technology is Technology.ELECTRONIC
+        with pytest.raises(DomainError, match="got span 4 on 4 cols"):
+            mesh._replace(express_span=4, express_technology="hybrid")
+        with pytest.raises(DomainError, match="hotspot_fraction must lie in"):
+            TrafficParams(injection_bps_per_node=1e9)._replace(hotspot_fraction=2.0)
+
+    def test_an_express_copy_is_coerced_and_derives_its_own_links(self):
+        mesh = build_mesh(2, 8, 1e-3, "electronic")
+        assert mesh.express_links == ()  # cached on the plain mesh, not carried to the copy
+        express = add_express_links(mesh, 3, "hybrid")
+        assert express.express_technology is Technology.HYBRID
+        assert [(link.a, link.b) for link in express.express_links] == [
+            (0, 3), (3, 6), (8, 11), (11, 14)]
 
 
 class TestRoute:
@@ -502,14 +534,14 @@ class TestAreaAndCost:
     def test_missing_wafer_entry_is_configuration_error(self):
         mesh = build_mesh(1, 2, 1e-3, "hybrid")
         config = _config()
-        broken = replace(config, wafer_cost={"electronic": ExperienceCurve(2e5, math.inf, 0.0)})
+        broken = config._replace(wafer_cost={"electronic": ExperienceCurve(2e5, math.inf, 0.0)})
         with pytest.raises(ConfigurationError):
             network_clear(mesh, _one_flow(mesh), broken)
 
     def test_wafer_curve_discounts_future_years(self):
         mesh = build_mesh(1, 2, 1e-3, "electronic")
         config = _config()
-        curved = replace(config, wafer_cost={
+        curved = config._replace(wafer_cost={
             "electronic": ExperienceCurve(2e5, halving_period=4.0, reference_time=2016.0),
             "photonic": ExperienceCurve(2.5e6, math.inf, 0.0)})
         now = _factors(mesh, _one_flow(mesh), curved, eval_year=2016.0).resistance
@@ -530,8 +562,8 @@ class TestNetworkClear:
         base = network_clear(mesh, activity, config)
         # Twice the lanes of zero-RC, zero-width wire: twice the capacity, same energy and area.
         template = config.link_templates[Technology.ELECTRONIC]
-        wider = replace(template, transport=replace(template.transport, lanes=64))
-        doubled = replace(config, link_templates={**config.link_templates,
+        wider = template._replace(transport=template.transport._replace(lanes=64))
+        doubled = config._replace(link_templates={**config.link_templates,
                                                   Technology.ELECTRONIC: wider})
         faster = network_clear(mesh, activity, doubled)
         assert faster.value == pytest.approx(2 * base.value, rel=1e-9)
@@ -561,7 +593,7 @@ class TestNetworkClear:
     def test_missing_table_entry_names_the_table(self, table):
         mesh, activity = self._setup()
         config = _config()
-        broken = replace(config, **{table: {t: v for t, v in getattr(config, table).items()
+        broken = config._replace(**{table: {t: v for t, v in getattr(config, table).items()
                                             if t is not Technology.ELECTRONIC}})
         with pytest.raises(ConfigurationError,
                            match=f"{table} has no entry for technology 'electronic'"):
@@ -601,9 +633,9 @@ class TestFlitSweep:
     def test_electronic_lanes_share_the_template_capacity(self):
         config = _config()
         template = config.link_templates[Technology.ELECTRONIC]
-        driver = replace(template.components[0], bandwidth_hz=1.25e9)  # 32 x 1.25e9 = 4e10
-        config = replace(config, link_templates={
-            **config.link_templates, Technology.ELECTRONIC: replace(template, components=(driver,))})
+        driver = template.components[0]._replace(bandwidth_hz=1.25e9)  # 32 x 1.25e9 = 4e10
+        config = config._replace(link_templates={
+            **config.link_templates, Technology.ELECTRONIC: template._replace(components=(driver,))})
         for flit in (16, 128):
             resized = config.with_flit_bits(flit).link_templates[Technology.ELECTRONIC]
             assert resized.components[0].bandwidth_hz == 4e10 / flit
@@ -614,9 +646,8 @@ class TestFlitSweep:
                                bandwidth_hz=2.5e10, energy_j_per_bit=3e-14,
                                area_m2=1.6e-9, cost_usd=0.5)
         config = _config()
-        template = replace(config.link_templates[Technology.HYBRID],
-                           components=(serdes,))
-        config = replace(config, link_templates={**config.link_templates,
+        template = config.link_templates[Technology.HYBRID]._replace(components=(serdes,))
+        config = config._replace(link_templates={**config.link_templates,
                                                  Technology.HYBRID: template})
         wide = config.with_flit_bits(64)
         scaled = wide.link_templates[Technology.HYBRID].components[0]

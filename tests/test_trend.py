@@ -92,6 +92,16 @@ class TestFitGrowth:
         with pytest.raises(InsufficientDataError):
             fit_growth(_observations([_record(name="a"), _record(name="b")]))
 
+    @pytest.mark.parametrize("first,fails", [(-511, False), (-512, True)])
+    def test_annual_factor_past_the_float_range_is_a_domain_error(self, first, fails):
+        # From 2 ** first to 2 ** 512 in a year: 1023 or 1024 doublings, exactly.
+        observations = [(2000.0, 2.0 ** first), (2001.0, 2.0 ** 512)]
+        if fails:
+            with pytest.raises(DomainError, match="1024 doublings a year leaves the float range"):
+                fit_growth(observations)
+        else:
+            assert fit_growth(observations).annual_factor == 2.0 ** 1023
+
     def test_rescaling_clear_shifts_only_intercept(self):
         records = _doubling_series(range(2000, 2011))
         scaled = [SystemRecord(name=r.name, year=r.year, mips=r.mips * 64.0,

@@ -7,8 +7,10 @@ import pytest
 
 from clearfom.constants import DEFAULT_COST_EFFICIENCY_AXIS
 from clearfom.errors import ConfigurationError
+from clearfom.link import ElectricalTransport
 from clearfom.metric import Technology
 from clearfom.validation import (
+    _build,
     load_device_config,
     load_link_config,
     load_network_config,
@@ -183,6 +185,7 @@ class TestLoaders:
         config = load_trend_config(
             _write(tmp_path / "trend.json", {"kind": "trend", "records_csv": "records.csv"}))
         assert config.band_db == 5.0
+        assert config.records_csv == tmp_path / "records.csv"
         assert len(config.records) >= 10
         assert config.records[0].name == "relay-one"
 
@@ -202,6 +205,27 @@ class TestLoaders:
         config = load_link_config(Path("..") / "inputs" / link.name)
         assert config.links[0].cost_curve.halving_period == pytest.approx(1.0, rel=1e-9)
         assert len(load_trend_config(trend).records) >= 10
+
+    def test_build_converts_plain_number_fields(self):
+        # The annotations of a checked record sit on its NamedTuple base, as ForwardRefs.
+        transport = _build(ElectricalTransport, {"capacitance_f_per_m": 1, "lanes": 16.0,
+                                                 "resistance_ohm_per_m": 0, "kind": "x"},
+                           voltage_swing_v=1)
+        assert transport == ElectricalTransport(1.0, 0.0, 1, 16)
+        assert [type(value) for value in transport] == [float, float, int, int]
+
+    def test_integer_valued_floats_load_as_ints(self, tmp_path, network_config_doc):
+        doc = copy.deepcopy(network_config_doc)
+        doc["noc"].update(flit_bits=32.0, router_pipeline_clks=3.0)
+        doc["noc"]["link_templates"]["electronic"]["transport"]["lanes"] = 32.0
+        doc["traffic"] = {"pattern": "hotspot", "hotspot_count": 2.0,
+                          "injection_bps_per_node": 1000000000}
+        config = load_network_config(_write(tmp_path / "network.json", doc))
+        numbers = (config.noc.flit_bits, config.noc.router_pipeline_clks,
+                   config.noc.link_templates[Technology.ELECTRONIC].transport.lanes,
+                   config.traffic_params.hotspot_count, config.traffic_params.injection_bps_per_node)
+        assert numbers == (32, 3, 32, 2, 1e9)
+        assert [type(n) for n in numbers] == [int, int, int, int, float]
 
     def test_loaders_refuse_an_invalid_or_other_kind_of_config(
             self, tmp_path, device_config_doc, link_config_path):
