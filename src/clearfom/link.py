@@ -135,8 +135,9 @@ class LinkSpec(Checked, _LinkSpecFields):
 
     def _check(self):
         components = tuple(self.components)
-        if self.length_m <= 0:
-            raise DomainError("length_m must be strictly positive")
+        if not 0 < self.length_m < math.inf:  # a NoC hop's span times its spacing may overflow
+            raise DomainError(f"link '{self.name}': length_m must be strictly positive and "
+                              f"finite, got {self.length_m:g}")
         if self.cross_section_width_m < 0:
             raise DomainError("cross_section_width_m must be non-negative")
         if self.repeater_spacing_m is not None:
@@ -194,10 +195,13 @@ def span_layout(link: LinkSpec) -> tuple[int, float, float]:
 
 
 def _component_total(link: LinkSpec, field: str) -> float:
-    """fsum of ``field`` over the components, a repeater once per repeater site."""
+    """fsum of ``field`` over the components, a repeater once per site; inf past float range."""
     repeaters = repeater_count(link)
-    return math.fsum(getattr(c, field) * (repeaters if c.role is ComponentRole.REPEATER else 1)
-                     for c in link.components)
+    try:
+        return math.fsum(getattr(c, field) * (repeaters if c.role is ComponentRole.REPEATER else 1)
+                         for c in link.components)
+    except OverflowError:  # the partial sums passed the float range
+        return math.inf
 
 
 def _min_positive_bandwidth(link: LinkSpec) -> float:
@@ -259,16 +263,19 @@ def link_capacity(link: LinkSpec) -> float:
 
 
 def p2p_latency(link: LinkSpec) -> float:
-    """Source-to-detector time of flight for one bit, in seconds."""
+    """Source-to-detector time of flight for one bit, in seconds; inf past the float range."""
     delay = _component_total(link, "delay_s")
     if link.is_optical:
         return delay + link.transport.group_index * link.length_m / LIGHT_SPEED_VACUUM
     rc = link.transport.resistance_ohm_per_m * link.transport.capacitance_f_per_m
     n, full, tail = span_layout(link)
-    # The n - 1 full spans as exact power-of-two multiples, so fsum rounds once.
-    full_delay = RC_DELAY_COEFF * rc * full ** 2
-    terms = [full_delay * 2.0 ** k for k in range((n - 1).bit_length()) if (n - 1) >> k & 1]
-    return delay + math.fsum(terms + [RC_DELAY_COEFF * rc * tail ** 2])
+    try:  # float ** and fsum raise where * and + would give inf
+        # The n - 1 full spans as exact power-of-two multiples, so fsum rounds once.
+        full_delay = RC_DELAY_COEFF * rc * full ** 2
+        terms = [full_delay * 2.0 ** k for k in range((n - 1).bit_length()) if (n - 1) >> k & 1]
+        return delay + math.fsum(terms + [RC_DELAY_COEFF * rc * tail ** 2])
+    except OverflowError:  # a wire without RC has no RC delay at any length
+        return math.inf if rc else delay
 
 
 def link_energy_per_bit(link: LinkSpec) -> float:

@@ -46,7 +46,7 @@ from enum import Enum
 from functools import cached_property, partial
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .economics import ExperienceCurve, unit_cost
 from .errors import Checked, ConfigurationError, DomainError
@@ -57,6 +57,7 @@ from .link import (
     link_area,
     link_capacity,
     link_energy_per_bit,
+    p2p_latency,
 )
 from .metric import Axes, ClearValue, Level, Technology, clear_value
 
@@ -128,6 +129,11 @@ class MeshTopology(Checked, _MeshTopologyFields):
     @property
     def node_count(self) -> int:
         return self.rows * self.cols
+
+    @property
+    def geometry(self) -> tuple[int, int, int | None]:
+        """All that routing reads: the mesh shape and the express span, not link technology."""
+        return self.rows, self.cols, self.express_span
 
     @cached_property
     def express_columns(self) -> range:
@@ -476,6 +482,7 @@ def _locality_rates(rows: int, cols: int, inj: float, scale: float) -> np.ndarra
 
 
 class _LinkActivityFields(NamedTuple):
+    geometry: tuple[int, int, int | None]  # the MeshTopology.geometry it was routed on
     loads: Mapping[tuple[int, int], float]
     injected_bps: float
     flow_hop_bps: float        # sum over flows of rate * hop count
@@ -497,8 +504,8 @@ class LinkActivity(_LinkActivityFields):
                     config: NocConfig) -> dict[tuple[int, int], float]:
         """Each load over the ``link_capacity`` of its link's class."""
         span = topology.express_span  # a hop is express iff it spans span node ids
-        capacity = {hop_span: link_capacity(_class_link(topology, config, technology, hop_span))
-                    for technology, hop_span in topology.link_counts()}
+        capacity = {hop_span: link_capacity(spec)
+                    for _, hop_span, _, spec in _link_classes(topology, self, config)}
         return {(u, v): load / capacity[span if abs(v - u) == span else 1]
                 for (u, v), load in self.loads.items()}
 
@@ -557,32 +564,24 @@ def link_activity(topology: MeshTopology, traffic: TrafficMatrix) -> LinkActivit
                 loads_by_key[(upper + cols) * n + upper] = load_up
 
     loads = {(key // n, key % n): load for key, load in sorted(loads_by_key.items())}
-    try:
-        flow_hops = math.fsum(loads.values())
-    except OverflowError:
-        flow_hops = math.inf
+    flow_hops = _load_total(loads.values())
     # No load exceeds the injected total, so these two totals bound every sum.
-    if math.isinf(flow_hops + injected):
-        raise DomainError(_LOAD_OVERFLOW)
-    return LinkActivity(loads=loads, injected_bps=injected, flow_hop_bps=flow_hops,
-                        router_traversal_bps=flow_hops + injected)
+    traversals = _load_total([flow_hops, injected])
+    return LinkActivity(geometry=topology.geometry, loads=loads, injected_bps=injected,
+                        flow_hop_bps=flow_hops, router_traversal_bps=traversals)
 
 
 def case_activities(cases: Mapping[str, MeshTopology],
                     traffic: TrafficMatrix) -> dict[str, LinkActivity]:
     """Each case's :class:`LinkActivity` under ``traffic``, by label, routing each geometry once.
 
-    Routing reads the mesh shape and the express span, not link technology,
-    so cases that share those share one routing pass.
+    Routing reads only a case's :attr:`MeshTopology.geometry`, not its link
+    technology, so cases that share a geometry share one routing pass.
     """
-    shared: dict[tuple, LinkActivity] = {}
-    activities = {}
-    for label, topology in cases.items():
-        key = (topology.rows, topology.cols, topology.express_span)
-        if key not in shared:
-            shared[key] = link_activity(topology, traffic)
-        activities[label] = shared[key]
-    return activities
+    by_geometry = {topology.geometry: topology for topology in cases.values()}
+    routed = {geometry: link_activity(topology, traffic)
+              for geometry, topology in by_geometry.items()}
+    return {label: routed[topology.geometry] for label, topology in cases.items()}
 
 
 class _RouterModelFields(NamedTuple):
@@ -600,20 +599,20 @@ class RouterModel(Checked, _RouterModelFields):
 class _NocConfigFields(NamedTuple):
     flit_bits: int
     router_pipeline_clks: int
-    link_latency_clks: Mapping[Technology, int]
+    clock_hz: float  # a hop costs its link's p2p_latency in whole periods of this clock
     router: RouterModel
     link_templates: Mapping[Technology, LinkSpec]  # "<tech>-noc-link" at the mesh spacing
     wafer_cost: Mapping[str, ExperienceCurve]  # USD per m^2 of each die
 
 
 class NocConfig(Checked, _NocConfigFields):
-    """DSENT-replacement parameter tables for one NoC evaluation.
+    """DSENT-replacement parameters for one NoC evaluation, with one clock for link delays.
 
     Flit resizing conventions (used by :func:`flit_sweep`): electronic links
     are ``flit_bits`` lanes wide and each lane clocks at the template's
     ``link_capacity`` / lanes; router energy-per-bit and area scale linearly
     with flit width, as do the area and cost of serdes/driver components
-    (their per-bit energy does not).
+    (their per-bit energy and delay, and so a hop's clocks, do not).
     """
 
     def _check(self):
@@ -621,9 +620,8 @@ class NocConfig(Checked, _NocConfigFields):
             raise DomainError("flit_bits must be at least 1")
         if self.router_pipeline_clks < 1:
             raise DomainError("router pipeline must be at least 1 clock")
-        for tech, clks in self.link_latency_clks.items():
-            if clks < 1:
-                raise DomainError(f"link latency for {Technology(tech).value} must be >= 1 clk")
+        if not 0 < self.clock_hz < math.inf:
+            raise DomainError("clock_hz must be finite and strictly positive")
 
     def with_flit_bits(self, flit_bits: int) -> "NocConfig":
         """Re-derive width-dependent parameters for a new flit size."""
@@ -652,13 +650,17 @@ class NocConfig(Checked, _NocConfigFields):
         return self._replace(flit_bits=flit_bits, router=router, link_templates=templates)
 
 
-def _class_link(topology: MeshTopology, config: NocConfig, technology: Technology,
-                hop_span: int) -> LinkSpec:
-    """The link of a (technology, hop_span) class: its template at the hop's length."""
-    if technology not in config.link_templates:
-        raise ConfigurationError(
-            f"link_templates has no entry for technology '{technology.value}'")
-    return config.link_templates[technology].at_length(hop_span * topology.spacing_m)
+def _link_classes(topology: MeshTopology, activity: LinkActivity, config: NocConfig):
+    """Each class as (technology, hop_span, count, template at the hop's length)."""
+    if activity.geometry != topology.geometry:
+        raise DomainError(f"link activity routed on (rows, cols, express_span) "
+                          f"{activity.geometry} cannot be priced on {topology.geometry}")
+    for (technology, hop_span), count in topology.link_counts().items():
+        if technology not in config.link_templates:
+            raise ConfigurationError(
+                f"link_templates has no entry for technology '{technology.value}'")
+        yield (technology, hop_span, count,
+               config.link_templates[technology].at_length(hop_span * topology.spacing_m))
 
 
 def _link_area_by_die(spec: LinkSpec, native_die: str) -> dict[str, float]:
@@ -680,16 +682,16 @@ def network_clear(topology: MeshTopology, activity: LinkActivity, config: NocCon
                   eval_year: float | None = None) -> ClearValue:
     """Aggregate capacity per node over latency, energy, area, and cost.
 
-    ``activity`` is the routed traffic on ``topology`` (see
-    :func:`link_activity`). The factors are capacity in bit/s per node,
+    ``activity`` is the traffic routed on ``topology``'s geometry, and no other
+    (see :func:`link_activity`). The factors are capacity in bit/s per node,
     latency in clocks, energy in J/bit, area in m^2 and cost in USD, all
     from one pass over the mesh's (technology, hop_span) link classes. Links
     of a class are identical, so each class is instantiated once:
 
     - capability is the ``link_capacity`` of every link over the node count;
     - latency is the traffic-weighted mean clock cost of a flow. Each hop
-      charges one router pipeline plus its link's technology latency and
-      ejection adds nothing, so a 1-hop electronic flow costs pipeline + 1;
+      charges one router pipeline plus its link's ``p2p_latency`` in whole
+      periods of ``clock_hz``, at least one, and ejection adds nothing;
     - energy is the dynamic energy rate over the injected bit rate: a flow
       crosses one router more than it has hops, and pays each hop's link
       energy per bit. An optical link amortizes its laser over its capacity,
@@ -703,16 +705,16 @@ def network_clear(topology: MeshTopology, activity: LinkActivity, config: NocCon
     energy_terms = [activity.router_traversal_bps * config.router.dynamic_j_per_bit]
     area_terms = {config.router.die: [config.router.area_m2 * topology.node_count]}
     capacity_terms = []
-    for (technology, hop_span), count in topology.link_counts().items():
-        if technology not in config.link_latency_clks:
-            raise ConfigurationError(
-                f"link_latency_clks has no entry for technology '{technology.value}'")
-        spec = _class_link(topology, config, technology, hop_span)
+    for technology, hop_span, count, spec in _link_classes(topology, activity, config):
         capacity_terms.append(count * link_capacity(spec))
         loads = [load for node_span, span_loads in activity.loads_by_node_span.items()
                  if (node_span == topology.express_span) == (hop_span == topology.express_span)
                  for load in span_loads]
-        clks = config.link_latency_clks[technology]
+        delay = p2p_latency(spec)
+        if not delay * config.clock_hz < math.inf:  # or NaN, from an RC product past the range
+            raise DomainError(f"the {technology.value} link of span {hop_span} takes {delay:g} s, "
+                              f"past the float range in periods of clock_hz {config.clock_hz:g}")
+        clks = max(1, math.ceil(delay * config.clock_hz))
         latency_terms += [load * clks for load in loads]
         energy = link_energy_per_bit(spec)
         energy_terms += [load * energy for load in loads]
@@ -729,17 +731,22 @@ def network_clear(topology: MeshTopology, activity: LinkActivity, config: NocCon
         rate = curve.initial_unit_cost if eval_year is None else unit_cost(curve, eval_year)
         cost_terms.append(area * rate)
     # Both totals weight every load, so their range follows the load scale.
-    try:
-        latency = math.fsum(latency_terms) / activity.injected_bps
-        energy = math.fsum(energy_terms) / activity.injected_bps
-    except OverflowError:  # an fsum's partial sums passed the float range
-        raise DomainError(_LOAD_OVERFLOW) from None
-    if math.isinf(latency) or math.isinf(energy):
-        raise DomainError(_LOAD_OVERFLOW)
     factors = Axes(capability=math.fsum(capacity_terms) / topology.node_count,
-                   latency=latency, energy=energy,
+                   latency=_load_total(latency_terms, activity.injected_bps, " or clock_hz"),
+                   energy=_load_total(energy_terms, activity.injected_bps),
                    amount=math.fsum(area_by_die.values()), resistance=math.fsum(cost_terms))
     return clear_value(factors, Level.NETWORK)
+
+
+def _load_total(terms: Iterable[float], per: float = 1.0, knobs: str = "") -> float:
+    """The fsum of load-weighted ``terms`` over ``per``; past the float range, name ``knobs``."""
+    try:
+        total = math.fsum(terms) / per
+    except OverflowError:  # an fsum's partial sums passed the float range
+        total = math.inf
+    if math.isinf(total):
+        raise DomainError(_LOAD_OVERFLOW + knobs)
+    return total
 
 
 def find_crossover(flit_sizes: Sequence[int], series: Sequence[float],

@@ -106,7 +106,7 @@ def fit_growth(observations: Sequence[tuple[float, float]]) -> GrowthFit:
         raise InsufficientDataError("need at least two records")
     year_mean, log_mean, slope, r_squared = ols_log2(
         [year for year, _ in observations], [math.log2(clear) for _, clear in observations])
-    if slope >= 1024.0:  # exactly where 2 ** slope, the annual factor, overflows
+    if not -1075.0 < slope < 1024.0:  # exactly where 2 ** slope, the annual factor, is 0 or inf
         raise DomainError(f"a growth of {slope:g} doublings a year leaves the float range")
     return GrowthFit(slope_log2_per_year=slope, r_squared=r_squared,
                      intercept=log_mean - slope * year_mean)

@@ -240,18 +240,14 @@ def _cross_field_errors(doc: Mapping) -> list[Diagnostic]:
     baseline = _as_dict(doc.get("flit_sweep")).get("baseline")
     if isinstance(baseline, str) and labels and baseline not in labels:
         out.append(Diagnostic("$.flit_sweep.baseline", "must match one of the case labels"))
-    # Every technology a case uses must be present in both NoC tables.
+    # Every technology a case uses must have a NoC link template.
     used = [c.get("technology") for c in cases]
     used += [_as_dict(c.get("express")).get("technology") for c in cases]
-    for table_key in ("link_latency_clks", "link_templates"):
-        table = noc.get(table_key)
-        if not isinstance(table, Mapping):
-            continue
-        missing = [t.value for t in Technology if t.value in used and t.value not in table]
-        if missing:
-            out.append(Diagnostic(f"$.noc.{table_key}",
-                                  "missing entries for technologies used by cases: "
-                                  + ", ".join(missing)))
+    table = noc.get("link_templates")
+    missing = [t.value for t in Technology if t.value in used and t.value not in _as_dict(table)]
+    if missing and isinstance(table, Mapping):  # the schema pass reports a missing table
+        out.append(Diagnostic("$.noc.link_templates", "missing entries for technologies "
+                              "used by cases: " + ", ".join(missing)))
     return out
 
 
@@ -414,8 +410,6 @@ def load_network_config(path: str | Path) -> NetworkConfig:
         for die, entry in noc_doc["wafer_cost_usd_per_m2"].items()}
     noc = _build(
         NocConfig, noc_doc,
-        link_latency_clks={Technology(t): int(v)
-                           for t, v in noc_doc["link_latency_clks"].items()},
         router=_build(RouterModel, noc_doc["router"]),
         link_templates=templates,
         wafer_cost=wafer,

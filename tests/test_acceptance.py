@@ -25,7 +25,13 @@ from clearfom.limits import (
     minimum_device_pair_mass,
     time_of_flight_rate_limit,
 )
-from clearfom.link import ElectricalTransport, LinkSpec, link_capacity, link_energy_per_bit
+from clearfom.link import (
+    ElectricalTransport,
+    LinkSpec,
+    link_capacity,
+    link_energy_per_bit,
+    p2p_latency,
+)
 from clearfom.metric import Axes, Level, Technology, clear_value
 from clearfom.network import (
     TrafficMatrix,
@@ -140,7 +146,9 @@ def test_criterion_5_latency(network_config_path):
                     queue.append(nxt)
         return seen[dst]
 
-    per_hop = config.router_pipeline_clks + config.link_latency_clks[Technology.ELECTRONIC]
+    # An electronic hop costs its 1 mm link's delay in whole clocks, at least one.
+    delay = p2p_latency(config.link_templates[Technology.ELECTRONIC])
+    per_hop = config.router_pipeline_clks + max(1, math.ceil(delay * config.clock_hz))
     weighted = 0.0
     total = 0.0
     for src in range(16):

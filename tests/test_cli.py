@@ -307,6 +307,23 @@ class TestNetworkCommand:
         assert "$.noc.link_rate_bps: unknown key" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda noc: noc.update(link_latency_clks={"electronic": 1, "hybrid": 2}),
+         "$.noc.link_latency_clks: unknown key"),
+        (lambda noc: noc.pop("clock_hz"), "$.noc.clock_hz: required key is missing"),
+    ], ids=["latency_table", "no_clock"])
+    def test_link_latency_comes_from_the_clock_alone(self, tmp_path, capsys, edit, message):
+        # A hop's clocks come from its link's delay and noc.clock_hz; a table would restate them.
+        config = _config_copy(tmp_path, "networks/mesh16_comparison.json",
+                              lambda doc: edit(doc["noc"]))
+        out = tmp_path / "o"
+        assert main(["network", "--config", str(config), "--seed", "1",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("clearfom: error code=1 kind=validation")
+        assert message in err
+        assert not out.exists()
+
     def test_labels_that_share_a_file_name_are_refused(self, tmp_path, capsys):
         config = _small_network_config(tmp_path, cases=("electronic", "hyppi"))
         doc = json.loads(config.read_text(encoding="utf-8"))
@@ -556,6 +573,22 @@ class TestNumericRange:
         assert f"{csv}: a growth of 1024 doublings a year leaves the float range" in err
         assert "numeric range" not in err and not out.exists()
 
+    def test_trend_decline_outside_float_range_names_the_csv(self, tmp_path, capsys):
+        # CLEAR doubles as the year falls by 1e-160: its annual factor underflows to 0.
+        csv = tmp_path / "records.csv"
+        csv.write_text(
+            "name,year,mips,clock_period_s,energy_j_per_bit,volume_m3,cost_usd,class\n"
+            "a,2e-160,1,1,1,1,1,other\nb,1e-160,2,1,1,1,1,other\n", encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": "trend", "records_csv": "records.csv"}),
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["trend", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{csv}: a growth of -1.00001e+160 doublings a year leaves the float range" in err
+        assert "numeric range" not in err and not out.exists()
+
     def test_refused_report_leaves_no_csv(self, tmp_path, capsys):
         # Finite inputs whose energy efficiency (1 / 1e-320 J/bit) is infinite.
         records = tmp_path / "records.csv"
@@ -626,10 +659,57 @@ class TestNumericRange:
         ("network", "networks/mesh16_comparison.json",
          lambda doc: doc["traffic"].update(injection_bps_per_node=2e304), EXIT_VALIDATION,
          "lower injection_bps_per_node"),
+        ("network", "networks/mesh16_comparison.json",
+         lambda doc: doc["noc"].update(clock_hz=1e307), EXIT_VALIDATION,
+         "lower injection_bps_per_node or clock_hz"),
+        ("network", "networks/mesh16_comparison.json",
+         lambda doc: (doc["noc"].update(clock_hz=1e300),
+                      doc["noc"]["link_templates"]["photonic"]["components"][3].update(
+                          delay_s=1e10)), EXIT_VALIDATION,
+         "the photonic link of span 1 takes 1e+10 s, past the float range in periods of "
+         "clock_hz 1e+300"),
+        ("network", "networks/mesh16_comparison.json",
+         lambda doc: (doc["mesh"].update(rows=4, cols=4, spacing_m=1e300),
+                      doc["noc"]["link_templates"]["electronic"]["transport"].update(
+                          resistance_ohm_per_m=0.0),
+                      doc.update(cases=doc["cases"][:1])), EXIT_VALIDATION,
+         "network CLEAR is outside the floating-point range"),
+        ("link", "links/four_technologies.json",
+         lambda doc: (doc.update(lengths_m=[1e300]),
+                      [link["transport"].update(resistance_ohm_per_m=0.0)
+                       for link in doc["links"] if link["transport"]["kind"] == "electrical"]),
+         EXIT_INFEASIBLE, "cannot close its power budget"),
+        ("network", "networks/mesh16_comparison.json",
+         lambda doc: (doc["mesh"].update(rows=4, cols=4, spacing_m=1e308),
+                      doc["noc"]["link_templates"]["electronic"]["transport"].update(
+                          resistance_ohm_per_m=0.0),
+                      doc.update(cases=[{"label": "electronic", "technology": "electronic",
+                                         "express": {"hop_span": 2,
+                                                     "technology": "electronic"}}])),
+         EXIT_VALIDATION, "link 'electronic-noc-link': length_m must be strictly positive and "
+                          "finite, got inf"),
+        ("network", "networks/mesh16_comparison.json",
+         lambda doc: [component.update(delay_s=1e308) for component
+                      in doc["noc"]["link_templates"]["photonic"]["components"]],
+         EXIT_VALIDATION, "the photonic link of span 1 takes inf s"),
+        ("network", "networks/mesh16_comparison.json",
+         lambda doc: (doc["mesh"].update(rows=4, cols=4, spacing_m=1e-300),
+                      doc["noc"]["link_templates"]["electronic"]["transport"].update(
+                          capacitance_f_per_m=1.7e308),
+                      doc.update(cases=doc["cases"][:1])),
+         EXIT_VALIDATION, "the electronic link of span 1 takes nan s"),  # inf R'C' times 0.0 m^2
+        ("link", "links/four_technologies.json",
+         lambda doc: [component.update(delay_s=1e308) for component
+                      in next(l for l in doc["links"] if l["name"] == "photonic")["components"]],
+         EXIT_VALIDATION, "radar score latency outside [0, 1]"),  # its floor is inf
     ], ids=["link_length_overflows_rc", "link_length_underflows_rc",
             "mesh_spacing_overflows_rc", "mesh_spacing_underflows_rc",
             "injection_overflows_loads", "injection_overflows_hop_total",
-            "injection_overflows_latency_total"])
+            "injection_overflows_latency_total", "clock_overflows_latency_total",
+            "clock_overflows_clock_count", "mesh_spacing_squares_past_range_without_rc",
+            "link_length_squares_past_range_without_rc", "express_hop_length_overflows",
+            "network_component_delays_overflow", "rc_product_overflows_at_underflowing_length",
+            "link_component_delays_overflow"])
     def test_no_input_reaches_the_arithmetic_catch_all(self, tmp_path, capsys, command,
                                                         example, edit, code, message):
         config = _config_copy(tmp_path, example, edit)

@@ -29,6 +29,7 @@ from clearfom.network import (
     link_activity,
     network_clear,
 )
+from clearfom.validation import load_network_config
 
 def _neighbours(topology, node):
     """Nodes one link from ``node`` by the mesh rule, express links included.
@@ -92,7 +93,9 @@ def _manhattan(topology, src, dst):
 def _config(e_link=1e-13, e_router=6e-13, a_router=1.5e-8, a_link=5e-10,
             hybrid_cap=5e10, technologies=("electronic", "hybrid")):
     """Minimal tables: zero-RC electronic wires of 5e10 bit/s and an optical
-    channel of min(5e10, ``hybrid_cap``) bit/s."""
+    channel of min(5e10, ``hybrid_cap``) bit/s. At the 10 GHz clock an
+    electronic hop has no delay and costs 1 clock, and a hybrid hop of span 1
+    to 7 costs 2: 100 ps of modulator plus 13.3 ps of flight per mm."""
     templates = {}
     if "electronic" in technologies:
         templates[Technology.ELECTRONIC] = LinkSpec(
@@ -109,7 +112,7 @@ def _config(e_link=1e-13, e_router=6e-13, a_router=1.5e-8, a_link=5e-10,
             name="hybrid-noc-link", technology=Technology.HYBRID, length_m=1e-3,
             components=(LinkComponent(name="mod", role=ComponentRole.MODULATOR,
                                       bandwidth_hz=2.5e10, energy_j_per_bit=e_link,
-                                      area_m2=a_link),),
+                                      area_m2=a_link, delay_s=1e-10),),
             transport=OpticalTransport(loss_db_per_m=50.0, group_index=4.0,
                                        launch_power_w=1e-3, detector_sensitivity_w=1e-5,
                                        wdm_channels=1, per_channel_rate_cap_bps=hybrid_cap),
@@ -117,8 +120,7 @@ def _config(e_link=1e-13, e_router=6e-13, a_router=1.5e-8, a_link=5e-10,
     return NocConfig(
         flit_bits=32,
         router_pipeline_clks=3,
-        link_latency_clks={Technology.ELECTRONIC: 1, Technology.PHOTONIC: 2,
-                           Technology.PLASMONIC: 2, Technology.HYBRID: 2},
+        clock_hz=1e10,
         router=RouterModel(dynamic_j_per_bit=e_router, area_m2=a_router),
         link_templates=templates,
         wafer_cost={"electronic": ExperienceCurve(2e5, math.inf, 0.0),
@@ -230,6 +232,11 @@ class TestDerivedCopiesAreChecked:
             mesh._replace(express_span=4, express_technology="hybrid")
         with pytest.raises(DomainError, match="hotspot_fraction must lie in"):
             TrafficParams(injection_bps_per_node=1e9)._replace(hotspot_fraction=2.0)
+
+    @pytest.mark.parametrize("clock_hz", [0.0, -1e10, math.inf, math.nan])
+    def test_clock_must_be_finite_and_positive(self, clock_hz):
+        with pytest.raises(DomainError, match="clock_hz must be finite and strictly positive"):
+            _config()._replace(clock_hz=clock_hz)
 
     def test_an_express_copy_is_coerced_and_derives_its_own_links(self):
         mesh = build_mesh(2, 8, 1e-3, "electronic")
@@ -475,16 +482,22 @@ class TestEnergy:
         energy = _factors(mesh, activity, config).energy
         assert energy == pytest.approx(1e-13 + 2 * 6e-13, rel=1e-12)
 
-    def test_injection_scale_invariance(self):
-        mesh = build_mesh(3, 3, 1e-3, "electronic")
-        config = _config()
-        low = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e6),
-                               mesh, seed=2)
-        high = generate_traffic("uniform", TrafficParams(injection_bps_per_node=2e6),
-                                mesh, seed=2)
-        e_low = _factors(mesh, link_activity(mesh, low), config).energy
-        e_high = _factors(mesh, link_activity(mesh, high), config).energy
-        assert e_high == pytest.approx(e_low, rel=1e-12)
+    def test_injection_scale_invariance(self, network_config_path):
+        # A power-of-two injection scales every load and total exactly, and the
+        # clock counts do not depend on load, so no case's result moves by a bit.
+        config = load_network_config(network_config_path)
+        mesh = next(iter(config.cases.values()))
+        for pattern, knobs in (("uniform", {}), ("hotspot", {"hotspot_count": 3}),
+                               ("exponential_locality", {})):
+            results = []
+            for injection in (1e9, 1e9 * 2 ** 11):
+                params = TrafficParams(injection_bps_per_node=injection, **knobs)
+                traffic = generate_traffic(pattern, params, mesh, seed=1)
+                activities = case_activities(config.cases, traffic)
+                clears = [network_clear(topology, activities[label], config.noc)
+                          for label, topology in config.cases.items()]
+                results.append([(c.factors.latency, c.factors.energy, c.value) for c in clears])
+            assert results[0] == results[1], pattern
 
     def test_2x2_uniform_weighted_sum(self):
         mesh = build_mesh(2, 2, 1e-3, "electronic")
@@ -589,14 +602,11 @@ class TestNetworkClear:
         assert a.factors.latency == b.factors.latency
         assert a.factors.energy == b.factors.energy
 
-    @pytest.mark.parametrize("table", ["link_latency_clks", "link_templates"])
-    def test_missing_table_entry_names_the_table(self, table):
+    def test_missing_table_entry_names_the_table(self):
         mesh, activity = self._setup()
-        config = _config()
-        broken = config._replace(**{table: {t: v for t, v in getattr(config, table).items()
-                                            if t is not Technology.ELECTRONIC}})
+        broken = _config(technologies=("hybrid",))
         with pytest.raises(ConfigurationError,
-                           match=f"{table} has no entry for technology 'electronic'"):
+                           match="link_templates has no entry for technology 'electronic'"):
             network_clear(mesh, activity, broken)
 
 

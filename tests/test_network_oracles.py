@@ -7,6 +7,7 @@ must agree with. Generated traffic is routed from closed-form row and column
 demands, which are checked against sums of its materialised ``rates``.
 """
 
+import functools
 import hashlib
 import math
 
@@ -15,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clearfom.constants import LIGHT_SPEED_VACUUM
+from clearfom.data import example_path
 from clearfom.economics import ExperienceCurve
 from clearfom.errors import DomainError
 from clearfom.link import (
@@ -25,6 +28,7 @@ from clearfom.link import (
     OpticalTransport,
     link_capacity,
     link_energy_per_bit,
+    p2p_latency,
 )
 from clearfom.metric import Technology
 from clearfom.network import (
@@ -92,7 +96,7 @@ def reference_link_activity(topology, traffic):
             flow_hops += rate * hops
             traversals += rate * (hops + 1)
     loads = {(key // n, key % n): load for key, load in sorted(loads_by_key.items())}
-    return LinkActivity(loads=loads, injected_bps=injected,
+    return LinkActivity(geometry=topology.geometry, loads=loads, injected_bps=injected,
                         flow_hop_bps=flow_hops, router_traversal_bps=traversals)
 
 
@@ -304,7 +308,10 @@ class TestTwoLinkClasses:
 
     E, H = Technology.ELECTRONIC, Technology.HYBRID
     RATE = {E: 4e10, H: 1e11}  # the templates' link capacities: 32 x 1.25e9, min(2 x 5e10, 1e11)
-    CLKS = {E: 1, H: 2}
+    CLOCK_HZ = 5e10
+    # Closed-form hop delays: a zero-RC wire whose driver has no delay takes no
+    # time, and a 2 mm hybrid hop is its flight time at group index 4.
+    DELAY = {E: 0.0, H: 4.0 * 2e-3 / LIGHT_SPEED_VACUUM}
     WAFER = {"electronic": 2e5, "photonic": 2.5e6}
     A_ROUTER, E_ROUTER = 1.5e-8, 6e-13
     A_DRIVER, A_MODULATOR, A_SERDES = 4e-10, 7e-10, 1.6e-9
@@ -330,7 +337,7 @@ class TestTwoLinkClasses:
                                        wdm_channels=1, per_channel_rate_cap_bps=1e11),
             cross_section_width_m=0.0)
         return NocConfig(
-            flit_bits=32, router_pipeline_clks=3, link_latency_clks=self.CLKS,
+            flit_bits=32, router_pipeline_clks=3, clock_hz=self.CLOCK_HZ,
             router=RouterModel(dynamic_j_per_bit=self.E_ROUTER, area_m2=self.A_ROUTER),
             link_templates={self.E: electronic, self.H: hybrid},
             wafer_cost={die: ExperienceCurve(rate, math.inf, 0.0)
@@ -358,11 +365,66 @@ class TestTwoLinkClasses:
         by_link = [(load, self.H if abs(v - u) == 2 else self.E)
                    for (u, v), load in walked.loads.items()]
         assert {tech for _, tech in by_link} == {self.E, self.H}
-        latency = 3 * walked.flow_hop_bps + sum(load * self.CLKS[tech] for load, tech in by_link)
+        # Each hop costs its delay in whole clocks, and a hop without delay one clock.
+        clks = {tech: max(1, math.ceil(delay * self.CLOCK_HZ))
+                for tech, delay in self.DELAY.items()}
+        assert clks == {self.E: 1, self.H: 2}  # 26.7 ps of flight at a 20 ps clock
+        latency = 3 * walked.flow_hop_bps + sum(load * clks[tech] for load, tech in by_link)
         assert_close(factors.latency, latency / walked.injected_bps)
         dynamic = (self.E_ROUTER * walked.router_traversal_bps
                    + sum(load * energy[tech] for load, tech in by_link))
         assert_close(factors.energy, dynamic / walked.injected_bps)
+
+
+@functools.cache
+def shipped_noc():
+    return load_network_config(example_path("networks/mesh16_comparison.json")).noc
+
+
+def hop_clocks(noc, technology, span):
+    """The clocks of one hop of ``span`` columns: a lone one-hop flow's latency less the pipeline.
+
+    Span 1 is the base link of a 1 x 2 mesh. A longer span is the one express
+    link of a 1 x (span + 1) electronic mesh, which the flow out of column 0 takes.
+    """
+    mesh = build_mesh(1, span + 1, 1e-3, technology if span == 1 else Technology.ELECTRONIC)
+    if span > 1:
+        mesh = add_express_links(mesh, span, technology)
+    rates = [[0.0] * (span + 1) for _ in range(span + 1)]
+    rates[0][span] = 1.0
+    activity = link_activity(mesh, TrafficMatrix(rates=rates))
+    assert activity.flow_hop_bps == 1.0
+    return network_clear(mesh, activity, noc).factors.latency - noc.router_pipeline_clks
+
+
+class TestHopClocks:
+    """A hop costs its link's ``p2p_latency`` in whole periods of ``clock_hz``, at least one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(technology=st.sampled_from(list(Technology)),
+           spans=st.lists(st.integers(1, 15), min_size=2, max_size=2, unique=True),
+           clock_hz=st.floats(8.0, 13.0).map(lambda exponent: 10.0 ** exponent))
+    def test_clocks_never_fall_as_the_span_grows(self, technology, spans, clock_hz):
+        noc = shipped_noc()._replace(clock_hz=clock_hz)
+        short, long = sorted(spans)
+        clocks = [hop_clocks(noc, technology, span) for span in (short, long)]
+        assert all(c >= 1 and c == int(c) for c in clocks)
+        assert clocks[0] <= clocks[1]
+
+    def test_span_15_electronic_express_hop_costs_15_clocks_at_10_ghz(self):
+        # 1,415.75 ps of unrepeated 15 mm wire at a 100 ps clock, against 1 clock at 1 mm.
+        noc = shipped_noc()
+        assert noc.clock_hz == 1e10
+        template = noc.link_templates[Technology.ELECTRONIC]
+        assert p2p_latency(template.at_length(15e-3)) == pytest.approx(1.41575e-9, rel=1e-5)
+        assert hop_clocks(noc, Technology.ELECTRONIC, 15) == 15
+        assert hop_clocks(noc, Technology.ELECTRONIC, 1) == 1
+
+    @pytest.mark.parametrize("clock_hz", [1.0, 1e10, 1e300])
+    def test_a_link_without_delay_costs_one_clock(self, clock_hz):
+        config = TestTwoLinkClasses()._config()._replace(clock_hz=clock_hz)
+        assert p2p_latency(config.link_templates[Technology.ELECTRONIC]) == 0.0
+        assert hop_clocks(config, Technology.ELECTRONIC, 1) == 1
 
 
 class TestShippedNetwork:
@@ -404,6 +466,22 @@ class TestShippedNetwork:
         assert {abs(v - u) for u, v in activity.loads} == {1, 5, 16}
         for (u, v), load in activity.loads.items():
             assert utilization[(u, v)] == load / (express if abs(v - u) == 5 else base)
+
+    def test_an_activity_routed_on_another_geometry_is_refused(self, network_config_path):
+        # Priced on the plain mesh, the express case's loads would read 32.94 clks, not 34.16.
+        config = load_network_config(network_config_path)
+        plain, express = config.cases["electronic"], config.cases["electronic+hyppi-express"]
+        traffic = generate_traffic(config.traffic_pattern, config.traffic_params, plain, seed=1)
+        routed = link_activity(express, traffic)
+        assert routed.geometry == express.geometry == (16, 16, 3)
+        latency = network_clear(express, routed, config.noc).factors.latency
+        assert latency == pytest.approx(34.16, abs=5e-3)
+        refusal = r"routed on \(rows, cols, express_span\) \(16, 16, 3\) cannot be priced on " \
+                  r"\(16, 16, None\)"
+        with pytest.raises(DomainError, match=refusal):
+            network_clear(plain, routed, config.noc)
+        with pytest.raises(DomainError, match=refusal):
+            routed.utilization(plain, config.noc)
 
     def test_flit_sweep_needs_one_activity_per_case(self, network_config_path):
         config = load_network_config(network_config_path)

@@ -225,9 +225,9 @@ class TestVerdicts:
 
     def test_unknown_technology_is_an_unknown_key(self):
         doc = copy.deepcopy(CONFIGS["network"])
-        doc["noc"]["link_latency_clks"]["quantum"] = 2
+        doc["noc"]["link_templates"]["quantum"] = doc["noc"]["link_templates"]["electronic"]
         assert [str(d) for d in validate_config(doc)] == [
-            "$.noc.link_latency_clks.quantum: unknown key"]
+            "$.noc.link_templates.quantum: unknown key"]
 
     def test_one_diagnostic_per_value(self):
         doc = copy.deepcopy(CONFIGS["link"])
@@ -257,8 +257,7 @@ class TestIntegerFieldsAsFloats:
         floats["mesh"]["rows"] = float(doc["mesh"]["rows"])
         floats["mesh"]["cols"] = float(doc["mesh"]["cols"])
         floats["noc"]["flit_bits"] = float(doc["noc"]["flit_bits"])
-        floats["noc"]["link_latency_clks"] = {
-            tech: float(v) for tech, v in doc["noc"]["link_latency_clks"].items()}
+        floats["noc"]["router_pipeline_clks"] = float(doc["noc"]["router_pipeline_clks"])
         express = next(c["express"] for c in floats["cases"] if "express" in c)
         express["hop_span"] = float(express["hop_span"])
         floats["flit_sweep"]["flit_bits"] = [float(v) for v in doc["flit_sweep"]["flit_bits"]]

@@ -102,6 +102,18 @@ class TestFitGrowth:
         else:
             assert fit_growth(observations).annual_factor == 2.0 ** 1023
 
+    @pytest.mark.parametrize("last,fails", [(-537, False), (-538, True)])
+    def test_annual_factor_that_underflows_is_a_domain_error(self, last, fails):
+        # From 2 ** 537 to 2 ** last in a year: -1074 or -1075 doublings, exactly;
+        # 2 ** -1075 rounds to 0.0.
+        observations = [(2000.0, 2.0 ** 537), (2001.0, 2.0 ** last)]
+        if fails:
+            with pytest.raises(DomainError,
+                               match="-1075 doublings a year leaves the float range"):
+                fit_growth(observations)
+        else:
+            assert fit_growth(observations).annual_factor == 2.0 ** -1074
+
     def test_rescaling_clear_shifts_only_intercept(self):
         records = _doubling_series(range(2000, 2011))
         scaled = [SystemRecord(name=r.name, year=r.year, mips=r.mips * 64.0,
