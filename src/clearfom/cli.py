@@ -193,9 +193,14 @@ def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
             cost_efficiency_axis=config.cost_efficiency_axis)
         at_length = [(spec, link_factors(spec.at_length(length), eval_year))
                      for spec in config.links]
-        floors = default_floors([factors for _, factors in at_length])
+        values = []  # every link's factors are checked before any sets the shared floors
         for spec, factors in at_length:
-            value = clear_value(factors, Level.LINK)
+            try:
+                values.append(clear_value(factors, Level.LINK))
+            except DomainError as exc:
+                raise DomainError(f"link '{spec.name}' at {length:g} m: {exc}") from exc
+        floors = default_floors([factors for _, factors in at_length])
+        for (spec, factors), value in zip(at_length, values):
             scores = radar_scores(factors, limits, floors)
             report_links[spec.name].append({
                 "length_m": length,
@@ -230,8 +235,7 @@ def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
 
 
 def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
-    from .network import (case_activities, find_crossover, flit_sweep, generate_traffic,
-                          network_clear)
+    from .network import case_activities, find_crossover, flit_sweep, generate_traffic
     from .validation import link_activity_csv, load_network_config
 
     config = load_network_config(args.config)
@@ -239,13 +243,16 @@ def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
     mesh = next(iter(config.cases.values()))
     traffic = generate_traffic(config.traffic_pattern, config.traffic_params, mesh, args.seed)
     activities = case_activities(config.cases, traffic)
+    # Each (flit size, case) once: the summary is the sweep's column at noc.flit_bits.
+    flit_bits, sizes = config.noc.flit_bits, config.flit_sizes or ()
+    sweep = flit_sweep(config.cases, activities, config.noc, (flit_bits, *sizes), eval_year)
 
     summary_rows = []
     report_cases = []
     shared_rows = {}  # cases with one activity and equal utilizations share one row list
     for label, topology in config.cases.items():
         activity = activities[label]
-        clear = network_clear(topology, activity, config.noc, eval_year)
+        clear = sweep[flit_bits][label]
         factors = clear.factors
         technology = topology.technology.value
         utilization = tuple(activity.utilization(topology, config.noc).values())
@@ -271,8 +278,8 @@ def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
 
     sweep_report = None
     if config.flit_sizes:
-        sizes, baseline = config.flit_sizes, config.sweep_baseline
-        table = flit_sweep(config.cases, activities, config.noc, sizes, eval_year)
+        baseline = config.sweep_baseline
+        table = {label: [sweep[flit][label].value for flit in sizes] for label in config.cases}
         rows = [(flit, label, table[label][i]) for i, flit in enumerate(sizes) for label in table]
         artifacts.csv_files.append(("flit_sweep.csv", ("flit_bits", "case", "clear"), rows))
         sweep_report = {

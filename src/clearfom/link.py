@@ -294,7 +294,10 @@ def _energy_per_bit(link: LinkSpec, capacity: float | None) -> float:
     if link.is_optical:
         return energy + link.transport.launch_power_w / capacity
     t = link.transport
-    return energy + 0.5 * t.capacitance_f_per_m * link.length_m * t.voltage_swing_v ** 2
+    try:  # float ** raises where * would give inf
+        return energy + 0.5 * t.capacitance_f_per_m * link.length_m * t.voltage_swing_v ** 2
+    except OverflowError:  # a wire without C' draws no energy at any swing
+        return math.inf if t.capacitance_f_per_m else energy
 
 
 def link_area(link: LinkSpec) -> float:

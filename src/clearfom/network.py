@@ -52,7 +52,6 @@ from .economics import ExperienceCurve, unit_cost
 from .errors import Checked, ConfigurationError, DomainError
 from .link import (
     ComponentRole,
-    ElectricalTransport,
     LinkSpec,
     link_area,
     link_capacity,
@@ -608,11 +607,11 @@ class _NocConfigFields(NamedTuple):
 class NocConfig(Checked, _NocConfigFields):
     """DSENT-replacement parameters for one NoC evaluation, with one clock for link delays.
 
-    Flit resizing conventions (used by :func:`flit_sweep`): electronic links
-    are ``flit_bits`` lanes wide and each lane clocks at the template's
-    ``link_capacity`` / lanes; router energy-per-bit and area scale linearly
-    with flit width, as do the area and cost of serdes/driver components
-    (their per-bit energy and delay, and so a hop's clocks, do not).
+    An electrical link is ``flit_bits`` lanes wide; the constructor sets the
+    lanes of every electrical template. A new flit size (:func:`flit_sweep`)
+    keeps each link's ``link_capacity``, clocking a lane at capacity / lanes;
+    router energy per bit and area scale linearly with flit width, as do the
+    area and cost of serdes/driver components (not their energy or delay).
     """
 
     def _check(self):
@@ -622,11 +621,16 @@ class NocConfig(Checked, _NocConfigFields):
             raise DomainError("router pipeline must be at least 1 clock")
         if not 0 < self.clock_hz < math.inf:
             raise DomainError("clock_hz must be finite and strictly positive")
+        wide = {tech: t._replace(transport=t.transport._replace(lanes=self.flit_bits))
+                for tech, t in self.link_templates.items() if not t.is_optical}
+        return {"link_templates": {**self.link_templates, **wide}}
 
     def with_flit_bits(self, flit_bits: int) -> "NocConfig":
-        """Re-derive width-dependent parameters for a new flit size."""
+        """Re-derive width-dependent parameters for a new flit size; at its own size, ``self``."""
         if flit_bits < 1:
             raise DomainError("flit_bits must be at least 1")
+        if flit_bits == self.flit_bits:
+            return self
         scale = flit_bits / self.flit_bits
         router = self.router._replace(dynamic_j_per_bit=self.router.dynamic_j_per_bit * scale,
                                       area_m2=self.router.area_m2 * scale)
@@ -638,15 +642,12 @@ class NocConfig(Checked, _NocConfigFields):
                     comp = comp._replace(area_m2=comp.area_m2 * scale,
                                          cost_usd=comp.cost_usd * scale)
                 components.append(comp)
-            transport = template.transport
-            if tech is Technology.ELECTRONIC and isinstance(transport, ElectricalTransport):
-                transport = transport._replace(lanes=flit_bits)
+            if not template.is_optical:  # _check sets its lanes to flit_bits
                 lane_rate = link_capacity(template) / flit_bits
                 components = [
                     c._replace(bandwidth_hz=lane_rate) if c.bandwidth_hz > 0 else c
                     for c in components]
-            templates[tech] = template._replace(components=tuple(components),
-                                                transport=transport)
+            templates[tech] = template._replace(components=tuple(components))
         return self._replace(flit_bits=flit_bits, router=router, link_templates=templates)
 
 
@@ -717,6 +718,9 @@ def network_clear(topology: MeshTopology, activity: LinkActivity, config: NocCon
         clks = max(1, math.ceil(delay * config.clock_hz))
         latency_terms += [load * clks for load in loads]
         energy = link_energy_per_bit(spec)
+        if not energy < math.inf:
+            raise DomainError(f"the {technology.value} link of span {hop_span} draws "
+                              f"{energy:g} J per bit, past the float range")
         energy_terms += [load * energy for load in loads]
         native_die = ELECTRONIC_DIE if technology is Technology.ELECTRONIC else PHOTONIC_DIE
         for die, area in _link_area_by_die(spec, native_die).items():
@@ -767,19 +771,19 @@ def find_crossover(flit_sizes: Sequence[int], series: Sequence[float],
 
 def flit_sweep(cases: Mapping[str, MeshTopology], activities: Mapping[str, LinkActivity],
                config: NocConfig, flit_sizes: Sequence[int],
-               eval_year: float | None = None) -> dict[str, list[float]]:
-    """Each case's CLEAR under ``config`` at each of ``flit_sizes``, by label in case order.
+               eval_year: float | None = None) -> dict[int, dict[str, ClearValue]]:
+    """Each case's CLEAR under ``config`` by distinct flit size, then by label in case order.
 
+    Each size is priced once, under ``config`` itself at ``config.flit_bits``.
     Routing, latency, and link activity do not depend on flit size, so the
     routed ``activities``, by label (see :func:`case_activities`), serve the
     whole sweep.
     """
     if activities.keys() != cases.keys():
         raise DomainError("flit_sweep needs one link activity per case label")
-    table: dict[str, list[float]] = {label: [] for label in cases}
-    for flit in flit_sizes:
+    sweep = {}
+    for flit in dict.fromkeys(flit_sizes):  # distinct sizes, in first-seen order
         at_flit = config.with_flit_bits(flit)
-        for label, topology in cases.items():
-            clear = network_clear(topology, activities[label], at_flit, eval_year)
-            table[label].append(clear.value)
-    return table
+        sweep[flit] = {label: network_clear(topology, activities[label], at_flit, eval_year)
+                       for label, topology in cases.items()}
+    return sweep

@@ -239,7 +239,8 @@ def test_criterion_10_shipped_orderings(network_config_path):
     traffic = generate_traffic(config.traffic_pattern, config.traffic_params,
                                cases["electronic"], seed=7)
     flits = [32, 64, 128, 256]
-    table = flit_sweep(cases, case_activities(cases, traffic), config.noc, flits)
+    sweep = flit_sweep(cases, case_activities(cases, traffic), config.noc, flits)
+    table = {label: [sweep[flit][label].value for flit in flits] for label in cases}
 
     assert table["electronic+hyppi-express"][0] > table["electronic"][0]
 

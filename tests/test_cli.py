@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
+from clearfom import network
 from clearfom.cli import EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from clearfom.data import example_path
 from clearfom.device import device_factors
@@ -15,7 +16,7 @@ from clearfom.errors import DomainError
 from clearfom.ioutil import fmt, write_json
 from clearfom.limits import make_limit_set
 from clearfom.metric import AXIS_NAMES, Axes, default_floors, radar_vertices
-from clearfom.network import find_crossover
+from clearfom.network import find_crossover, network_clear
 from clearfom.validation import load_device_config
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -306,6 +307,41 @@ class TestNetworkCommand:
         assert err.startswith("clearfom: error code=1 kind=validation")
         assert "$.noc.link_rate_bps: unknown key" in err
         assert not out.exists()
+
+    def test_a_template_lane_count_is_an_unknown_key(self, tmp_path, capsys):
+        # An electrical NoC link is noc.flit_bits lanes wide; a template's lanes would restate it.
+        config = _config_copy(tmp_path, "networks/mesh16_comparison.json", lambda doc: (
+            doc["noc"]["link_templates"]["electronic"]["transport"].update(lanes=32)))
+        out = tmp_path / "o"
+        assert main(["network", "--config", str(config), "--seed", "1",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("clearfom: error code=1 kind=validation")
+        assert "$.noc.link_templates.electronic.transport.lanes: unknown key" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flit_bits,sweep,calls", [(32, [32, 64, 128, 256], 20),
+                                                        (24, [24, 48], 10)],
+                             ids=["shipped", "flit_24"])
+    def test_each_case_is_priced_once_per_flit_size(self, tmp_path, monkeypatch, flit_bits,
+                                                    sweep, calls):
+        config = _config_copy(tmp_path, "networks/mesh16_comparison.json", lambda doc: (
+            doc["noc"].update(flit_bits=flit_bits), doc["flit_sweep"].update(flit_bits=sweep)))
+        priced = []
+
+        def counted(topology, activity, noc, eval_year=None):
+            priced.append(noc.flit_bits)
+            return network_clear(topology, activity, noc, eval_year)
+
+        monkeypatch.setattr(network, "network_clear", counted)
+        out = tmp_path / "out"
+        assert main(["network", "--config", str(config), "--seed", "1",
+                     "--out", str(out), "--format", "csv"]) == EXIT_OK
+        assert len(priced) == calls == 5 * len(set(priced))
+        # The summary is the sweep at noc.flit_bits, to the last digit of each CLEAR.
+        summary = [row[2] for row in _csv_rows(out / "network_summary.csv")[1:]]
+        own = [row[2] for row in _csv_rows(out / "flit_sweep.csv")[1:] if row[0] == str(flit_bits)]
+        assert summary == own
 
     @pytest.mark.parametrize("edit,message", [
         (lambda noc: noc.update(link_latency_clks={"electronic": 1, "hybrid": 2}),
@@ -701,7 +737,17 @@ class TestNumericRange:
         ("link", "links/four_technologies.json",
          lambda doc: [component.update(delay_s=1e308) for component
                       in next(l for l in doc["links"] if l["name"] == "photonic")["components"]],
-         EXIT_VALIDATION, "radar score latency outside [0, 1]"),  # its floor is inf
+         EXIT_VALIDATION,
+         "link 'photonic' at 0.0001 m: factor latency must be finite and strictly positive"),
+        ("link", "links/four_technologies.json",
+         lambda doc: next(l["transport"] for l in doc["links"] if l["name"] == "electronic")
+         .update(voltage_swing_v=1e308),
+         EXIT_VALIDATION,
+         "link 'electronic' at 0.0001 m: factor energy must be finite and strictly positive"),
+        ("network", "networks/mesh16_comparison.json",
+         lambda doc: doc["noc"]["link_templates"]["electronic"]["transport"].update(
+             voltage_swing_v=1e200),
+         EXIT_VALIDATION, "the electronic link of span 1 draws inf J per bit"),
     ], ids=["link_length_overflows_rc", "link_length_underflows_rc",
             "mesh_spacing_overflows_rc", "mesh_spacing_underflows_rc",
             "injection_overflows_loads", "injection_overflows_hop_total",
@@ -709,7 +755,8 @@ class TestNumericRange:
             "clock_overflows_clock_count", "mesh_spacing_squares_past_range_without_rc",
             "link_length_squares_past_range_without_rc", "express_hop_length_overflows",
             "network_component_delays_overflow", "rc_product_overflows_at_underflowing_length",
-            "link_component_delays_overflow"])
+            "link_component_delays_overflow", "link_swing_squares_past_range",
+            "network_swing_squares_past_range"])
     def test_no_input_reaches_the_arithmetic_catch_all(self, tmp_path, capsys, command,
                                                         example, edit, code, message):
         config = _config_copy(tmp_path, example, edit)

@@ -112,7 +112,7 @@ for pattern in ("uniform", "hotspot", "exponential_locality"):
     traffic = generate_traffic(pattern, params, mesh, seed=7)
     clear = network_clear(mesh, link_activity(mesh, traffic), config.noc).value
     table = flit_sweep(cases, case_activities(cases, traffic), config.noc, [32, 64])
-    report[pattern] = [clear > 0, {label: len(series) for label, series in table.items()}]
+    report[pattern] = [clear > 0, {flit: len(column) for flit, column in table.items()}]
 wide = generate_traffic("uniform", params, build_mesh(4, 6, 1e-3, "electronic"), seed=7)
 try:
     link_activity(build_mesh(6, 4, 1e-3, "electronic"), wide)
@@ -207,7 +207,7 @@ class TestImportBoundary:
         assert _run(_BLOCKED, [json.dumps(runs)]) == [0] * len(runs)
 
     def test_noc_library_runs_without_numpy(self, network_config_path, network_config_doc):
-        sweep = {case["label"]: 2 for case in network_config_doc["cases"]}
+        sweep = {flit: len(network_config_doc["cases"]) for flit in ("32", "64")}  # JSON keys
         assert _run(_BLOCKED_LIBRARY, [str(network_config_path)]) == {
             "uniform": [True, sweep], "hotspot": [True, sweep],
             "exponential_locality": [True, sweep], "other_shape": "DomainError",

@@ -277,6 +277,13 @@ class TestEnergy:
         link = _electrical(length=1e-30, components=comps)
         assert link_energy_per_bit(link) == pytest.approx(2e-14, rel=1e-9)
 
+    def test_swing_squared_past_the_float_range(self):
+        comps = [LinkComponent(name="d", role=ComponentRole.DRIVER, energy_j_per_bit=2e-14)]
+        assert link_energy_per_bit(_electrical(swing=1e200, components=comps)) == math.inf
+        # A wire without capacitance draws no charging energy at any swing.
+        assert link_energy_per_bit(_electrical(swing=1e200, c_per_m=0.0, components=comps)) \
+            == 2e-14
+
     def test_electrical_energy_linear_in_length(self):
         e1 = link_energy_per_bit(_electrical(length=1e-3))
         e2 = link_energy_per_bit(_electrical(length=2e-3))

@@ -573,11 +573,13 @@ class TestNetworkClear:
         mesh, activity = self._setup()
         config = _config()
         base = network_clear(mesh, activity, config)
-        # Twice the lanes of zero-RC, zero-width wire: twice the capacity, same energy and area.
+        # Twice the driver bandwidth of zero-RC wire: twice the capacity, same energy and area.
         template = config.link_templates[Technology.ELECTRONIC]
-        wider = template._replace(transport=template.transport._replace(lanes=64))
-        doubled = config._replace(link_templates={**config.link_templates,
-                                                  Technology.ELECTRONIC: wider})
+        driver = template.components[0]
+        faster_driver = driver._replace(bandwidth_hz=2 * driver.bandwidth_hz)
+        doubled = config._replace(link_templates={
+            **config.link_templates,
+            Technology.ELECTRONIC: template._replace(components=(faster_driver,))})
         faster = network_clear(mesh, activity, doubled)
         assert faster.value == pytest.approx(2 * base.value, rel=1e-9)
 
@@ -628,9 +630,22 @@ class TestFlitSweep:
         config = _config()
         cases = {"electronic": mesh}
         table = flit_sweep(cases, case_activities(cases, traffic), config, [32])
-        direct = network_clear(mesh, link_activity(mesh, traffic), config).value
-        assert list(table) == ["electronic"]
-        assert table["electronic"] == [pytest.approx(direct, rel=1e-12)]
+        direct = network_clear(mesh, link_activity(mesh, traffic), config)
+        assert table == {32: {"electronic": direct}}
+
+    def test_electrical_templates_are_flit_bits_lanes_wide(self):
+        config = _config()
+        template = config.link_templates[Technology.ELECTRONIC]
+        one_lane = template._replace(transport=template.transport._replace(lanes=1))
+        # Any electrical template, not only the electronic one, takes its width from flit_bits.
+        config = config._replace(flit_bits=24, link_templates={
+            Technology.ELECTRONIC: one_lane, Technology.PLASMONIC: one_lane})
+        for technology in (Technology.ELECTRONIC, Technology.PLASMONIC):
+            assert config.link_templates[technology].transport.lanes == 24
+            wide = config.with_flit_bits(48).link_templates[technology]
+            assert wide.transport.lanes == 48
+            assert link_capacity(wide) == link_capacity(config.link_templates[technology])
+        assert config.with_flit_bits(24) is config
 
     def test_electronic_lane_count_tracks_flit_bits(self):
         config = _config()

@@ -217,7 +217,6 @@ class TestLoaders:
     def test_integer_valued_floats_load_as_ints(self, tmp_path, network_config_doc):
         doc = copy.deepcopy(network_config_doc)
         doc["noc"].update(flit_bits=32.0, router_pipeline_clks=3.0)
-        doc["noc"]["link_templates"]["electronic"]["transport"]["lanes"] = 32.0
         doc["traffic"] = {"pattern": "hotspot", "hotspot_count": 2.0,
                           "injection_bps_per_node": 1000000000}
         config = load_network_config(_write(tmp_path / "network.json", doc))
