@@ -21,8 +21,8 @@ _EXPORTS = {
     **dict.fromkeys(("BOLTZMANN_K", "ELECTRON_MASS", "LIGHT_SPEED_VACUUM", "PLANCK_H",
                      "REDUCED_PLANCK", "SILICON_DENSITY"), "constants"),
     **dict.fromkeys(("DeviceSpec", "device_clear", "radar_normalize"), "device"),
-    **dict.fromkeys(("ExperienceCurve", "fit_experience_curve", "load_cost_observations",
-                     "unit_cost"), "economics"),
+    **dict.fromkeys(("ExperienceCurve", "GrowthFit", "fit_experience_curve",
+                     "load_cost_observations", "unit_cost"), "economics"),
     **dict.fromkeys(("ClearError", "ConfigurationError", "DomainError",
                      "InfeasibleLinkError", "InsufficientDataError"), "errors"),
     **dict.fromkeys(("bremermann_rate", "heisenberg_min_length", "landauer_energy",
@@ -35,8 +35,8 @@ _EXPORTS = {
     **dict.fromkeys(("MeshTopology", "NocConfig", "TrafficMatrix", "add_express_links",
                      "build_mesh", "flit_sweep", "generate_traffic", "link_activity",
                      "network_clear"), "network"),
-    **dict.fromkeys(("GrowthFit", "SystemRecord", "classify_vs_trend", "efficiency_point",
-                     "fit_growth", "system_clear"), "trend"),
+    **dict.fromkeys(("SystemRecord", "classify_vs_trend", "efficiency_point", "fit_growth",
+                     "system_clear"), "trend"),
 }
 
 __all__ = ["__version__", *_EXPORTS]

@@ -9,7 +9,8 @@ independently rounded literal.
 import math
 
 __all__ = ["BOLTZMANN_K", "PLANCK_H", "REDUCED_PLANCK", "LIGHT_SPEED_VACUUM",
-           "ELECTRON_MASS", "SILICON_DENSITY", "DEFAULT_COST_EFFICIENCY_AXIS"]
+           "ELECTRON_MASS", "SILICON_DENSITY", "DEFAULT_COST_EFFICIENCY_AXIS",
+           "DEFAULT_TREND_BAND_DB"]
 
 BOLTZMANN_K = 1.380649e-23         # J/K
 PLANCK_H = 6.62607015e-34          # J*s
@@ -19,3 +20,5 @@ ELECTRON_MASS = 9.1093837015e-31   # kg
 SILICON_DENSITY = 2330.0           # kg/m^3
 
 DEFAULT_COST_EFFICIENCY_AXIS = 1e10  # 1/USD; not physical: the cost axis has no limit
+# "On the trend line" means within half a decade unless configured otherwise.
+DEFAULT_TREND_BAND_DB = 5.0  # dB

@@ -3,10 +3,10 @@
 Unit cost follows ``c(t) = c0 * 2^(-(t - t0) / halving_period)``; an infinite
 halving period is a flat rate. Fitting is ordinary least squares of
 log2(cost) against calendar year (:func:`ols_log2`, shared with the system
-growth trend). A flat or rising series fits a non-negative slope; that is
-outside the decay model, so the fitted curve carries an infinite halving
-period (flat extrapolation) and the raw slope stays available on the fit
-result.
+growth trend), and both fits return its :class:`GrowthFit`. A flat or rising
+series fits a non-negative slope; that is outside the decay model, so the
+fit's ``curve`` carries an infinite halving period (flat extrapolation) and
+the raw slope stays available on the fit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .ioutil import finite_float, read_csv
 
 __all__ = [
     "ExperienceCurve",
-    "CurveFit",
+    "GrowthFit",
     "unit_cost",
     "relative_cost",
     "ols_log2",
@@ -45,19 +45,6 @@ class ExperienceCurve(Checked, _ExperienceCurveFields):
             raise DomainError("halving_period must be strictly positive (inf allowed)")
 
 
-class CurveFit(NamedTuple):
-    """An experience curve fitted from observations.
-
-    ``r_squared`` is None when the goodness of fit is undefined (zero
-    variance in the observed log costs). ``slope_log2_per_year`` is the raw
-    OLS slope, kept even when it is clamped to the flat-curve sentinel.
-    """
-
-    curve: ExperienceCurve
-    r_squared: float | None
-    slope_log2_per_year: float
-
-
 def unit_cost(curve: ExperienceCurve, time: float) -> float:
     """Unit cost in USD at fractional calendar year ``time``."""
     if math.isinf(curve.halving_period):
@@ -77,12 +64,41 @@ def relative_cost(curve: ExperienceCurve, time: float) -> float:
     return unit_cost(curve, time) / curve.initial_unit_cost
 
 
-def ols_log2(years: Sequence[float], log2_values: Sequence[float]
-             ) -> tuple[float, float, float, float | None]:
-    """OLS of log2 values against year: (year mean, log2 mean, slope, r-squared).
+class GrowthFit(NamedTuple):
+    """OLS of log2 values against calendar year; ``r_squared`` is None if they do not vary."""
 
-    r-squared is None when the log2 values do not vary. Every sum is an
-    :func:`math.fsum`, so the fit does not depend on the order of the points.
+    slope_log2_per_year: float
+    r_squared: float | None
+    year_mean: float
+    log2_mean: float
+
+    @property
+    def intercept(self) -> float:
+        """The fitted log2 value at year 0."""
+        return self.log2_mean - self.slope_log2_per_year * self.year_mean
+
+    @property
+    def annual_factor(self) -> float:
+        return 2.0 ** self.slope_log2_per_year
+
+    @property
+    def doubling_months(self) -> float:
+        slope = self.slope_log2_per_year
+        return 12.0 / slope if slope != 0.0 else math.inf
+
+    @property
+    def curve(self) -> ExperienceCurve:
+        """The unit-cost curve anchored at the mean year; flat for a slope of 0 or more."""
+        slope = self.slope_log2_per_year
+        return ExperienceCurve(2.0 ** self.log2_mean,
+                               -1.0 / slope if slope < 0 else math.inf, self.year_mean)
+
+
+def ols_log2(years: Sequence[float], log2_values: Sequence[float]) -> GrowthFit:
+    """OLS of log2 values against year; refuses fewer than two distinct years.
+
+    Every sum is an :func:`math.fsum`, so the fit does not depend on the order
+    of the points.
     """
     if len(set(years)) < 2:
         raise InsufficientDataError("need at least two distinct years")
@@ -102,28 +118,15 @@ def ols_log2(years: Sequence[float], log2_values: Sequence[float]
     ss_res = math.fsum((y - (log_mean + slope * (t - year_mean))) ** 2
                        for t, y in zip(years, log2_values))
     r_squared = None if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return year_mean, log_mean, slope, r_squared
+    return GrowthFit(slope, r_squared, year_mean, log_mean)
 
 
-def fit_experience_curve(observations: Sequence[tuple[float, float]]) -> CurveFit:
-    """OLS fit of log2(cost) vs year, returned as a curve plus r-squared.
-
-    The curve is anchored at the mean observation year. Requires at least
-    two observations with distinct years and strictly positive costs.
-    """
-    if len(observations) < 2:
-        raise InsufficientDataError("need at least two observations")
-    years = [float(t) for t, _ in observations]
-    costs = [float(c) for _, c in observations]
-    if any(c <= 0 for c in costs):
+def fit_experience_curve(observations: Sequence[tuple[float, float]]) -> GrowthFit:
+    """OLS of log2(cost) against year over (year, cost) pairs, each cost strictly positive."""
+    if any(cost <= 0 for _, cost in observations):
         raise DomainError("costs must be strictly positive")
-    year_mean, log_mean, slope, r_squared = ols_log2(years, [math.log2(c) for c in costs])
-    curve = ExperienceCurve(
-        initial_unit_cost=2.0 ** log_mean,
-        halving_period=-1.0 / slope if slope < 0 else math.inf,
-        reference_time=year_mean,
-    )
-    return CurveFit(curve=curve, r_squared=r_squared, slope_log2_per_year=slope)
+    return ols_log2([year for year, _ in observations],
+                    [math.log2(cost) for _, cost in observations])
 
 
 def load_cost_observations(path: str | Path) -> list[tuple[float, float]]:

@@ -209,6 +209,14 @@ def _min_positive_bandwidth(link: LinkSpec) -> float:
     return min(bandwidths) if bandwidths else math.inf
 
 
+def _rc_term(coeff: float, t: ElectricalTransport, length: float) -> float:
+    """``coeff * R'C' * L^2``, or ``coeff * R'L * C'L`` where R'C' alone overflows."""
+    rc = t.resistance_ohm_per_m * t.capacitance_f_per_m
+    if math.isinf(rc):  # inf R'C' times an L^2 that underflows to 0.0 would be nan
+        return coeff * (t.resistance_ohm_per_m * length) * (t.capacitance_f_per_m * length)
+    return coeff * rc * length ** 2
+
+
 def link_capacity(link: LinkSpec) -> float:
     """Deliverable bit rate in bit/s under the min-of-constraints model.
 
@@ -246,7 +254,7 @@ def link_capacity(link: LinkSpec) -> float:
     if rc > 0:
         longest = max(span_layout(link)[1:])
         try:
-            rc_product = 2.0 * math.pi * RC_BANDWIDTH_COEFF * rc * longest ** 2
+            rc_product = _rc_term(2.0 * math.pi * RC_BANDWIDTH_COEFF, t, longest)
         except OverflowError:  # float ** raises where * would give inf
             rc_product = math.inf
         # Past the float range the RC bandwidth is zero; below it, no limit.
@@ -267,15 +275,15 @@ def p2p_latency(link: LinkSpec) -> float:
     delay = _component_total(link, "delay_s")
     if link.is_optical:
         return delay + link.transport.group_index * link.length_m / LIGHT_SPEED_VACUUM
-    rc = link.transport.resistance_ohm_per_m * link.transport.capacitance_f_per_m
+    t = link.transport
     n, full, tail = span_layout(link)
     try:  # float ** and fsum raise where * and + would give inf
         # The n - 1 full spans as exact power-of-two multiples, so fsum rounds once.
-        full_delay = RC_DELAY_COEFF * rc * full ** 2
+        full_delay = _rc_term(RC_DELAY_COEFF, t, full)
         terms = [full_delay * 2.0 ** k for k in range((n - 1).bit_length()) if (n - 1) >> k & 1]
-        return delay + math.fsum(terms + [RC_DELAY_COEFF * rc * tail ** 2])
+        return delay + math.fsum(terms + [_rc_term(RC_DELAY_COEFF, t, tail)])
     except OverflowError:  # a wire without RC has no RC delay at any length
-        return math.inf if rc else delay
+        return math.inf if t.resistance_ohm_per_m * t.capacitance_f_per_m else delay
 
 
 def link_energy_per_bit(link: LinkSpec) -> float:

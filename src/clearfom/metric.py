@@ -34,6 +34,7 @@ __all__ = [
     "radar_area",
     "radar_vertices",
     "default_floors",
+    "DEFAULT_FLOOR_MARGIN",
 ]
 
 
@@ -72,6 +73,8 @@ class Axes(NamedTuple):
 
 # Fixed axis order for all radar output and polygon geometry.
 AXIS_NAMES = Axes._fields
+# Radar floors sit a factor of 10 beyond the worst compared factor unless configured otherwise.
+DEFAULT_FLOOR_MARGIN = 10.0
 
 
 class _ClearValueFields(NamedTuple):
@@ -182,7 +185,7 @@ def radar_vertices(scores: Axes) -> list[tuple[str, float, float, float]]:
     return out
 
 
-def default_floors(factor_sets: Iterable[Axes], margin: float = 10.0) -> Axes:
+def default_floors(factor_sets: Iterable[Axes], margin: float = DEFAULT_FLOOR_MARGIN) -> Axes:
     """Floors from the worst factor in a comparison set, padded by ``margin``.
 
     The capability floor sits a factor of ``margin`` below the weakest

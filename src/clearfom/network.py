@@ -84,6 +84,8 @@ __all__ = [
 
 ELECTRONIC_DIE = "electronic"
 PHOTONIC_DIE = "photonic"
+# Electronic circuitry: sized by the flit width, on the electronic die whatever the link.
+_ELECTRONIC_ROLES = (ComponentRole.SERDES, ComponentRole.DRIVER)
 _LOAD_OVERFLOW = ("traffic load totals overflow the floating-point range: "
                   "lower injection_bps_per_node")
 
@@ -638,7 +640,7 @@ class NocConfig(Checked, _NocConfigFields):
         for tech, template in self.link_templates.items():
             components = []
             for comp in template.components:
-                if comp.role in (ComponentRole.SERDES, ComponentRole.DRIVER):
+                if comp.role in _ELECTRONIC_ROLES:
                     comp = comp._replace(area_m2=comp.area_m2 * scale,
                                          cost_usd=comp.cost_usd * scale)
                 components.append(comp)
@@ -674,8 +676,7 @@ def _link_area_by_die(spec: LinkSpec, native_die: str) -> dict[str, float]:
     total = link_area(spec)
     if native_die == ELECTRONIC_DIE:
         return {ELECTRONIC_DIE: total}
-    electronic = math.fsum(c.area_m2 for c in spec.components
-                           if c.role in (ComponentRole.SERDES, ComponentRole.DRIVER))
+    electronic = math.fsum(c.area_m2 for c in spec.components if c.role in _ELECTRONIC_ROLES)
     return {ELECTRONIC_DIE: electronic, native_die: total - electronic}
 
 

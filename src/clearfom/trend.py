@@ -13,8 +13,9 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .economics import ols_log2
-from .errors import Checked, DomainError, InsufficientDataError
+from .constants import DEFAULT_TREND_BAND_DB
+from .economics import GrowthFit, ols_log2
+from .errors import Checked, DomainError
 from .ioutil import finite_float, read_csv
 from .limits import landauer_energy
 from .metric import Axes, ClearValue, Level, clear_value
@@ -22,7 +23,6 @@ from .metric import Axes, ClearValue, Level, clear_value
 __all__ = [
     "SystemClass",
     "SystemRecord",
-    "GrowthFit",
     "EfficiencyPoint",
     "TrendPosition",
     "DEFAULT_TREND_BAND_DB",
@@ -33,9 +33,6 @@ __all__ = [
     "classify_vs_trend",
     "load_system_records",
 ]
-
-# "On the trend line" means within half a decade unless configured otherwise.
-DEFAULT_TREND_BAND_DB = 5.0
 
 _DB_PER_LOG2 = 10.0 * math.log10(2.0)
 
@@ -83,33 +80,14 @@ def system_clear(record: SystemRecord) -> ClearValue:
     return clear_value(factors, Level.SYSTEM)
 
 
-class GrowthFit(NamedTuple):
-    """Log-linear growth of CLEAR over calendar years."""
-
-    slope_log2_per_year: float
-    r_squared: float | None
-    intercept: float  # predicted log2(CLEAR) at year 0
-
-    @property
-    def annual_factor(self) -> float:
-        return 2.0 ** self.slope_log2_per_year
-
-    @property
-    def doubling_months(self) -> float:
-        slope = self.slope_log2_per_year
-        return 12.0 / slope if slope != 0.0 else math.inf
-
-
 def fit_growth(observations: Sequence[tuple[float, float]]) -> GrowthFit:
     """OLS of log2(system CLEAR) against year, unweighted, over (year, CLEAR) pairs."""
-    if len(observations) < 2:
-        raise InsufficientDataError("need at least two records")
-    year_mean, log_mean, slope, r_squared = ols_log2(
-        [year for year, _ in observations], [math.log2(clear) for _, clear in observations])
+    fit = ols_log2([year for year, _ in observations],
+                   [math.log2(clear) for _, clear in observations])
+    slope = fit.slope_log2_per_year
     if not -1075.0 < slope < 1024.0:  # exactly where 2 ** slope, the annual factor, is 0 or inf
         raise DomainError(f"a growth of {slope:g} doublings a year leaves the float range")
-    return GrowthFit(slope_log2_per_year=slope, r_squared=r_squared,
-                     intercept=log_mean - slope * year_mean)
+    return fit
 
 
 def predict_log2_clear(fit: GrowthFit, year: float) -> float:

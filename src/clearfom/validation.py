@@ -36,10 +36,10 @@ from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, NamedTuple
 
-from .constants import DEFAULT_COST_EFFICIENCY_AXIS
-from .errors import ConfigurationError, DomainError, InsufficientDataError
+from .constants import DEFAULT_COST_EFFICIENCY_AXIS, DEFAULT_TREND_BAND_DB
+from .errors import ConfigurationError, DomainError
 from .ioutil import IoError
-from .metric import Technology
+from .metric import DEFAULT_FLOOR_MARGIN, Technology
 
 if TYPE_CHECKING:
     from .device import DeviceSpec
@@ -293,7 +293,7 @@ def _input_path(config_path: str | Path, name: str) -> Path:
 class DeviceConfig(NamedTuple):
     temperature_k: float
     devices: tuple[DeviceSpec, ...]
-    floor_margin: float = 10.0
+    floor_margin: float = DEFAULT_FLOOR_MARGIN
     cost_efficiency_axis: float = DEFAULT_COST_EFFICIENCY_AXIS
 
 
@@ -319,7 +319,7 @@ class NetworkConfig(NamedTuple):
 class TrendConfig(NamedTuple):
     records: tuple[SystemRecord, ...]
     records_csv: Path  # the records' file, which a fit error names
-    band_db: float = 5.0
+    band_db: float = DEFAULT_TREND_BAND_DB
 
 
 # A field annotated exactly ``float`` or ``int`` converts its value: JSON has one
@@ -439,6 +439,4 @@ def load_trend_config(path: str | Path) -> TrendConfig:
     doc = _read_config(path, "trend")
     records_csv = _input_path(path, doc["records_csv"])
     records = tuple(load_system_records(records_csv))
-    if len({record.year for record in records}) < 2:  # the growth fit needs two years
-        raise InsufficientDataError(f"{records_csv}: need at least two records of distinct years")
     return _build(TrendConfig, doc, records=records, records_csv=records_csv)

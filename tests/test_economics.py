@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from clearfom.cli import EXIT_VALIDATION, main
+from clearfom.data import example_path
 from clearfom.economics import (
     ExperienceCurve,
     fit_experience_curve,
@@ -15,6 +18,8 @@ from clearfom.economics import (
     unit_cost,
 )
 from clearfom.errors import DomainError, InsufficientDataError
+from clearfom.trend import fit_growth
+from clearfom.validation import load_link_config
 
 
 def _generate(curve, years, noise=None, rng=None):
@@ -148,3 +153,69 @@ class TestCsvObservations:
         path.write_text(f"year,cost_usd\n2000,8.0\n2003,{cell}\n", encoding="utf-8")
         with pytest.raises(DomainError, match=f"costs.csv:3: '{cell}' is not a finite number"):
             load_cost_observations(path)
+
+
+def _ols(observations):
+    return ols_log2([year for year, _ in observations],
+                    [math.log2(value) for _, value in observations])
+
+
+class TestOneFit:
+    """The cost curve and the system trend are one fit: :func:`ols_log2`'s ``GrowthFit``."""
+
+    def test_both_fits_are_ols_log2_bit_for_bit(self):
+        falling = [(2000.0, 16.0), (2001.0, 8.0), (2002.0, 4.4), (2003.0, 2.0)]
+        direct = _ols(falling)
+        assert direct.r_squared is not None
+        for fit in (fit_experience_curve(falling), fit_growth(falling)):
+            assert type(fit) is type(direct)
+            assert list(map(float.hex, fit)) == list(map(float.hex, direct))
+
+    @pytest.mark.parametrize("costs,curve", [
+        ((1.0, 2.0, 4.0), (2.0, math.inf, 2001.0)),
+        ((4.0, 4.0, 4.0), (4.0, math.inf, 2001.0)),
+        ((16.0, 8.0, 4.0), (8.0, 1.0, 2001.0)),
+    ], ids=["rising", "flat", "falling"])
+    def test_curve_is_anchored_at_the_mean_year_and_flat_unless_falling(self, costs, curve):
+        fit = fit_experience_curve(list(zip((2000.0, 2001.0, 2002.0), costs)))
+        assert fit.curve == ExperienceCurve(*curve)
+
+    def test_intercept_is_the_log2_value_at_year_zero(self):
+        fit = fit_experience_curve([(2000.0, 16.0), (2001.0, 8.0), (2002.0, 4.0)])
+        assert fit.intercept == 3.0 + 2001.0
+
+    @pytest.mark.parametrize("observations", [
+        [(1990.0, 2.0)],
+        [(1990.0, 2.0), (1990.0, 4.0)],
+    ], ids=["one_point", "one_year"])
+    def test_one_refusal_of_too_few_points(self, tmp_path, capsys, observations):
+        message = "need at least two distinct years"
+        for fit in (_ols, fit_experience_curve, fit_growth):
+            with pytest.raises(InsufficientDataError) as info:
+                fit(observations)
+            assert str(info.value) == message
+        # The link loader and the trend runner name the CSV in front of it.
+        costs = tmp_path / "costs.csv"
+        costs.write_text("year,cost_usd\n" + "".join(f"{year},{cost}\n"
+                                                      for year, cost in observations),
+                         encoding="utf-8")
+        doc = json.loads(example_path("links/four_technologies.json").read_text(encoding="utf-8"))
+        doc["links"][0]["cost_curve_csv"] = costs.name
+        link_config = tmp_path / "link.json"
+        link_config.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DomainError) as info:
+            load_link_config(link_config)
+        assert str(info.value) == f"{costs}: {message}"
+        assert type(info.value.__cause__) is InsufficientDataError
+        records = tmp_path / "records.csv"
+        records.write_text(
+            "name,year,mips,clock_period_s,energy_j_per_bit,volume_m3,cost_usd,class\n"
+            + "".join(f"m{k},{year},{mips},1,1,1,1,other\n"
+                      for k, (year, mips) in enumerate(observations)), encoding="utf-8")
+        trend_config = tmp_path / "trend.json"
+        trend_config.write_text(json.dumps({"kind": "trend", "records_csv": records.name}),
+                                encoding="utf-8")
+        capsys.readouterr()
+        assert main(["trend", "--config", str(trend_config),
+                     "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.endswith(f'msg="{records}: {message}"\n')

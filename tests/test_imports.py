@@ -28,8 +28,8 @@ EXPORTS = {
     "constants": ("BOLTZMANN_K", "ELECTRON_MASS", "LIGHT_SPEED_VACUUM", "PLANCK_H",
                   "REDUCED_PLANCK", "SILICON_DENSITY"),
     "device": ("DeviceSpec", "device_clear", "radar_normalize"),
-    "economics": ("ExperienceCurve", "fit_experience_curve", "load_cost_observations",
-                  "unit_cost"),
+    "economics": ("ExperienceCurve", "GrowthFit", "fit_experience_curve",
+                  "load_cost_observations", "unit_cost"),
     "errors": ("ClearError", "ConfigurationError", "DomainError", "InfeasibleLinkError",
                "InsufficientDataError"),
     "limits": ("bremermann_rate", "heisenberg_min_length", "landauer_energy",
@@ -41,8 +41,8 @@ EXPORTS = {
     "network": ("MeshTopology", "NocConfig", "TrafficMatrix", "add_express_links",
                 "build_mesh", "flit_sweep", "generate_traffic", "link_activity",
                 "network_clear"),
-    "trend": ("GrowthFit", "SystemRecord", "classify_vs_trend", "efficiency_point",
-              "fit_growth", "system_clear"),
+    "trend": ("SystemRecord", "classify_vs_trend", "efficiency_point", "fit_growth",
+              "system_clear"),
 }
 ALL_NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 

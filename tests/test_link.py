@@ -259,6 +259,17 @@ class TestLatency:
         assert all(a < b for a, b in zip(optical, optical[1:]))
         assert all(a < b for a, b in zip(electrical, electrical[1:]))
 
+    def test_an_rc_product_past_the_float_range_is_evaluated_per_length(self):
+        # R'C' is inf, and at 1e-300 m L^2 underflows to 0.0; R'L times C'L is finite.
+        driver = LinkComponent(name="drv", role=ComponentRole.DRIVER, bandwidth_hz=5e10,
+                               delay_s=2e-11)
+        link = _electrical(length=1e-300, c_per_m=1.7e308, components=[driver])
+        assert p2p_latency(link) == pytest.approx(2e-11, rel=1e-12)
+        assert link_capacity(link) == 5e10
+        longer = link.at_length(1e-160)  # where the R'C'L^2 delay dominates
+        wire = Fraction(1e5) * Fraction(1.7e308) * Fraction(1e-160) ** 2 * Fraction(0.38)
+        assert p2p_latency(longer) == pytest.approx(2e-11 + float(wire), rel=1e-12)
+
     def test_repeater_delays_multiply(self):
         link = _optical(length=1e-3, spacing=1e-4, components=[_repeater(delay=2e-12)])
         base = _optical(length=1e-3)
