@@ -130,20 +130,26 @@ def _run_limits(args: argparse.Namespace, artifacts: _Artifacts):
 
 
 def _run_device(args: argparse.Namespace, artifacts: _Artifacts):
-    from .device import device_clear, device_factors, radar_normalize
+    from .device import device_clear, radar_normalize
     from .limits import make_limit_set
     from .validation import load_device_config
 
     config = load_device_config(args.config)
     limits = make_limit_set(temperature=config.temperature_k,
                             cost_efficiency_axis=config.cost_efficiency_axis)
-    floors = default_floors(map(device_factors, config.devices), margin=config.floor_margin)
+    devices = sorted(config.devices, key=lambda s: s.name)
+    values = []  # every device's CLEAR is checked before any sets the shared floors
+    for spec in devices:
+        try:
+            values.append(device_clear(spec))
+        except DomainError as exc:
+            raise DomainError(f"device '{spec.name}': {exc}") from exc
+    floors = default_floors([value.factors for value in values], margin=config.floor_margin)
 
     table_rows = []
     report_devices = []
     radar_rows = []
-    for spec in sorted(config.devices, key=lambda s: s.name):
-        value = device_clear(spec)
+    for spec, value in zip(devices, values):
         scores = radar_normalize(spec, limits, floors)
         area = radar_area(scores)
         violations = spec.limit_violations(limits)
@@ -179,7 +185,6 @@ def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
     from .validation import load_link_config
 
     config = load_link_config(args.config)
-    eval_year = args.eval_year if args.eval_year is not None else config.eval_year
 
     report_links = {spec.name: [] for spec in config.links}
     radar_rows = {spec.name: [] for spec in config.links}
@@ -191,7 +196,7 @@ def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
             group_index=config.limit_group_index,
             level=Level.LINK,
             cost_efficiency_axis=config.cost_efficiency_axis)
-        at_length = [(spec, link_factors(spec.at_length(length), eval_year))
+        at_length = [(spec, link_factors(spec.at_length(length), args.eval_year))
                      for spec in config.links]
         values = []  # every link's factors are checked before any sets the shared floors
         for spec, factors in at_length:
@@ -224,7 +229,7 @@ def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
     artifacts.json_files.append(("link_report.json", {
         "kind": "link_report",
         "temperature_k": config.temperature_k,
-        "eval_year": eval_year,
+        "eval_year": args.eval_year,
         "lengths_m": list(config.lengths_m),
         "links": [{"name": spec.name, "technology": spec.technology.value,
                    "sweep": report_links[spec.name]}
@@ -239,13 +244,12 @@ def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
     from .validation import link_activity_csv, load_network_config
 
     config = load_network_config(args.config)
-    eval_year = args.eval_year if args.eval_year is not None else config.eval_year
     mesh = next(iter(config.cases.values()))
     traffic = generate_traffic(config.traffic_pattern, config.traffic_params, mesh, args.seed)
     activities = case_activities(config.cases, traffic)
     # Each (flit size, case) once: the summary is the sweep's column at noc.flit_bits.
     flit_bits, sizes = config.noc.flit_bits, config.flit_sizes or ()
-    sweep = flit_sweep(config.cases, activities, config.noc, (flit_bits, *sizes), eval_year)
+    sweep = flit_sweep(config.cases, activities, config.noc, (flit_bits, *sizes), args.eval_year)
 
     summary_rows = []
     report_cases = []
@@ -293,7 +297,7 @@ def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
     artifacts.json_files.append(("network_report.json", {
         "kind": "network_report",
         "seed": args.seed,
-        "eval_year": eval_year,
+        "eval_year": args.eval_year,
         "mesh": {"rows": mesh.rows, "cols": mesh.cols, "spacing_m": mesh.spacing_m},
         "cases": report_cases,
         "flit_sweep": sweep_report,

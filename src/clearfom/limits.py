@@ -35,7 +35,6 @@ from .errors import DomainError
 from .metric import AXIS_NAMES, Axes, Level
 
 __all__ = [
-    "DEFAULT_COST_EFFICIENCY_AXIS",
     "landauer_energy",
     "margolus_levitin_rate",
     "heisenberg_min_length",

@@ -128,8 +128,12 @@ def log_scale_score(value: float, floor: float, limit: float, *, bigger_is_bette
     For cost axes the limit is numerically below the floor and smaller values
     score higher; the orientation flag flips the ratio accordingly.
     """
-    if value <= 0 or floor <= 0 or limit <= 0:
+    if value <= 0 or floor < 0 or limit <= 0:
         raise DomainError("radar inputs must be strictly positive")
+    # A floor padded past the float range is 0 or inf, or too far from the limit to log.
+    ratio = limit / floor if floor else math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ConfigurationError("floor and limit lie too far apart for the floating-point range")
     if bigger_is_better:
         if floor >= limit:
             raise ConfigurationError("floor must lie below the limit on a capability axis")

@@ -25,7 +25,6 @@ __all__ = [
     "SystemRecord",
     "EfficiencyPoint",
     "TrendPosition",
-    "DEFAULT_TREND_BAND_DB",
     "system_clear",
     "fit_growth",
     "predict_log2_clear",

@@ -303,7 +303,6 @@ class LinkConfig(NamedTuple):
     links: tuple[LinkSpec, ...]
     limit_group_index: float = 3.0
     cost_efficiency_axis: float = DEFAULT_COST_EFFICIENCY_AXIS
-    eval_year: float | None = None
 
 
 class NetworkConfig(NamedTuple):
@@ -313,7 +312,6 @@ class NetworkConfig(NamedTuple):
     noc: NocConfig
     flit_sizes: tuple[int, ...] | None
     sweep_baseline: str | None
-    eval_year: float | None = None
 
 
 class TrendConfig(NamedTuple):

@@ -140,6 +140,18 @@ class TestDeviceCommand:
         assert main(["device", "--config", str(bad), "--out", str(out)]) == EXIT_VALIDATION
         assert not out.exists() or list(out.iterdir()) == []
 
+    def test_report_lists_a_device_below_the_landauer_energy(self, tmp_path):
+        config = _config_copy(tmp_path, "devices/four_technologies.json", lambda doc: (
+            doc["devices"][0].update(energy_j_per_bit=1e-22)))
+        out = tmp_path / "out"
+        assert main(["device", "--config", str(config), "--out", str(out),
+                     "--format", "json"]) == EXIT_OK
+        report = json.loads((out / "device_report.json").read_text(encoding="utf-8"))
+        flagged = {d["name"]: d["limit_violations"] for d in report["devices"]
+                   if d["limit_violations"]}
+        assert flagged == {
+            "cmos-transistor-14nm": ["energy_j_per_bit below the minimum switching energy"]}
+
     def test_names_that_slug_alike_get_rows_each(self, tmp_path):
         config = _config_copy(tmp_path, "devices/four_technologies.json", lambda doc: (
             doc["devices"].append(dict(doc["devices"][0], name=doc["devices"][0]["name"] + "!"))))
@@ -485,7 +497,7 @@ class TestConfigSchemasMatchValidator:
 class TestNumericRange:
     """Valid inputs whose magnitudes break floating-point arithmetic in the
     model end in a validation error, not a traceback; so do the component
-    keys, component role and trend key that are no longer accepted."""
+    keys, component role and config keys that are no longer accepted."""
 
     @pytest.mark.parametrize("command,example,owner,key,value", [
         ("device", "devices/four_technologies.json",
@@ -507,9 +519,12 @@ class TestNumericRange:
          "role", "amplifier"),
         ("trend", None, lambda doc: doc, "eval_year", 2016.0),
         ("trend", None, lambda doc: doc, "bits_per_instruction", 32),
+        ("link", "links/four_technologies.json", lambda doc: doc, "eval_year", 2016.0),
+        ("network", "networks/mesh16_comparison.json", lambda doc: doc, "eval_year", 2016.0),
     ], ids=["unit_cost_usd", "critical_length_m", "voltage_swing_v", "repeater_spacing_m",
             "removed_insertion_loss_db", "removed_output_swing_v", "removed_amplifier_role",
-            "removed_trend_eval_year", "removed_bits_per_instruction"])
+            "removed_trend_eval_year", "removed_bits_per_instruction",
+            "removed_link_eval_year", "removed_network_eval_year"])
     def test_exits_one_without_artifacts(self, tmp_path, capsys, command, example, owner,
                                          key, value):
         if example is None:
@@ -748,6 +763,27 @@ class TestNumericRange:
          lambda doc: doc["noc"]["link_templates"]["electronic"]["transport"].update(
              voltage_swing_v=1e200),
          EXIT_VALIDATION, "the electronic link of span 1 draws inf J per bit"),
+        ("device", "devices/four_technologies.json",
+         lambda doc: doc["devices"][1].update(footprint_m2=1e308), EXIT_VALIDATION,
+         "radar axis amount: floor and limit lie too far apart for the floating-point range "
+         "(floor inf,"),
+        ("device", "devices/four_technologies.json",
+         lambda doc: doc["devices"][1].update(unit_cost_usd=1e308), EXIT_VALIDATION,
+         "radar axis resistance: floor and limit lie too far apart for the floating-point "
+         "range (floor inf,"),
+        ("device", "devices/four_technologies.json",
+         lambda doc: doc["devices"][1].update(capability_hz=1e-320), EXIT_VALIDATION,
+         "radar axis capability: floor and limit lie too far apart for the floating-point "
+         "range (floor 9.98013e-322,"),
+        ("device", "devices/four_technologies.json",
+         lambda doc: doc["devices"][1].update(capability_hz=1e-323), EXIT_VALIDATION,
+         "radar axis capability: floor and limit lie too far apart for the floating-point "
+         "range (floor 0,"),
+        ("link", "links/four_technologies.json",
+         lambda doc: next(l for l in doc["links"] if l["name"] == "electronic")
+         ["components"][0].update(area_m2=1e308), EXIT_VALIDATION,
+         "radar axis amount: floor and limit lie too far apart for the floating-point range "
+         "(floor inf,"),
     ], ids=["link_length_overflows_rc", "link_length_underflows_rc",
             "mesh_spacing_overflows_rc", "mesh_spacing_underflows_rc",
             "injection_overflows_loads", "injection_overflows_hop_total",
@@ -756,7 +792,9 @@ class TestNumericRange:
             "link_length_squares_past_range_without_rc", "express_hop_length_overflows",
             "network_component_delays_overflow", "rc_product_overflows_at_underflowing_length",
             "link_component_delays_overflow", "link_swing_squares_past_range",
-            "network_swing_squares_past_range"])
+            "network_swing_squares_past_range", "device_footprint_floor_overflows",
+            "device_cost_floor_overflows", "device_capability_floor_is_subnormal",
+            "device_capability_floor_underflows", "link_area_floor_overflows"])
     def test_no_input_reaches_the_arithmetic_catch_all(self, tmp_path, capsys, command,
                                                         example, edit, code, message):
         config = _config_copy(tmp_path, example, edit)
@@ -778,7 +816,9 @@ class TestNumericRange:
                                      unit_cost_usd=1.0)))
         assert main(["device", "--config", str(config),
                      "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
-        assert "device CLEAR is outside the floating-point range" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "device CLEAR is outside the floating-point range" in err
+        assert "device 'cmos-transistor-14nm': " in err
 
 
 _DEVICE_CONFIG = str(example_path("devices/four_technologies.json"))
@@ -817,6 +857,19 @@ def test_usage_error_is_a_validation_error(tmp_path, capsys, argv):
     assert err.count("\n") == 1
     assert err.startswith("clearfom: error code=1 kind=validation")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("formats,message", [
+    (",", "at least one output format is required"),
+    ("xml", "unknown output format 'xml'"),
+], ids=["no_format", "unknown_format"])
+def test_format_refusal_names_the_problem(tmp_path, capsys, formats, message):
+    out = tmp_path / "out"
+    assert main(["limits", "--format", formats, "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("clearfom: error code=1 kind=validation") and message in err
+    assert not out.exists()
 
 
 class TestNonFiniteFlags:

@@ -108,6 +108,17 @@ class TestDeviceRadar:
         assert any("energy" in p for p in problems)
         assert spec.energy_j_per_bit < limits.energy
 
+    @pytest.mark.parametrize("field,axis,scale,problem", [
+        ("critical_length_m", "latency", 0.5,
+         "critical_length_m below the minimum localization length"),
+        ("footprint_m2", "amount", 0.5, "footprint_m2 below the minimum device area"),
+        ("capability_hz", "capability", 2.0, "capability_hz above the maximum transition rate"),
+    ])
+    def test_each_violated_limit_is_named(self, field, axis, scale, problem):
+        limits = self._limits()
+        spec = _spec(**{field: getattr(limits, axis) * scale})
+        assert spec.limit_violations(limits) == [problem]
+
 
 class TestShippedDevices:
     def test_radar_area_ordering_matches_clear_ordering(self, device_config_path):

@@ -1,6 +1,7 @@
 """The package surface and the import boundaries of the CLI.
 
-The package re-exports its names lazily, and ``import clearfom.cli`` loads no
+Each public name has one home: it is imported from the module that defines
+it, and no two modules list it in ``__all__``. ``import clearfom.cli`` loads no
 model module: each subcommand imports only the modules it runs, so each run
 loads exactly the ``clearfom`` modules listed in ``ADDED``. Only the network
 subcommand imports :mod:`clearfom.network`, and no subcommand imports numpy:
@@ -22,29 +23,6 @@ import pytest
 
 import clearfom
 from clearfom.data import example_path
-
-# Every name the package re-exports, by defining module.
-EXPORTS = {
-    "constants": ("BOLTZMANN_K", "ELECTRON_MASS", "LIGHT_SPEED_VACUUM", "PLANCK_H",
-                  "REDUCED_PLANCK", "SILICON_DENSITY"),
-    "device": ("DeviceSpec", "device_clear", "radar_normalize"),
-    "economics": ("ExperienceCurve", "GrowthFit", "fit_experience_curve",
-                  "load_cost_observations", "unit_cost"),
-    "errors": ("ClearError", "ConfigurationError", "DomainError", "InfeasibleLinkError",
-               "InsufficientDataError"),
-    "limits": ("bremermann_rate", "heisenberg_min_length", "landauer_energy",
-               "make_limit_set", "margolus_levitin_rate", "time_of_flight_rate_limit"),
-    "link": ("ElectricalTransport", "LinkComponent", "LinkSpec", "OpticalTransport",
-             "link_area", "link_capacity", "link_energy_per_bit",
-             "p2p_latency", "repeater_count"),
-    "metric": ("Axes", "ClearValue", "Level", "Technology", "radar_area"),
-    "network": ("MeshTopology", "NocConfig", "TrafficMatrix", "add_express_links",
-                "build_mesh", "flit_sweep", "generate_traffic", "link_activity",
-                "network_clear"),
-    "trend": ("SystemRecord", "classify_vs_trend", "efficiency_point", "fit_growth",
-              "system_clear"),
-}
-ALL_NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 # The package and every module in it.
 MODULES = ["clearfom", *sorted(info.name for info in
@@ -214,28 +192,20 @@ class TestImportBoundary:
             "machinery": []}
 
 
-class TestLazyExports:
-    @pytest.mark.parametrize("module,name", ALL_NAMES)
-    def test_name_resolves_to_its_definition(self, module, name):
-        namespace = {}
-        exec(f"from clearfom import {name}", namespace)
-        defining = importlib.import_module(f"clearfom.{module}")
-        assert namespace[name] is getattr(defining, name)
-
-    def test_dir_lists_every_export(self):
-        listed = set(dir(clearfom))
-        assert {name for _, name in ALL_NAMES} <= listed
-        assert "__version__" in listed
-
-    def test_unknown_name_raises_attribute_error(self):
-        with pytest.raises(AttributeError, match="no_such_name"):
-            clearfom.no_such_name
-        with pytest.raises(ImportError):
-            exec("from clearfom import no_such_name", {})
-
-
 @pytest.mark.parametrize("module_name", MODULES)
 def test_all_lists_only_defined_names(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+# Every public name, with the module whose ``__all__`` lists it.
+PUBLIC = [(module_name, name) for module_name in MODULES
+          for name in getattr(importlib.import_module(module_name), "__all__", ())]
+
+
+@pytest.mark.parametrize("module_name,name", PUBLIC)
+def test_each_public_name_has_one_home(module_name, name):
+    assert [home for home, listed in PUBLIC if listed == name] == [module_name]
+    value = getattr(importlib.import_module(module_name), name)
+    assert getattr(value, "__module__", module_name) == module_name

@@ -299,7 +299,7 @@ LOADERS = {"device": load_device_config, "link": load_link_config,
 # the field it fills and from the shipped configs. No loader reads ``notes``.
 OPTIONAL_VALUES = {
     "floor_margin": 20.0, "cost_efficiency_axis": 1e9, "limit_group_index": 4.0,
-    "eval_year": 2030.0, "band_db": 3.0,
+    "band_db": 3.0,
     "bandwidth_hz": 7e9, "energy_j_per_bit": 7e-15, "area_m2": 7e-10, "cost_usd": 0.07,
     "delay_s": 7e-12, "lanes": 3, "wdm_channels": 3, "per_channel_rate_cap_bps": 7e9,
     "repeater_spacing_m": 3e-4, "cost_curve_csv": "costs.csv",
