@@ -312,7 +312,13 @@ def _run_trend(args: argparse.Namespace, artifacts: _Artifacts):
 
     config = load_trend_config(args.config)
     records = sorted(config.records, key=lambda r: (r.year, r.name))
-    observations = [(record.year, system_clear(record).value) for record in records]
+    observations = []
+    for record in records:
+        try:
+            observations.append((record.year, system_clear(record).value))
+        except DomainError as exc:
+            raise DomainError(f"{config.records_csv}: record '{record.name}' "
+                              f"(year {record.year:g}): {exc}") from exc
     try:  # years or a growth rate outside the fit's floating-point range
         fit = fit_growth(observations)
     except DomainError as exc:
@@ -321,8 +327,8 @@ def _run_trend(args: argparse.Namespace, artifacts: _Artifacts):
     report_points = []
     for record, (year, clear) in zip(records, observations):
         point = efficiency_point(record)
-        position = classify_vs_trend(year, clear, fit, config.band_db)
-        point_rows.append((record.name, year, clear, position.value))
+        position = classify_vs_trend(year, clear, fit, config.band_db).value
+        point_rows.append((record.name, year, clear, position))
         report_points.append({
             "name": record.name,
             "year": year,
@@ -331,7 +337,7 @@ def _run_trend(args: argparse.Namespace, artifacts: _Artifacts):
             "computational_efficiency": point.computational_efficiency,
             "energy_efficiency_bits_per_j": point.energy_efficiency,
             "landauer_fraction": point.landauer_fraction,
-            "position": position.value,
+            "position": position,
         })
     artifacts.csv_files.append(
         ("trend_points.csv", ("name", "year", "clear", "position"), point_rows))

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .errors import Checked, DomainError, InsufficientDataError
-from .ioutil import finite_float, read_csv
+from .ioutil import finite_floats, read_csv
 
 __all__ = [
     "ExperienceCurve",
@@ -131,4 +131,4 @@ def fit_experience_curve(observations: Sequence[tuple[float, float]]) -> GrowthF
 
 def load_cost_observations(path: str | Path) -> list[tuple[float, float]]:
     """Read (year, cost) observations from a CSV with header ``year,cost_usd``."""
-    return read_csv(path, ("year", "cost_usd"), lambda cells: tuple(map(finite_float, cells)))
+    return read_csv(path, ("year", "cost_usd"), finite_floats)

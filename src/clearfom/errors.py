@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+__all__ = ["ClearError", "DomainError", "InsufficientDataError", "ConfigurationError",
+           "InfeasibleLinkError"]
+
 
 class ClearError(Exception):
     """Base class for all toolkit errors."""
@@ -30,8 +33,9 @@ class InfeasibleLinkError(ClearError):
 class Checked:
     """Base of ``class Name(Checked, _NameFields)``: the NamedTuple of fields, checked.
 
-    ``_check`` raises on a bad field, or returns coerced values by field name. ``_make``,
-    ``_replace`` and ``copy.replace`` go through the constructor, so they are checked too.
+    ``_check`` raises on a bad field; it returns coerced values by field name, or ``None``
+    when no field needs one, so the record is built once. ``_make``, ``_replace`` and
+    ``copy.replace`` go through the constructor, so they are checked too.
     """
 
     def __new__(cls, *args, **kwargs):

@@ -18,7 +18,8 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import ClearError, DomainError
 
-__all__ = ["fmt", "read_csv", "finite_float", "atomic_write_text", "write_csv", "write_json", "IoError"]
+__all__ = ["fmt", "read_csv", "finite_float", "finite_floats", "atomic_write_text", "write_csv",
+           "write_json", "IoError"]
 
 T = TypeVar("T")
 
@@ -29,11 +30,14 @@ class IoError(ClearError):
 
 def fmt(value) -> str:
     """Canonical cell formatting: shortest-repr floats, plain ints, raw strings."""
+    kind = type(value)  # nearly every cell is an exact float or str
+    if kind is float:
+        return repr(value)
+    if kind is str:
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def read_csv(path: str | Path, header: Sequence[str],
@@ -80,6 +84,19 @@ def finite_float(text: str) -> float:
     return value
 
 
+def finite_floats(cells: Sequence[str]) -> tuple[float, ...]:
+    """Numeric CSV cells, each checked as by :func:`finite_float`; a refusal names the left-most."""
+    # One test for every cell. A bad cell, or finite cells whose sum leaves the
+    # float range, goes cell by cell.
+    try:
+        values = tuple(map(float, cells))
+        if math.isfinite(sum(values)):
+            return values
+    except ValueError:
+        pass
+    return tuple(map(finite_float, cells))
+
+
 def atomic_write_text(path: str | Path, text: str):
     path = Path(path)
     # Unique to this process; mode 0o666 lets the kernel apply the umask, as open(path, "w") does.
@@ -102,7 +119,7 @@ def atomic_write_text(path: str | Path, text: str):
 def write_csv(paths: Iterable[str | Path], header: Sequence[str], rows: Iterable[Sequence]):
     """Render one table once and write it to each of ``paths``."""
     lines = [",".join(header)]
-    lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
+    lines.extend(",".join(map(fmt, row)) for row in rows)
     text = "\n".join(lines) + "\n"
     for path in paths:
         atomic_write_text(path, text)

@@ -111,15 +111,18 @@ def _quotient(f: Axes) -> float:
 
 
 def clear_value(factors: Axes, level: Level) -> ClearValue:
-    for name, value in zip(AXIS_NAMES, factors):
-        if not math.isfinite(value) or value <= 0:
-            raise DomainError(f"factor {name} must be finite and strictly positive")
+    # One test for every factor. A bad factor, or finite factors whose sum
+    # leaves the float range, goes factor by factor.
+    if not (min(factors) > 0.0 and sum(factors) < math.inf):
+        for name, value in zip(AXIS_NAMES, factors):
+            if not math.isfinite(value) or value <= 0:
+                raise DomainError(f"factor {name} must be finite and strictly positive")
     value = _quotient(factors)
     if not 0.0 < value < math.inf:
         named = ", ".join(f"{name}={factor:g}" for name, factor in zip(AXIS_NAMES, factors))
         raise DomainError(f"{level.value} CLEAR is outside the floating-point range "
                           f"for factors {named}")
-    return ClearValue(value=value, level=level, factors=factors)
+    return ClearValue(value, level, factors)
 
 
 def log_scale_score(value: float, floor: float, limit: float, *, bigger_is_better: bool) -> float:

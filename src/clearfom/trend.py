@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 from .constants import DEFAULT_TREND_BAND_DB
 from .economics import GrowthFit, ols_log2
 from .errors import Checked, DomainError
-from .ioutil import finite_float, read_csv
+from .ioutil import finite_floats, read_csv
 from .limits import landauer_energy
 from .metric import Axes, ClearValue, Level, clear_value
 
@@ -47,6 +47,10 @@ class SystemClass(str, Enum):
     OTHER = "other"
 
 
+# Each class by its CSV name.
+_CLASSES = {member.value: member for member in SystemClass}
+
+
 class _SystemRecordFields(NamedTuple):
     name: str
     year: float
@@ -58,25 +62,28 @@ class _SystemRecordFields(NamedTuple):
     system_class: SystemClass = SystemClass.OTHER
 
 
+# The five quantities of a SystemRecord, mips to cost_usd, which are in Axes order.
+_QUANTITIES = slice(2, 7)
+
+
 class SystemRecord(Checked, _SystemRecordFields):
     def _check(self):
-        for field_name in ("mips", "clock_period_s", "energy_j_per_bit",
-                           "volume_m3", "cost_usd"):
-            if getattr(self, field_name) <= 0:
-                raise DomainError(f"SystemRecord.{field_name} must be strictly positive")
-        return {"system_class": SystemClass(self.system_class)}
+        quantities = self[_QUANTITIES]
+        if not min(quantities) > 0:  # one test; NaN passes, as below, and is refused when priced
+            for field_name, value in zip(self._fields[_QUANTITIES], quantities):
+                if value <= 0:
+                    raise DomainError(f"SystemRecord.{field_name} must be strictly positive")
+        if type(self.system_class) is not SystemClass:
+            try:
+                return {"system_class": _CLASSES[self.system_class]}
+            except (KeyError, TypeError):  # not a class name, or not even hashable
+                raise DomainError(f"class {self.system_class!r} must be one of "
+                                  f"{', '.join(_CLASSES)}") from None
 
 
 def system_clear(record: SystemRecord) -> ClearValue:
     """MIPS over clock period, energy per bit, volume, and price."""
-    factors = Axes(
-        capability=record.mips,
-        latency=record.clock_period_s,
-        energy=record.energy_j_per_bit,
-        amount=record.volume_m3,
-        resistance=record.cost_usd,
-    )
-    return clear_value(factors, Level.SYSTEM)
+    return clear_value(Axes._make(record[_QUANTITIES]), Level.SYSTEM)
 
 
 def fit_growth(observations: Sequence[tuple[float, float]]) -> GrowthFit:
@@ -110,11 +117,8 @@ class EfficiencyPoint(NamedTuple):
 def efficiency_point(record: SystemRecord) -> EfficiencyPoint:
     energy_efficiency = 1.0 / record.energy_j_per_bit
     computational = 1.0 / (record.clock_period_s * record.volume_m3 * record.cost_usd)
-    return EfficiencyPoint(
-        computational_efficiency=computational,
-        energy_efficiency=energy_efficiency,
-        landauer_fraction=energy_efficiency / _LANDAUER_CEILING,
-    )
+    return EfficiencyPoint(computational, energy_efficiency,
+                           energy_efficiency / _LANDAUER_CEILING)
 
 
 class TrendPosition(str, Enum):
@@ -143,9 +147,10 @@ _CSV_FIELDS = ("name", "year", "mips", "clock_period_s", "energy_j_per_bit",
 
 
 def _record(cells: list[str]) -> SystemRecord:
-    name, *quantities, system_class = cells
-    # SystemRecord converts the class name, refusing an unknown one with a ValueError.
-    return SystemRecord(name, *map(finite_float, quantities), system_class)
+    name, *numbers, system_class = cells
+    # A known class name is coerced here, so the record is built once; an unknown
+    # one is refused by SystemRecord, after its quantities.
+    return SystemRecord(name, *finite_floats(numbers), _CLASSES.get(system_class, system_class))
 
 
 def load_system_records(path: str | Path) -> list[SystemRecord]:

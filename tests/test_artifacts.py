@@ -21,7 +21,7 @@ from clearfom.data import example_path
 
 DIGESTS = Path(__file__).resolve().parent / "artifact_digests.json"
 
-# Run name -> CLI arguments; "{trend}" is the trend config written per run.
+# Run name -> CLI arguments; "{trend}" and "{trend_200}" are trend configs written per run.
 RUNS = {
     "limits": ["limits"],
     "device": ["device", "--config", "devices/four_technologies.json"],
@@ -31,7 +31,36 @@ RUNS = {
     "network_2020": ["network", "--config", "networks/mesh16_comparison.json", "--seed", "1",
                      "--eval-year", "2020"],
     "trend": ["trend", "--config", "{trend}"],
+    "trend_200": ["trend", "--config", "{trend_200}"],
 }
+
+# 10 ** (k / 10) for k = 0..9, to three significant digits.
+_TENTHS = ("1", "1.26", "1.58", "2", "2.51", "3.16", "3.98", "5.01", "6.31", "7.94")
+_CLASSES = ("mainframe", "personal", "supercomputer", "optical_projection", "other")
+
+
+def _power_of_ten(tenths: int) -> str:
+    """About 10 ** (tenths / 10), as an exact decimal literal."""
+    exponent, digit = divmod(tenths, 10)
+    return f"{_TENTHS[digit]}e{exponent}"
+
+
+def trend_200_csv() -> str:
+    """200 machines over 1950-1999, four a year, built from decimal literals alone.
+
+    Each quantity moves a whole number of tenths of a decade per machine, so
+    log10(CLEAR) rises on a line; every third machine sits three decades of
+    MIPS above it and every third below, so all three positions occur, and the
+    class cycles through all five. No float arithmetic makes the inputs, so
+    they parse to the same bits on every Python version.
+    """
+    lines = ["name,year,mips,clock_period_s,energy_j_per_bit,volume_m3,cost_usd,class"]
+    for i in range(200):
+        offset = (0, 30, -30)[i % 3]
+        quantities = (2 * i - 20 + offset, -i - 50, -i - 10, -i + 20, -i + 60)
+        lines.append(f"m{i:03d},{1950 + i // 4}.{25 * (i % 4):02d},"
+                     f"{','.join(map(_power_of_ten, quantities))},{_CLASSES[i % 5]}")
+    return "\n".join(lines) + "\n"
 
 
 def _sha256_tree(root: Path) -> dict[str, str]:
@@ -41,15 +70,18 @@ def _sha256_tree(root: Path) -> dict[str, str]:
 
 def run_and_digest(name: str, work: Path) -> dict[str, str]:
     """Run one pinned command into ``work/out`` and hash what it wrote."""
-    trend = work / "trend.json"
-    trend.write_text(json.dumps({
-        "kind": "trend",
-        "records_csv": str(example_path("trend/sample_synthetic_systems.csv")),
-        "band_db": 5.0}), encoding="utf-8")
+    records_200 = work / "records_200.csv"
+    records_200.write_text(trend_200_csv(), encoding="utf-8")
+    configs = {}
+    for placeholder, records in (("{trend}", example_path("trend/sample_synthetic_systems.csv")),
+                                 ("{trend_200}", records_200)):
+        configs[placeholder] = work / f"{placeholder[1:-1]}.json"
+        configs[placeholder].write_text(json.dumps({
+            "kind": "trend", "records_csv": str(records), "band_db": 5.0}), encoding="utf-8")
     args = []
     for arg in RUNS[name]:
-        if arg == "{trend}":
-            arg = str(trend)
+        if arg in configs:
+            arg = str(configs[arg])
         elif arg.endswith(".json"):
             arg = str(example_path(arg))
         args.append(arg)

@@ -466,6 +466,22 @@ class TestTrendCommand:
         report = json.loads((out / "trend_report.json").read_text(encoding="utf-8"))
         assert report["fit"]["doubling_months"] == -12.0
 
+    def test_row_order_does_not_change_the_artifacts(self, tmp_path):
+        header, *rows = example_path("trend/sample_synthetic_systems.csv").read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        assert len({row.partition(",")[0] for row in rows}) == len(rows)  # names are unique
+        outputs = []
+        for k, order in enumerate((rows, rows[::-1], rows[1::2] + rows[::2])):
+            (tmp_path / "records.csv").write_text(header + "".join(order), encoding="utf-8")
+            config = tmp_path / "trend.json"
+            config.write_text(json.dumps({"kind": "trend", "records_csv": "records.csv"}),
+                              encoding="utf-8")
+            out = tmp_path / f"out{k}"
+            assert main(["trend", "--config", str(config), "--out", str(out)]) == EXIT_OK
+            outputs.append([(out / name).read_bytes()
+                            for name in ("trend_report.json", "trend_points.csv")])
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
         config = self._config(tmp_path)
         out = tmp_path / "from_env"
@@ -577,6 +593,7 @@ class TestNumericRange:
         assert err.count("\n") == 1
         assert err.startswith("clearfom: error code=1 kind=validation")
         assert f"capability={float(mips):g}" in err and "Traceback" not in err
+        assert f'msg="{records}: record \'a\' (year 1990): system CLEAR' in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["trend", "link"])

@@ -33,6 +33,26 @@ class TestClearValue:
         with pytest.raises(DomainError):
             clear_value(Axes(1.0, 0.0, 1.0, 1.0, 1.0), Level.DEVICE)
 
+    @pytest.mark.parametrize("axis", range(5))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_each_factor_outside_the_domain_is_named(self, axis, bad):
+        factors = [1.0] * 5
+        factors[axis] = bad
+        name = Axes._fields[axis]
+        with pytest.raises(DomainError) as excinfo:
+            clear_value(Axes(*factors), Level.SYSTEM)
+        assert str(excinfo.value) == f"factor {name} must be finite and strictly positive"
+
+    def test_finite_factors_whose_sum_overflows_reach_the_range_refusal(self):
+        with pytest.raises(DomainError) as excinfo:
+            clear_value(Axes(1.0, 1.0, 1.0, 1e308, 1e308), Level.SYSTEM)
+        assert str(excinfo.value) == (
+            "system CLEAR is outside the floating-point range for factors "
+            "capability=1, latency=1, energy=1, amount=1e+308, resistance=1e+308")
+
+    def test_finite_factors_whose_sum_overflows_are_priced(self):
+        assert clear_value(Axes(1e308, 1e308, 1.0, 1.0, 1.0), Level.SYSTEM).value == 1.0
+
     @pytest.mark.parametrize("factors", [
         Axes(1e-300, 1e300, 1.0, 1.0, 1.0),    # quotient underflows to 0.0
         Axes(1e300, 1e-300, 1.0, 1.0, 1.0),    # quotient overflows to inf

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from clearfom.errors import DomainError, InsufficientDataError
 from clearfom.limits import landauer_energy
 from clearfom.trend import (
+    SystemClass,
     SystemRecord,
     TrendPosition,
     classify_vs_trend,
@@ -19,6 +20,11 @@ from clearfom.trend import (
 )
 
 _positive = st.floats(min_value=1e-9, max_value=1e9)
+
+_HEADER = "name,year,mips,clock_period_s,energy_j_per_bit,volume_m3,cost_usd,class\n"
+_NUMERIC_COLUMNS = ("year", "mips", "clock_period_s", "energy_j_per_bit", "volume_m3",
+                    "cost_usd")
+_CLASS_NAMES = "mainframe, personal, supercomputer, optical_projection, other"
 
 
 def _record(**overrides):
@@ -212,3 +218,78 @@ class TestCsvIngestion:
         with pytest.raises(DomainError) as excinfo:
             load_system_records(path)
         assert ":2:" in str(excinfo.value)
+
+
+def _refusal(tmp_path, **cells):
+    """The message that refuses one row of unit quantities with ``cells`` replaced."""
+    row = {"name": "x", "year": "2000", "mips": "1", "clock_period_s": "1",
+           "energy_j_per_bit": "1", "volume_m3": "1", "cost_usd": "1", "system_class": "other"}
+    row.update(cells)
+    path = tmp_path / "r.csv"
+    path.write_text(_HEADER + ",".join(row.values()) + "\n", encoding="utf-8")
+    with pytest.raises(DomainError) as excinfo:
+        load_system_records(path)
+    message = str(excinfo.value)
+    assert message.startswith(f"{path}:2: ")
+    return message.removeprefix(f"{path}:2: ")
+
+
+class TestRowRefusals:
+    """Each refused record row names its line and the cell at fault, exactly."""
+
+    @pytest.mark.parametrize("column", _NUMERIC_COLUMNS)
+    @pytest.mark.parametrize("cell,message", [
+        ("abc", "could not convert string to float: 'abc'"),
+        ("", "could not convert string to float: ''"),
+        ("nan", "'nan' is not a finite number"),
+        ("inf", "'inf' is not a finite number"),
+        ("-inf", "'-inf' is not a finite number"),
+        ("1e400", "'1e400' is not a finite number"),
+    ])
+    def test_a_cell_that_is_not_a_finite_number(self, tmp_path, column, cell, message):
+        assert _refusal(tmp_path, **{column: cell}) == message
+
+    @pytest.mark.parametrize("column", _NUMERIC_COLUMNS[1:])
+    @pytest.mark.parametrize("cell", ["0", "-0.0", "-1"])
+    def test_a_quantity_that_is_not_strictly_positive(self, tmp_path, column, cell):
+        assert (_refusal(tmp_path, **{column: cell})
+                == f"SystemRecord.{column} must be strictly positive")
+
+    @pytest.mark.parametrize("cells,message", [
+        (dict(year="abc", cost_usd="nan"), "could not convert string to float: 'abc'"),
+        (dict(mips="nan", cost_usd="abc"), "'nan' is not a finite number"),
+        (dict(energy_j_per_bit="1e400", volume_m3="inf"), "'1e400' is not a finite number"),
+        (dict(mips="0", cost_usd="-1"), "SystemRecord.mips must be strictly positive"),
+        (dict(clock_period_s="-1", volume_m3="0"),
+         "SystemRecord.clock_period_s must be strictly positive"),
+        # A cell that is not a finite number is named before a non-positive one,
+        # and a non-positive one before the class.
+        (dict(mips="0", clock_period_s="nan"), "'nan' is not a finite number"),
+        (dict(system_class="Other", cost_usd="inf"), "'inf' is not a finite number"),
+        (dict(system_class="Other", cost_usd="0"),
+         "SystemRecord.cost_usd must be strictly positive"),
+    ], ids=["unparsable_then_nan", "nan_then_unparsable", "overflow_then_inf",
+            "zero_then_negative", "negative_then_zero", "zero_then_nan",
+            "inf_then_unknown_class", "zero_then_unknown_class"])
+    def test_of_two_bad_cells_the_left_most_is_named(self, tmp_path, cells, message):
+        assert _refusal(tmp_path, **cells) == message
+
+    def test_finite_cells_whose_sum_overflows_load(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(_HEADER + "x,2000,1e308,1,1,1,1e308,other\n", encoding="utf-8")
+        (record,) = load_system_records(path)
+        assert record.mips == record.cost_usd == 1e308
+
+    def test_an_unknown_class_lists_the_known_ones(self, tmp_path):
+        assert (_refusal(tmp_path, system_class="Other")
+                == f"class 'Other' must be one of {_CLASS_NAMES}")
+
+    def test_a_record_built_directly_refuses_an_unknown_class_alike(self):
+        with pytest.raises(DomainError) as excinfo:
+            _record(system_class="Other")
+        assert str(excinfo.value) == f"class 'Other' must be one of {_CLASS_NAMES}"
+
+    def test_a_record_built_directly_takes_a_class_name(self):
+        record = _record(system_class="supercomputer")
+        assert record.system_class is SystemClass.SUPERCOMPUTER
+        assert _record(system_class=SystemClass.PERSONAL).system_class is SystemClass.PERSONAL
