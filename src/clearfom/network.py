@@ -612,8 +612,8 @@ class NocConfig(Checked, _NocConfigFields):
     An electrical link is ``flit_bits`` lanes wide; the constructor sets the
     lanes of every electrical template. A new flit size (:func:`flit_sweep`)
     keeps each link's ``link_capacity``, clocking a lane at capacity / lanes;
-    router energy per bit and area scale linearly with flit width, as do the
-    area and cost of serdes/driver components (not their energy or delay).
+    router energy per bit and area scale linearly with flit width, as does the
+    area of serdes/driver components (not their energy or delay).
     """
 
     def _check(self):
@@ -641,8 +641,7 @@ class NocConfig(Checked, _NocConfigFields):
             components = []
             for comp in template.components:
                 if comp.role in _ELECTRONIC_ROLES:
-                    comp = comp._replace(area_m2=comp.area_m2 * scale,
-                                         cost_usd=comp.cost_usd * scale)
+                    comp = comp._replace(area_m2=comp.area_m2 * scale)
                 components.append(comp)
             if not template.is_optical:  # _check sets its lanes to flit_bits
                 lane_rate = link_capacity(template) / flit_bits

@@ -62,16 +62,21 @@ class _SystemRecordFields(NamedTuple):
     system_class: SystemClass = SystemClass.OTHER
 
 
-# The five quantities of a SystemRecord, mips to cost_usd, which are in Axes order.
+# The five quantities of a SystemRecord, mips to cost_usd, which are in Axes order,
+# and its numbers: the year and those quantities.
 _QUANTITIES = slice(2, 7)
+_NUMBERS = slice(1, 7)
 
 
 class SystemRecord(Checked, _SystemRecordFields):
     def _check(self):
-        quantities = self[_QUANTITIES]
-        if not min(quantities) > 0:  # one test; NaN passes, as below, and is refused when priced
-            for field_name, value in zip(self._fields[_QUANTITIES], quantities):
-                if value <= 0:
+        # One test for every number. A bad number, or finite numbers whose sum
+        # leaves the float range, goes field by field.
+        if not (min(self[_QUANTITIES]) > 0 and math.isfinite(sum(self[_NUMBERS]))):
+            for field_name, value in zip(self._fields[_NUMBERS], self[_NUMBERS]):
+                if not math.isfinite(value):
+                    raise DomainError(f"SystemRecord.{field_name} must be finite")
+                if value <= 0 and field_name != "year":
                     raise DomainError(f"SystemRecord.{field_name} must be strictly positive")
         if type(self.system_class) is not SystemClass:
             try:

@@ -537,10 +537,13 @@ class TestNumericRange:
         ("trend", None, lambda doc: doc, "bits_per_instruction", 32),
         ("link", "links/four_technologies.json", lambda doc: doc, "eval_year", 2016.0),
         ("network", "networks/mesh16_comparison.json", lambda doc: doc, "eval_year", 2016.0),
+        ("network", "networks/mesh16_comparison.json",
+         lambda doc: doc["noc"]["link_templates"]["hybrid"]["components"][0], "cost_usd", 2.0),
     ], ids=["unit_cost_usd", "critical_length_m", "voltage_swing_v", "repeater_spacing_m",
             "removed_insertion_loss_db", "removed_output_swing_v", "removed_amplifier_role",
             "removed_trend_eval_year", "removed_bits_per_instruction",
-            "removed_link_eval_year", "removed_network_eval_year"])
+            "removed_link_eval_year", "removed_network_eval_year",
+            "removed_noc_template_cost_usd"])
     def test_exits_one_without_artifacts(self, tmp_path, capsys, command, example, owner,
                                          key, value):
         if example is None:

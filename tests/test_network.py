@@ -669,7 +669,7 @@ class TestFlitSweep:
     def test_serdes_area_scales_but_energy_does_not(self):
         serdes = LinkComponent(name="serdes", role=ComponentRole.SERDES,
                                bandwidth_hz=2.5e10, energy_j_per_bit=3e-14,
-                               area_m2=1.6e-9, cost_usd=0.5)
+                               area_m2=1.6e-9)
         config = _config()
         template = config.link_templates[Technology.HYBRID]._replace(components=(serdes,))
         config = config._replace(link_templates={**config.link_templates,
@@ -677,5 +677,4 @@ class TestFlitSweep:
         wide = config.with_flit_bits(64)
         scaled = wide.link_templates[Technology.HYBRID].components[0]
         assert scaled.area_m2 == pytest.approx(3.2e-9, rel=1e-12)
-        assert scaled.cost_usd == pytest.approx(1.0, rel=1e-12)
         assert scaled.energy_j_per_bit == 3e-14

@@ -26,6 +26,7 @@ from clearfom.link import (
     LinkComponent,
     LinkSpec,
     OpticalTransport,
+    link_area,
     link_capacity,
     link_energy_per_bit,
     p2p_latency,
@@ -425,6 +426,46 @@ class TestHopClocks:
         config = TestTwoLinkClasses()._config()._replace(clock_hz=clock_hz)
         assert p2p_latency(config.link_templates[Technology.ELECTRONIC]) == 0.0
         assert hop_clocks(config, Technology.ELECTRONIC, 1) == 1
+
+
+class TestOneLinkNetworkIsItsLink:
+    """A 1 x 2 mesh of one shipped template at 1 mm, whose router costs nothing,
+    is the link level's link: one full-duplex link serves two nodes.
+
+    Its cost is the one NoC cost rule, each die's area at its wafer rate: the
+    serdes and drivers on the electronic die, the rest on the link's native die.
+    """
+
+    @pytest.mark.parametrize("technology, clocks", [
+        (Technology.ELECTRONIC, 4), (Technology.HYBRID, 5),
+        (Technology.PHOTONIC, 5), (Technology.PLASMONIC, 5)])
+    def test_factors_reduce_to_the_link_level(self, technology, clocks):
+        noc = shipped_noc()._replace(router=RouterModel(0.0, 0.0))
+        spec = noc.link_templates[technology]
+        assert spec.length_m == 1e-3
+        mesh = build_mesh(1, 2, 1e-3, technology)
+        traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
+                                   mesh, seed=0)
+        factors = network_clear(mesh, link_activity(mesh, traffic), noc).factors
+
+        assert factors.amount == link_area(spec)
+        energy = link_energy_per_bit(spec)
+        if technology is Technology.ELECTRONIC:  # 1.0250000000000002e-13 against 1.025e-13
+            assert abs(factors.energy - energy) <= math.ulp(energy)
+        else:
+            assert factors.energy == energy
+        assert 2 * factors.capability == link_capacity(spec)
+        assert factors.latency == clocks == (
+            noc.router_pipeline_clks + max(1, math.ceil(p2p_latency(spec) * noc.clock_hz)))
+
+        rate = {die: curve.initial_unit_cost for die, curve in noc.wafer_cost.items()}
+        electronic = link_area(spec) if technology is Technology.ELECTRONIC else math.fsum(
+            c.area_m2 for c in spec.components
+            if c.role in (ComponentRole.SERDES, ComponentRole.DRIVER))
+        die_area = {"electronic": electronic, "photonic": link_area(spec) - electronic}
+        assert factors.resistance == math.fsum(area * rate[die] for die, area in die_area.items())
+        if technology is Technology.ELECTRONIC:  # 16.5e-9 m^2 at 2e5 USD/m^2
+            assert factors.resistance == pytest.approx(0.0033, rel=1e-12)
 
 
 class TestShippedNetwork:

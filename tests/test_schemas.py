@@ -3,13 +3,15 @@
 ``validate_config`` interprets them. These tests compare its verdict with
 ``jsonschema`` on single-leaf mutations of the shipped configs, check that it
 implements every keyword the config schemas use, check that the loaders read
-every optional key, and fuzz the CLI with the same mutations: every run must
-end in an exit code, never in a traceback.
+every optional key and that every shipped number moves some artifact, and
+fuzz the CLI with the same mutations: every run must end in an exit code,
+never in a traceback.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import tempfile
 from pathlib import Path
@@ -383,6 +385,63 @@ class TestEveryOptionalKeyIsLoaded:
         else:
             pytest.fail(f"no node of the shipped {name} config takes {key} validly")
         assert self._load(name, doc, tmp_path) != self._load(name, CONFIGS[name], tmp_path)
+
+
+def _scan_network():
+    """The shipped network config on a 4 x 4 mesh, whose express links span 2 hops."""
+    doc = copy.deepcopy(CONFIGS["network"])
+    doc["mesh"].update(rows=4, cols=4)
+    for case in doc["cases"]:
+        if "express" in case:
+            case["express"]["hop_span"] = 2
+    return doc
+
+
+# The configs the leaf scan runs, with their commands' flags. An evaluation
+# year makes the wafer-rate and cost-curve keys count.
+SCANNED = {"device": (CONFIGS["device"], ()),
+           "link": (CONFIGS["link"], ("--eval-year", "2020")),
+           "network": (_scan_network(), ("--seed", "1", "--eval-year", "2020"))}
+# Smallest first: the scan stops at the first scale that moves the outcome,
+# so a mesh dimension shrinks before it could grow a thousandfold.
+LEAF_SCALES = (1e-3, 0.5, 2.0, 1e3)
+NUMERIC_LEAVES = [
+    pytest.param(name, path, value, id=f"{name}:$" + "".join(
+        f"[{key}]" if isinstance(key, int) else f".{key}" for key in path))
+    for name, (doc, _) in SCANNED.items()
+    for path, value in _nodes(doc) if type(value) in (int, float)]
+
+
+def _outcome(name, doc):
+    """The exit code and artifact digests of the ``name`` command on ``doc``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = Path(tmp) / "out"
+        code = main([name, "--config", str(config), "--out", str(out),
+                     "--format", "csv,json,radar_csv", *SCANNED[name][1]])
+        return code, _hash_tree(out)
+
+
+@functools.cache
+def _scanned_outcome(name):
+    return _outcome(name, SCANNED[name][0])
+
+
+class TestEveryNumericLeafCounts:
+    """A shipped number that no scale of it moves reaches no artifact: nothing
+    prices it, so the config states a figure the model ignores."""
+
+    @pytest.mark.parametrize("name, path, value", NUMERIC_LEAVES)
+    def test_some_scale_changes_the_outcome(self, name, path, value):
+        doc = SCANNED[name][0]
+        for scale in LEAF_SCALES:
+            scaled = (value or 1e-12) * scale
+            if isinstance(value, int):
+                scaled = max(1, round(scaled))
+            if _outcome(name, mutate(doc, ("replace", path, scaled))) != _scanned_outcome(name):
+                return
+        pytest.fail(f"no scale in {LEAF_SCALES} changes the exit code or an artifact")
 
 
 def _run_mutated(command, doc, extra=()):

@@ -280,6 +280,25 @@ class TestRowRefusals:
         (record,) = load_system_records(path)
         assert record.mips == record.cost_usd == 1e308
 
+    @pytest.mark.parametrize("column", _NUMERIC_COLUMNS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_record_built_directly_refuses_a_number_that_is_not_finite(self, column, value):
+        with pytest.raises(DomainError) as excinfo:
+            _record(**{column: value})
+        assert str(excinfo.value) == f"SystemRecord.{column} must be finite"
+
+    def test_a_record_built_directly_names_the_left_most_bad_number(self):
+        with pytest.raises(DomainError) as excinfo:
+            _record(mips=0.0, energy_j_per_bit=math.nan)
+        assert str(excinfo.value) == "SystemRecord.mips must be strictly positive"
+        with pytest.raises(DomainError) as excinfo:
+            _record(clock_period_s=math.inf, volume_m3=-1.0)
+        assert str(excinfo.value) == "SystemRecord.clock_period_s must be finite"
+
+    def test_a_record_built_directly_whose_numbers_sum_past_the_range_loads(self):
+        record = _record(mips=1e308, cost_usd=1e308)
+        assert record.mips == record.cost_usd == 1e308
+
     def test_an_unknown_class_lists_the_known_ones(self, tmp_path):
         assert (_refusal(tmp_path, system_class="Other")
                 == f"class 'Other' must be one of {_CLASS_NAMES}")
