@@ -135,8 +135,7 @@ def _run_device(args: argparse.Namespace, artifacts: _Artifacts):
     from .validation import load_device_config
 
     config = load_device_config(args.config)
-    limits = make_limit_set(temperature=config.temperature_k,
-                            cost_efficiency_axis=config.cost_efficiency_axis)
+    limits = make_limit_set(temperature=config.temperature_k)
     devices = sorted(config.devices, key=lambda s: s.name)
     values = []  # every device's CLEAR is checked before any sets the shared floors
     for spec in devices:
@@ -144,7 +143,7 @@ def _run_device(args: argparse.Namespace, artifacts: _Artifacts):
             values.append(device_clear(spec))
         except DomainError as exc:
             raise DomainError(f"device '{spec.name}': {exc}") from exc
-    floors = default_floors([value.factors for value in values], margin=config.floor_margin)
+    floors = default_floors([value.factors for value in values])
 
     table_rows = []
     report_devices = []
@@ -190,12 +189,8 @@ def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
     radar_rows = {spec.name: [] for spec in config.links}
     table_rows = []
     for length in config.lengths_m:
-        limits = make_limit_set(
-            temperature=config.temperature_k,
-            link_length=length,
-            group_index=config.limit_group_index,
-            level=Level.LINK,
-            cost_efficiency_axis=config.cost_efficiency_axis)
+        limits = make_limit_set(temperature=config.temperature_k, link_length=length,
+                                level=Level.LINK)
         at_length = [(spec, link_factors(spec.at_length(length), args.eval_year))
                      for spec in config.links]
         values = []  # every link's factors are checked before any sets the shared floors
@@ -282,7 +277,7 @@ def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
 
     sweep_report = None
     if config.flit_sizes:
-        baseline = config.sweep_baseline
+        baseline = next(iter(config.cases))
         table = {label: [sweep[flit][label].value for flit in sizes] for label in config.cases}
         rows = [(flit, label, table[label][i]) for i, flit in enumerate(sizes) for label in table]
         artifacts.csv_files.append(("flit_sweep.csv", ("flit_bits", "case", "clear"), rows))

@@ -13,9 +13,9 @@ The transition-rate bound is deliberately the h-based form 4E/h; at the
 minimum switching energy for 300 K it lands just above 17 THz, i.e. in the
 tens-of-terahertz regime expected for a room-temperature ultimate device.
 
-The cost axis has no physical limit; its ceiling is a configurable
-normalization constant (default 1e10 operations of value per dollar,
-expressed as 1/USD).
+The cost axis has no physical limit; its ceiling is a fixed normalization
+constant, ``DEFAULT_COST_EFFICIENCY_AXIS`` (1e10 operations of value per
+dollar, expressed as 1/USD).
 """
 
 from __future__ import annotations
@@ -111,8 +111,7 @@ def minimum_device_pair_mass(temperature: float, mass: float) -> float:
 def make_limit_set(temperature: float,
                    link_length: float = 1e-4,
                    group_index: float = 3.0,
-                   level: Level = Level.DEVICE,
-                   cost_efficiency_axis: float = DEFAULT_COST_EFFICIENCY_AXIS) -> Axes:
+                   level: Level = Level.DEVICE) -> Axes:
     """The five radar limits of one hierarchy level, in that level's factor units.
 
     Device: the transition-rate ceiling, the minimum length at the electron
@@ -125,21 +124,19 @@ def make_limit_set(temperature: float,
     cost limit.
     """
     level = Level(level)
+    cost = 1.0 / DEFAULT_COST_EFFICIENCY_AXIS
     energy = landauer_energy(temperature)
     length = heisenberg_min_length(temperature, ELECTRON_MASS)
     if level is Level.DEVICE:
-        limits = Axes(margolus_levitin_rate(energy), length, energy, length ** 2,
-                      1.0 / cost_efficiency_axis)
+        limits = Axes(margolus_levitin_rate(energy), length, energy, length ** 2, cost)
     elif level is Level.LINK:
         limits = Axes(bremermann_rate(minimum_device_pair_mass(temperature, ELECTRON_MASS)),
                       1.0 / time_of_flight_rate_limit(link_length, group_index),
-                      2.0 * energy, 2.0 * length ** 2, 1.0 / cost_efficiency_axis)
+                      2.0 * energy, 2.0 * length ** 2, cost)
     else:
         raise DomainError(f"physical limits exist at device and link level, not {level.value}")
     for name, value in zip(AXIS_NAMES, limits):
         if not 0.0 < value < math.inf:
-            cause = (f"cost efficiency axis {cost_efficiency_axis}/USD" if name == "resistance"
-                     else f"temperature {temperature} K")
-            raise DomainError(f"{cause} puts the {level.value} {name} limit outside the "
-                              "floating-point range")
+            raise DomainError(f"temperature {temperature} K puts the {level.value} {name} "
+                              "limit outside the floating-point range")
     return limits

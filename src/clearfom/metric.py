@@ -73,7 +73,7 @@ class Axes(NamedTuple):
 
 # Fixed axis order for all radar output and polygon geometry.
 AXIS_NAMES = Axes._fields
-# Radar floors sit a factor of 10 beyond the worst compared factor unless configured otherwise.
+# Radar floors sit a factor of 10 beyond the worst compared factor.
 DEFAULT_FLOOR_MARGIN = 10.0
 
 
@@ -192,16 +192,15 @@ def radar_vertices(scores: Axes) -> list[tuple[str, float, float, float]]:
     return out
 
 
-def default_floors(factor_sets: Iterable[Axes], margin: float = DEFAULT_FLOOR_MARGIN) -> Axes:
-    """Floors from the worst factor in a comparison set, padded by ``margin``.
+def default_floors(factor_sets: Iterable[Axes]) -> Axes:
+    """Floors from the worst factor in a comparison set, padded by ``DEFAULT_FLOOR_MARGIN``.
 
-    The capability floor sits a factor of ``margin`` below the weakest
-    capability; every cost floor sits a factor of ``margin`` above the worst
+    The capability floor sits a factor of the margin below the weakest
+    capability; every cost floor sits a factor of the margin above the worst
     cost, so all compared items score strictly inside (0, 1) on every axis.
     """
     columns = list(zip(*factor_sets))
     if not columns:
         raise DomainError("default_floors needs at least one factor set")
-    if margin <= 1.0:
-        raise DomainError("floor margin must exceed 1")
+    margin = DEFAULT_FLOOR_MARGIN
     return Axes(min(columns[0]) / margin, *(max(column) * margin for column in columns[1:]))

@@ -209,7 +209,9 @@ class _TrafficParamsFields(NamedTuple):
 
 
 class TrafficParams(Checked, _TrafficParamsFields):
-    """Knobs for the synthetic generators; only the relevant ones are read."""
+    """Knobs for the synthetic generators: hotspot traffic reads the ``hotspot_*`` ones
+    (``hotspot_nodes``, or else a seeded pick of ``hotspot_count`` nodes), exponential
+    locality ``locality_scale_hops``, and uniform traffic none."""
 
     def _check(self):
         if self.injection_bps_per_node < 0:
@@ -330,6 +332,12 @@ def generate_traffic(pattern: TrafficPattern | str, params: TrafficParams,
                 raise DomainError("hotspot node id out of range")
             if not hotspots:
                 raise DomainError("hotspot_nodes must not be empty")
+            if len(hotspots) < len(params.hotspot_nodes):
+                repeated = next(h for h in hotspots if params.hotspot_nodes.count(h) > 1)
+                raise DomainError(f"hotspot node {repeated} is listed more than once")
+        elif params.hotspot_count > n:
+            raise DomainError(f"hotspot_count {params.hotspot_count} exceeds the "
+                              f"{n} nodes of the mesh")
         else:
             import hashlib  # only a seeded pick pays for the import
 
@@ -587,8 +595,7 @@ def case_activities(cases: Mapping[str, MeshTopology],
 
 class _RouterModelFields(NamedTuple):
     dynamic_j_per_bit: float
-    area_m2: float
-    die: str = ELECTRONIC_DIE
+    area_m2: float  # on the electronic die
 
 
 class RouterModel(Checked, _RouterModelFields):
@@ -697,14 +704,14 @@ def network_clear(topology: MeshTopology, activity: LinkActivity, config: NocCon
       crosses one router more than it has hops, and pays each hop's link
       energy per bit. An optical link amortizes its laser over its capacity,
       so lasers burn energy only for transmitted bits;
-    - area sums component footprints per die, and cost prices each die's
-      area at its wafer rate.
+    - area sums router and component footprints per die, with routers on
+      the electronic die, and cost prices each die's area at its wafer rate.
     """
     if activity.injected_bps <= 0:
         raise DomainError("latency and energy per bit are undefined for zero traffic")
     latency_terms = [config.router_pipeline_clks * activity.flow_hop_bps]
     energy_terms = [activity.router_traversal_bps * config.router.dynamic_j_per_bit]
-    area_terms = {config.router.die: [config.router.area_m2 * topology.node_count]}
+    area_terms = {ELECTRONIC_DIE: [config.router.area_m2 * topology.node_count]}
     capacity_terms = []
     for technology, hop_span, count, spec in _link_classes(topology, activity, config):
         capacity_terms.append(count * link_capacity(spec))

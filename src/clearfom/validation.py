@@ -6,7 +6,7 @@ validates it, checks its ``kind``, reads the CSV inputs it names and builds
 the typed config. No loader runs on an unchecked document. A config key
 fills the field of the same name, and an optional key that is left out takes
 that field's default; the defaults live on the domain types (``LinkComponent``,
-``TrafficParams``, ...) and on the four ``*Config`` types here. A relative CSV
+``TrafficParams``, ...) and on ``TrendConfig`` here. A relative CSV
 path in a config (``cost_curve_csv``, ``records_csv``) names a file relative
 to the directory of the config file, never to the working directory. A
 config or CSV that cannot be read raises :class:`~clearfom.ioutil.IoError`;
@@ -19,7 +19,7 @@ config rules. :func:`validate_config` interprets the subset of JSON Schema
 problem with a JSONPath-style location (it is not fail-fast) and gives each
 failing value one diagnostic. Only two kinds of rule live in Python, because
 a schema cannot state them: numbers must be finite (Python's ``json`` parses
-NaN and Infinity), and four cross-field rules (:func:`_cross_field_errors`).
+NaN and Infinity), and three cross-field rules (:func:`_cross_field_errors`).
 
 Each loader imports the domain types it builds, so a config loads only its
 own model: :mod:`clearfom.network`, say, only for a network config.
@@ -36,10 +36,10 @@ from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, NamedTuple
 
-from .constants import DEFAULT_COST_EFFICIENCY_AXIS, DEFAULT_TREND_BAND_DB
+from .constants import DEFAULT_TREND_BAND_DB
 from .errors import ConfigurationError, DomainError
 from .ioutil import IoError
-from .metric import DEFAULT_FLOOR_MARGIN, Technology
+from .metric import Technology
 
 if TYPE_CHECKING:
     from .device import DeviceSpec
@@ -162,19 +162,12 @@ def _object_errors(value: Mapping, schema: Mapping, path: str, base: str) -> lis
     out = [Diagnostic(f"{path}.{key}", "required key is missing")
            for key in schema.get("required", ()) if key not in value]
     properties = schema.get("properties", {})
-    patterns = schema.get("patternProperties", {})
-    additional = schema.get("additionalProperties", True)
     for key, item in value.items():
         where = f"{path}.{key}"
-        subschemas = [sub for pattern, sub in patterns.items() if re.search(pattern, key)]
         if key in properties:
-            subschemas.append(properties[key])
-        if not subschemas and additional is False:
+            out += _errors(item, properties[key], where, base)
+        elif schema.get("additionalProperties") is False:
             out.append(Diagnostic(where, "unknown key"))
-        elif not subschemas and isinstance(additional, Mapping):
-            subschemas.append(additional)
-        for sub in subschemas:
-            out += _errors(item, sub, where, base)
     for key, needed in schema.get("dependentRequired", {}).items():
         if key in value:
             out += [Diagnostic(path, f"{key} requires {other}")
@@ -237,9 +230,6 @@ def _cross_field_errors(doc: Mapping) -> list[Diagnostic]:
                                   f"{files[name]!r} and {label!r} both write {name}"))
             break
         files[name] = label
-    baseline = _as_dict(doc.get("flit_sweep")).get("baseline")
-    if isinstance(baseline, str) and labels and baseline not in labels:
-        out.append(Diagnostic("$.flit_sweep.baseline", "must match one of the case labels"))
     # Every technology a case uses must have a NoC link template.
     used = [c.get("technology") for c in cases]
     used += [_as_dict(c.get("express")).get("technology") for c in cases]
@@ -293,16 +283,12 @@ def _input_path(config_path: str | Path, name: str) -> Path:
 class DeviceConfig(NamedTuple):
     temperature_k: float
     devices: tuple[DeviceSpec, ...]
-    floor_margin: float = DEFAULT_FLOOR_MARGIN
-    cost_efficiency_axis: float = DEFAULT_COST_EFFICIENCY_AXIS
 
 
 class LinkConfig(NamedTuple):
     temperature_k: float
     lengths_m: tuple[float, ...]
     links: tuple[LinkSpec, ...]
-    limit_group_index: float = 3.0
-    cost_efficiency_axis: float = DEFAULT_COST_EFFICIENCY_AXIS
 
 
 class NetworkConfig(NamedTuple):
@@ -310,8 +296,7 @@ class NetworkConfig(NamedTuple):
     traffic_pattern: TrafficPattern
     traffic_params: TrafficParams
     noc: NocConfig
-    flit_sizes: tuple[int, ...] | None
-    sweep_baseline: str | None
+    flit_sizes: tuple[int, ...] | None  # the sweep compares each case with the first
 
 
 class TrendConfig(NamedTuple):
@@ -428,7 +413,6 @@ def load_network_config(path: str | Path) -> NetworkConfig:
         traffic_params=_build(TrafficParams, traffic, **hotspots),
         noc=noc,
         flit_sizes=tuple(int(v) for v in sweep["flit_bits"]) if sweep else None,
-        sweep_baseline=sweep.get("baseline", doc["cases"][0]["label"]) if sweep else None,
     )
 
 

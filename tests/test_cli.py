@@ -70,7 +70,7 @@ def _small_network_config(tmp_path, cases=None, sweep=(16, 32)):
     doc["mesh"] = {"rows": 4, "cols": 4, "spacing_m": 1e-3}
     if cases is not None:
         doc["cases"] = [c for c in doc["cases"] if c["label"] in cases]
-    doc["flit_sweep"] = {"flit_bits": list(sweep), "baseline": doc["cases"][0]["label"]}
+    doc["flit_sweep"] = {"flit_bits": list(sweep)}
     path = tmp_path / "net.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
@@ -376,7 +376,6 @@ class TestNetworkCommand:
         config = _small_network_config(tmp_path, cases=("electronic", "hyppi"))
         doc = json.loads(config.read_text(encoding="utf-8"))
         doc["cases"][0]["label"], doc["cases"][1]["label"] = "a b", "a-b"
-        doc["flit_sweep"]["baseline"] = "a b"
         config.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "out"
         assert main(["network", "--config", str(config), "--seed", "1",
@@ -387,11 +386,9 @@ class TestNetworkCommand:
                "link_activity_a_b.csv" in err
         assert not out.exists()
 
-    def test_sweep_baseline_defaults_to_the_first_case(self, tmp_path):
+    def test_sweep_baseline_is_the_first_case(self, tmp_path):
         config = _small_network_config(tmp_path, sweep=(16, 32, 64, 128, 256))
         doc = json.loads(config.read_text(encoding="utf-8"))
-        del doc["flit_sweep"]["baseline"]
-        config.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "out"
         assert main(["network", "--config", str(config), "--seed", "3",
                      "--out", str(out), "--format", "json"]) == EXIT_OK
@@ -430,6 +427,26 @@ class TestNetworkCommand:
         summary = (out / "network_summary.csv").read_text(encoding="utf-8")
         assert summary.splitlines()[0] == ("case,technology,clear,capacity_gbps,"
                                            "latency_clks,energy_pj_per_bit,area_mm2,cost_usd")
+
+    @pytest.mark.parametrize("knobs,message", [
+        ({"hotspot_nodes": [3], "hotspot_count": 5},
+         "$.traffic: hotspot_nodes and hotspot_count are mutually exclusive"),
+        ({"hotspot_count": 100}, "hotspot_count 100 exceeds the 16 nodes of the mesh"),
+        ({"hotspot_nodes": [3, 3]}, "hotspot node 3 is listed more than once"),
+    ], ids=["nodes_and_count", "count_above_nodes", "repeated_node"])
+    def test_hotspot_inputs_that_would_be_changed_are_refused(self, tmp_path, capsys,
+                                                              knobs, message):
+        config = _small_network_config(tmp_path, cases=("electronic",))
+        doc = json.loads(config.read_text(encoding="utf-8"))
+        doc["traffic"].update(pattern="hotspot", **knobs)
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["network", "--config", str(config), "--seed", "1",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("clearfom: error code=1 kind=validation")
+        assert message in err
+        assert not out.exists()
 
 
 class TestTrendCommand:
@@ -539,11 +556,26 @@ class TestNumericRange:
         ("network", "networks/mesh16_comparison.json", lambda doc: doc, "eval_year", 2016.0),
         ("network", "networks/mesh16_comparison.json",
          lambda doc: doc["noc"]["link_templates"]["hybrid"]["components"][0], "cost_usd", 2.0),
+        # Routers sit on the electronic die, and the sweep compares with the first case.
+        ("network", "networks/mesh16_comparison.json",
+         lambda doc: doc["noc"]["router"], "die", "electronic"),
+        ("network", "networks/mesh16_comparison.json",
+         lambda doc: doc["flit_sweep"], "baseline", "electronic"),
+        ("network", "networks/mesh16_comparison.json",
+         lambda doc: doc["noc"]["wafer_cost_usd_per_m2"], "typo_die", {"usd_per_m2": 1.0}),
+        # Radar normalisation takes fixed constants, whatever value a config gives.
+        ("device", "devices/four_technologies.json", lambda doc: doc, "floor_margin", 10.0),
+        ("device", "devices/four_technologies.json",
+         lambda doc: doc, "cost_efficiency_axis", 1e10),
+        ("link", "links/four_technologies.json", lambda doc: doc, "cost_efficiency_axis", 1e10),
+        ("link", "links/four_technologies.json", lambda doc: doc, "limit_group_index", 3.0),
     ], ids=["unit_cost_usd", "critical_length_m", "voltage_swing_v", "repeater_spacing_m",
             "removed_insertion_loss_db", "removed_output_swing_v", "removed_amplifier_role",
             "removed_trend_eval_year", "removed_bits_per_instruction",
             "removed_link_eval_year", "removed_network_eval_year",
-            "removed_noc_template_cost_usd"])
+            "removed_noc_template_cost_usd", "removed_router_die", "removed_sweep_baseline",
+            "unknown_wafer_die", "removed_floor_margin", "removed_device_cost_efficiency_axis",
+            "removed_link_cost_efficiency_axis", "removed_limit_group_index"])
     def test_exits_one_without_artifacts(self, tmp_path, capsys, command, example, owner,
                                          key, value):
         if example is None:
@@ -703,8 +735,7 @@ class TestNumericRange:
         err = capsys.readouterr().err
         # The floors are shared by every device, so the refusal names the axis and values.
         loaded = load_device_config(config)
-        floor = default_floors(map(device_factors, loaded.devices),
-                               margin=loaded.floor_margin).capability
+        floor = default_floors(map(device_factors, loaded.devices)).capability
         limit = make_limit_set(1e-200).capability  # the transition-rate limit, ~5.8e-190 Hz
         assert ("radar axis capability: floor must lie below the limit on a capability axis "
                 f"(floor {floor:g}, limit {limit:g})") in err

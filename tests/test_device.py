@@ -16,8 +16,8 @@ from clearfom.validation import load_device_config
 _scale = st.floats(min_value=1e-3, max_value=1e3)
 
 
-def _floors(specs, margin=10.0):
-    return default_floors(map(device_factors, specs), margin=margin)
+def _floors(specs):
+    return default_floors(map(device_factors, specs))
 
 
 def _spec(**overrides):
@@ -84,7 +84,7 @@ class TestDeviceRadar:
     def test_factor_at_floor_scores_zero(self):
         limits = self._limits()
         spec = _spec()
-        floors = _floors([spec], margin=10.0)
+        floors = _floors([spec])
         worst = _spec(capability_hz=floors.capability,
                       critical_length_m=floors.latency,
                       energy_j_per_bit=floors.energy,
@@ -124,7 +124,7 @@ class TestShippedDevices:
     def test_radar_area_ordering_matches_clear_ordering(self, device_config_path):
         config = load_device_config(device_config_path)
         limits = make_limit_set(config.temperature_k, level=Level.DEVICE)
-        floors = _floors(config.devices, margin=config.floor_margin)
+        floors = _floors(config.devices)
         entries = []
         for spec in config.devices:
             entries.append((device_clear(spec).value,

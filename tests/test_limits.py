@@ -189,12 +189,6 @@ class TestMakeLimitSet:
         with pytest.raises(DomainError):
             make_limit_set(0.0)
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 1e-320])
-    def test_cost_limit_outside_float_range_names_the_axis(self, value):
-        with pytest.raises(DomainError, match=f"cost efficiency axis {value}/USD puts the "
-                                              "device resistance limit outside"):
-            make_limit_set(300.0, cost_efficiency_axis=value)
-
     @pytest.mark.parametrize("level", [Level.NETWORK, Level.SYSTEM])
     def test_only_device_and_link_levels(self, level):
         with pytest.raises(DomainError, match=f"not {level.value}"):
@@ -225,8 +219,7 @@ class TestLimitOracle:
     @pytest.mark.parametrize("level", [Level.DEVICE, Level.LINK])
     @pytest.mark.parametrize("temperature", [4.0, 77.0, 300.0, 1e4])
     def test_five_limits_match_closed_forms(self, level, temperature):
-        limits = make_limit_set(temperature, link_length=3e-3, group_index=4.2,
-                                level=level, cost_efficiency_axis=2e9)
+        limits = make_limit_set(temperature, link_length=3e-3, group_index=4.2, level=level)
         expected = _oracle(temperature, level, link_length=3e-3, group_index=4.2,
-                           cost_axis=2e9)
+                           cost_axis=1e10)
         assert limits == pytest.approx(expected, rel=1e-12, abs=0.0)

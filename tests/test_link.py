@@ -415,8 +415,7 @@ class TestShippedLinks:
     def test_radar_scores_in_range_and_below_limits(self, link_config_path):
         config = load_link_config(link_config_path)
         for length in self.LENGTHS:
-            limits = make_limit_set(config.temperature_k, link_length=length,
-                                    group_index=config.limit_group_index, level=Level.LINK)
+            limits = make_limit_set(config.temperature_k, link_length=length, level=Level.LINK)
             for spec in config.links:
                 clear, radar = _clear_and_radar(spec.at_length(length), limits)
                 factors = clear.factors

@@ -176,13 +176,11 @@ class TestDefaultFloors:
     def test_margin_pads_worst_values(self):
         sets = [Axes(10.0, 2.0, 3.0, 4.0, 5.0),
                 Axes(100.0, 1.0, 1.0, 1.0, 1.0)]
-        floors = default_floors(sets, margin=10.0)
+        floors = default_floors(sets)
         assert floors.capability == pytest.approx(1.0)
         assert floors.latency == pytest.approx(20.0)
         assert floors.resistance == pytest.approx(50.0)
 
-    def test_requires_nonempty_and_margin(self):
+    def test_requires_a_factor_set(self):
         with pytest.raises(DomainError):
             default_floors([])
-        with pytest.raises(DomainError):
-            default_floors([Axes(1, 1, 1, 1, 1)], margin=1.0)

@@ -350,6 +350,16 @@ class TestGenerateTraffic:
         with pytest.raises(DomainError):
             TrafficMatrix(rates=np.eye(4))
 
+    @pytest.mark.parametrize("knobs,message", [
+        ({"hotspot_count": 17}, "hotspot_count 17 exceeds the 16 nodes of the mesh"),
+        ({"hotspot_nodes": (3, 5, 3)}, "hotspot node 3 is listed more than once"),
+    ], ids=["count_above_nodes", "repeated_node"])
+    def test_hotspot_inputs_are_not_silently_changed(self, knobs, message):
+        mesh = build_mesh(4, 4, 1e-3, "electronic")
+        params = TrafficParams(injection_bps_per_node=1e6, **knobs)
+        with pytest.raises(DomainError, match=message):
+            generate_traffic("hotspot", params, mesh, seed=1)
+
 
 class TestExplicitTrafficMatrix:
     def test_nested_lists_are_routed(self):

@@ -213,9 +213,9 @@ def generated_cases(draw):
     params = TrafficParams(
         injection_bps_per_node=draw(st.sampled_from([1.0, 3e9, 1e12 / 7])),
         hotspot_fraction=draw(st.sampled_from([0.0, 0.7, 1.0])),
-        hotspot_nodes=tuple(draw(st.lists(st.integers(0, n - 1), min_size=1,
-                                          max_size=n + 1))) if explicit else None,
-        hotspot_count=draw(st.integers(1, n + 2)),
+        hotspot_nodes=tuple(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                          unique=True))) if explicit else None,
+        hotspot_count=draw(st.integers(1, n)),
         locality_scale_hops=draw(st.sampled_from([0.1, 0.5, 2.0, 4.0, 1e3])))
     pattern = draw(st.sampled_from(list(TrafficPattern)))
     return mesh, generate_traffic(pattern, params, mesh, seed=draw(st.integers(0, 2 ** 16)))
@@ -467,6 +467,29 @@ class TestOneLinkNetworkIsItsLink:
         if technology is Technology.ELECTRONIC:  # 16.5e-9 m^2 at 2e5 USD/m^2
             assert factors.resistance == pytest.approx(0.0033, rel=1e-12)
 
+    @pytest.mark.parametrize("technology", list(Technology))
+    def test_routers_are_priced_on_the_electronic_die(self, technology):
+        # Whatever the link, each of the two routers adds its area to the electronic die.
+        router_area = 1.5e-8
+        noc = shipped_noc()
+        spec = noc.link_templates[technology]
+        mesh = build_mesh(1, 2, 1e-3, technology)
+        traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
+                                   mesh, seed=0)
+        activity = link_activity(mesh, traffic)
+        cost = {area: network_clear(mesh, activity, noc._replace(
+                    router=RouterModel(0.0, area))).factors.resistance
+                for area in (0.0, router_area)}
+        rate = {die: curve.initial_unit_cost for die, curve in noc.wafer_cost.items()}
+        electronic = link_area(spec) if technology is Technology.ELECTRONIC else math.fsum(
+            c.area_m2 for c in spec.components
+            if c.role in (ComponentRole.SERDES, ComponentRole.DRIVER))
+        assert cost[router_area] == math.fsum([
+            math.fsum([router_area * 2, electronic]) * rate["electronic"],
+            (link_area(spec) - electronic) * rate["photonic"]])
+        rise = math.fsum([router_area * 2 * rate["electronic"]])
+        assert cost[router_area] - cost[0.0] == pytest.approx(rise, rel=1e-12, abs=0.0)
+
 
 class TestShippedNetwork:
     def test_electronic_uniform_latency_is_128_over_3(self, network_config_path):
@@ -564,7 +587,7 @@ class TestVectorisedHotspot:
     @pytest.mark.parametrize("fraction", [0.0, 0.7, 1.0])
     @pytest.mark.parametrize("rows,cols,hotspots", [
         (1, 2, (0,)), (1, 3, (0, 1, 2)), (3, 3, (4,)), (4, 5, (0, 7, 19)),
-        (6, 6, (35, 3, 3))])
+        (6, 6, (35, 3))])
     def test_explicit_hotspots_match_per_source_loop(self, rows, cols, hotspots, fraction):
         mesh = build_mesh(rows, cols, 1e-3, "electronic")
         params = TrafficParams(injection_bps_per_node=3e9, hotspot_fraction=fraction,
@@ -574,7 +597,7 @@ class TestVectorisedHotspot:
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("fraction", [0.0, 0.7, 1.0])
-    @pytest.mark.parametrize("count,seed", [(1, 3), (3, 11), (16, 5), (40, 2)])
+    @pytest.mark.parametrize("count,seed", [(1, 3), (3, 11), (15, 2), (16, 5)])
     def test_seeded_hotspots_match_per_source_loop(self, count, seed, fraction):
         mesh = build_mesh(4, 4, 1e-3, "electronic")
         n = mesh.node_count
@@ -584,11 +607,10 @@ class TestVectorisedHotspot:
         want = reference_hotspot_rates(n, reference_seeded_pick(seed, n, count), 1e9, fraction)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("count", [16, 17])
-    def test_a_count_of_n_or_more_picks_every_node(self, count):
+    def test_a_count_of_n_picks_every_node(self):
         mesh = build_mesh(4, 4, 1e-3, "electronic")
         params = TrafficParams(injection_bps_per_node=1e9, hotspot_fraction=0.7,
-                               hotspot_count=count)
+                               hotspot_count=16)
         got = generate_traffic("hotspot", params, mesh, seed=9).rates
         assert np.array_equal(got, reference_hotspot_rates(16, list(range(16)), 1e9, 0.7))
 

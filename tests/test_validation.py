@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from clearfom.constants import DEFAULT_COST_EFFICIENCY_AXIS
 from clearfom.errors import ConfigurationError
 from clearfom.link import ElectricalTransport
 from clearfom.metric import Technology
@@ -107,14 +106,33 @@ class TestRejections:
     def test_labels_are_unique_as_file_names(self, network_config_doc, labels, problems):
         doc = copy.deepcopy(network_config_doc)
         doc["cases"] = [{**doc["cases"][0], "label": label} for label in labels]
-        doc["flit_sweep"]["baseline"] = labels[0]
         assert [str(d) for d in validate_config(doc)] == problems
 
-    def test_sweep_baseline_must_be_a_case(self, network_config_doc):
+    @pytest.mark.parametrize("doc_name,where,key,value", [
+        ("network_config_doc", ("noc", "router"), "die", "electronic"),
+        ("network_config_doc", ("flit_sweep",), "baseline", "electronic"),
+        ("network_config_doc", ("noc", "wafer_cost_usd_per_m2"), "typo_die",
+         {"usd_per_m2": 1.0}),
+        ("device_config_doc", (), "floor_margin", 10.0),
+        ("device_config_doc", (), "cost_efficiency_axis", 1e10),
+        ("link_config_doc", (), "limit_group_index", 3.0),
+        ("link_config_doc", (), "cost_efficiency_axis", 1e10),
+    ], ids=["router_die", "sweep_baseline", "wafer_die", "floor_margin",
+            "device_cost_efficiency_axis", "limit_group_index", "link_cost_efficiency_axis"])
+    def test_removed_keys_are_unknown(self, request, doc_name, where, key, value):
+        doc = copy.deepcopy(request.getfixturevalue(doc_name))
+        node = doc
+        for part in where:
+            node = node[part]
+        node[key] = value
+        assert [str(d) for d in validate_config(doc)] == [
+            "$." + ".".join((*where, key)) + ": unknown key"]
+
+    def test_electronic_wafer_rate_is_required(self, network_config_doc):
         doc = copy.deepcopy(network_config_doc)
-        doc["flit_sweep"]["baseline"] = "nope"
-        diags = validate_config(doc)
-        assert any(d.path == "$.flit_sweep.baseline" for d in diags)
+        del doc["noc"]["wafer_cost_usd_per_m2"]["electronic"]
+        assert [str(d) for d in validate_config(doc)] == [
+            "$.noc.wafer_cost_usd_per_m2.electronic: required key is missing"]
 
     def test_hotspot_fraction_bounds(self, network_config_doc):
         doc = copy.deepcopy(network_config_doc)
@@ -151,13 +169,10 @@ class TestLoaders:
         config = load_device_config(device_config_path)
         assert len(config.devices) == 4
         assert config.temperature_k == 300.0
-        assert config.cost_efficiency_axis == DEFAULT_COST_EFFICIENCY_AXIS  # the key is absent
 
     def test_link_loader_defaults(self, link_config_path):
         config = load_link_config(link_config_path)
         assert config.lengths_m == (1e-4, 1e-3, 1e-2)
-        assert config.limit_group_index == 3.0
-        assert config.cost_efficiency_axis == DEFAULT_COST_EFFICIENCY_AXIS
         assert {l.name for l in config.links} == \
             {"electronic", "photonic", "plasmonic", "hyppi"}
 
