@@ -396,7 +396,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", type=_formats, default=ALL_FORMATS,
                          help="comma list from: " + ", ".join(ALL_FORMATS))
         if name == "network":
-            cmd.add_argument("--seed", type=int, required=True, help="traffic seed")
+            cmd.add_argument("--seed", type=int,
+                             help="seed of a hotspot pick without hotspot_nodes, its only reader")
         if name in ("link", "network"):
             cmd.add_argument("--eval-year", type=float,
                              help="evaluation year for economic cost scaling")
@@ -411,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args: argparse.Namespace):
-    if getattr(args, "seed", 0) < 0:  # --seed is on 'network' only, and required there
+    if (getattr(args, "seed", None) or 0) < 0:  # --seed is on 'network' only
         raise ConfigurationError(f"--seed must be non-negative, got {args.seed}")
     for flag in ("--eval-year", "--temperature", "--link-length", "--group-index"):
         value = getattr(args, flag[2:].replace("-", "_"), None)  # not on this command, or unset

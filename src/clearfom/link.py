@@ -144,8 +144,8 @@ class LinkSpec(Checked, _LinkSpecFields):
             if self.repeater_spacing_m <= 0:
                 raise DomainError("repeater_spacing_m must be strictly positive")
             if not any(c.role is ComponentRole.REPEATER for c in components):
-                raise DomainError(
-                    "repeater_spacing_m requires a repeater component template")
+                raise DomainError(f"link '{self.name}': repeater_spacing_m requires a "
+                                  "component with role 'repeater'")
         return {"technology": Technology(self.technology), "components": components}
 
     @property

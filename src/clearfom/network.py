@@ -211,11 +211,12 @@ class _TrafficParamsFields(NamedTuple):
 class TrafficParams(Checked, _TrafficParamsFields):
     """Knobs for the synthetic generators: hotspot traffic reads the ``hotspot_*`` ones
     (``hotspot_nodes``, or else a seeded pick of ``hotspot_count`` nodes), exponential
-    locality ``locality_scale_hops``, and uniform traffic none."""
+    locality ``locality_scale_hops``, and uniform traffic none. A network config may
+    set only the knobs of its pattern; the others keep their defaults here."""
 
     def _check(self):
-        if self.injection_bps_per_node < 0:
-            raise DomainError("injection rate must be non-negative")
+        if not 0 <= self.injection_bps_per_node < math.inf:
+            raise DomainError("injection rate must be finite and non-negative")
         if not 0.0 <= self.hotspot_fraction <= 1.0:
             raise DomainError("hotspot_fraction must lie in [0, 1]")
         if self.hotspot_count < 1:
@@ -307,22 +308,20 @@ def _matrix_demands(matrix: Sequence[Sequence[float]], rows: int, cols: int) -> 
 
 
 def generate_traffic(pattern: TrafficPattern | str, params: TrafficParams,
-                     topology: MeshTopology, seed: int) -> TrafficMatrix:
+                     topology: MeshTopology, seed: int | None) -> TrafficMatrix:
     """Synthetic offered-load matrix; identical seeds give identical matrices.
 
     Uniform traffic is exponential locality at an infinite scale: every
     weight is exp(-d / inf) = 1. A seeded hotspot pick (no ``hotspot_nodes``)
     takes the ``hotspot_count`` nodes with the smallest SHA-256 of
-    ``f"{seed}:{node}"``. The dense ``rates`` of the result are built on
-    first access.
+    ``f"{seed}:{node}"``; it is the only reader of ``seed``, and refuses
+    ``None``. The dense ``rates`` of the result are built on first access.
     """
     pattern = TrafficPattern(pattern)
     n = topology.node_count
     if n < 2:
         raise DomainError("traffic generation needs at least two nodes")
     inj = params.injection_bps_per_node
-    if not math.isfinite(inj):
-        raise DomainError("traffic rates must be finite and non-negative")
     rows, cols = topology.rows, topology.cols
 
     if pattern is TrafficPattern.HOTSPOT:
@@ -338,6 +337,9 @@ def generate_traffic(pattern: TrafficPattern | str, params: TrafficParams,
         elif params.hotspot_count > n:
             raise DomainError(f"hotspot_count {params.hotspot_count} exceeds the "
                               f"{n} nodes of the mesh")
+        elif seed is None:
+            raise DomainError("hotspot traffic without hotspot_nodes picks its hotspots "
+                              "by seed: pass --seed")
         else:
             import hashlib  # only a seeded pick pays for the import
 
@@ -512,11 +514,10 @@ class LinkActivity(_LinkActivityFields):
     def utilization(self, topology: MeshTopology,
                     config: NocConfig) -> dict[tuple[int, int], float]:
         """Each load over the ``link_capacity`` of its link's class."""
-        span = topology.express_span  # a hop is express iff it spans span node ids
-        capacity = {hop_span: link_capacity(spec)
+        by_class = {hop_span: link_capacity(spec)
                     for _, hop_span, _, spec in _link_classes(topology, self, config)}
-        return {(u, v): load / capacity[span if abs(v - u) == span else 1]
-                for (u, v), load in self.loads.items()}
+        capacity = {span: by_class[_hop_span(topology, span)] for span in self.loads_by_node_span}
+        return {(u, v): load / capacity[abs(v - u)] for (u, v), load in self.loads.items()}
 
 
 def link_activity(topology: MeshTopology, traffic: TrafficMatrix) -> LinkActivity:
@@ -636,10 +637,9 @@ class NocConfig(Checked, _NocConfigFields):
 
     def with_flit_bits(self, flit_bits: int) -> "NocConfig":
         """Re-derive width-dependent parameters for a new flit size; at its own size, ``self``."""
-        if flit_bits < 1:
-            raise DomainError("flit_bits must be at least 1")
         if flit_bits == self.flit_bits:
             return self
+        resized = self._replace(flit_bits=flit_bits)  # refuses a size below 1 before dividing
         scale = flit_bits / self.flit_bits
         router = self.router._replace(dynamic_j_per_bit=self.router.dynamic_j_per_bit * scale,
                                       area_m2=self.router.area_m2 * scale)
@@ -656,7 +656,12 @@ class NocConfig(Checked, _NocConfigFields):
                     c._replace(bandwidth_hz=lane_rate) if c.bandwidth_hz > 0 else c
                     for c in components]
             templates[tech] = template._replace(components=tuple(components))
-        return self._replace(flit_bits=flit_bits, router=router, link_templates=templates)
+        return resized._replace(router=router, link_templates=templates)
+
+
+def _hop_span(topology: MeshTopology, node_span: int) -> int:
+    """The hop_span of a hop's link class: a hop across ``express_span`` node ids is express."""
+    return topology.express_span if node_span == topology.express_span else 1
 
 
 def _link_classes(topology: MeshTopology, activity: LinkActivity, config: NocConfig):
@@ -716,8 +721,7 @@ def network_clear(topology: MeshTopology, activity: LinkActivity, config: NocCon
     for technology, hop_span, count, spec in _link_classes(topology, activity, config):
         capacity_terms.append(count * link_capacity(spec))
         loads = [load for node_span, span_loads in activity.loads_by_node_span.items()
-                 if (node_span == topology.express_span) == (hop_span == topology.express_span)
-                 for load in span_loads]
+                 if _hop_span(topology, node_span) == hop_span for load in span_loads]
         delay = p2p_latency(spec)
         if not delay * config.clock_hz < math.inf:  # or NaN, from an RC product past the range
             raise DomainError(f"the {technology.value} link of span {hop_span} takes {delay:g} s, "

@@ -17,9 +17,10 @@ The JSON Schemas shipped as package data in ``clearfom/schemas`` state the
 config rules. :func:`validate_config` interprets the subset of JSON Schema
 2020-12 that those schemas use: it walks the whole document, collects every
 problem with a JSONPath-style location (it is not fail-fast) and gives each
-failing value one diagnostic. Only two kinds of rule live in Python, because
-a schema cannot state them: numbers must be finite (Python's ``json`` parses
-NaN and Infinity), and three cross-field rules (:func:`_cross_field_errors`).
+failing value one diagnostic. Only two rules live in Python, because a
+schema cannot state them: numbers must be finite (Python's ``json`` parses
+NaN and Infinity), and names must be unique (:func:`_cross_field_errors`).
+Every other rule on values lives on the domain type that reads them.
 
 Each loader imports the domain types it builds, so a config loads only its
 own model: :mod:`clearfom.network`, say, only for a network config.
@@ -125,19 +126,31 @@ def _value_problem(value, schema: Mapping) -> str | None:
     return None
 
 
-def _errors(value, schema: Mapping, path: str, base: str) -> list[Diagnostic]:
-    """Diagnostics for ``value`` under ``schema``; ``#`` references resolve in ``base``."""
-    out = []
-    if "$ref" in schema:
+def _resolve(schema: Mapping, base: str) -> tuple[Mapping, str]:
+    """``schema`` with its ``$ref`` followed, and the file that its ``#`` references name."""
+    while "$ref" in schema:
         target, _, pointer = schema["$ref"].partition("#")
         base = target or base
-        resolved = _schema(base)
+        schema = _schema(base)
         for part in pointer.split("/")[1:]:
-            resolved = resolved[part]
-        out += _errors(value, resolved, path, base)
+            schema = schema[part]
+    return schema, base
+
+
+def _meets_consts(value, schema: Mapping, base: str) -> bool:
+    """Whether ``value`` is an object with every member that ``schema`` fixes by ``const``."""
+    properties = _resolve(schema, base)[0].get("properties", {})
+    return isinstance(value, Mapping) and all(
+        value.get(key) == sub["const"] for key, sub in properties.items() if "const" in sub)
+
+
+def _errors(value, schema: Mapping, path: str, base: str) -> list[Diagnostic]:
+    """Diagnostics for ``value`` under ``schema``; ``#`` references resolve in ``base``."""
+    schema, base = _resolve(schema, base)
     problem = _value_problem(value, schema)
     if problem:
-        return out + [Diagnostic(path, problem)]
+        return [Diagnostic(path, problem)]
+    out = []
     if isinstance(value, list) and "items" in schema:
         for i, item in enumerate(value):
             out += _errors(item, schema["items"], f"{path}[{i}]", base)
@@ -151,8 +164,13 @@ def _errors(value, schema: Mapping, path: str, base: str) -> list[Diagnostic]:
         branches = [_errors(value, sub, path, base) for sub in schema["oneOf"]]
         matched = branches.count([])
         if matched == 0:
-            # Report against the alternative the value came closest to.
-            out += min(branches, key=len)
+            # Report against the alternative whose const members the value meets, else
+            # the closest one; where this schema's own keywords reported a value (an
+            # enum, an unknown key), that diagnostic stands alone.
+            met = [errors for sub, errors in zip(schema["oneOf"], branches)
+                   if _meets_consts(value, sub, base)]
+            flagged = {d.path for d in out}
+            out += [d for d in min(met or branches, key=len) if d.path not in flagged]
         elif matched > 1:
             out.append(Diagnostic(path, "matches more than one alternative"))
     return out
@@ -175,70 +193,38 @@ def _object_errors(value: Mapping, schema: Mapping, path: str, base: str) -> lis
     return out
 
 
-def _as_dict(value) -> Mapping:
-    return value if isinstance(value, Mapping) else {}
-
-
-def _as_list(value) -> list:
-    return value if isinstance(value, list) else []
-
-
-def _repeater_errors(body, path: str) -> list[Diagnostic]:
-    body = _as_dict(body)
-    components = body.get("components")
-    roles = [c.get("role") for c in _as_list(components) if isinstance(c, Mapping)]
-    if "repeater_spacing_m" in body and isinstance(components, list) and "repeater" not in roles:
-        return [Diagnostic(f"{path}.repeater_spacing_m",
-                           "repeater_spacing_m requires a component with role 'repeater'")]
-    return []
-
-
 def link_activity_csv(label: str) -> str:
     """The file of a network case's link loads; no two case labels may give one name."""
     return f"link_activity_{re.sub(r'[^a-z0-9]+', '_', label.lower()).strip('_')}.csv"
 
 
-def _cross_field_errors(doc: Mapping) -> list[Diagnostic]:
-    """Rules that relate fields to each other, which the schemas cannot state.
+# Config kind -> the list whose items must differ, and the member that names an item.
+_NAMED_ITEMS = {"device_comparison": ("devices", "name"), "link_comparison": ("links", "name"),
+                "network_comparison": ("cases", "label")}
 
-    They read only the parts of the document that have the right shape; the
-    schema pass reports everything else.
+
+def _cross_field_errors(doc: Mapping) -> list[Diagnostic]:
+    """Names that must be unique: the one rule that the schemas cannot state.
+
+    A device or link name keys its rows in the shared radar and sweep tables, and a case
+    label names its link activity file. Only string names of object items are read, so the
+    rule never reports at a path where the schema pass does (an empty or non-list value).
     """
-    out = []
-    # A device or link name keys its rows in the shared radar and sweep tables.
-    items = {"device_comparison": "devices", "link_comparison": "links"}.get(doc["kind"])
-    if items is not None:
-        names = [item["name"] for item in _as_list(doc.get(items))
-                 if isinstance(item, Mapping) and isinstance(item.get("name"), str)]
-        if len(set(names)) != len(names):
-            out.append(Diagnostic(f"$.{items}", f"{items[:-1]} names must be unique"))
-    if doc["kind"] == "link_comparison":
-        for i, link in enumerate(_as_list(doc.get("links"))):
-            out += _repeater_errors(link, f"$.links[{i}]")
-    if doc["kind"] != "network_comparison":
-        return out
-    noc = _as_dict(doc.get("noc"))
-    for tech, template in _as_dict(noc.get("link_templates")).items():
-        out += _repeater_errors(template, f"$.noc.link_templates.{tech}")
-    cases = [c for c in _as_list(doc.get("cases")) if isinstance(c, Mapping)]
-    labels = [c["label"] for c in cases if isinstance(c.get("label"), str)]
-    files: dict[str, str] = {}  # file name -> the first label that writes it
-    for label in labels:
-        name = link_activity_csv(label)
-        if name in files:
-            out.append(Diagnostic("$.cases", f"case labels must be unique: "
-                                  f"{files[name]!r} and {label!r} both write {name}"))
-            break
-        files[name] = label
-    # Every technology a case uses must have a NoC link template.
-    used = [c.get("technology") for c in cases]
-    used += [_as_dict(c.get("express")).get("technology") for c in cases]
-    table = noc.get("link_templates")
-    missing = [t.value for t in Technology if t.value in used and t.value not in _as_dict(table)]
-    if missing and isinstance(table, Mapping):  # the schema pass reports a missing table
-        out.append(Diagnostic("$.noc.link_templates", "missing entries for technologies "
-                              "used by cases: " + ", ".join(missing)))
-    return out
+    if doc["kind"] not in _NAMED_ITEMS:  # a trend config names no items
+        return []
+    items, member = _NAMED_ITEMS[doc["kind"]]
+    listed = doc.get(items)
+    seen: dict[str, str] = {}  # what must differ -> the first name that has it
+    for item in listed if isinstance(listed, list) else ():
+        name = item.get(member) if isinstance(item, Mapping) else None
+        if not isinstance(name, str):
+            continue
+        key = link_activity_csv(name) if items == "cases" else name
+        if key in seen:
+            clash = f": {seen[key]!r} and {name!r} both write {key}" if items == "cases" else ""
+            return [Diagnostic(f"$.{items}", f"{items[:-1]} {member}s must be unique{clash}")]
+        seen[key] = name
+    return []
 
 
 def validate_config(doc: Any) -> list[Diagnostic]:
@@ -249,9 +235,7 @@ def validate_config(doc: Any) -> list[Diagnostic]:
     if kind not in CONFIG_KINDS:
         return [Diagnostic("$.kind", f"must be one of {', '.join(CONFIG_KINDS)}")]
     name = _CONFIG_SCHEMAS[kind]
-    errors = _errors(doc, _schema(name), "$", name)
-    flagged = {d.path for d in errors}  # one diagnostic per failing value
-    return errors + [d for d in _cross_field_errors(doc) if d.path not in flagged]
+    return _errors(doc, _schema(name), "$", name) + _cross_field_errors(doc)
 
 
 def _read_config(path: str | Path, kind: str) -> Mapping:
@@ -270,11 +254,6 @@ def _read_config(path: str | Path, kind: str) -> Mapping:
         raise ConfigurationError(
             f"config kind '{doc['kind']}' does not match the '{kind}' command")
     return doc
-
-
-def _input_path(config_path: str | Path, name: str) -> Path:
-    """A CSV input that a config names; a relative name is relative to the config."""
-    return Path(config_path).parent / name
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +330,7 @@ def load_link_config(path: str | Path) -> LinkConfig:
         if "cost_curve" in entry:
             curve = _build(ExperienceCurve, entry["cost_curve"])
         elif "cost_curve_csv" in entry:
-            csv_path = _input_path(path, entry["cost_curve_csv"])
+            csv_path = Path(path).parent / entry["cost_curve_csv"]
             observations = load_cost_observations(csv_path)
             try:  # too few observations or distinct years, or a cost that is not positive
                 curve = fit_experience_curve(observations).curve
@@ -419,6 +398,6 @@ def load_network_config(path: str | Path) -> NetworkConfig:
 def load_trend_config(path: str | Path) -> TrendConfig:
     from .trend import load_system_records
     doc = _read_config(path, "trend")
-    records_csv = _input_path(path, doc["records_csv"])
+    records_csv = Path(path).parent / doc["records_csv"]
     records = tuple(load_system_records(records_csv))
     return _build(TrendConfig, doc, records=records, records_csv=records_csv)

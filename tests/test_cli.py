@@ -279,11 +279,32 @@ class TestLinkCommand:
 
 
 class TestNetworkCommand:
-    def test_seed_required(self, tmp_path, capsys):
+    def test_seed_is_optional_where_nothing_reads_it(self, tmp_path, schema_registry):
         config = _small_network_config(tmp_path)
-        assert main(["network", "--config", str(config),
-                     "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
-        assert "--seed" in capsys.readouterr().err
+        hashes = []
+        for seed in ([], ["--seed", "1"]):
+            out = tmp_path / f"out{len(hashes)}"
+            assert main(["network", "--config", str(config), *seed, "--out", str(out),
+                         "--format", "csv,json"]) == EXIT_OK
+            report = json.loads((out / "network_report.json").read_text(encoding="utf-8"))
+            _assert_valid(report, "network_report.schema.json", schema_registry)
+            assert report["seed"] == (int(seed[1]) if seed else None)
+            hashes.append({name: digest for name, digest in _hash_tree(out).items()
+                           if name != "network_report.json"})
+        assert hashes[0] == hashes[1]
+
+    def test_a_seeded_hotspot_pick_needs_the_seed(self, tmp_path, capsys):
+        config = _small_network_config(tmp_path)
+        doc = json.loads(config.read_text(encoding="utf-8"))
+        doc["traffic"].update(pattern="hotspot", hotspot_count=3)
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["network", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("clearfom: error code=1 kind=validation")
+        assert "pass --seed" in err
+        assert not out.exists()
 
     def test_negative_seed_is_a_validation_error(self, tmp_path, capsys):
         config = _small_network_config(tmp_path)
@@ -525,6 +546,32 @@ class TestConfigSchemasMatchValidator:
     def test_trend_config_schema(self, schema_registry, tmp_path):
         doc = {"kind": "trend", "records_csv": "records.csv", "band_db": 5.0}
         _assert_valid(doc, "trend_config.schema.json", schema_registry)
+
+
+@pytest.mark.parametrize("command,example,edit,message", [
+    ("link", "links/four_technologies.json",
+     lambda doc: next(link for link in doc["links"] if link["name"] == "electronic")
+     .update(repeater_spacing_m=1e-4),
+     "link 'electronic': repeater_spacing_m requires a component with role 'repeater'"),
+    ("network", "networks/mesh16_comparison.json",
+     lambda doc: doc["noc"]["link_templates"]["hybrid"].update(repeater_spacing_m=1e-4),
+     "link 'hybrid-noc-link': repeater_spacing_m requires a component with role "
+     "'repeater'"),
+    ("network", "networks/mesh16_comparison.json",
+     lambda doc: doc["noc"]["link_templates"].pop("hybrid"),
+     "link_templates has no entry for technology 'hybrid'"),
+], ids=["link_repeater", "noc_template_repeater", "missing_template"])
+def test_value_rules_refuse_where_the_values_are_read(tmp_path, capsys, command, example,
+                                                      edit, message):
+    # The schemas let these through: the link model and the NoC pricing refuse them.
+    config = _config_copy(tmp_path, example, edit)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("clearfom: error code=1 kind=validation")
+    assert message in err
+    assert not out.exists()
 
 
 class TestNumericRange:

@@ -449,7 +449,7 @@ class TestDerivedCopiesAreChecked:
     def test_replace_checks_every_link_record(self):
         with pytest.raises(DomainError, match="length_m must be strictly positive"):
             _optical()._replace(length_m=0.0)
-        with pytest.raises(DomainError, match="requires a repeater component template"):
+        with pytest.raises(DomainError, match="requires a component with role 'repeater'"):
             _electrical()._replace(repeater_spacing_m=1e-4)
         with pytest.raises(DomainError, match="LinkComponent.cost_usd must be non-negative"):
             _repeater()._replace(cost_usd=-1.0)

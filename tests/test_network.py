@@ -212,9 +212,15 @@ class TestExpressLinks:
 class TestDerivedCopiesAreChecked:
     """A copy goes through the record's constructor, so it is checked and coerced too."""
 
-    def test_with_flit_bits_refuses_zero(self):
+    @pytest.mark.parametrize("flit_bits", [0, -8])
+    def test_with_flit_bits_refuses_a_size_below_one(self, flit_bits):
         with pytest.raises(DomainError, match="flit_bits must be at least 1"):
-            _config().with_flit_bits(0)
+            _config().with_flit_bits(flit_bits)
+
+    @pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan])
+    def test_injection_rate_must_be_finite_and_non_negative(self, rate):
+        with pytest.raises(DomainError, match="injection rate must be finite and non-negative"):
+            TrafficParams(injection_bps_per_node=rate)
 
     def test_replace_checks_every_noc_record(self):
         mesh = build_mesh(4, 4, 1e-3, "electronic")

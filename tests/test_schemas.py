@@ -26,6 +26,7 @@ from referencing import Registry, Resource
 from clearfom import validation
 from clearfom.cli import main
 from clearfom.data import example_path
+from clearfom.errors import ClearError
 from clearfom.link import ComponentRole
 from clearfom.metric import Technology
 from clearfom.validation import (
@@ -51,9 +52,8 @@ ANNOTATIONS = {"$schema", "$id", "title", "$defs"}
 NAMED_SUBSCHEMAS = {"properties", "$defs"}
 SUBSCHEMAS = {"items", "not"}
 
-# Messages of the rules kept in Python because a schema cannot state them.
-CROSS_FIELD_MESSAGES = ("case labels must be unique", "missing entries for technologies",
-                        "requires a component with role")
+# Messages of the one rule kept in Python because a schema cannot state it.
+CROSS_FIELD_MESSAGES = ("names must be unique", "case labels must be unique")
 
 REPLACEMENTS = (None, True, "x", -1, 0, 1.0, 1e-320, [], {})
 
@@ -183,6 +183,9 @@ class TestSchemaKeywords:
         for where, keyword, node in found:
             if keyword == "type":
                 assert node["type"] in validation._TYPES, where
+            if keyword == "$ref":
+                # The interpreter follows a reference in place of the schema holding it.
+                assert list(node) == ["$ref"], where
             if keyword == "not":
                 # The only form whose diagnostic the interpreter can word.
                 assert list(node["not"]) == ["required"], where
@@ -254,6 +257,31 @@ class TestVerdicts:
         transport["kind"] = "magnetic"
         assert [d.message for d in validate_config(doc)] == ["must be optical"]
 
+    @pytest.mark.parametrize("traffic,message", [
+        ({"hotspot_count": 3}, "$.traffic.hotspot_count: unknown key"),
+        ({"locality_scale_hops": 0.5}, "$.traffic.locality_scale_hops: unknown key"),
+        ({"hotspot_fraction": 0.9}, "$.traffic.hotspot_fraction: unknown key"),
+        ({"pattern": "exponential_locality", "hotspot_fraction": 0.9},
+         "$.traffic.hotspot_fraction: unknown key"),
+        ({"pattern": "foo"},
+         "$.traffic.pattern: must be one of uniform, hotspot, exponential_locality"),
+    ], ids=["uniform_hotspot_count", "uniform_locality_scale", "uniform_hotspot_fraction",
+            "locality_hotspot_fraction", "unknown_pattern"])
+    def test_a_traffic_knob_its_pattern_does_not_read_is_refused(self, tmp_path, capsys,
+                                                                 traffic, message):
+        # Each pattern's alternative is closed to its own knobs; a value is reported
+        # against the alternative of its pattern, even where another is as close.
+        doc = copy.deepcopy(CONFIGS["network"])
+        doc["traffic"].update(traffic)
+        assert [str(d) for d in validate_config(doc)] == [message]
+        config = tmp_path / "network.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["network", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f'clearfom: error code=1 kind=validation msg="invalid config: {message}"\n')
+        assert not out.exists()
+
 
 class TestIntegerFieldsAsFloats:
     def test_network_artifacts_identical(self, tmp_path):
@@ -314,23 +342,22 @@ OPTIONAL_VALUES = {
     "express": {"hop_span": 2, "technology": "hybrid"},
     "flit_sweep": {"flit_bits": [16]},
 }
+# A traffic knob is read by one pattern: it is set with that pattern.
+KNOB_PATTERNS = {"hotspot_fraction": "hotspot", "hotspot_nodes": "hotspot",
+                 "hotspot_count": "hotspot", "locality_scale_hops": "exponential_locality"}
 # Objects whose named properties are members of one kind, each a NoC
 # technology or a die: the walker treats every member as ``*``.
 MEMBER_TABLES = {("noc", "link_templates"), ("noc", "wafer_cost_usd_per_m2")}
 
 
-def _optional_keys(schema, base, path=()):
-    """(path, key) of every optional property below ``schema`` but ``notes``;
-    ``*`` in a path stands for any array item or object member."""
-    while "$ref" in schema:
-        target, _, pointer = schema["$ref"].partition("#")
-        base = target or base
-        schema = validation._schema(base)
-        for part in pointer.split("/")[1:]:
-            schema = schema[part]
-    for sub in schema.get("oneOf", ()):
-        yield from _optional_keys(sub, base, path)
+def _optional_keys(schema, base, path=(), named=()):
+    """(path, key) of every optional property below ``schema`` but ``notes`` and
+    those in ``named``; ``*`` in a path stands for any array item or object member."""
+    schema, base = validation._resolve(schema, base)
     properties = schema.get("properties", {})
+    for sub in schema.get("oneOf", ()):
+        # An alternative's own keys are new; the ones the schema names are not.
+        yield from _optional_keys(sub, base, path, named=properties)
     if path in MEMBER_TABLES:
         members = list(properties.values())
         for i, sub in enumerate(members):
@@ -338,6 +365,8 @@ def _optional_keys(schema, base, path=()):
                 yield from _optional_keys(sub, base, path + ("*",))
         return
     for key, sub in properties.items():
+        if key in named:
+            continue
         if key not in schema.get("required", ()) and key != "notes":
             yield path, key
         yield from _optional_keys(sub, base, path + (key,))
@@ -384,18 +413,24 @@ class TestEveryOptionalKeyIsLoaded:
 
     @pytest.mark.parametrize("name, path, key", OPTIONAL_KEYS)
     def test_a_non_default_value_changes_the_config(self, tmp_path, name, path, key):
-        # Set the key on the first node at its path where the config stays valid.
-        for where in _locations(CONFIGS[name], path):
-            doc = copy.deepcopy(CONFIGS[name])
+        base = copy.deepcopy(CONFIGS[name])
+        if key in KNOB_PATTERNS:
+            base["traffic"]["pattern"] = KNOB_PATTERNS[key]
+        # Set the key on the first node at its path where the loader takes the config.
+        for where in _locations(base, path):
+            doc = copy.deepcopy(base)
             node = doc
             for part in where:
                 node = node[part]
             node[key] = OPTIONAL_VALUES[key]
-            if validate_config(doc) == []:
+            try:
+                loaded = self._load(name, doc, tmp_path)
                 break
+            except ClearError:
+                continue
         else:
-            pytest.fail(f"no node of the shipped {name} config takes {key} validly")
-        assert self._load(name, doc, tmp_path) != self._load(name, CONFIGS[name], tmp_path)
+            pytest.fail(f"no node of the shipped {name} config takes {key} and loads")
+        assert loaded != self._load(name, base, tmp_path)
 
 
 def _scan_network():

@@ -70,25 +70,11 @@ class TestRejections:
         doc["extra"] = True
         assert len(validate_config(doc)) == 3
 
-    def test_repeater_spacing_without_repeater_component(self, link_config_doc):
-        doc = copy.deepcopy(link_config_doc)
-        electronic = next(l for l in doc["links"] if l["name"] == "electronic")
-        electronic["repeater_spacing_m"] = 1e-4
-        diags = validate_config(doc)
-        assert any("repeater" in d.message and d.path.endswith("repeater_spacing_m")
-                   for d in diags)
-
     def test_transport_kind_required(self, link_config_doc):
         doc = copy.deepcopy(link_config_doc)
         del doc["links"][0]["transport"]["kind"]
         diags = validate_config(doc)
         assert any(d.path.endswith("transport.kind") for d in diags)
-
-    def test_case_technology_must_have_tables(self, network_config_doc):
-        doc = copy.deepcopy(network_config_doc)
-        del doc["noc"]["link_templates"]["hybrid"]
-        diags = validate_config(doc)
-        assert any("hybrid" in d.message and "link_templates" in d.path for d in diags)
 
     def test_duplicate_case_labels(self, network_config_doc):
         doc = copy.deepcopy(network_config_doc)
