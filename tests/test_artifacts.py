@@ -21,7 +21,7 @@ from clearfom.data import example_path
 
 DIGESTS = Path(__file__).resolve().parent / "artifact_digests.json"
 
-# Run name -> CLI arguments; "{trend}" and "{trend_200}" are trend configs written per run.
+# Run name -> CLI arguments; each "{...}" argument is a config written per run.
 RUNS = {
     "limits": ["limits"],
     "device": ["device", "--config", "devices/four_technologies.json"],
@@ -30,6 +30,8 @@ RUNS = {
     "network": ["network", "--config", "networks/mesh16_comparison.json", "--seed", "1"],
     "network_2020": ["network", "--config", "networks/mesh16_comparison.json", "--seed", "1",
                      "--eval-year", "2020"],
+    "network_locality": ["network", "--config", "{locality}", "--seed", "1"],
+    "network_hotspot": ["network", "--config", "{hotspot}", "--seed", "1"],
     "trend": ["trend", "--config", "{trend}"],
     "trend_200": ["trend", "--config", "{trend_200}"],
 }
@@ -63,6 +65,34 @@ def trend_200_csv() -> str:
     return "\n".join(lines) + "\n"
 
 
+def locality_doc() -> dict:
+    """The shipped tables on a 24x24 mesh under exponential locality at 2 hops.
+
+    Two cases, plain electronic and electronic with span-4 hybrid express
+    links, and no flit sweep.
+    """
+    doc = json.loads(example_path("networks/mesh16_comparison.json").read_text(encoding="utf-8"))
+    doc["mesh"].update(rows=24, cols=24)
+    doc["traffic"] = {"pattern": "exponential_locality",
+                      "injection_bps_per_node": doc["traffic"]["injection_bps_per_node"],
+                      "locality_scale_hops": 2.0}
+    doc["cases"] = [
+        {"label": "electronic", "technology": "electronic"},
+        {"label": "electronic+hyppi-express", "technology": "electronic",
+         "express": {"hop_span": 4, "technology": "hybrid"}},
+    ]
+    del doc["flit_sweep"]
+    return doc
+
+
+def hotspot_doc() -> dict:
+    """The shipped config with explicit hotspots: nodes 5 and 37 share column 5, 200 is apart."""
+    doc = json.loads(example_path("networks/mesh16_comparison.json").read_text(encoding="utf-8"))
+    doc["traffic"] = {"pattern": "hotspot", "hotspot_nodes": [5, 37, 200],
+                      "injection_bps_per_node": doc["traffic"]["injection_bps_per_node"]}
+    return doc
+
+
 def _sha256_tree(root: Path) -> dict[str, str]:
     return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(root.rglob("*")) if p.is_file()}
@@ -78,6 +108,9 @@ def run_and_digest(name: str, work: Path) -> dict[str, str]:
         configs[placeholder] = work / f"{placeholder[1:-1]}.json"
         configs[placeholder].write_text(json.dumps({
             "kind": "trend", "records_csv": str(records), "band_db": 5.0}), encoding="utf-8")
+    for placeholder, doc in (("{locality}", locality_doc()), ("{hotspot}", hotspot_doc())):
+        configs[placeholder] = work / f"{placeholder[1:-1]}.json"
+        configs[placeholder].write_text(json.dumps(doc), encoding="utf-8")
     args = []
     for arg in RUNS[name]:
         if arg in configs:
