@@ -8,8 +8,6 @@ a partial artifact.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
@@ -59,6 +57,8 @@ def read_csv(path: str | Path, header: Sequence[str],
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise DomainError(f"{path}:{line}: not UTF-8: {exc.reason}") from exc
+    import csv  # only a CSV input pays for the import
+    import io
     reader = csv.reader(io.StringIO(text, newline=""), strict=True)
     rows = []
     try:

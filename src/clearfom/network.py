@@ -20,13 +20,14 @@ computed in one pass over its link classes.
 
 Link loads are aggregated, not walked flow by flow. A flow's X phase stays
 in its source row and its Y phase in its destination column, so the loads
-follow from per-row (c1 -> c2) and per-column (r1 -> r2) demand sums: every
-row has the same layout, so the column pairs are routed once for all rows,
-each horizontal load is the fsum of its pairs' demands, and vertical loads
-are running sums of the column demands. Generated traffic supplies those
-demand sums in closed form, in O(k^3) pure Python for a k x k mesh, so
-routing it needs no n x n matrix; it is routed only on the mesh shape it
-was generated on. An explicit matrix is summed in pure Python too. numpy is
+follow from per-row (c1 -> c2) and per-column (r1 -> r2) demand planes:
+every row has the same layout, so the column pairs are routed once for all
+rows, each horizontal load is the fsum of its pairs' demands, and vertical
+loads are running sums of the column demands. Generated traffic supplies
+the planes in closed form, one object for rows or columns whose planes are
+equal by construction; it is routed only on the mesh shape it was generated
+on, each distinct plane once, and its vertical loads, which no express link
+changes, once per shape. An explicit matrix is summed in pure Python. numpy is
 imported only to build the dense ``rates`` of generated traffic, on first
 access. Routing reads only the mesh shape and the express span, so
 :func:`case_activities` routes each distinct geometry once and cases that
@@ -46,7 +47,7 @@ from enum import Enum
 from functools import cached_property, partial
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .economics import ExperienceCurve, unit_cost
 from .errors import Checked, ConfigurationError, DomainError
@@ -257,6 +258,7 @@ class TrafficMatrix:
         self._node_count = len(matrix)
         self._closed_form: tuple[tuple[int, int], Callable[[], Demands]] | None = None
         self._demands: dict[tuple[int, int], Demands] = {}
+        self._vertical: dict[tuple[int, int], dict[int, float]] = {}
 
     @classmethod
     def _generated(cls, topology: MeshTopology, demands: Callable[[], Demands],
@@ -265,7 +267,7 @@ class TrafficMatrix:
         traffic._node_count = topology.node_count
         traffic._closed_form = ((topology.rows, topology.cols), demands)
         traffic._materialise = materialise
-        traffic._demands = {}
+        traffic._demands, traffic._vertical = {}, {}
         return traffic
 
     @cached_property
@@ -278,9 +280,9 @@ class TrafficMatrix:
         Returns ``row[r][c1][c2]``, the sum over r2 of the rate from (r, c1)
         to (r2, c2); ``col[c][r1][r2]``, the sum over c1 of the rate from
         (r1, c1) to (r2, c); and the injected total, all as Python floats.
-        Generated traffic answers from its closed form in O(k^3), and only on
-        the mesh shape it was generated on; an explicit matrix is summed from
-        its ``rates``. The result is cached and shared: do not modify it.
+        Generated traffic answers from its closed form, only on the mesh shape
+        it was generated on; an explicit matrix is summed from its ``rates``.
+        The result is cached, and equal planes may be one list: do not modify it.
         """
         if rows * cols != self._node_count:
             raise DomainError("traffic matrix size does not match the topology")
@@ -294,6 +296,33 @@ class TrafficMatrix:
                 raise DomainError(f"traffic generated on a {self._closed_form[0]} mesh "
                                   f"cannot be routed on a {shape} mesh")
         return self._demands[shape]
+
+    def _vertical_loads(self, rows: int, cols: int) -> dict[int, float]:
+        """Vertical link loads by ``from * n + to``, cached: no express link is vertical."""
+        if (rows, cols) not in self._vertical:
+            col_demand, n = self.demands(rows, cols)[1], rows * cols
+            routed = _shared(map(id, col_demand), lambda c: _column_loads(col_demand[c], cols))
+            # Column c's keys are c * (n + 1) more than column 0's: both ends move by c.
+            self._vertical[(rows, cols)] = {key + col * (n + 1): load for col, loads
+                                            in enumerate(routed) for key, load in loads}
+        return self._vertical[(rows, cols)]
+
+
+def _column_loads(demand: list[list[float]], cols: int) -> list[tuple[int, float]]:
+    """One column plane's vertical loads, keyed as if it were column 0.
+
+    The link down from row r carries every r1 <= r < r2 pair, the link up to r
+    every r2 <= r < r1: running sums along each source row r1 give its share.
+    """
+    rows, n = len(demand), len(demand) * cols
+    upto = [list(accumulate(line)) for line in demand]            # r2 <= r
+    beyond = [list(accumulate(line[::-1]))[::-1] for line in demand]  # r2 >= r
+    loads = []
+    for row, upper in enumerate(range(0, n - cols, cols)):  # upper is node (row, 0)
+        down = math.fsum([beyond[r1][row + 1] for r1 in range(row + 1)])
+        up = math.fsum([upto[r1][row] for r1 in range(row + 1, rows)])
+        loads += [(upper * n + upper + cols, down), ((upper + cols) * n + upper, up)]
+    return [(key, load) for key, load in loads if load > 0]
 
 
 def _matrix_demands(matrix: Sequence[Sequence[float]], rows: int, cols: int) -> Demands:
@@ -353,8 +382,7 @@ def generate_traffic(pattern: TrafficPattern | str, params: TrafficParams,
         scale = (math.inf if pattern is TrafficPattern.UNIFORM
                  else params.locality_scale_hops)
         row_weight, col_weight = _locality_weights(rows, scale), _locality_weights(cols, scale)
-        row_off = _off_diagonal_sums(row_weight)
-        col_off = _off_diagonal_sums(col_weight)
+        row_off, col_off = _off_diagonal_sums(row_weight), _off_diagonal_sums(col_weight)
         # A source's weights to every other node sum to (1 + a)(1 + b) - 1 for
         # its row and column off-diagonal sums a and b; a + b + a*b is the
         # same normaliser without the cancellation of the -1.
@@ -365,7 +393,7 @@ def generate_traffic(pattern: TrafficPattern | str, params: TrafficParams,
                 f"locality_scale_hops={scale:g} is too small: the locality weights "
                 "fall outside the floating-point range")
         per_source = [[inj / norm for norm in line] for line in norms]
-        demands = partial(_locality_demands, row_weight, col_weight, row_off, per_source)
+        demands = partial(_locality_demands, row_weight, col_weight, row_off, col_off, per_source)
         materialise = partial(_locality_rates, rows, cols, inj, scale)
     return TrafficMatrix._generated(topology, demands, materialise)
 
@@ -384,8 +412,7 @@ def _hotspot_demands(rows: int, cols: int, hotspots: Sequence[int], inj: float,
     hot_in_col = [sum(column) for column in zip(*is_hot)]
     hot_in_row = [sum(line) for line in is_hot]
 
-    row_demand = []
-    for r in range(rows):
+    def row_plane(r: int) -> list[list[float]]:
         plane = []
         for c1, own in enumerate(is_hot[r]):
             hot, other = to_hot[own], to_other[own]
@@ -393,7 +420,7 @@ def _hotspot_demands(rows: int, cols: int, hotspots: Sequence[int], inj: float,
             k = hot_in_col[c1] - own  # the source leaves its own column
             line[c1] = hot * k + other * (rows - 1 - k)
             plane.append(line)
-        row_demand.append(plane)
+        return plane
 
     def row_sum(shares: list[float], hot: int, cold: int) -> float:
         return shares[1] * hot + shares[0] * cold
@@ -401,17 +428,26 @@ def _hotspot_demands(rows: int, cols: int, hotspots: Sequence[int], inj: float,
     # What all of row r1 sends to one other and to one hot destination.
     toward = [(row_sum(to_other, hot, cols - hot), row_sum(to_hot, hot, cols - hot))
               for hot in hot_in_row]
-    col_demand = []
-    for c in range(cols):
+
+    def col_plane(c: int) -> list[list[float]]:
         plane = []
         for r1, hot in enumerate(hot_in_row):
             line = [toward[r1][is_hot[r2][c]] for r2 in range(rows)]
-            # (r1, c) does not send to itself.
-            own = is_hot[r1][c]
+            own = is_hot[r1][c]  # (r1, c) does not send to itself
             line[r1] = row_sum(to_hot if own else to_other, hot - own, cols - hot - 1 + own)
             plane.append(line)
-        col_demand.append(plane)
+        return plane
+
+    row_demand = _shared(map(tuple, is_hot), row_plane)  # keyed by the hot flags they read
+    col_demand = _shared(zip(*is_hot), col_plane)
     return row_demand, col_demand, _injected(row_demand)
+
+
+def _shared(keys: Iterable[Hashable], make: Callable[[int], list]) -> list[list]:
+    """``make(i)`` at the first index i of each distinct key, shared by all indices with it."""
+    made: dict[Hashable, list] = {}
+    return [made[key] if key in made else made.setdefault(key, make(i))
+            for i, key in enumerate(keys)]
 
 
 def _locality_weights(size: int, scale: float) -> list[list[float]]:
@@ -424,21 +460,24 @@ def _off_diagonal_sums(weights: list[list[float]]) -> list[float]:
 
 
 def _locality_demands(row_weight: list[list[float]], col_weight: list[list[float]],
-                      row_off: list[float], per_source: list[list[float]]) -> Demands:
-    """Demands of rate((r1, c1), (r2, c2)) = u[r1][c1] * R[r1][r2] * C[c1][c2]."""
-    cols = len(col_weight)
-    row_demand = []
-    for r, scales in enumerate(per_source):
+                      row_off: list[float], col_off: list[float],
+                      per_source: list[list[float]]) -> Demands:
+    """Demands of rate((r1, c1), (r2, c2)) = u[r1][c1] * R[r1][r2] * C[c1][c2].
+
+    u[r][c] follows from row_off[r] and col_off[c], and an fsum from the multiset
+    of its terms, so row r's plane is keyed by row_off[r], and column c's by the
+    multiset of (col_off[c1], C[c1][c]) and the pair it drops, (col_off[c], 1.0).
+    """
+    def row_plane(r: int) -> list[list[float]]:
         plane = []
         row_total = 1.0 + row_off[r]
-        for c1, u in enumerate(scales):
+        for c1, u in enumerate(per_source[r]):
             line = [u * w * row_total for w in col_weight[c1]]
             line[c1] = u * row_off[r]  # the source leaves its own column
             plane.append(line)
-        row_demand.append(plane)
+        return plane
 
-    col_demand = []
-    for c in range(cols):
+    def col_plane(c: int) -> list[list[float]]:
         plane = []
         for r1, scales in enumerate(per_source):
             terms = [u * weights[c] for u, weights in zip(scales, col_weight)]
@@ -446,12 +485,16 @@ def _locality_demands(row_weight: list[list[float]], col_weight: list[list[float
             line = [w * total for w in row_weight[r1]]
             line[r1] = math.fsum(terms[:c] + terms[c + 1:])  # without (r1, c) itself
             plane.append(line)
-        col_demand.append(plane)
+        return plane
+
+    row_demand = _shared(row_off, row_plane)
+    col_demand = _shared(((off, tuple(sorted(zip(col_off, (w[c] for w in col_weight)))))
+                          for c, off in enumerate(col_off)), col_plane)
     return row_demand, col_demand, _injected(row_demand)
 
 
 def _injected(row_demand: list[list[list[float]]]) -> float:
-    return math.fsum(value for plane in row_demand for line in plane for value in line)
+    return math.fsum(chain.from_iterable(chain.from_iterable(row_demand)))
 
 
 def _hotspot_rates(n: int, hotspots: Sequence[int], inj: float,
@@ -531,10 +574,10 @@ def link_activity(topology: MeshTopology, traffic: TrafficMatrix) -> LinkActivit
     """
     rows, cols, n = topology.rows, topology.cols, topology.node_count
     try:
-        row_demand, col_demand, injected = traffic.demands(rows, cols)
+        row_demand, _, injected = traffic.demands(rows, cols)
     except OverflowError:  # an fsum's partial sums passed the float range
         raise DomainError(_LOAD_OVERFLOW) from None
-    loads_by_key: dict[int, float] = {}
+    loads_by_key = dict(traffic._vertical_loads(rows, cols))  # a copy: the cache is shared
 
     # Every row has the same express layout, so the (c1, c2) column pairs are
     # routed once for all rows: each directed hop, as a (from, to) column pair,
@@ -548,32 +591,19 @@ def link_activity(topology: MeshTopology, traffic: TrafficMatrix) -> LinkActivit
     # routed over it, so each load is rounded once. Each getter also reads a
     # trailing 0.0, so it returns a tuple even for a hop that carries one pair.
     zero = cols * cols
-    getters = [(cu, cv, itemgetter(*pairs, zero)) for (cu, cv), pairs in pairs_by_hop.items()]
-    for row in range(rows):
+    getters = [(cu * n + cv, itemgetter(*pairs, zero)) for (cu, cv), pairs in pairs_by_hop.items()]
+
+    def route(row: int) -> list[tuple[int, float]]:
         demand = [value for line in row_demand[row] for value in line]
         demand.append(0.0)
-        base = row * cols
-        for cu, cv, gather in getters:
-            load = math.fsum(gather(demand))
-            if load > 0:
-                loads_by_key[(base + cu) * n + base + cv] = load
+        return [(key, load) for key, gather in getters if (load := math.fsum(gather(demand))) > 0]
 
-    # The link from row r down to r + 1 carries every r1 <= r < r2 pair of its
-    # column, the link from r + 1 up to r every r2 <= r < r1. Running sums
-    # along each source row r1 give its share of either, in O(rows^2) a column.
-    for col, demand in enumerate(col_demand):
-        upto = [list(accumulate(line)) for line in demand]            # r2 <= r
-        beyond = [list(accumulate(line[::-1]))[::-1] for line in demand]  # r2 >= r
-        for row in range(rows - 1):
-            upper = row * cols + col
-            load_down = math.fsum([beyond[r1][row + 1] for r1 in range(row + 1)])
-            load_up = math.fsum([upto[r1][row] for r1 in range(row + 1, rows)])
-            if load_down > 0:
-                loads_by_key[upper * n + upper + cols] = load_down
-            if load_up > 0:
-                loads_by_key[(upper + cols) * n + upper] = load_up
+    # Each distinct plane is routed once, keyed as if it were row 0. Row r's keys
+    # are r * cols * (n + 1) more: both ends of its links are r * cols ids on.
+    for row, routed in enumerate(_shared(map(id, row_demand), route)):
+        loads_by_key.update((key + row * cols * (n + 1), load) for key, load in routed)
 
-    loads = {(key // n, key % n): load for key, load in sorted(loads_by_key.items())}
+    loads = {divmod(key, n): loads_by_key[key] for key in sorted(loads_by_key)}
     flow_hops = _load_total(loads.values())
     # No load exceeds the injected total, so these two totals bound every sum.
     traversals = _load_total([flow_hops, injected])

@@ -286,7 +286,7 @@ class TrendConfig(NamedTuple):
 
 # A field annotated exactly ``float`` or ``int`` converts its value: JSON has one
 # number type, and the schemas accept ``16.0`` for an integer.
-_NUMBER_FIELDS = {float: float, "float": float, int: int, "int": int}
+_NUMBER_FIELDS = {"float": float, "int": int}
 
 
 def _build(cls, obj: Mapping, **given):
@@ -298,7 +298,7 @@ def _build(cls, obj: Mapping, **given):
     types = next(klass.__annotations__ for klass in cls.__mro__ if klass.__annotations__)
     for name in cls._fields:
         if name in obj and name not in given:
-            convert = _NUMBER_FIELDS.get(getattr(types[name], "__forward_arg__", types[name]))
+            convert = _NUMBER_FIELDS.get(types[name].__forward_arg__)
             given[name] = convert(obj[name]) if convert else obj[name]
     return cls(**given)
 

@@ -8,7 +8,8 @@ subcommand imports :mod:`clearfom.network`, and no subcommand imports numpy:
 generated traffic is routed from closed-form demands, and every command runs
 in an interpreter that cannot import numpy. Neither the import, any run nor
 the NoC library loads ``dataclasses`` or ``inspect``: the value types are
-NamedTuples, so start-up does not pay for that machinery.
+NamedTuples, so start-up does not pay for that machinery. Only a run that
+reads a CSV input, ``trend``, loads :mod:`csv`.
 """
 
 import importlib
@@ -48,19 +49,20 @@ def machinery():
 
 # Imports ``clearfom.cli``, runs its ``main`` on argv and reports the clearfom
 # modules loaded by the import and added by the run, whether numpy loaded, and
-# the machinery loaded after the import and after the run.
+# the machinery loaded and whether csv is loaded, after the import and after the run.
 _PROBE = """
 import json, sys
 def loaded():
     return [name for name in sorted(sys.modules) if name.partition(".")[0] == "clearfom"]
 """ + _MACHINERY + """
 from clearfom.cli import main
-imported, at_import = loaded(), machinery()
+imported, at_import, csv_at_import = loaded(), machinery(), "csv" in sys.modules
 code = main(sys.argv[1:])
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "imported": imported,
                   "added": [name.removeprefix("clearfom.") for name in loaded()
                             if name not in imported],
-                  "machinery": [at_import, machinery()]}))
+                  "machinery": [at_import, machinery()],
+                  "csv": [csv_at_import, "csv" in sys.modules]}))
 """
 
 
@@ -159,20 +161,23 @@ class TestImportBoundary:
     def test_non_network_commands_skip_numpy(self, command, tmp_path):
         result = _probe([command, *_command_args(command, tmp_path)], tmp_path)
         assert result == {"code": 0, "numpy": False, "imported": CLI_MODULES,
-                          "added": ADDED[command], "machinery": [[], []]}
+                          "added": ADDED[command], "machinery": [[], []],
+                          "csv": [False, command == "trend"]}
 
     def test_network_command_skips_numpy(self, tmp_path):
         config = str(example_path("networks/mesh16_comparison.json"))
         result = _probe(["network", "--config", config, "--seed", "7"], tmp_path)
         assert result == {"code": 0, "numpy": False, "imported": CLI_MODULES,
-                          "added": ADDED["network"], "machinery": [[], []]}
+                          "added": ADDED["network"], "machinery": [[], []],
+                          "csv": [False, False]}
 
     @pytest.mark.parametrize("traffic", list(TRAFFIC))
     def test_no_traffic_pattern_loads_numpy(self, tmp_path, network_config_doc, traffic):
         config = _network_config(tmp_path, network_config_doc, traffic)
         result = _probe(["network", "--config", config, "--seed", "7"], tmp_path)
         assert result == {"code": 0, "numpy": False, "imported": CLI_MODULES,
-                          "added": ADDED["network"], "machinery": [[], []]}
+                          "added": ADDED["network"], "machinery": [[], []],
+                          "csv": [False, False]}
 
     def test_every_command_runs_without_numpy(self, tmp_path, network_config_doc):
         configs = [str(example_path("networks/mesh16_comparison.json")),

@@ -4,7 +4,9 @@ The references below are the per-flow walker and the per-source locality and
 hotspot loops that the library used before it aggregated demands and
 vectorised the generators; they stay here as the oracles the faster paths
 must agree with. Generated traffic is routed from closed-form row and column
-demands, which are checked against sums of its materialised ``rates``.
+demands, which are checked against sums of its materialised ``rates``, and
+bit for bit against the closed forms as they were before equal row and
+column planes came to be shared.
 """
 
 import functools
@@ -138,6 +140,78 @@ def reference_hotspot_rates(n, hotspots, injection_bps, fraction):
             for dst in others:
                 rates[src, dst] += share
     return rates
+
+
+def reference_locality_demands(rows, cols, injection_bps, scale):
+    """Closed-form locality demands with one plane built per row and per column."""
+    row_weight = [[math.exp(-abs(a - b) / scale) for b in range(rows)] for a in range(rows)]
+    col_weight = [[math.exp(-abs(a - b) / scale) for b in range(cols)] for a in range(cols)]
+    row_off = [math.fsum(w for b, w in enumerate(line) if b != a)
+               for a, line in enumerate(row_weight)]
+    col_off = [math.fsum(w for b, w in enumerate(line) if b != a)
+               for a, line in enumerate(col_weight)]
+    per_source = [[injection_bps / (a + b + a * b) for b in col_off] for a in row_off]
+    row_demand = []
+    for r, scales in enumerate(per_source):
+        plane = []
+        for c1, u in enumerate(scales):
+            line = [u * w * (1.0 + row_off[r]) for w in col_weight[c1]]
+            line[c1] = u * row_off[r]
+            plane.append(line)
+        row_demand.append(plane)
+    col_demand = []
+    for c in range(cols):
+        plane = []
+        for r1, scales in enumerate(per_source):
+            terms = [u * weights[c] for u, weights in zip(scales, col_weight)]
+            line = [w * math.fsum(terms) for w in row_weight[r1]]
+            line[r1] = math.fsum(terms[:c] + terms[c + 1:])
+            plane.append(line)
+        col_demand.append(plane)
+    return row_demand, col_demand, reference_injected(row_demand)
+
+
+def reference_hotspot_demands(rows, cols, hotspots, injection_bps, fraction):
+    """Closed-form hotspot demands with one plane built per row and per column."""
+    n, h = rows * cols, len(hotspots)
+    to_hot = [injection_bps * fraction / t if t else 0.0 for t in (h, h - 1)]
+    to_other = [injection_bps * (1.0 - fraction) / t if t else 0.0
+                for t in (n - h - 1, n - h)]
+    is_hot = [[0] * cols for _ in range(rows)]
+    for node in hotspots:
+        is_hot[node // cols][node % cols] = 1
+    hot_in_col = [sum(column) for column in zip(*is_hot)]
+    hot_in_row = [sum(line) for line in is_hot]
+    row_demand = []
+    for r in range(rows):
+        plane = []
+        for c1, own in enumerate(is_hot[r]):
+            hot, other = to_hot[own], to_other[own]
+            line = [hot * k + other * (rows - k) for k in hot_in_col]
+            k = hot_in_col[c1] - own
+            line[c1] = hot * k + other * (rows - 1 - k)
+            plane.append(line)
+        row_demand.append(plane)
+
+    def row_sum(shares, hot, cold):
+        return shares[1] * hot + shares[0] * cold
+
+    toward = [(row_sum(to_other, hot, cols - hot), row_sum(to_hot, hot, cols - hot))
+              for hot in hot_in_row]
+    col_demand = []
+    for c in range(cols):
+        plane = []
+        for r1, hot in enumerate(hot_in_row):
+            line = [toward[r1][is_hot[r2][c]] for r2 in range(rows)]
+            own = is_hot[r1][c]
+            line[r1] = row_sum(to_hot if own else to_other, hot - own, cols - hot - 1 + own)
+            plane.append(line)
+        col_demand.append(plane)
+    return row_demand, col_demand, reference_injected(row_demand)
+
+
+def reference_injected(row_demand):
+    return math.fsum(value for plane in row_demand for line in plane for value in line)
 
 
 @st.composite
@@ -282,6 +356,87 @@ class TestClosedFormDemands:
         assert row[2][1] == [3 * q, 2 * q, 3 * q, 3 * q, 3 * q]
         assert col[4][0] == [4 * q, 5 * q, 5 * q]
         assert injected == 15 * 14 * q
+
+
+@st.composite
+def mesh_shapes(draw):
+    rows = draw(st.integers(1, 14))
+    return rows, draw(st.integers(2 if rows == 1 else 1, 14))
+
+
+LOCALITY_SCALES = [0.05, 0.3, 1.0, 2.0, 7.5, 1e3, math.inf]
+
+
+def planes(demand):
+    """The distinct plane objects of a row or column demand, by identity."""
+    return len({id(plane) for plane in demand})
+
+
+def vertical_loads(mesh, activity):
+    return {(u, v): load for (u, v), load in activity.loads.items() if abs(v - u) == mesh.cols}
+
+
+class TestSharedPlanes:
+    """Generated traffic shares equal planes; the shared demands keep every bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mesh_shapes(), st.sampled_from(LOCALITY_SCALES))
+    def test_locality_demands_are_the_unshared_ones_with_mirror_planes(self, shape, scale):
+        rows, cols = shape
+        params = TrafficParams(injection_bps_per_node=3e9, locality_scale_hops=scale)
+        traffic = generate_traffic("exponential_locality", params,
+                                   build_mesh(rows, cols, 1e-3, "electronic"), seed=0)
+        demands = traffic.demands(rows, cols)
+        assert repr(demands) == repr(reference_locality_demands(rows, cols, 3e9, scale))
+        row, col, _ = demands
+        assert all(row[r] is row[rows - 1 - r] for r in range(rows))
+        assert all(col[c] is col[cols - 1 - c] for c in range(cols))
+
+    @settings(max_examples=30, deadline=None)
+    @given(mesh_shapes())
+    def test_uniform_traffic_has_one_row_plane_and_one_column_plane(self, shape):
+        rows, cols = shape
+        traffic = generate_traffic("uniform", TrafficParams(injection_bps_per_node=1e9),
+                                   build_mesh(rows, cols, 1e-3, "electronic"), seed=0)
+        row, col, _ = demands = traffic.demands(rows, cols)
+        assert (planes(row), planes(col)) == (1, 1)
+        assert repr(demands) == repr(reference_locality_demands(rows, cols, 1e9, math.inf))
+
+    @settings(max_examples=60, deadline=None)
+    @given(mesh_shapes(), st.data(), st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    def test_hotspot_demands_are_the_unshared_ones(self, shape, data, fraction):
+        rows, cols = shape
+        n = rows * cols
+        hotspots = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                             unique=True)))
+        params = TrafficParams(injection_bps_per_node=3e9, hotspot_fraction=fraction,
+                               hotspot_nodes=tuple(hotspots))
+        traffic = generate_traffic("hotspot", params,
+                                   build_mesh(rows, cols, 1e-3, "electronic"), seed=0)
+        row, col, _ = demands = traffic.demands(rows, cols)
+        assert repr(demands) == repr(
+            reference_hotspot_demands(rows, cols, hotspots, 3e9, fraction))
+        # One plane per distinct pattern of hot flags along a row, or down a column.
+        hot = [[r * cols + c in hotspots for c in range(cols)] for r in range(rows)]
+        assert planes(row) == len(set(map(tuple, hot)))
+        assert planes(col) == len(set(zip(*hot)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(mesh_shapes().filter(lambda shape: shape[1] >= 3), st.data(),
+           st.sampled_from([*TrafficPattern]), st.sampled_from(LOCALITY_SCALES))
+    def test_express_layouts_share_the_plain_vertical_loads(self, shape, data, pattern, scale):
+        rows, cols = shape
+        mesh = build_mesh(rows, cols, 1e-3, "electronic")
+        express = add_express_links(mesh, data.draw(st.integers(2, cols - 1)), "hybrid")
+        params = TrafficParams(injection_bps_per_node=1e9, hotspot_nodes=(0, rows * cols - 1),
+                               locality_scale_hops=scale)
+        traffic = generate_traffic(pattern, params, mesh, seed=0)
+        plain = vertical_loads(mesh, link_activity(mesh, traffic))
+        assert vertical_loads(express, link_activity(express, traffic)) == plain
+        want = vertical_loads(mesh, reference_link_activity(mesh, traffic))
+        assert list(plain) == list(want)
+        for key, load in want.items():
+            assert_close(plain[key], load)
 
 
 class TestRouteOncePerGeometry:

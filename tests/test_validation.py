@@ -1,6 +1,7 @@
 import copy
 import json
 import shutil
+import typing
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from clearfom.errors import ConfigurationError
 from clearfom.link import ElectricalTransport
 from clearfom.metric import Technology
+from clearfom import validation
 from clearfom.validation import (
     _build,
     load_device_config,
@@ -214,6 +216,36 @@ class TestLoaders:
                            voltage_swing_v=1)
         assert transport == ElectricalTransport(1.0, 0.0, 1, 16)
         assert [type(value) for value in transport] == [float, float, int, int]
+
+    def test_every_annotation_build_reads_is_a_forward_ref(
+            self, tmp_path, monkeypatch, link_config_doc, device_config_path,
+            network_config_path, sample_records_path):
+        # _build maps an annotation's __forward_arg__ to its converter; an interpreter
+        # that evaluated annotations would make it skip every conversion.
+        built = set()
+
+        def spy(cls, obj, **given):
+            built.add(cls)
+            return _build(cls, obj, **given)
+
+        monkeypatch.setattr(validation, "_build", spy)
+        doc = copy.deepcopy(link_config_doc)
+        doc["links"][0]["cost_curve"] = {"initial_unit_cost": 2.0, "halving_period": 3.0,
+                                         "reference_time": 2016.0}
+        load_link_config(_write(tmp_path / "link.json", doc))
+        load_device_config(device_config_path)
+        load_network_config(network_config_path)
+        shutil.copy(sample_records_path, tmp_path / "records.csv")
+        load_trend_config(_write(tmp_path / "trend.json",
+                                 {"kind": "trend", "records_csv": "records.csv"}))
+        assert {cls.__name__ for cls in built} >= {
+            "LinkSpec", "LinkComponent", "ElectricalTransport", "OpticalTransport",
+            "ExperienceCurve", "LinkConfig", "DeviceSpec", "DeviceConfig", "RouterModel",
+            "NocConfig", "TrafficParams", "NetworkConfig", "TrendConfig"}
+        for cls in built:
+            types = next(klass.__annotations__ for klass in cls.__mro__
+                         if klass.__annotations__)
+            assert all(isinstance(types[name], typing.ForwardRef) for name in cls._fields), cls
 
     def test_integer_valued_floats_load_as_ints(self, tmp_path, network_config_doc):
         doc = copy.deepcopy(network_config_doc)
