@@ -1,14 +1,14 @@
-"""Command-line front end.
+"""Command-line front end over one evaluation API.
 
-Subcommands: limits | device | link | network | trend. Each subcommand but
-``limits`` gets its typed config from one ``load_*_config`` call on its
-``--config`` path (see :mod:`clearfom.validation`), which reads, validates
-and assembles the config and the CSV inputs it names. Tabular artifacts are
-CSV, reports are JSON, and radar exports are coordinate files: one
-``radar.csv`` per run, with the item as a column. Each
-subcommand imports only the model and loader it runs; this module loads none.
-Every artifact is written atomically after the whole evaluation succeeds, so
-a failing run leaves no partial output.
+Subcommands: limits | device | link | network | trend. Each is a pure
+``report_<kind>`` function returning a :class:`Report` in memory: the JSON
+report, the CSV tables (one ``radar.csv`` per run, with the item as a column)
+and the console table. Only :func:`main` prints and writes: it reads the
+flags, loads the ``--config`` with one ``load_<kind>_config`` call (see
+:mod:`clearfom.validation`), prints the table and writes the selected
+artifacts. Each subcommand imports only the model and loader it runs; this
+module loads none. Every artifact is written atomically after the whole
+evaluation succeeds, so a failing run leaves no partial output.
 
 Exit codes: 0 success, 1 validation error, 2 infeasible model, 3 I/O error.
 Errors print one machine-parsable line on stderr. Usage errors (an unknown
@@ -24,13 +24,15 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .errors import ClearError, ConfigurationError, DomainError, InfeasibleLinkError
 from .ioutil import IoError, write_csv, write_json
 from .metric import Level, clear_value, default_floors, radar_area, radar_scores, radar_vertices
 
-__all__ = ["main"]
+__all__ = ["Report", "report_limits", "report_device", "report_link", "report_network",
+           "report_trend", "main"]
 
 OUT_DIR_ENV = "CLEARFOM_OUT"
 ALL_FORMATS = ("table", "csv", "json", "radar_csv")
@@ -65,10 +67,20 @@ _LIMIT_KEYS = {
 }
 
 
-def _print_table(headers, rows):
+class Report(NamedTuple):
+    """One evaluation, in memory: what ``main`` prints and writes for a subcommand."""
+
+    json: tuple  # (relpath, document)
+    csv: list  # (relpath, header, rows) per table; a row list may back several paths
+    table: tuple  # (title or None, headers, rows) of the console table
+
+
+def _print_table(title, headers, rows):
     def cell(value):
         return f"{value:.4g}" if isinstance(value, float) else str(value)
 
+    if title is not None:
+        print(title)
     text_rows = [[cell(v) for v in row] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in text_rows)) if text_rows else len(h)
               for i, h in enumerate(headers)]
@@ -78,63 +90,54 @@ def _print_table(headers, rows):
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
-class _Artifacts:
-    """Artifacts staged in memory; written only after the run succeeds."""
-
-    def __init__(self):
-        self.csv_files, self.json_files = [], []  # (relpath, header, rows), (relpath, document)
-
-    def flush(self, out_dir: Path, formats):
-        """Write the selected artifacts; return their paths, CSVs first."""
-        # Only the JSON report can fail to render (strict JSON has no NaN or
-        # inf); a CSV cell always renders. Each subcommand stages exactly one
-        # report, so writing it first means a refused report leaves no file.
-        reports = self.json_files if "json" in formats else []
-        for relpath, document in reports:
-            write_json(out_dir / relpath, document)
-        # A row list staged under several paths is rendered once, for all of them.
-        written, tables = [], {}  # (header, id of the row list) -> (rows, paths)
-        for relpath, header, rows in self.csv_files:
-            if ("radar_csv" if relpath == RADAR_CSV else "csv") in formats:
-                tables.setdefault((header, id(rows)), (rows, []))[1].append(out_dir / relpath)
-                written.append(relpath)
-        for (header, _), (rows, paths) in tables.items():
-            write_csv(paths, header, rows)
-        return written + [relpath for relpath, _ in reports]
+def _write(report: Report, out_dir: Path, formats) -> list[str]:
+    """Write the selected artifacts of ``report``; return their paths, CSVs first."""
+    # Only the JSON report can fail to render (strict JSON has no NaN or inf), and a
+    # CSV cell always renders: writing the report first, a refused one leaves no file.
+    reports = [report.json] if "json" in formats else []
+    for relpath, document in reports:
+        write_json(out_dir / relpath, document)
+    # A row list under several paths is rendered once, for all of them.
+    written, tables = [], {}  # (header, id of the row list) -> (rows, paths)
+    for relpath, header, rows in report.csv:
+        if ("radar_csv" if relpath == RADAR_CSV else "csv") in formats:
+            tables.setdefault((header, id(rows)), (rows, []))[1].append(out_dir / relpath)
+            written.append(relpath)
+    for (header, _), (rows, paths) in tables.items():
+        write_csv(paths, header, rows)
+    return written + [relpath for relpath, _ in reports]
 
 
-def _run_limits(args: argparse.Namespace, artifacts: _Artifacts):
+def report_limits(temperature: float, link_length: float, group_index: float) -> Report:
+    """The five physical limits of the device and link levels."""
     from .limits import make_limit_set
 
     reports = {}
     for level, keys in _LIMIT_KEYS.items():
-        limits = make_limit_set(args.temperature, link_length=args.link_length,
-                                group_index=args.group_index, level=level)
+        limits = make_limit_set(temperature, link_length=link_length,
+                                group_index=group_index, level=level)
         reports[level.value] = dict(zip(keys, limits))
     rows = [(level, key, value) for level, report in reports.items()
             for key, value in report.items()]
     document = {
         "kind": "limits_report",
-        "temperature_k": args.temperature,
-        "tof_link_length_m": args.link_length,
-        "tof_group_index": args.group_index,
+        "temperature_k": temperature,
+        "tof_link_length_m": link_length,
+        "tof_group_index": group_index,
         "levels": reports,
     }
-    artifacts.json_files.append(("limits.json", document))
-    artifacts.csv_files.append(("limits.csv", ("level", "quantity", "value"), rows))
-    if "table" in args.format:
-        print(f"physical limits at {args.temperature:g} K "
-              f"(time of flight over {args.link_length:g} m, "
-              f"group index {args.group_index:g})")
-        _print_table(("level", "quantity", "value"), rows)
+    title = (f"physical limits at {temperature:g} K (time of flight over {link_length:g} m, "
+             f"group index {group_index:g})")
+    header = ("level", "quantity", "value")
+    return Report(("limits.json", document), [("limits.csv", header, rows)],
+                  (title, header, rows))
 
 
-def _run_device(args: argparse.Namespace, artifacts: _Artifacts):
+def report_device(config) -> Report:
+    """Device CLEAR and radar scores of a loaded device config."""
     from .device import device_clear, radar_normalize
     from .limits import make_limit_set
-    from .validation import load_device_config
 
-    config = load_device_config(args.config)
     limits = make_limit_set(temperature=config.temperature_k)
     devices = sorted(config.devices, key=lambda s: s.name)
     values = []  # every device's CLEAR is checked before any sets the shared floors
@@ -163,27 +166,24 @@ def _run_device(args: argparse.Namespace, artifacts: _Artifacts):
             "limit_violations": violations,
         })
         radar_rows.extend((spec.name, *vertex) for vertex in radar_vertices(scores))
-    artifacts.csv_files.append((RADAR_CSV, ("name", "axis", "score", "x", "y"), radar_rows))
-    artifacts.csv_files.append(
-        ("device_clear.csv",
-         ("name", "technology", "clear", *_FACTOR_KEYS[Level.DEVICE], "radar_area"),
-         [(d["name"], d["technology"], d["clear"], *d["factors"].values(), d["radar_area"])
-          for d in report_devices]))
-    artifacts.json_files.append(("device_report.json", {
-        "kind": "device_report",
-        "temperature_k": config.temperature_k,
-        "devices": report_devices,
-    }))
-    if "table" in args.format:
-        _print_table(("device", "technology", "clear", "radar_area"), table_rows)
+    return Report(
+        ("device_report.json", {
+            "kind": "device_report",
+            "temperature_k": config.temperature_k,
+            "devices": report_devices,
+        }),
+        [(RADAR_CSV, ("name", "axis", "score", "x", "y"), radar_rows),
+         ("device_clear.csv",
+          ("name", "technology", "clear", *_FACTOR_KEYS[Level.DEVICE], "radar_area"),
+          [(d["name"], d["technology"], d["clear"], *d["factors"].values(), d["radar_area"])
+           for d in report_devices])],
+        (None, ("device", "technology", "clear", "radar_area"), table_rows))
 
 
-def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
+def report_link(config, eval_year: float | None = None) -> Report:
+    """Link CLEAR over the lengths of a loaded link config, costed in ``eval_year``."""
     from .limits import make_limit_set
     from .link import link_factors
-    from .validation import load_link_config
-
-    config = load_link_config(args.config)
 
     report_links = {spec.name: [] for spec in config.links}
     radar_rows = {spec.name: [] for spec in config.links}
@@ -191,7 +191,7 @@ def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
     for length in config.lengths_m:
         limits = make_limit_set(temperature=config.temperature_k, link_length=length,
                                 level=Level.LINK)
-        at_length = [(spec, link_factors(spec.at_length(length), args.eval_year))
+        at_length = [(spec, link_factors(spec.at_length(length), eval_year))
                      for spec in config.links]
         values = []  # every link's factors are checked before any sets the shared floors
         for spec, factors in at_length:
@@ -212,40 +212,39 @@ def _run_link(args: argparse.Namespace, artifacts: _Artifacts):
             radar_rows[spec.name].extend(
                 (spec.name, length, *vertex) for vertex in radar_vertices(scores))
     by_name = sorted(config.links, key=lambda s: s.name)
-    artifacts.csv_files.append(
-        (RADAR_CSV, ("name", "length_m", "axis", "score", "x", "y"),
-         [row for spec in by_name for row in radar_rows[spec.name]]))
-    artifacts.csv_files.append(
-        ("link_sweep.csv",
-         ("link", "length_m", "capacity_bps", "latency_s", "energy_j", "area_m2",
-          "cost_usd", "clear"),
-         [(spec.name, e["length_m"], *(e[key] for key in _FACTOR_KEYS[Level.LINK]), e["clear"])
-          for spec in by_name for e in report_links[spec.name]]))
-    artifacts.json_files.append(("link_report.json", {
-        "kind": "link_report",
-        "temperature_k": config.temperature_k,
-        "eval_year": args.eval_year,
-        "lengths_m": list(config.lengths_m),
-        "links": [{"name": spec.name, "technology": spec.technology.value,
-                   "sweep": report_links[spec.name]}
-                  for spec in by_name],
-    }))
-    if "table" in args.format:
-        _print_table(("link", "length_m", "capacity_bps", "clear"), table_rows)
+    return Report(
+        ("link_report.json", {
+            "kind": "link_report",
+            "temperature_k": config.temperature_k,
+            "eval_year": eval_year,
+            "lengths_m": list(config.lengths_m),
+            "links": [{"name": spec.name, "technology": spec.technology.value,
+                       "sweep": report_links[spec.name]}
+                      for spec in by_name],
+        }),
+        [(RADAR_CSV, ("name", "length_m", "axis", "score", "x", "y"),
+          [row for spec in by_name for row in radar_rows[spec.name]]),
+         ("link_sweep.csv",
+          ("link", "length_m", "capacity_bps", "latency_s", "energy_j", "area_m2",
+           "cost_usd", "clear"),
+          [(spec.name, e["length_m"], *(e[key] for key in _FACTOR_KEYS[Level.LINK]), e["clear"])
+           for spec in by_name for e in report_links[spec.name]])],
+        (None, ("link", "length_m", "capacity_bps", "clear"), table_rows))
 
 
-def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
+def report_network(config, eval_year: float | None = None, seed: int | None = None) -> Report:
+    """NoC CLEAR of each case of a loaded network config; ``seed`` feeds a hotspot pick."""
     from .network import case_activities, find_crossover, flit_sweep, generate_traffic
-    from .validation import link_activity_csv, load_network_config
+    from .validation import link_activity_csv
 
-    config = load_network_config(args.config)
     mesh = next(iter(config.cases.values()))
-    traffic = generate_traffic(config.traffic_pattern, config.traffic_params, mesh, args.seed)
+    traffic = generate_traffic(config.traffic_pattern, config.traffic_params, mesh, seed)
     activities = case_activities(config.cases, traffic)
     # Each (flit size, case) once: the summary is the sweep's column at noc.flit_bits.
     flit_bits, sizes = config.noc.flit_bits, config.flit_sizes or ()
-    sweep = flit_sweep(config.cases, activities, config.noc, (flit_bits, *sizes), args.eval_year)
+    sweep = flit_sweep(config.cases, activities, config.noc, (flit_bits, *sizes), eval_year)
 
+    csv_files = []
     summary_rows = []
     report_cases = []
     shared_rows = {}  # cases with one activity and equal utilizations share one row list
@@ -259,8 +258,8 @@ def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
         if key not in shared_rows:  # link_activity gives loads in (from, to) order
             shared_rows[key] = [(f"{a}->{b}", load, share) for ((a, b), load), share
                                 in zip(activity.loads.items(), utilization)]
-        artifacts.csv_files.append((link_activity_csv(label),
-                                    ("link_id", "load_bps", "utilization"), shared_rows[key]))
+        csv_files.append((link_activity_csv(label),
+                          ("link_id", "load_bps", "utilization"), shared_rows[key]))
         summary_rows.append((label, technology, clear.value,
                              factors.capability / 1e9,
                              factors.latency,
@@ -273,14 +272,14 @@ def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
             "clear": clear.value,
             **dict(zip(_FACTOR_KEYS[Level.NETWORK], factors)),
         })
-    artifacts.csv_files.append(("network_summary.csv", _NETWORK_SUMMARY_COLUMNS, summary_rows))
+    csv_files.append(("network_summary.csv", _NETWORK_SUMMARY_COLUMNS, summary_rows))
 
     sweep_report = None
     if config.flit_sizes:
         baseline = next(iter(config.cases))
         table = {label: [sweep[flit][label].value for flit in sizes] for label in config.cases}
         rows = [(flit, label, table[label][i]) for i, flit in enumerate(sizes) for label in table]
-        artifacts.csv_files.append(("flit_sweep.csv", ("flit_bits", "case", "clear"), rows))
+        csv_files.append(("flit_sweep.csv", ("flit_bits", "case", "clear"), rows))
         sweep_report = {
             "baseline": baseline,
             "rows": [{"flit_bits": flit, "case": label, "clear": clear}
@@ -289,23 +288,23 @@ def _run_network(args: argparse.Namespace, artifacts: _Artifacts):
                 label: find_crossover(sizes, series, table[baseline])
                 for label, series in table.items() if label != baseline},
         }
-    artifacts.json_files.append(("network_report.json", {
-        "kind": "network_report",
-        "seed": args.seed,
-        "eval_year": args.eval_year,
-        "mesh": {"rows": mesh.rows, "cols": mesh.cols, "spacing_m": mesh.spacing_m},
-        "cases": report_cases,
-        "flit_sweep": sweep_report,
-    }))
-    if "table" in args.format:
-        _print_table(_NETWORK_SUMMARY_COLUMNS, summary_rows)
+    return Report(
+        ("network_report.json", {
+            "kind": "network_report",
+            "seed": seed,
+            "eval_year": eval_year,
+            "mesh": {"rows": mesh.rows, "cols": mesh.cols, "spacing_m": mesh.spacing_m},
+            "cases": report_cases,
+            "flit_sweep": sweep_report,
+        }),
+        csv_files,
+        (None, _NETWORK_SUMMARY_COLUMNS, summary_rows))
 
 
-def _run_trend(args: argparse.Namespace, artifacts: _Artifacts):
+def report_trend(config) -> Report:
+    """System CLEAR of each record of a loaded trend config, and its growth fit."""
     from .trend import classify_vs_trend, efficiency_point, fit_growth, system_clear
-    from .validation import load_trend_config
 
-    config = load_trend_config(args.config)
     records = sorted(config.records, key=lambda r: (r.year, r.name))
     observations = []
     for record in records:
@@ -334,34 +333,25 @@ def _run_trend(args: argparse.Namespace, artifacts: _Artifacts):
             "landauer_fraction": point.landauer_fraction,
             "position": position,
         })
-    artifacts.csv_files.append(
-        ("trend_points.csv", ("name", "year", "clear", "position"), point_rows))
-    artifacts.json_files.append(("trend_report.json", {
-        "kind": "trend_report",
-        "band_db": config.band_db,
-        "fit": {
-            "annual_factor": fit.annual_factor,
-            # A flat series fits an infinite doubling time; JSON has no inf.
-            "doubling_months": fit.doubling_months if math.isfinite(fit.doubling_months) else None,
-            "r_squared": fit.r_squared,
-            "intercept": fit.intercept,
-        },
-        "points": report_points,
-    }))
-    if "table" in args.format:
-        print(f"growth: x{fit.annual_factor:.3g}/year "
-              f"(doubling every {fit.doubling_months:.3g} months, "
-              f"r^2 = {fit.r_squared if fit.r_squared is not None else 'undefined'})")
-        _print_table(("system", "year", "clear", "position"), point_rows)
-
-
-_RUNNERS = {
-    "limits": _run_limits,
-    "device": _run_device,
-    "link": _run_link,
-    "network": _run_network,
-    "trend": _run_trend,
-}
+    title = (f"growth: x{fit.annual_factor:.3g}/year "
+             f"(doubling every {fit.doubling_months:.3g} months, "
+             f"r^2 = {fit.r_squared if fit.r_squared is not None else 'undefined'})")
+    return Report(
+        ("trend_report.json", {
+            "kind": "trend_report",
+            "band_db": config.band_db,
+            "fit": {
+                "annual_factor": fit.annual_factor,
+                # A flat series fits an infinite doubling time; JSON has no inf.
+                "doubling_months": (fit.doubling_months if math.isfinite(fit.doubling_months)
+                                    else None),
+                "r_squared": fit.r_squared,
+                "intercept": fit.intercept,
+            },
+            "points": report_points,
+        }),
+        [("trend_points.csv", ("name", "year", "clear", "position"), point_rows)],
+        (title, ("system", "year", "clear", "position"), point_rows))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -387,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Multi-hierarchy CLEAR figure-of-merit toolkit")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
+    for name in ("limits", "device", "link", "network", "trend"):
         cmd = sub.add_parser(name)
         if name != "limits":
             cmd.add_argument("--config", required=True, help="JSON config document")
@@ -430,9 +420,16 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         _check_args(args)
-        artifacts = _Artifacts()
-        _RUNNERS[args.command](args, artifacts)
-        for relpath in artifacts.flush(Path(args.out), args.format):
+        if args.command == "limits":
+            report = report_limits(args.temperature, args.link_length, args.group_index)
+        else:  # the loader is looked up when called, so a wrapper set on the module is used
+            from . import validation
+            config = getattr(validation, f"load_{args.command}_config")(args.config)
+            flags = {name: getattr(args, name) for name in ("eval_year", "seed") if name in args}
+            report = globals()[f"report_{args.command}"](config, **flags)
+        if "table" in args.format:
+            _print_table(*report.table)
+        for relpath in _write(report, Path(args.out), args.format):
             print(f"wrote {Path(args.out) / relpath}")
         return EXIT_OK
     except InfeasibleLinkError as exc:

@@ -146,6 +146,9 @@ class LinkSpec(Checked, _LinkSpecFields):
             if not any(c.role is ComponentRole.REPEATER for c in components):
                 raise DomainError(f"link '{self.name}': repeater_spacing_m requires a "
                                   "component with role 'repeater'")
+            if math.isinf(self.length_m / self.repeater_spacing_m):  # round(inf) raises
+                raise DomainError(f"link '{self.name}': {self.length_m:g} m over repeater_spacing_m "
+                                  f"{self.repeater_spacing_m:g} is more spans than a float counts")
         return {"technology": Technology(self.technology), "components": components}
 
     @property

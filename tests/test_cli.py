@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
-from clearfom import network
+from clearfom import cli, network, validation
 from clearfom.cli import EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from clearfom.data import example_path
 from clearfom.device import device_factors
@@ -528,6 +528,46 @@ class TestTrendCommand:
         assert (out / "trend_report.json").is_file()
 
 
+class TestReportsMatchTheCli:
+    """Each ``report_<kind>`` returns in memory what ``main`` writes for its subcommand,
+    and prints and writes nothing itself."""
+
+    @pytest.mark.parametrize("command,config,flags,options", [
+        ("limits", None, ["--temperature", "77", "--link-length", "1e-3", "--group-index", "4"],
+         {"temperature": 77.0, "link_length": 1e-3, "group_index": 4.0}),
+        ("device", "devices/four_technologies.json", [], {}),
+        ("link", "links/four_technologies.json", ["--eval-year", "2020"], {"eval_year": 2020.0}),
+        ("network", "networks/mesh16_comparison.json", ["--seed", "1", "--eval-year", "2020"],
+         {"seed": 1, "eval_year": 2020.0}),
+        ("trend", None, [], {}),
+    ], ids=["limits", "device", "link", "network", "trend"])
+    def test_report_is_what_main_writes(self, tmp_path, capsys, monkeypatch, command, config,
+                                        flags, options):
+        if command == "trend":
+            config = tmp_path / "trend.json"
+            config.write_text(json.dumps({"kind": "trend", "records_csv": str(
+                example_path("trend/sample_synthetic_systems.csv"))}), encoding="utf-8")
+        elif config is not None:
+            config = example_path(config)
+        loaded = () if config is None else (getattr(validation, f"load_{command}_config")(config),)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        report = getattr(cli, f"report_{command}")(*loaded, **options)
+        assert capsys.readouterr() == ("", "") and list(cwd.iterdir()) == []
+
+        out = tmp_path / "out"
+        given = [] if config is None else ["--config", str(config)]
+        assert main([command, *given, *flags, "--out", str(out)]) == EXIT_OK
+        relpath, document = report.json
+        assert json.loads((out / relpath).read_text(encoding="utf-8")) == document
+        for relpath, header, rows in report.csv:
+            text = "".join(",".join(map(fmt, line)) + "\n" for line in (header, *rows))
+            assert (out / relpath).read_bytes() == text.encode("utf-8")
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            [report.json[0], *(relpath for relpath, _, _ in report.csv)])
+
+
 class TestConfigSchemasMatchValidator:
     """The published config schemas and the internal validator must agree on
     the shipped examples."""
@@ -828,10 +868,13 @@ class TestNumericRange:
                       [link["transport"].update(resistance_ohm_per_m=0.0)
                        for link in doc["links"] if link["transport"]["kind"] == "electrical"]),
          EXIT_INFEASIBLE, "cannot close its power budget"),
+        # One template: the plasmonic one repeats every 1e-4 m, too often to count on 1e308 m.
         ("network", "networks/mesh16_comparison.json",
          lambda doc: (doc["mesh"].update(rows=4, cols=4, spacing_m=1e308),
                       doc["noc"]["link_templates"]["electronic"]["transport"].update(
                           resistance_ohm_per_m=0.0),
+                      doc["noc"].update(link_templates={
+                          "electronic": doc["noc"]["link_templates"]["electronic"]}),
                       doc.update(cases=[{"label": "electronic", "technology": "electronic",
                                          "express": {"hop_span": 2,
                                                      "technology": "electronic"}}])),
@@ -882,6 +925,16 @@ class TestNumericRange:
          ["components"][0].update(area_m2=1e308), EXIT_VALIDATION,
          "radar axis amount: floor and limit lie too far apart for the floating-point range "
          "(floor inf,"),
+        ("link", "links/four_technologies.json",
+         lambda doc: next(l for l in doc["links"] if l["name"] == "plasmonic")
+         .update(repeater_spacing_m=1e-320), EXIT_VALIDATION,
+         "link 'plasmonic': 0.0001 m over repeater_spacing_m 9.99989e-321 is more spans than "
+         "a float counts"),
+        ("network", "networks/mesh16_comparison.json",
+         lambda doc: doc["noc"]["link_templates"]["plasmonic"].update(repeater_spacing_m=1e-320),
+         EXIT_VALIDATION,
+         "link 'plasmonic-noc-link': 0.001 m over repeater_spacing_m 9.99989e-321 is more spans "
+         "than a float counts"),
     ], ids=["link_length_overflows_rc", "link_length_underflows_rc",
             "mesh_spacing_overflows_rc", "mesh_spacing_underflows_rc",
             "injection_overflows_loads", "injection_overflows_hop_total",
@@ -892,7 +945,8 @@ class TestNumericRange:
             "link_component_delays_overflow", "link_swing_squares_past_range",
             "network_swing_squares_past_range", "device_footprint_floor_overflows",
             "device_cost_floor_overflows", "device_capability_floor_is_subnormal",
-            "device_capability_floor_underflows", "link_area_floor_overflows"])
+            "device_capability_floor_underflows", "link_area_floor_overflows",
+            "link_repeater_spans_overflow", "network_repeater_spans_overflow"])
     def test_no_input_reaches_the_arithmetic_catch_all(self, tmp_path, capsys, command,
                                                         example, edit, code, message):
         config = _config_copy(tmp_path, example, edit)

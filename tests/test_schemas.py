@@ -10,8 +10,10 @@ never in a traceback.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 from referencing import Registry, Resource
 
 from clearfom import validation
-from clearfom.cli import main
+from clearfom.cli import main, report_device, report_link, report_network
 from clearfom.data import example_path
 from clearfom.errors import ClearError
 from clearfom.link import ComponentRole
@@ -443,30 +445,33 @@ def _scan_network():
     return doc
 
 
-# The configs the leaf scan runs, with their commands' flags. An evaluation
-# year makes the wafer-rate and cost-curve keys count.
-SCANNED = {"device": (CONFIGS["device"], ()),
-           "link": (CONFIGS["link"], ("--eval-year", "2020")),
-           "network": (_scan_network(), ("--seed", "1", "--eval-year", "2020"))}
+# The configs the leaf scan evaluates, with their report functions and options.
+# An evaluation year makes the wafer-rate and cost-curve keys count.
+SCANNED = {"device": (CONFIGS["device"], report_device, {}),
+           "link": (CONFIGS["link"], report_link, {"eval_year": 2020.0}),
+           "network": (_scan_network(), report_network, {"seed": 1, "eval_year": 2020.0})}
 # Smallest first: the scan stops at the first scale that moves the outcome,
 # so a mesh dimension shrinks before it could grow a thousandfold.
 LEAF_SCALES = (1e-3, 0.5, 2.0, 1e3)
 NUMERIC_LEAVES = [
     pytest.param(name, path, value, id=f"{name}:$" + "".join(
         f"[{key}]" if isinstance(key, int) else f".{key}" for key in path))
-    for name, (doc, _) in SCANNED.items()
+    for name, (doc, _, _) in SCANNED.items()
     for path, value in _nodes(doc) if type(value) in (int, float)]
 
 
 def _outcome(name, doc):
-    """The exit code and artifact digests of the ``name`` command on ``doc``."""
+    """The JSON report and CSV tables of ``name`` on ``doc``, or the class of its refusal."""
+    _, report, options = SCANNED[name]
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(doc), encoding="utf-8")
-        out = Path(tmp) / "out"
-        code = main([name, "--config", str(config), "--out", str(out),
-                     "--format", "csv,json,radar_csv", *SCANNED[name][1]])
-        return code, _hash_tree(out)
+        try:
+            result = report(LOADERS[name](config), **options)
+        except ClearError as exc:
+            return type(exc)
+    # repr tells -0.0 from 0.0, as the artifact bytes do.
+    return repr((result.json, result.csv))
 
 
 @functools.cache
@@ -487,25 +492,29 @@ class TestEveryNumericLeafCounts:
                 scaled = max(1, round(scaled))
             if _outcome(name, mutate(doc, ("replace", path, scaled))) != _scanned_outcome(name):
                 return
-        pytest.fail(f"no scale in {LEAF_SCALES} changes the exit code or an artifact")
+        pytest.fail(f"no scale in {LEAF_SCALES} changes the refusal or an artifact")
 
 
 def _run_mutated(command, doc, extra=()):
-    with tempfile.TemporaryDirectory() as tmp:
+    """The exit code of ``command`` on ``doc``, and what it printed on stderr."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(doc), encoding="utf-8")
-        return main([command, "--config", str(config), "--out", str(Path(tmp) / "out"),
+        code = main([command, "--config", str(config), "--out", str(Path(tmp) / "out"),
                      "--format", "csv,json", *extra])
+    return code, err.getvalue()
 
 
 class TestCliNeverRaises:
-    """Every mutated config ends in exit code 0-3, never in a traceback."""
+    """Every mutated config ends in exit code 0-3, never in a traceback, and no
+    error reaches the catch-all for arithmetic outside the model's numeric range."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([(name, m) for name, m in MUTATIONS if name in ("device", "link")]))
     def test_device_and_link(self, case):
         name, mutation = case
-        assert _run_mutated(name, mutate(CONFIGS[name], mutation)) in (0, 1, 2, 3)
+        code, err = _run_mutated(name, mutate(CONFIGS[name], mutation))
+        assert code in (0, 1, 2, 3) and "numeric range" not in err
 
     @pytest.fixture(scope="class")
     def small_network(self, tmp_path_factory):
@@ -518,4 +527,5 @@ class TestCliNeverRaises:
     def test_small_network(self, small_network, data):
         doc, found = small_network
         mutation = data.draw(st.sampled_from(found))
-        assert _run_mutated("network", mutate(doc, mutation), ("--seed", "7")) in (0, 1, 2, 3)
+        code, err = _run_mutated("network", mutate(doc, mutation), ("--seed", "7"))
+        assert code in (0, 1, 2, 3) and "numeric range" not in err
